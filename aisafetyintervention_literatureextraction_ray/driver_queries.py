@@ -716,12 +716,25 @@ def _materialize_kg_inputs(sf_dir: str) -> str:
         return flat.append_column("name_norm", norm).append_column(
             "node_id", pa.array(ids, type=pa.string()))
 
+    import pyarrow.parquet as pq
+
+    from .schemas import EXTRACTION_SCHEMA, TRIPLES_SCHEMA
+
     extr = extract_pipeline(interleave_from_documents(sf_dir),
                             batch_size=128).materialize()
-    extr.write_parquet(f"{build}/extractions")
-    triples_from_extractions(extr).write_parquet(f"{build}/triples")
-    extr.map_batches(mentions, batch_format="pyarrow").write_parquet(
-        f"{build}/node_mentions")
+    for name, ds, schema in (
+            ("extractions", extr, EXTRACTION_SCHEMA),
+            ("triples", triples_from_extractions(extr), TRIPLES_SCHEMA),
+            ("node_mentions",
+             extr.map_batches(mentions, batch_format="pyarrow"),
+             mentions(EXTRACTION_SCHEMA.empty_table()).schema)):
+        ds.write_parquet(f"{build}/{name}")
+        if not os.path.isdir(f"{build}/{name}"):
+            # an empty corpus writes no file at all; leave a typed empty
+            # table so Ray readers and the DuckDB oracles see an empty KG
+            os.makedirs(f"{build}/{name}")
+            pq.write_table(schema.empty_table(),
+                           f"{build}/{name}/empty.parquet")
     with open(f"{build}/_SUCCESS", "w", encoding="utf-8") as f:
         json.dump(want, f)
     # swap the completed build into place.  The grading driver is a
@@ -13563,7 +13576,7 @@ def exact_dup_cluster_sizes(sf_dir: str):
     vx AS (SELECT DISTINCT x AS node_id FROM sym),
     s1 AS (SELECT MIN(node_id) AS seed FROM vx),
     w1(node_id, hops) AS (
-      SELECT seed, 0 FROM s1
+      SELECT seed, 0 FROM s1 WHERE seed IS NOT NULL
       UNION
       SELECT sym.y, w1.hops + 1
       FROM w1 JOIN sym ON sym.x = w1.node_id
@@ -13573,7 +13586,7 @@ def exact_dup_cluster_sizes(sf_dir: str):
     far AS (SELECT node_id FROM h1
             ORDER BY hops DESC, node_id ASC LIMIT 1),
     w2(node_id, hops) AS (
-      SELECT node_id, 0 FROM far
+      SELECT node_id, 0 FROM far WHERE node_id IS NOT NULL
       UNION
       SELECT sym.y, w2.hops + 1
       FROM w2 JOIN sym ON sym.x = w2.node_id
@@ -13596,7 +13609,10 @@ def kg_diameter_2sweep(sf_dir: str):
     the existing :func:`bfs_hops` keyed-min relaxation (each sweep
     O(diameter) bucketed exchanges); the oracle replays both sweeps
     as recursive CTEs.  ``n_reached`` counts the far node's
-    component, making partial coverage explicit."""
+    component, making partial coverage explicit.  An empty or
+    self-loop-only KG has no seed: both sides report
+    ``(NULL, NULL, NULL, 0)`` (the oracle guards its sweep bases with
+    ``IS NOT NULL`` so a NULL seed never counts as a reached node)."""
     from .functions.graph import bfs_hops
 
     # self-loops are invisible to the oracle's sym (s <> d): drop them
@@ -13612,7 +13628,7 @@ def kg_diameter_2sweep(sf_dir: str):
             "start_node": pd.Series([None], dtype=object),
             "far_node": pd.Series([None], dtype=object),
             "diameter_lb": pd.Series([None], dtype="float64"),
-            "n_reached": pd.Series([None], dtype="float64")})
+            "n_reached": pd.Series([0], dtype="int64")})
     h1 = bfs_hops(edges, src="src_id", dst="dst_id", seeds=seeds,
                   max_iters=_BFS_MAX_HOPS).to_pandas()
     far = h1.sort_values(["hops", "node_id"],
@@ -13704,10 +13720,10 @@ def embedding_top_component_energy(sf_dir: str):
     the round-R vector v, ppm = (1e6 * sum((x . v)^2)) //
     (|v|^2 * sum(fp^2) // S^2), exactly the normalized Rayleigh
     energy in fixed point.  One extra pass over the materialized fp
-    dataset: per-block (sum dot^2, sum fp^2) int64 partials (batch
-    16384 keeps the dot^2 block sum ~1e18-safe), folded cross-block
-    in arbitrary-precision Python ints; every division truncates
-    toward zero to match the HUGEINT oracle."""
+    dataset: per-block (sum dot^2, sum fp^2) partials summed exactly
+    in Python ints (a 16,384-row int64 fold of dot^2 would wrap at
+    |fp| <= 0.53 S), folded cross-block the same way; every division
+    truncates toward zero to match the HUGEINT oracle."""
     S = _POWER_SCALE
     v, ds, n_dims = _power_vector(sf_dir)
     if n_dims == 0:
@@ -13724,9 +13740,15 @@ def embedding_top_component_energy(sf_dir: str):
         fp = np.floor(mat.astype(np.float64) * S).astype(np.int64)
         prod = fp @ vv_
         dot = np.sign(prod) * (np.abs(prod) // S)
+        # exact block folds, shipped as decimal strings: at |fp| <=
+        # 0.53 S a 16,384-row block's sum(dot^2) passes 2^63 from 45
+        # dims up, so square and add as Python ints (a per-row
+        # sum(fp^2) stays in int64 below ~3e7 dims)
+        num = int((dot.astype(object) ** 2).sum())
+        total = int((fp * fp).sum(axis=1).astype(object).sum())
         return pa.table({
-            "num": pa.array([int((dot * dot).sum())]),
-            "total": pa.array([int((fp * fp).sum())]),
+            "num": pa.array([str(num)]),
+            "total": pa.array([str(total)]),
             "n": pa.array([len(dot)])})
 
     parts = ds.map_batches(part, batch_format="pyarrow",

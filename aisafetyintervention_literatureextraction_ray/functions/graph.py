@@ -1,35 +1,54 @@
-"""Connected components (dedup-cluster / merge closure at any scale).
+"""Graph analytics over an edge Dataset: one handle, one round primitive.
 
-The merge closure of canonicalization (SURVEY.md §2.4 J3 — reference
-``merge.py`` holds all accepted pairs in one process and union-finds
-them) is a connected-components problem: near-duplicate / alias pairs
-form a graph and every component collapses onto one canonical survivor,
-labeled with the minimum node id in the component.
+Every algorithm here starts from a :class:`GraphHandle`, built once per
+call from the caller's edge Dataset.  The handle owns what each
+algorithm would otherwise restate:
 
-Two paths, same results (equivalence-tested):
+* the edge VIEW — directed-distinct, symmetric, undirected ``a < b``
+  or the raw pair list; self-loops kept or dropped; an optional weight
+  column reduced by sum or min — materialized once;
+* the MEASURED edge count and the ONE gate policy: at or below
+  ``driver_threshold`` (2M skinny rows by default, ~32 MB of ids) the
+  view comes to the driver and runs as numpy over ``pd.factorize`` int
+  codes built once; above it, or with ``driver_threshold=0``, every
+  stage is a bucketed exchange over the native ids (no distributed
+  dictionary encoding);
+* the input id type, typed-empty results, seed resolution and the
+  "no seed appears as a graph node" refusal;
+* the documented int64 caller bounds, checked once from maxima it
+  measures, raising ``ValueError`` on both paths.
 
-* **driver path** (pair count at or below ``driver_threshold``,
-  MEASURED with ``Dataset.count()``): the two skinny id columns come to
-  the driver and a union-find closes them — 2M pairs is ~32 MB of ids;
-  texts/payloads never travel.  Same policy as
-  ``pipelines/canonicalization.py::canonicalize``'s local fast path.
-* **distributed path** (above the threshold, or forced with
-  ``driver_threshold=0``): iterative min-label propagation on the
-  engine's own exchange primitives — per iteration one partitioned
-  hash join (edge.src -> label) + one keyed min-aggregate, both
-  bucketed shuffles, never driver-side.  Labels decrease monotonically
-  to the component minimum, so the iteration count is the graph
-  diameter (dedup/alias graphs are near-cliques — 2-4 iterations in
-  practice); ``max_iters`` bounds pathological chains.  Convergence is
-  detected cheaply with a per-block label-multiset signature (no
-  shuffle); only a signature MATCH triggers the exact distributed
-  old-vs-new comparison, so the join price is paid once, at the end —
-  a signature collision cannot terminate the loop early.
+On top sits :meth:`GraphHandle.propagate`, one Pregel-style superstep
+(Malewicz et al., SIGMOD 2010) with ``combine`` in {sum, min}.  An
+algorithm writes its message and update kernels once, as numpy over
+int64 columns.  The driver path applies them to the whole code arrays
+with ``np.add.at`` / ``np.minimum.at``; the distributed path applies
+them per batch inside one ``bucketed_join`` (state into the edges) ->
+union(identity rows) -> ``hash_aggregate`` -> ``repartition`` round,
+re-bounding the state to the edge block count every round (Ray's
+shuffle emits about one block per input block, so an unbounded union
+would double the block count per round).  Fixed-round mode runs
+``n_rounds``; fixed-point mode stops at the first round that changes
+nothing — detected with the blocking-independent multiset signature
+``_labels_sig`` and confirmed by the exact old-vs-new join only on a
+signature match, so a collision cannot stop the loop early — and
+refuses at the round cap instead of returning unconverged labels.
+Integer sums, mins and floor divisions over nonnegative int64 are
+associative and exact, so both paths are bit-identical under any
+blocking or summation order and unroll into DuckDB integer SQL for
+the oracles.
 
-Label ids may be int or string; ``min`` is the Arrow kernel either way.
+PageRank (uniform, seeded, weighted), Katz, HITS, BFS hops, SSSP,
+feature propagation and the distributed connected components run on
+``propagate``.  Path counts (a per-pivot (min, sum-over-argmin) state)
+and label propagation (a per-node vote) keep their own loops; they and
+the peel, wedge, matching and spanning-forest algorithms still take
+their view and gate from the handle.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -37,8 +56,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .agg import (bucketed_apply, bucketed_join, default_num_buckets,
-                  hash_aggregate)
+from .agg import (bucketed_apply, bucketed_group_map, bucketed_join,
+                  default_num_buckets, hash_aggregate, pa_type_of)
+
+#: driver-path state value of a node that has none yet (min combine)
+_ABSENT = np.iinfo(np.int64).max
 
 
 def _labels_sig(labels: rd.Dataset,
@@ -77,140 +99,521 @@ def _labels_sig(labels: rd.Dataset,
     return (total, int(out["sum(cnt)"]))
 
 
+def _changed_count(new_labels: rd.Dataset, old_labels: rd.Dataset,
+                   num_buckets: int | None,
+                   value_col: str = "component_id") -> int:
+    """Exact count of nodes whose ``value_col`` differs between two
+    label tables (the check a signature match must pass)."""
+
+    def prev_name(t: pa.Table) -> pa.Table:
+        return pa.table({"node_id": t["node_id"], "prev": t[value_col]})
+
+    return bucketed_join(
+        new_labels.select_columns(["node_id", value_col]),
+        old_labels.map_batches(prev_name, batch_format="pyarrow",
+                               zero_copy_batch=True),
+        left_key="node_id", right_key="node_id",
+        right_value_cols=["prev"], num_buckets=num_buckets,
+    ).map_batches(
+        lambda t: t.filter(pc.not_equal(t[value_col], t["prev"])),
+        batch_format="pyarrow",
+    ).count()
+
+
+def _input_id_type(edges: rd.Dataset, col: str) -> pa.DataType:
+    """Column type from the INPUT schema — aggregated edge sets can come
+    back empty with ``schema() is None``; pandas-block inputs report
+    numpy dtypes (object -> string)."""
+    sch = edges.schema()
+    return pa_type_of(dict(zip(sch.names, sch.types))[col])
+
+
+def _cat(*cols) -> pa.Array:
+    return pa.chunked_array(list(cols)).combine_chunks()
+
+
+def _np(col) -> np.ndarray:
+    return np.asarray(col).astype(np.int64, copy=False)
+
+
+def _ints(x) -> pa.Array:
+    return pa.array(np.asarray(x, dtype=np.int64))
+
+
+class GraphHandle:
+    """One view of a caller's edge Dataset plus the measured path choice.
+
+    ``view``:
+
+    * ``"directed"`` — DISTINCT ``(s, d)``;
+    * ``"symmetric"`` — DISTINCT ``(s, d)`` over both directions;
+    * ``"undirected"`` — DISTINCT ``(a, b)`` with ``a < b``, self-loops
+      always dropped; :meth:`propagate` runs over both directions;
+    * ``"pairs"`` — the raw ``(s, d)`` rows, duplicates kept (the
+      connected-components input); :meth:`propagate` runs both ways.
+
+    ``loops=False`` drops self-loops, ``as_str`` casts ids to string
+    first, and ``weight`` keeps that column as ``w``, reduced over
+    duplicate pairs by ``reduce`` ("sum" or "min").  ``n_edges`` is the
+    view's MEASURED row count and ``driver`` the one gate: true when
+    ``0 < n_edges <= driver_threshold``, so ``driver_threshold=0``
+    forces the distributed path.  On the driver path ``df`` is the
+    gathered view and ``codes`` its ``(sc, dc, ids)`` factorization —
+    ``sort=True``, so code order is id order — each built once, on
+    first use.
+    """
+
+    def __init__(self, edges: rd.Dataset, src: str, dst: str, *,
+                 view: str = "directed", loops: bool = True,
+                 as_str: bool = False, weight: str | None = None,
+                 reduce: str = "sum", num_buckets: int | None = None,
+                 driver_threshold: int = 2_000_000):
+        self.id_type = _input_id_type(edges, src)
+        self.key_type = pa.string() if as_str else self.id_type
+        self.view, self.num_buckets = view, num_buckets
+        self.cols = ("a", "b") if view == "undirected" else ("s", "d")
+        ca, cb = self.cols
+        fields = [(ca, self.key_type), (cb, pa.string() if as_str else
+                                         _input_id_type(edges, dst))]
+        if weight is not None:
+            fields.append(("w", pa.int64() if reduce == "sum"
+                           else _input_id_type(edges, weight)))
+        self.schema = pa.schema(fields)
+
+        def shape(t: pa.Table) -> pa.Table:
+            x, y = t.column(src), t.column(dst)
+            w = t.column(weight) if weight is not None else None
+            if as_str:
+                x, y = x.cast(pa.string()), y.cast(pa.string())
+            if not loops or view == "undirected":
+                ok = pc.invert(pc.equal(x, y))
+                x, y = pc.filter(x, ok), pc.filter(y, ok)
+                w = pc.filter(w, ok) if w is not None else None
+            if view == "undirected":
+                lt = pc.less(x, y)
+                x, y = pc.if_else(lt, x, y), pc.if_else(lt, y, x)
+            elif view == "symmetric":
+                x, y = _cat(x, y), _cat(y, x)
+                w = _cat(w, w) if w is not None else None
+            return pa.table({ca: x, cb: y, **({} if w is None
+                                                else {"w": w})})
+
+        t = edges.select_columns(
+            [src, dst] + ([weight] if weight is not None else [])
+        ).map_batches(shape, batch_format="pyarrow", zero_copy_batch=True)
+        if view != "pairs":
+            t = hash_aggregate(
+                t, [ca, cb],
+                [("w", reduce)] if weight is not None else [(ca, "count")],
+                rename={f"w_{reduce}": "w"}, num_buckets=num_buckets,
+                exchange="shuffle").select_columns(self.schema.names)
+        # materialized ONCE: the gate needs the count and both paths then
+        # consume the rows, so a lazy view would re-run its whole
+        # upstream lineage (measured 2x wall on dedup_components)
+        self.table = t.materialize()
+        self.n_edges = self.table.count()
+        self.driver = bool(driver_threshold) and (
+            0 < self.n_edges <= driver_threshold)
+
+    # ------------------------------------------------------------ views
+    @functools.cached_property
+    def df(self) -> pd.DataFrame:
+        return self.table.to_pandas()
+
+    @functools.cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        df, (ca, cb) = self.df, self.cols
+        codes, nodes = pd.factorize(
+            pd.concat([df[ca], df[cb]], ignore_index=True), sort=True)
+        n = len(df)
+        return (codes[:n].astype(np.int64), codes[n:].astype(np.int64),
+                np.asarray(nodes))
+
+    @functools.cached_property
+    def nodes(self) -> rd.Dataset:
+        """Distributed ``(node_id)`` table: every endpoint, once."""
+        ca, cb = self.cols
+        return hash_aggregate(
+            self.table.map_batches(
+                lambda t: pa.table({"node_id": _cat(t[ca], t[cb])}),
+                batch_format="pyarrow", zero_copy_batch=True),
+            ["node_id"], [("node_id", "count")],
+            num_buckets=self.num_buckets, exchange="shuffle",
+        ).select_columns(["node_id"]).materialize()
+
+    @functools.cached_property
+    def n_nodes(self) -> int:
+        return len(self.codes[2]) if self.driver else self.nodes.count()
+
+    @functools.cached_property
+    def arcs(self) -> rd.Dataset:
+        """Distributed propagation arcs ``(s, d, attrs...)``: the view,
+        or both directions of it for the undirected and pairs views."""
+        if self.view not in ("undirected", "pairs"):
+            return self.table
+        ca, cb = self.cols
+        return self.table.map_batches(
+            lambda t: pa.table({"s": _cat(t[ca], t[cb]),
+                                "d": _cat(t[cb], t[ca])}),
+            batch_format="pyarrow", zero_copy_batch=True).materialize()
+
+    def _driver_arcs(self):
+        """Driver form of :attr:`arcs`: ``(src codes, dst codes, attrs)``."""
+        sc, dc, _ = self.codes
+        if self.view in ("undirected", "pairs"):
+            return np.concatenate([sc, dc]), np.concatenate([dc, sc]), {}
+        return sc, dc, {c: self.df[c].to_numpy(dtype=np.int64)
+                        for c in self.df.columns if c not in self.cols}
+
+    def empty(self, **cols) -> rd.Dataset:
+        """Typed empty result; a ``None`` type is the input id type."""
+        return rd.from_arrow(pa.table({
+            n: pa.array([], type=self.id_type if t is None else t)
+            for n, t in cols.items()}))
+
+    # ------------------------------------------------------- measurements
+    @staticmethod
+    def check_bound(name: str, what: str, value: int) -> None:
+        """Refuse a documented int64 caller contract that the measured
+        graph breaks, instead of letting numpy / Arrow wrap silently."""
+        if value >= 1 << 63:
+            raise ValueError(f"{name}: {what} = {value} reaches 2^63; "
+                             f"the int64 fixed point would wrap")
+
+    def max_degree(self, side: str) -> int:
+        """Largest out- (``side="s"``) or in-degree (``"d"``)."""
+        if self.driver:
+            sc, dc, ids = self.codes
+            return int(np.bincount(sc if side == "s" else dc,
+                                   minlength=len(ids)).max())
+        return int(hash_aggregate(
+            self.table.select_columns([side]), [side], [(side, "count")],
+            rename={f"{side}_count": "n"}, num_buckets=self.num_buckets,
+            exchange="shuffle").max("n"))
+
+    def weight_range(self) -> tuple[int, int]:
+        if self.driver:
+            w = self.df["w"].to_numpy(dtype=np.int64)
+            return int(w.min()), int(w.max())
+        return int(self.table.min("w")), int(self.table.max("w"))
+
+    def add_source_total(self) -> None:
+        """Attach ``tot`` to every edge: its source's out-degree, or
+        out-weight on a weighted view — joined once (it is round
+        invariant), so every round only moves the state column."""
+        s, weighted = self.cols[0], "w" in self.schema.names
+        if self.driver:
+            sc, _, ids = self.codes
+            tot = np.zeros(len(ids), np.int64)
+            np.add.at(tot, sc, self.df["w"].to_numpy(dtype=np.int64)
+                      if weighted else 1)
+            self.df["tot"] = tot[sc]
+            return
+        deg = hash_aggregate(
+            self.table.select_columns([s, "w"] if weighted else [s]), [s],
+            [("w", "sum")] if weighted else [(s, "count")],
+            rename={"w_sum": "tot", f"{s}_count": "tot"},
+            num_buckets=self.num_buckets, exchange="shuffle")
+        self.table = bucketed_join(
+            self.table, deg, left_key=s, right_key=s,
+            right_value_cols=["tot"], num_buckets=self.num_buckets,
+            left_schema=self.schema,
+            right_schema=pa.schema([(s, self.key_type),
+                                    ("tot", pa.int64())])).materialize()
+        self.schema = self.schema.append(pa.field("tot", pa.int64()))
+
+    def seed_mask(self, seeds: list):
+        """``(mask, n_present)`` for a seed list: a code-indexed bool
+        array on the driver path, the sorted array of the seed ids that
+        are graph nodes otherwise.  Seeds missing from the graph
+        contribute nothing; raises if NO seed is a graph node."""
+        arr = pa.array(sorted(set(seeds))).cast(self.id_type)
+        if self.driver:
+            mask = np.isin(self.codes[2], np.asarray(arr))
+            n = int(mask.sum())
+        else:
+            present = self.nodes.map_batches(
+                lambda t: t.filter(pc.is_in(t["node_id"], value_set=arr)),
+                batch_format="pyarrow").take_all()
+            mask = pa.array(sorted(r["node_id"] for r in present),
+                            type=self.id_type)
+            n = len(mask)
+        if n == 0:
+            raise ValueError("no seed appears as a graph node")
+        return mask, n
+
+    # ------------------------------------------------------------ states
+    # A state is a code-indexed int64 array on the driver path and a
+    # ``(node_id, v)`` Dataset otherwise.  The node constant ``k`` is
+    # fixed by the latest ``init``/``init_from``: an array on the
+    # driver, else the ``k`` column of the zero rows every sum round
+    # unions in — mapped off the initial state, whose blocks follow the
+    # node table, not the per-round re-bounded state (measured ~20%
+    # slower per round when taken from the latter).
+    def init(self, value: int | None, base: int = 0, mask=None,
+             fill: int | None = 0):
+        """Initial state: node value ``value`` (``None``: the node's own
+        id) and node constant ``base`` on every node in ``mask`` (all
+        nodes when None); other nodes get value ``fill`` and constant 0,
+        or are ABSENT when ``fill`` is None (min-combine frontiers)."""
+        self.vtype = self.key_type if value is None else pa.int64()
+        if self.driver:
+            on = np.ones(self.n_nodes, bool) if mask is None else mask
+            self.k = np.where(on, base, 0).astype(np.int64)
+            return np.asarray(np.arange(self.n_nodes) if value is None
+                              else np.where(on, value, _ABSENT if fill is
+                                            None else fill), np.int64)
+
+        def rows(t: pa.Table) -> pa.Table:
+            ids = t["node_id"]
+            on = (np.ones(t.num_rows, bool) if mask is None else
+                  np.asarray(pc.is_in(ids, value_set=mask)))
+            if fill is None:
+                ids, on = ids.filter(pa.array(on)), on[on]
+            return pa.table({
+                "node_id": ids,
+                "v": ids if value is None else _ints(
+                    np.where(on, value, fill or 0)),
+                "k": _ints(np.where(on, base, 0))})
+
+        return self._start(self.nodes.map_batches(
+            rows, batch_format="pyarrow", zero_copy_batch=True))
+
+    def init_from(self, values: rd.Dataset, id_col: str, value_col: str):
+        """Initial state read from a ``(id_col, value_col)`` int64
+        Dataset; graph nodes it does not list start at 0."""
+        self.vtype = pa.int64()
+        if self.driver:
+            fdf = values.to_pandas()
+            pos = pd.Index(self.codes[2]).get_indexer(
+                fdf[id_col].to_numpy())
+            v = np.zeros(self.n_nodes, np.int64)
+            ok = pos >= 0
+            v[pos[ok]] = fdf[value_col].to_numpy(dtype=np.int64)[ok]
+            self.k = np.zeros(self.n_nodes, np.int64)
+            return v
+        j = bucketed_join(
+            self.nodes, values.select_columns([id_col, value_col]),
+            left_key="node_id", right_key=id_col,
+            right_value_cols=[value_col], how="left",
+            num_buckets=self.num_buckets,
+            left_schema=pa.schema([("node_id", self.key_type)]),
+            right_schema=pa.schema([(id_col, self.id_type),
+                                    (value_col, pa.int64())]))
+        return self._start(j.map_batches(lambda t: pa.table({
+            "node_id": t["node_id"],
+            "v": pc.coalesce(pc.cast(t[value_col], pa.int64()),
+                             pa.scalar(0, pa.int64())),
+            "k": _ints(np.zeros(t.num_rows))}), batch_format="pyarrow"))
+
+    def _start(self, rows: rd.Dataset) -> rd.Dataset:
+        rows = rows.materialize()
+        self.zero_rows = rows.map_batches(
+            lambda t: pa.table({"node_id": t["node_id"],
+                                "v": _ints(np.zeros(t.num_rows)),
+                                "n": _ints(np.zeros(t.num_rows)),
+                                "k": t["k"]}),
+            batch_format="pyarrow", zero_copy_batch=True)
+        return rows.select_columns(["node_id", "v"])
+
+    def map(self, state, fn):
+        """Apply the numpy kernel ``fn`` to every node value (lazily on
+        the distributed path: the next round's join reads it once)."""
+        if self.driver:
+            return fn(state)
+        return state.map_batches(
+            lambda t: pa.table({"node_id": t["node_id"],
+                                "v": _ints(fn(_np(t["v"])))}),
+            batch_format="pyarrow", zero_copy_batch=True)
+
+    def max(self, state) -> int:
+        return int(state.max()) if self.driver else int(state.max("v"))
+
+    def output(self, id_name: str = "node_id", **states) -> rd.Dataset:
+        """``(id_name, <name>...)`` from one or more states over the same
+        node set; ABSENT nodes (min-combine frontiers) are omitted."""
+        if self.driver:
+            reached = next(iter(states.values())) != _ABSENT
+            return rd.from_arrow(pa.table({
+                id_name: pa.array(self.codes[2][reached]).cast(
+                    self.id_type),
+                **{n: pa.array(v[reached]) for n, v in states.items()}}))
+        out, schema = None, pa.schema([(id_name, self.key_type)])
+        for name, st in states.items():
+            t = st.map_batches(
+                lambda b, _n=name: pa.table({id_name: b["node_id"],
+                                             _n: b["v"]}),
+                batch_format="pyarrow", zero_copy_batch=True)
+            out = t if out is None else bucketed_join(
+                out, t, left_key=id_name, right_key=id_name,
+                right_value_cols=[name], num_buckets=self.num_buckets,
+                left_schema=schema,
+                right_schema=pa.schema([(id_name, self.key_type),
+                                        (name, pa.int64())]))
+            schema = schema.append(pa.field(name, pa.int64()))
+        return out
+
+    # --------------------------------------------------------- superstep
+    def propagate(self, state, message=None, update=None, *,
+                  combine: str = "sum", n_rounds: int = 1,
+                  until_fixed: str | None = None, reverse: bool = False):
+        """``n_rounds`` synchronous supersteps::
+
+            agg(v) = combine over arcs u -> v of message(x(u), arc)
+                     (``min`` also folds in x(v); ABSENT nodes send
+                     nothing)
+            x'(v)  = update(agg(v), n(v), k(v))
+
+        ``message(x, e)`` and ``update(agg, n, k)`` are numpy kernels
+        over int64 columns — ``e`` maps the arc attribute names (``w``,
+        ``tot``) to columns, ``n`` counts the messages a node received,
+        ``k`` is the node constant of the initial state; None is the
+        identity (which also lets min-label propagation carry native
+        ids).  ``reverse`` flips every arc.  With ``until_fixed`` (the
+        algorithm's name) the loop stops at the first round that changes
+        nothing and raises ``RuntimeError`` when ``n_rounds`` pass
+        without one.  ``state`` comes from :meth:`init` /
+        :meth:`init_from` or an earlier round."""
+        run = (self._propagate_driver if self.driver
+               else self._propagate_distributed)
+        out = run(state, message, update, combine, n_rounds, until_fixed,
+                  reverse)
+        if out is None:
+            # never return unconverged labels: a too-long chain would
+            # report a reachable node as unreachable or split one
+            # component into several
+            raise RuntimeError(
+                f"{until_fixed} did not converge within {n_rounds} "
+                f"iterations (graph diameter exceeds max_iters); raise "
+                f"max_iters")
+        return out
+
+    def _propagate_driver(self, x, message, update, combine, n_rounds,
+                          until_fixed, reverse):
+        src, dst, attrs = self._driver_arcs()
+        if reverse:
+            src, dst = dst, src
+        n_in = np.bincount(dst, minlength=self.n_nodes)
+        for _ in range(n_rounds):
+            send = x[src] != _ABSENT if combine == "min" else slice(None)
+            m = x[src][send]
+            if message is not None:
+                m = message(m, {c: a[send] for c, a in attrs.items()})
+            if combine == "min":
+                agg = x.copy()
+                np.minimum.at(agg, dst[send], m)
+            else:
+                agg = np.zeros(self.n_nodes, np.int64)
+                np.add.at(agg, dst, m)
+            new = agg if update is None else update(agg, n_in, self.k)
+            if until_fixed and np.array_equal(new, x):
+                return new
+            x = new
+        return None if until_fixed else x
+
+    def _propagate_distributed(self, state, message, update, combine,
+                               n_rounds, until_fixed, reverse):
+        arcs, nb = self.arcs, self.num_buckets
+        s, d = ("d", "s") if reverse else ("s", "d")
+        attrs = ([] if self.view in ("undirected", "pairs")
+                 else self.schema.names[2:])
+        arc_schema = pa.schema(
+            [("s", self.key_type), ("d", self.key_type)]
+            + [self.schema.field(c) for c in attrs])
+        st_schema = pa.schema([("node_id", self.key_type),
+                               ("v", self.vtype)])
+        nblocks = max(arcs.num_blocks(), nb or default_num_buckets())
+
+        def emit(t: pa.Table) -> pa.Table:
+            v, n = t["v"], t.num_rows
+            if message is not None:
+                v = _ints(message(_np(v), {c: _np(t[c]) for c in attrs}))
+            return pa.table({"node_id": t[d], "v": v,
+                             "n": _ints(np.ones(n)),
+                             "k": _ints(np.zeros(n))})
+
+        def min_rows(t: pa.Table) -> pa.Table:  # min folds in x(v)
+            zeros = _ints(np.zeros(t.num_rows))
+            return pa.table({"node_id": t["node_id"], "v": t["v"],
+                             "n": zeros, "k": zeros})
+
+        def apply(t: pa.Table) -> pa.Table:
+            v = t["v"]
+            if update is not None:
+                v = _ints(update(_np(v), _np(t["n"]), _np(t["k"])))
+            return pa.table({"node_id": t["node_id"], "v": v})
+
+        prev_sig = _labels_sig(state, "v") if until_fixed else None
+        for _ in range(n_rounds):
+            joined = bucketed_join(
+                arcs, state, left_key=s, right_key="node_id",
+                right_value_cols=["v"], num_buckets=nb,
+                left_schema=arc_schema, right_schema=st_schema)
+            cand = joined.map_batches(
+                emit, batch_format="pyarrow", zero_copy_batch=True,
+            ).union(self.zero_rows if combine == "sum" else
+                    state.map_batches(min_rows, batch_format="pyarrow",
+                                      zero_copy_batch=True))
+            new = hash_aggregate(
+                cand, ["node_id"], [("v", combine), ("n", "sum"),
+                                    ("k", "max")],
+                rename={f"v_{combine}": "v", "n_sum": "n", "k_max": "k"},
+                num_buckets=nb, exchange="shuffle",
+            ).map_batches(apply, batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          ).repartition(nblocks).materialize()
+            if until_fixed:
+                sig = _labels_sig(new, "v")
+                if sig == prev_sig and _changed_count(
+                        new, state, nb, value_col="v") == 0:
+                    return new
+                prev_sig = sig
+            state = new
+        return None if until_fixed else state
+
+
+# ------------------------------------------------------ connected components
 def connected_components(pairs: rd.Dataset, *,
                          id_a: str = "id_a", id_b: str = "id_b",
                          max_iters: int = 50,
                          num_buckets: int | None = None,
                          driver_threshold: int = 2_000_000) -> rd.Dataset:
     """Label every node of the undirected pair graph with the MINIMUM
-    node id reachable from it.
+    node id reachable from it (the merge closure of canonicalization:
+    near-duplicate / alias pairs collapse onto one canonical survivor).
 
     Input: a dataset with two id columns (one row per edge).  Output:
     ``(node_id, component_id)`` — one row per distinct endpoint;
     singleton nodes never appear in ``pairs`` and so are their own
-    implicit components (callers left-join and coalesce).
+    implicit components (callers left-join and coalesce).  Ids may be
+    int or string; ``min`` is the Arrow kernel either way.
+
+    At or below ``driver_threshold`` raw pairs (MEASURED) the two id
+    columns come to the driver and a union-find closes them (2M pairs
+    is ~32 MB of ids; payloads never travel).  Above it, min-label
+    propagation to the fixed point on :meth:`GraphHandle.propagate`
+    over the native ids — the iteration count is the graph diameter
+    (dedup/alias graphs are near-cliques: 2-4 rounds); ``max_iters``
+    refuses pathological chains.
     """
-    # Materialize the skinny edge list ONCE: the measured gate needs a
-    # count and BOTH paths then consume the rows, so a lazy input would
-    # re-execute its whole upstream lineage (e.g. exact-dup hashing over
-    # every document) twice — measured 2x wall on dedup_components at
-    # sf0.1.  The edge list is two id columns (far smaller than the
-    # upstream), and the distributed path already materializes a 2x
-    # symmetrized copy of it, so this adds no asymptotic memory.
-    skinny = pairs.select_columns([id_a, id_b]).materialize()
+    h = GraphHandle(pairs, id_a, id_b, view="pairs",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, component_id=None)
+    if h.driver:
+        from ..stages.canonicalize import union_find
 
-    n_pairs = skinny.count()
-    if n_pairs == 0:
-        # typed empty label table (an empty Dataset drops column names,
-        # so both paths below would otherwise fail on the missing cols)
-        from .agg import pa_type_of
-
-        id_type = pa_type_of(dict(zip(skinny.schema().names,
-                                      skinny.schema().types))[id_a])
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "component_id": pa.array([], type=id_type)}))
-    if driver_threshold and n_pairs <= driver_threshold:
-        return _components_driver(skinny, id_a, id_b)
-    return _components_distributed(skinny, id_a, id_b,
-                                   max_iters=max_iters,
-                                   num_buckets=num_buckets)
-
-
-def _components_driver(skinny: rd.Dataset, id_a: str, id_b: str
-                       ) -> rd.Dataset:
-    from ..stages.canonicalize import union_find
-
-    df = skinny.to_pandas()
-    remap = union_find(list(zip(df[id_a], df[id_b])))
-    nodes = pd.unique(pd.concat([df[id_a], df[id_b]], ignore_index=True))
-    out = pd.DataFrame({
-        "node_id": nodes,
-        "component_id": [remap.get(x, x) for x in nodes],
-    }).sort_values("node_id").reset_index(drop=True)
-    return rd.from_pandas(out)
-
-
-def _components_distributed(skinny: rd.Dataset, id_a: str, id_b: str, *,
-                            max_iters: int,
-                            num_buckets: int | None) -> rd.Dataset:
-    def sym(t: pa.Table) -> pa.Table:
-        a = t.column(id_a)
-        b = t.column(id_b)
-        return pa.table({
-            "src": pa.chunked_array([a, b]).combine_chunks(),
-            "dst": pa.chunked_array([b, a]).combine_chunks(),
-        })
-
-    edges = skinny.map_batches(sym, batch_format="pyarrow",
-                               zero_copy_batch=True).materialize()
-
-    # Ray's sort shuffle emits roughly one output block per INPUT block,
-    # and each iteration unions the propagated candidates with the
-    # previous labels — left unchecked the label block count DOUBLES per
-    # iteration (exponential task count, measured 0.08s -> 6s per label
-    # pass by iteration 8 on a 13-pair graph).  Re-bound the block count
-    # every iteration to the edge table's own block count (the natural
-    # data-proportional width) so per-iteration cost stays constant.
-    nblocks = max(edges.num_blocks(),
-                  num_buckets or default_num_buckets())
-
-    # init: every endpoint labeled with itself (sym puts both endpoints
-    # in ``src``), deduped by the keyed min-aggregate
-    def self_label(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": t["src"], "component_id": t["src"]})
-
-    labels = hash_aggregate(
-        edges.map_batches(self_label, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["node_id"], [("component_id", "min")],
-        rename={"component_id_min": "component_id"},
-        num_buckets=num_buckets, exchange="shuffle",
-    ).repartition(nblocks).materialize()
-    prev_sig = _labels_sig(labels)
-
-    for _ in range(max_iters):
-        # candidate label for ``dst``: its neighbor's current label
-        prop = bucketed_join(
-            edges, labels, left_key="src", right_key="node_id",
-            right_value_cols=["component_id"],
-            num_buckets=num_buckets)
-
-        def from_neighbor(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": t["dst"],
-                             "component_id": t["component_id"]})
-
-        cand = prop.map_batches(from_neighbor, batch_format="pyarrow",
-                                zero_copy_batch=True).union(labels)
-        new_labels = hash_aggregate(
-            cand, ["node_id"], [("component_id", "min")],
-            rename={"component_id_min": "component_id"},
-            num_buckets=num_buckets, exchange="shuffle",
-        ).repartition(nblocks).materialize()
-
-        new_sig = _labels_sig(new_labels)
-        if new_sig == prev_sig and _changed_count(new_labels, labels,
-                                                  num_buckets) == 0:
-            return new_labels
-        labels, prev_sig = new_labels, new_sig
-
-    # max_iters exhausted: never return silently-unconverged labels —
-    # a too-long chain would split one true component into several
-    raise RuntimeError(
-        f"connected_components did not converge within {max_iters} "
-        f"iterations (graph diameter exceeds max_iters); raise max_iters")
-
-
-def _distinct_edges(edges: rd.Dataset, src: str, dst: str, *,
-                    num_buckets: int | None = None,
-                    exchange: str = "shuffle") -> rd.Dataset:
-    """DISTINCT ``(src, dst)`` simple-digraph projection of an edge
-    multiset — one two-stage hash reduce, never driver-side."""
-    skinny = edges.select_columns([src, dst])
-    return hash_aggregate(
-        skinny, [src, dst], [(src, "count")],
-        num_buckets=num_buckets, exchange=exchange,
-    ).select_columns([src, dst])
+        df = h.df
+        remap = union_find(list(zip(df["s"], df["d"])))
+        nodes = pd.unique(pd.concat([df["s"], df["d"]], ignore_index=True))
+        return rd.from_pandas(pd.DataFrame({
+            "node_id": nodes,
+            "component_id": [remap.get(x, x) for x in nodes],
+        }).sort_values("node_id").reset_index(drop=True))
+    labels = h.propagate(h.init(None), combine="min", n_rounds=max_iters,
+                         until_fixed="connected_components")
+    return h.output(component_id=labels)
 
 
 def degree_table(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
@@ -223,17 +626,14 @@ def degree_table(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     sum: no join, no driver state, skew-tolerant by the partial
     aggregation (a hub node costs one partial row per block).
     """
-    e = _distinct_edges(edges, src, dst, num_buckets=num_buckets)
+    e = GraphHandle(edges, src, dst, num_buckets=num_buckets).table
 
     def split(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        ones = np.ones(n, dtype=np.int64)
-        zeros = np.zeros(n, dtype=np.int64)
+        ones, zeros = np.ones(t.num_rows), np.zeros(t.num_rows)
         return pa.table({
-            "node_id": pa.chunked_array([t.column(src),
-                                         t.column(dst)]).combine_chunks(),
-            "out_d": pa.array(np.concatenate([ones, zeros])),
-            "in_d": pa.array(np.concatenate([zeros, ones])),
+            "node_id": _cat(t.column("s"), t.column("d")),
+            "out_d": _ints(np.concatenate([ones, zeros])),
+            "in_d": _ints(np.concatenate([zeros, ones])),
         })
 
     return hash_aggregate(
@@ -244,6 +644,7 @@ def degree_table(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     )
 
 
+# --------------------------------------------------------------- PageRank
 #: fixed-point scale for ``pagerank`` ranks (1.0 == PAGERANK_SCALE)
 PAGERANK_SCALE = 1_000_000_000_000
 
@@ -275,16 +676,9 @@ def pagerank(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     simplification); ``n_iters`` is FIXED, not convergence-tested:
     PageRank's error decays geometrically as ``(num/den)^t``, so a small
     fixed count is the usual ranking-quality choice and keeps the
-    distributed cost exactly ``n_iters`` join+reduce rounds.
-
-    Scale shape per iteration: one partitioned hash join (ranks into the
-    edge table on ``src``) + one keyed sum — both bucketed exchanges over
-    SKINNY int columns; ranks are re-bounded to the edge table's block
-    count every round (same growth guard as ``connected_components``).
-    Below ``driver_threshold`` distinct edges (MEASURED, same 2M policy
-    as ``connected_components``) a vectorized numpy driver pass runs the
-    identical recurrence — bit-equal output, no exchange scheduling;
-    pass ``driver_threshold=0`` to force the distributed path.
+    distributed cost exactly ``n_iters`` join+reduce rounds of
+    :meth:`GraphHandle.propagate` (the out-degree rides on the edges,
+    joined once).
 
     ``seeds`` switches to PERSONALIZED PageRank (entity-relatedness
     ranking around a query set): the uniform restart mass is replaced
@@ -298,1470 +692,78 @@ def pagerank(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     outdeg denominator becomes the node's weighted out-sum, and each
     edge's contribution is ``(r_t(u) * w) // W(u)`` — still pure
     integer, still bit-exact under any shuffle order.  Caller
-    contract: ``max(w) * scale`` must stay below 2^63 (provenance
-    counts against the default 1e12 scale allow weights to ~9e6).
+    contract, checked (``ValueError``): ``max(w) * scale`` must stay
+    below 2^63 (provenance counts against the default 1e12 scale allow
+    weights to ~9e6).
     """
     num, den = damping
-    if weight is None:
-        e = _distinct_edges(edges, src, dst, num_buckets=num_buckets)
-    else:
-        e = hash_aggregate(
-            edges.select_columns([src, dst, weight]), [src, dst],
-            [(weight, "sum")], rename={f"{weight}_sum": "w"},
-            num_buckets=num_buckets, exchange="shuffle")
-    e = e.materialize()
-    n_edges = e.count()
-    if n_edges == 0:
-        from .agg import pa_type_of
-
-        id_type = pa_type_of(dict(zip(edges.schema().names,
-                                      edges.schema().types))[src])
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "rank_fp": pa.array([], type=pa.int64())}))
+    h = GraphHandle(edges, src, dst, weight=weight,
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, rank_fp=pa.int64())
     if seeds is not None and not seeds:
         raise ValueError("seeds must be None (uniform) or non-empty")
-    if driver_threshold and n_edges <= driver_threshold:
-        # MEASURED driver fast path (same policy as connected_components
-        # — 2M skinny id pairs is ~32 MB): the fixed-point recurrence is
-        # integer, so this produces BIT-identical ranks to the
-        # distributed path, just without 5 rounds of exchange scheduling
-        return _pagerank_driver(e, src, dst, n_iters=n_iters,
-                                damping=damping, scale=scale,
-                                seeds=seeds,
-                                weighted=weight is not None)
-
-    if weight is None:
-        deg = hash_aggregate(
-            e, [src], [(src, "count")],
-            rename={f"{src}_count": "outdeg"},
-            num_buckets=num_buckets, exchange="shuffle")
-    else:
-        deg = hash_aggregate(
-            e.select_columns([src, "w"]), [src], [("w", "sum")],
-            rename={"w_sum": "outdeg"},
-            num_buckets=num_buckets, exchange="shuffle")
-    # per-edge share denominators, joined ONCE (outdeg is iteration-
-    # invariant); the per-iteration join then only moves the rank column
-    share = bucketed_join(
-        e, deg, left_key=src, right_key=src,
-        right_value_cols=["outdeg"], num_buckets=num_buckets).materialize()
-    share_schema = share.schema()
-    share_schema = getattr(share_schema, "base_schema", share_schema)
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": pa.chunked_array(
-            [t.column(src), t.column(dst)]).combine_chunks()})
-
-    nodes = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).materialize()
-    n_nodes = nodes.count()
-
-    seed_arr = None
-    if seeds is not None:
-        sch = nodes.schema()
-        sch = getattr(sch, "base_schema", sch)
-        seed_arr = pa.array(sorted(set(seeds))).cast(sch.field("node_id").type)
-        n_mass = nodes.map_batches(
-            lambda t: t.filter(pc.is_in(t["node_id"], value_set=seed_arr)),
-            batch_format="pyarrow").count()
-        if n_mass == 0:
-            raise ValueError("no seed appears as a graph node")
-    else:
-        n_mass = n_nodes
-
+    if weight is not None:
+        h.check_bound("pagerank", "max(w) * scale",
+                      h.weight_range()[1] * scale)
+    h.add_source_total()
+    mask, n_mass = (h.seed_mask(seeds) if seeds is not None
+                    else (None, h.n_nodes))
     r0 = scale // n_mass
-    base = ((den - num) * r0) // den
-    nblocks = max(share.num_blocks(),
-                  num_buckets or default_num_buckets())
-
-    def init_rank(t: pa.Table) -> pa.Table:
-        full = pa.array(np.full(t.num_rows, r0, dtype=np.int64))
-        if seed_arr is not None:
-            full = pc.if_else(pc.is_in(t["node_id"], value_set=seed_arr),
-                              full, pa.scalar(0, pa.int64()))
-        return t.append_column("r", full)
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t.column("node_id"),
-            "s": pa.array(np.zeros(t.num_rows, dtype=np.int64))})
-
-    ranks = nodes.map_batches(init_rank, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-    ranks_schema = ranks.schema()
-    ranks_schema = getattr(ranks_schema, "base_schema", ranks_schema)
-
-    for _ in range(n_iters):
-        joined = bucketed_join(
-            share, ranks, left_key=src, right_key="node_id",
-            right_value_cols=["r"], num_buckets=num_buckets,
-            left_schema=share_schema, right_schema=ranks_schema)
-
-        def contrib(t: pa.Table) -> pa.Table:
-            r = t.column("r")
-            if weight is not None:
-                r = pc.multiply(r, pc.cast(t.column("w"), pa.int64()))
-            return pa.table({
-                "node_id": t.column(dst),
-                "s": pc.divide(r, t.column("outdeg"))})
-
-        cand = joined.map_batches(
-            contrib, batch_format="pyarrow", zero_copy_batch=True,
-        ).union(nodes.map_batches(zero_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True))
-        sums = hash_aggregate(
-            cand, ["node_id"], [("s", "sum")], rename={"s_sum": "s"},
-            num_buckets=num_buckets, exchange="shuffle")
-
-        def affine(t: pa.Table) -> pa.Table:
-            s = t.column("s").cast(pa.int64())
-            prop = pc.divide(pc.multiply(s, pa.scalar(num, pa.int64())),
-                             pa.scalar(den, pa.int64()))
-            base_col = pa.scalar(base, pa.int64())
-            if seed_arr is not None:
-                base_col = pc.if_else(
-                    pc.is_in(t["node_id"], value_set=seed_arr),
-                    pa.scalar(base, pa.int64()), pa.scalar(0, pa.int64()))
-            r = pc.add(prop, base_col)
-            return pa.table({"node_id": t.column("node_id"), "r": r})
-
-        ranks = sums.map_batches(
-            affine, batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(nblocks).materialize()
-
-    def out_name(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["node_id", "rank_fp"])
-
-    return ranks.map_batches(out_name, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    ranks = h.propagate(
+        h.init(r0, base=((den - num) * r0) // den, mask=mask),
+        lambda r, e: (r * e["w"] if weight is not None else r) // e["tot"],
+        lambda s, n, base: base + (num * s) // den, n_rounds=n_iters)
+    return h.output(rank_fp=ranks)
 
 
-def _pagerank_driver(e: rd.Dataset, src: str, dst: str, *,
-                     n_iters: int, damping: tuple[int, int],
-                     scale: int, seeds: list | None = None,
-                     weighted: bool = False) -> rd.Dataset:
-    """Vectorized numpy form of the identical integer recurrence over
-    the (already-distinct, driver-gathered) skinny edge list."""
-    num, den = damping
-    df = e.to_pandas()
-    codes, nodes = pd.factorize(
-        pd.concat([df[src], df[dst]], ignore_index=True), sort=True)
-    n = len(df)
-    sc, dc = codes[:n].astype(np.int64), codes[n:].astype(np.int64)
-    n_nodes = len(nodes)
-    if weighted:
-        w = df["w"].to_numpy(dtype=np.int64)
-        outdeg = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(outdeg, sc, w)
-    else:
-        w = None
-        outdeg = np.bincount(sc, minlength=n_nodes).astype(np.int64)
-    if seeds is not None:
-        seed_mask = np.isin(np.asarray(nodes), np.asarray(list(set(seeds))))
-        n_mass = int(seed_mask.sum())
-        if n_mass == 0:
-            raise ValueError("no seed appears as a graph node")
-    else:
-        seed_mask, n_mass = None, n_nodes
-    r0 = scale // n_mass
-    base = ((den - num) * r0) // den
-    if seed_mask is None:
-        r = np.full(n_nodes, r0, dtype=np.int64)
-        base_vec = base
-    else:
-        r = np.where(seed_mask, np.int64(r0), np.int64(0))
-        base_vec = np.where(seed_mask, np.int64(base), np.int64(0))
-    for _ in range(n_iters):
-        s = np.zeros(n_nodes, dtype=np.int64)
-        share_num = r[sc] * w if weighted else r[sc]
-        np.add.at(s, dc, share_num // outdeg[sc])
-        r = base_vec + (num * s) // den
-    from .agg import pa_type_of
-
-    sch = e.schema()
-    id_type = pa_type_of(dict(zip(sch.names, sch.types))[src])
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(nodes).cast(id_type),
-        "rank_fp": pa.array(r)}))
+# ----------------------------------------------------------------- Katz
+KATZ_BETA = 1_000_000_000_000
 
 
-def triangle_count(edges: rd.Dataset, *, src: str = "src",
-                   dst: str = "dst",
-                   num_buckets: int | None = None,
-                   driver_threshold: int = 500_000,
-                   driver_wedge_limit: int = 20_000_000) -> int:
-    """Exact global triangle count of the UNDIRECTED simple graph
-    underlying ``edges`` (direction, parallel edges and self-loops
-    ignored).
+def katz_centrality(edges: rd.Dataset, *, src: str = "src",
+                    dst: str = "dst", n_iters: int = 8,
+                    beta: int = KATZ_BETA,
+                    num_buckets: int | None = None,
+                    driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """``(node_id, katz_fp)`` — Katz centrality over the DISTINCT
+    simple digraph (self-loops dropped) in exact integer fixed point.
+    The attenuation factor is MEASURED from the graph::
 
-    Uses the degree-ordered orientation: every undirected edge is
-    directed from its lower-``(degree, id)`` endpoint to the higher one,
-    so every triangle has exactly one node with out-edges to the other
-    two and is counted exactly once — and, crucially for web-scale
-    graphs, the oriented OUT-degree is bounded by ``O(sqrt(m))`` even at
-    hub nodes (a celebrity node of degree 10^6 contributes wedges only
-    through its low-degree neighbors), which keeps the wedge join from
-    exploding quadratically on skewed degree distributions.  All stages
-    are bucketed exchanges over skinny id columns: degree join (x2),
-    out-neighbor self-join, and a pair-key semi-join closing each wedge
-    against the oriented edge set.  The count is orientation-invariant,
-    so a plain 3-way self-join replays it in SQL.
+        den        = max(2, 2 * max_in_degree)        (alpha = 1/den)
+        x_0(i)     = beta
+        x_{t+1}(i) = beta + (sum_{j->i} x_t(j)) // den
+
+    ``alpha < 1/max_in_degree <= 1/lambda_max`` is the classic Katz
+    convergence condition, and it doubles as an overflow bound:
+    ``x <= beta + (max_in_deg * x_max) // (2 * max_in_deg)`` gives
+    ``x_max <= 2 * beta``, so every intermediate sum stays below
+    ``max_in_deg * 2 * beta`` — the caller contract, checked
+    (``ValueError``): it must stay below 2^63 (in-degrees to ~4.6e6 at
+    the default beta; document-derived KGs are far below).  Unlike
+    PageRank, Katz credits a node for ALL walks that reach it without
+    dividing by the walker's out-degree, so prolific sources transfer
+    full endorsement weight — the standard alternative centrality for
+    citation-style graphs.  Sum / max / floor-division over positive
+    int64 are associative / exact, so the result is bit-identical
+    under any blocking or summation order and the recurrence unrolls
+    verbatim into DuckDB integer SQL.  ``n_iters`` rounds of
+    :meth:`GraphHandle.propagate` (sum).
     """
-    sep = "\x1f"
-
-    def canon(t: pa.Table) -> pa.Table:
-        a = t.column(src).cast(pa.string())
-        b = t.column(dst).cast(pa.string())
-        keep = pc.invert(pc.equal(a, b))
-        a, b = pc.filter(a, keep), pc.filter(b, keep)
-        lo = pc.if_else(pc.less(a, b), a, b)
-        hi = pc.if_else(pc.less(a, b), b, a)
-        return pa.table({"a": lo, "b": hi})
-
-    und = hash_aggregate(
-        edges.map_batches(canon, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["a", "b"], [("a", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["a", "b"]).materialize()
-    n_und = und.count()
-    if n_und == 0:
-        return 0
-    if driver_threshold and n_und <= driver_threshold:
-        # MEASURED driver fast path (pagerank/connected_components
-        # policy); doubly gated — the edge count bounds the gather and
-        # the ORIENTED wedge count (computed exactly from degrees
-        # before any expansion) bounds the join memory, so a
-        # pathological near-clique falls through to the distributed
-        # path instead of blowing up the driver
-        res = _triangle_count_driver(und, driver_wedge_limit)
-        if res is not None:
-            return res
-
-    def und_deg(t: pa.Table) -> pa.Table:
-        d = pc.add(t.column("out_degree"), t.column("in_degree"))
-        return pa.table({"node_id": t.column("node_id"), "deg": d})
-
-    deg = degree_table(und, src="a", dst="b",
-                       num_buckets=num_buckets).map_batches(
-        und_deg, batch_format="pyarrow", zero_copy_batch=True)
-
-    j1 = bucketed_join(und, deg, left_key="a", right_key="node_id",
-                       right_value_cols=["deg"], num_buckets=num_buckets)
-
-    def name_deg_a(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["a", "b", "deg_a"])
-
-    j2 = bucketed_join(
-        j1.map_batches(name_deg_a, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        deg, left_key="b", right_key="node_id",
-        right_value_cols=["deg"], num_buckets=num_buckets)
-
-    def orient(t: pa.Table) -> pa.Table:
-        a, b = t.column("a"), t.column("b")
-        da, db = t.column("deg_a"), t.column("deg")
-        a_first = pc.or_(pc.less(da, db),
-                         pc.and_(pc.equal(da, db), pc.less(a, b)))
-        return pa.table({
-            "o_src": pc.if_else(a_first, a, b),
-            "o_dst": pc.if_else(a_first, b, a),
-            "deg_dst": pc.if_else(a_first, db, da),
-        })
-
-    o = j2.map_batches(orient, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize()
-    o_schema = o.schema()
-    o_schema = getattr(o_schema, "base_schema", o_schema)
-
-    def as_right(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["w_src", "w_dst", "w_deg"])
-
-    wedges = bucketed_join(
-        o, o.map_batches(as_right, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        left_key="o_src", right_key="w_src",
-        right_value_cols=["w_dst", "w_deg"],
-        num_buckets=num_buckets, left_schema=o_schema)
-
-    def ordered_pairs(t: pa.Table) -> pa.Table:
-        d1, d2 = t.column("deg_dst"), t.column("w_deg")
-        v, w = t.column("o_dst"), t.column("w_dst")
-        keep = pc.or_(pc.less(d1, d2),
-                      pc.and_(pc.equal(d1, d2), pc.less(v, w)))
-        v, w = pc.filter(v, keep), pc.filter(w, keep)
-        # explicit cast: an empty filtered batch must still carry a
-        # string-typed key column or downstream block schemas diverge
-        key = pc.binary_join_element_wise(v, w, sep).cast(pa.string())
-        return pa.table({"key": key})
-
-    def edge_keys(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": pc.binary_join_element_wise(
-                t.column("o_src"), t.column("o_dst"), sep),
-            "m": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-
-    return bucketed_join(
-        wedges.map_batches(ordered_pairs, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        o.map_batches(edge_keys, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        left_key="key", right_key="key", right_value_cols=["m"],
-        num_buckets=num_buckets).count()
-
-
-def _triangle_count_driver(und: rd.Dataset,
-                           wedge_limit: int) -> int | None:
-    """Vectorized pandas/numpy form of the degree-oriented count over
-    the driver-gathered distinct undirected edge list.  Returns None if
-    the exact oriented-wedge count (known from degrees BEFORE any
-    expansion) exceeds ``wedge_limit`` — the caller then runs the
-    distributed path.  Orientation here breaks degree ties by factorize
-    code rather than id string; any strict total order yields the same
-    triangle count, which is all this function returns."""
-    df = und.to_pandas()
-    codes, _ = pd.factorize(
-        pd.concat([df["a"], df["b"]], ignore_index=True))
-    n = len(df)
-    a, b = codes[:n].astype(np.int64), codes[n:].astype(np.int64)
-    deg = np.bincount(np.concatenate([a, b])).astype(np.int64)
-    a_first = (deg[a] < deg[b]) | ((deg[a] == deg[b]) & (a < b))
-    s = np.where(a_first, a, b)
-    d = np.where(a_first, b, a)
-    od = np.bincount(s, minlength=len(deg)).astype(np.int64)
-    if int((od * (od - 1) // 2).sum()) > wedge_limit:
-        return None
-    o = pd.DataFrame({"s": s, "d": d, "dd": deg[d]})
-    w = o.merge(o, on="s")
-    keep = (w["dd_x"] < w["dd_y"]) | ((w["dd_x"] == w["dd_y"])
-                                      & (w["d_x"] < w["d_y"]))
-    w = w[keep]
-    closed = w.merge(o, left_on=["d_x", "d_y"], right_on=["s", "d"])
-    return len(closed)
-
-
-# ------------------------------------------------------- clustering coefficient
-def clustering_coefficients(edges: rd.Dataset, *, src: str = "src",
-                            dst: str = "dst",
-                            num_buckets: int | None = None,
-                            driver_threshold: int = 500_000,
-                            driver_wedge_limit: int = 20_000_000
-                            ) -> rd.Dataset:
-    """Per-node triangle participation and local clustering coefficient
-    of the UNDIRECTED simple graph underlying ``edges``.
-
-    Output, one row per node of the simple graph:
-    ``(node_id, triangles:int64, wedges:int64, coeff:float64)`` with
-    ``wedges = deg * (deg - 1) / 2`` and ``coeff = triangles / wedges``
-    rounded to 6 decimals (NULL for degree-1 nodes, which close no
-    wedge).  Same degree-ordered orientation as :func:`triangle_count`
-    — oriented out-degree is O(sqrt(m)) even at hub nodes — but the
-    wedge CENTER rides through the closing join so each matched wedge
-    credits all three corners.  The triangle set is
-    orientation-invariant, so the driver fast path (measured edge-count
-    and exact wedge-count gates, the ``triangle_count`` policy) and the
-    distributed path agree bit-for-bit, and a plain 3-way SQL self-join
-    replays the counts.  All exchanges are skinny bucketed shuffles;
-    per-node credit aggregation is a two-stage hash sum seeded with a
-    zero row per node, so isolated-in-the-simple-graph nodes still
-    report.
-    """
-    sep = "\x1f"
-
-    def canon(t: pa.Table) -> pa.Table:
-        a = t.column(src).cast(pa.string())
-        b = t.column(dst).cast(pa.string())
-        keep = pc.invert(pc.equal(a, b))
-        a, b = pc.filter(a, keep), pc.filter(b, keep)
-        lo = pc.if_else(pc.less(a, b), a, b)
-        hi = pc.if_else(pc.less(a, b), b, a)
-        return pa.table({"a": lo, "b": hi})
-
-    und = hash_aggregate(
-        edges.map_batches(canon, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["a", "b"], [("a", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["a", "b"]).materialize()
-    id_type = _input_id_type(edges, src)
-
-    if und.count() == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "triangles": pa.array([], type=pa.int64()),
-            "wedges": pa.array([], type=pa.int64()),
-            "coeff": pa.array([], type=pa.float64())}))
-
-    if driver_threshold and und.count() <= driver_threshold:
-        res = _clustering_driver(und, driver_wedge_limit, id_type)
-        if res is not None:
-            return res
-
-    def und_deg(t: pa.Table) -> pa.Table:
-        d = pc.add(t.column("out_degree"), t.column("in_degree"))
-        return pa.table({"node_id": t.column("node_id"),
-                         "deg": pc.cast(d, pa.int64())})
-
-    deg = degree_table(und, src="a", dst="b",
-                       num_buckets=num_buckets).map_batches(
-        und_deg, batch_format="pyarrow",
-        zero_copy_batch=True).materialize()
-    deg_schema = pa.schema([("node_id", pa.string()),
-                            ("deg", pa.int64())])
-
-    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    j1 = bucketed_join(und, deg, left_key="a", right_key="node_id",
-                       right_value_cols=["deg"], num_buckets=num_buckets,
-                       left_schema=und_schema, right_schema=deg_schema)
-
-    def name_deg_a(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["a", "b", "deg_a"])
-
-    j1_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                           ("deg_a", pa.int64())])
-    j2 = bucketed_join(
-        j1.map_batches(name_deg_a, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        deg, left_key="b", right_key="node_id",
-        right_value_cols=["deg"], num_buckets=num_buckets,
-        left_schema=j1_schema, right_schema=deg_schema)
-
-    def orient(t: pa.Table) -> pa.Table:
-        a, b = t.column("a"), t.column("b")
-        da, db = t.column("deg_a"), t.column("deg")
-        a_first = pc.or_(pc.less(da, db),
-                         pc.and_(pc.equal(da, db), pc.less(a, b)))
-        return pa.table({
-            "o_src": pc.if_else(a_first, a, b),
-            "o_dst": pc.if_else(a_first, b, a),
-            "deg_dst": pc.if_else(a_first, db, da),
-        })
-
-    o = j2.map_batches(orient, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize()
-    o_schema = o.schema()
-    o_schema = getattr(o_schema, "base_schema", o_schema)
-
-    def as_right(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["w_src", "w_dst", "w_deg"])
-
-    wedges_j = bucketed_join(
-        o, o.map_batches(as_right, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        left_key="o_src", right_key="w_src",
-        right_value_cols=["w_dst", "w_deg"],
-        num_buckets=num_buckets, left_schema=o_schema)
-
-    def ordered_pairs(t: pa.Table) -> pa.Table:
-        d1, d2 = t.column("deg_dst"), t.column("w_deg")
-        u = t.column("o_src")
-        v, w = t.column("o_dst"), t.column("w_dst")
-        keep = pc.or_(pc.less(d1, d2),
-                      pc.and_(pc.equal(d1, d2), pc.less(v, w)))
-        u = pc.filter(u, keep)
-        v, w = pc.filter(v, keep), pc.filter(w, keep)
-        key = pc.binary_join_element_wise(v, w, sep).cast(pa.string())
-        return pa.table({"key": key, "u": pc.cast(u, pa.string()),
-                         "v": pc.cast(v, pa.string()),
-                         "w": pc.cast(w, pa.string())})
-
-    def edge_keys(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": pc.binary_join_element_wise(
-                t.column("o_src"), t.column("o_dst"), sep),
-            "m": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-
-    wedge_schema = pa.schema([("key", pa.string()), ("u", pa.string()),
-                              ("v", pa.string()), ("w", pa.string())])
-    closed = bucketed_join(
-        wedges_j.map_batches(ordered_pairs, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        o.map_batches(edge_keys, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        left_key="key", right_key="key", right_value_cols=["m"],
-        num_buckets=num_buckets, left_schema=wedge_schema)
-
-    def credits(t: pa.Table) -> pa.Table:
-        node = pa.chunked_array([t.column("u"), t.column("v"),
-                                 t.column("w")]).combine_chunks()
-        return pa.table({
-            "node_id": node,
-            "tri": pa.array(np.ones(len(node), dtype=np.int64))})
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t.column("node_id"),
-            "tri": pa.array(np.zeros(t.num_rows, dtype=np.int64))})
-
-    tri = hash_aggregate(
-        closed.map_batches(credits, batch_format="pyarrow",
-                           zero_copy_batch=True).union(
-            deg.map_batches(zero_rows, batch_format="pyarrow",
-                            zero_copy_batch=True)),
-        ["node_id"], [("tri", "sum")], rename={"tri_sum": "triangles"},
-        num_buckets=num_buckets)
-
-    tri_schema = pa.schema([("node_id", pa.string()),
-                            ("triangles", pa.int64())])
-    out = bucketed_join(tri, deg, left_key="node_id",
-                        right_key="node_id", right_value_cols=["deg"],
-                        num_buckets=num_buckets, left_schema=tri_schema,
-                        right_schema=deg_schema)
-
-    def finish(t: pa.Table) -> pa.Table:
-        d = t["deg"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tr = t["triangles"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        wedges = d * (d - 1) // 2
-        coeff = np.round(tr.astype(np.float64)
-                         / np.maximum(wedges, 1).astype(np.float64), 6)
-        return pa.table({
-            "node_id": t["node_id"].cast(id_type),
-            "triangles": pa.array(tr),
-            "wedges": pa.array(wedges),
-            "coeff": pa.array(coeff, mask=wedges == 0)})
-
-    return out.map_batches(finish, batch_format="pyarrow",
-                           zero_copy_batch=True)
-
-
-def _clustering_driver(und: rd.Dataset, wedge_limit: int,
-                       id_type: pa.DataType) -> rd.Dataset | None:
-    """Vectorized numpy per-node triangle credit over the
-    driver-gathered distinct undirected edge list; None when the exact
-    oriented-wedge count exceeds ``wedge_limit`` (caller falls through
-    to the distributed path).  Orientation ties break by factorize code
-    — any strict total order yields the same triangle SET, which is
-    what per-node credits depend on."""
-    df = und.to_pandas()
-    ac, bc, nodes = _factorize_pairs(df, "a", "b")
-    deg = np.bincount(np.concatenate([ac, bc]),
-                      minlength=len(nodes)).astype(np.int64)
-    a_first = (deg[ac] < deg[bc]) | ((deg[ac] == deg[bc]) & (ac < bc))
-    s = np.where(a_first, ac, bc)
-    d = np.where(a_first, bc, ac)
-    od = np.bincount(s, minlength=len(deg)).astype(np.int64)
-    if int((od * (od - 1) // 2).sum()) > wedge_limit:
-        return None
-    o = pd.DataFrame({"s": s, "d": d, "dd": deg[d]})
-    w = o.merge(o, on="s")
-    keep = (w["dd_x"] < w["dd_y"]) | ((w["dd_x"] == w["dd_y"])
-                                      & (w["d_x"] < w["d_y"]))
-    w = w[keep]
-    closed = w.merge(o, left_on=["d_x", "d_y"], right_on=["s", "d"])
-    tri = np.bincount(
-        np.concatenate([closed["s_x"].to_numpy(),
-                        closed["d_x"].to_numpy(),
-                        closed["d_y"].to_numpy()]).astype(np.int64),
-        minlength=len(nodes)).astype(np.int64)
-    wedges = deg * (deg - 1) // 2
-    coeff = np.round(tri.astype(np.float64)
-                     / np.maximum(wedges, 1).astype(np.float64), 6)
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(nodes).cast(id_type),
-        "triangles": pa.array(tri),
-        "wedges": pa.array(wedges),
-        "coeff": pa.array(coeff, mask=wedges == 0)}))
-
-
-def _changed_count(new_labels: rd.Dataset, old_labels: rd.Dataset,
-                   num_buckets: int | None,
-                   value_col: str = "component_id") -> int:
-    def prev_name(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["node_id", "prev"])
-
-    return bucketed_join(
-        new_labels,
-        old_labels.map_batches(prev_name, batch_format="pyarrow",
-                               zero_copy_batch=True),
-        left_key="node_id", right_key="node_id",
-        right_value_cols=["prev"], num_buckets=num_buckets,
-    ).map_batches(
-        lambda t: t.filter(pc.not_equal(t[value_col], t["prev"])),
-        batch_format="pyarrow",
-    ).count()
-
-
-def _undirected_simple_edges(edges: rd.Dataset, src: str, dst: str, *,
-                             num_buckets: int | None) -> rd.Dataset:
-    """Materialized distinct ``(a < b)`` undirected simple edge list of
-    ``edges`` — self-loops and parallel/reverse duplicates dropped via
-    one canonicalizing map + keyed distinct (shared by ``kcore`` and
-    ``neighbor_overlap``; ``triangle_count`` keeps its own string-cast
-    variant because its pair keys feed a binary join)."""
-
-    def canon(t: pa.Table) -> pa.Table:
-        a, b = t.column(src), t.column(dst)
-        keep = pc.invert(pc.equal(a, b))
-        a, b = pc.filter(a, keep), pc.filter(b, keep)
-        lo = pc.if_else(pc.less(a, b), a, b)
-        hi = pc.if_else(pc.less(a, b), b, a)
-        return pa.table({"a": lo, "b": hi})
-
-    return hash_aggregate(
-        edges.select_columns([src, dst]).map_batches(
-            canon, batch_format="pyarrow", zero_copy_batch=True),
-        ["a", "b"], [("a", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["a", "b"]).materialize()
-
-
-def _input_id_type(edges: rd.Dataset, src: str) -> pa.DataType:
-    """Endpoint id type from the INPUT schema — aggregated edge sets
-    can come back empty with ``schema() is None``."""
-    in_sch = edges.schema()
-    in_sch = getattr(in_sch, "base_schema", in_sch)
-    return in_sch.field(src).type
-
-
-def _factorize_pairs(df: pd.DataFrame, col_a: str, col_b: str):
-    """``(codes_a, codes_b, nodes)`` — one shared integer-code space
-    over both endpoint columns (driver-path prologue shared by the BFS
-    / k-core / neighbor-overlap numpy kernels)."""
-    codes, nodes = pd.factorize(
-        pd.concat([df[col_a], df[col_b]], ignore_index=True), sort=True)
-    n = len(df)
-    return (codes[:n].astype(np.int64), codes[n:].astype(np.int64),
-            np.asarray(nodes))
-
-
-# ------------------------------------------------------------------ BFS hops
-def bfs_hops(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
-             seeds: list, max_iters: int = 50,
-             num_buckets: int | None = None,
-             driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """``(node_id, hops)`` — minimum UNDIRECTED hop count from the seed
-    set over the distinct simple graph of ``edges`` (multi-source BFS;
-    KG use: distance-from-query-entities relatedness tiers, the hop
-    analogue of the personalized-PageRank neighborhood ranking).
-
-    Only REACHED nodes appear — unreachable nodes are absent, exactly
-    like ``connected_components`` omits singleton nodes (callers
-    left-join and treat null as unreachable).  Self-loops are harmless
-    (a ``hop+1`` candidate back onto a labeled node never beats its
-    existing label) and are left in.
-
-    Same two measured paths as ``connected_components`` (the hop label
-    is an int64 that only ever DECREASES under the keyed min-reduce, so
-    both paths are bit-identical):
-
-    * driver path (edge count <= ``driver_threshold``, MEASURED): the
-      skinny symmetrized id pairs come to the driver and a vectorized
-      numpy frontier relaxation runs one O(E) pass per hop level;
-    * distributed path: per iteration one partitioned hash join
-      (edge.src -> current labels) emitting ``hop+1`` candidates for
-      ``dst`` + one keyed min-aggregate, blocks re-bounded per round,
-      convergence by the blocking-independent multiset signature with
-      the exact old-vs-new join paid only on a signature match.
-
-    Seeds missing from the graph contribute nothing; raises if NO seed
-    is a graph node (same contract as personalized ``pagerank``).
-    """
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-
-    def sym(t: pa.Table) -> pa.Table:
-        a, b = t.column(src), t.column(dst)
-        return pa.table({
-            "s": pa.chunked_array([a, b]).combine_chunks(),
-            "d": pa.chunked_array([b, a]).combine_chunks(),
-        })
-
-    e = _distinct_edges(
-        edges.select_columns([src, dst]).map_batches(
-            sym, batch_format="pyarrow", zero_copy_batch=True),
-        "s", "d", num_buckets=num_buckets).materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "hops": pa.array([], type=pa.int64())}))
-    seed_arr = pa.array(sorted(set(seeds))).cast(id_type)
-    if driver_threshold and n_edges <= driver_threshold:
-        return _bfs_driver(e, seed_arr, max_iters)
-    return _bfs_distributed(e, seed_arr, max_iters=max_iters,
-                            num_buckets=num_buckets)
-
-
-def _bfs_driver(e: rd.Dataset, seed_arr: pa.Array,
-                max_iters: int) -> rd.Dataset:
-    """Vectorized numpy frontier relaxation over the (already
-    symmetrized, distinct, driver-gathered) skinny edge list."""
-    sc, dc, nodes = _factorize_pairs(e.to_pandas(), "s", "d")
-    dist = np.full(len(nodes), -1, dtype=np.int64)
-    seed_mask = np.isin(nodes, np.asarray(seed_arr))
-    if not seed_mask.any():
-        raise ValueError("no seed appears as a graph node")
-    dist[seed_mask] = 0
-    converged = False
-    for h in range(max_iters):
-        frontier = dist[sc] == h
-        newly = dc[frontier]
-        newly = newly[dist[newly] < 0]
-        if len(newly) == 0:
-            converged = True
-            break
-        dist[newly] = h + 1
-    if not converged:
-        # same contract (and same success set: seed eccentricity
-        # <= max_iters - 1) as the distributed path — refuse truncated
-        # hop labels instead of silently reporting reachable nodes as
-        # unreachable when the diameter exceeds max_iters
-        raise RuntimeError(
-            f"bfs_hops did not converge within {max_iters} iterations "
-            f"(graph diameter exceeds max_iters); raise max_iters")
-    reached = dist >= 0
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(nodes[reached]).cast(seed_arr.type),
-        "hops": pa.array(dist[reached])}))
-
-
-def _bfs_distributed(e: rd.Dataset, seed_arr: pa.Array, *,
-                     max_iters: int,
-                     num_buckets: int | None) -> rd.Dataset:
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-    e_schema = e.schema()
-    e_schema = getattr(e_schema, "base_schema", e_schema)
-
-    def seed_rows(t: pa.Table) -> pa.Table:
-        kept = t.filter(pc.is_in(t["s"], value_set=seed_arr))
-        return pa.table({
-            "node_id": kept["s"],
-            "hops": pa.array(np.zeros(kept.num_rows, dtype=np.int64))})
-
-    labels = hash_aggregate(
-        e.map_batches(seed_rows, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("hops", "min")], rename={"hops_min": "hops"},
-        num_buckets=num_buckets, exchange="shuffle",
-    ).repartition(nblocks).materialize()
-    if labels.count() == 0:
-        raise ValueError("no seed appears as a graph node")
-    labels_schema = labels.schema()
-    labels_schema = getattr(labels_schema, "base_schema", labels_schema)
-    prev_sig = _labels_sig(labels, value_col="hops")
-
-    for _ in range(max_iters):
-        prop = bucketed_join(
-            e, labels, left_key="s", right_key="node_id",
-            right_value_cols=["hops"], num_buckets=num_buckets,
-            left_schema=e_schema, right_schema=labels_schema)
-
-        def hop_plus_one(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t["d"],
-                "hops": pc.add(t["hops"], pa.scalar(1, pa.int64()))})
-
-        cand = prop.map_batches(hop_plus_one, batch_format="pyarrow",
-                                zero_copy_batch=True).union(labels)
-        new_labels = hash_aggregate(
-            cand, ["node_id"], [("hops", "min")],
-            rename={"hops_min": "hops"},
-            num_buckets=num_buckets, exchange="shuffle",
-        ).repartition(nblocks).materialize()
-
-        new_sig = _labels_sig(new_labels, value_col="hops")
-        if new_sig == prev_sig and _changed_count(
-                new_labels, labels, num_buckets, value_col="hops") == 0:
-            return new_labels
-        labels, prev_sig = new_labels, new_sig
-
-    raise RuntimeError(
-        f"bfs_hops did not converge within {max_iters} iterations "
-        f"(graph diameter exceeds max_iters); raise max_iters")
-
-
-# ------------------------------------------------------------------ k-core
-def kcore(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
-          k: int = 2, max_rounds: int = 30,
-          num_buckets: int | None = None,
-          driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """``(node_id, degree)`` — the k-core of the UNDIRECTED simple graph
-    underlying ``edges`` (direction, parallel edges and self-loops
-    ignored): iteratively peel every node of degree < k until the fixed
-    point; ``degree`` is the node's WITHIN-CORE degree (>= k by
-    construction).  KG use: dense-core extraction for entity-cluster
-    quality tiers — peripheral one-mention entities peel away, the core
-    keeps the densely cross-referenced subgraph.
-
-    Peeling only ever REMOVES edges, so the fixed point is reached when
-    one round removes nothing — detected with a cheap count on the
-    round's materialized edge set, no join.  Per round the distributed
-    path runs one endpoint-explode + keyed count (degrees), then two
-    partitioned semi-joins filtering edges to surviving endpoints; all
-    exchanges move skinny id columns only.  Below ``driver_threshold``
-    distinct undirected edges (MEASURED, the connected_components 2M
-    policy) a vectorized numpy peel runs the identical iteration —
-    bit-equal output, no exchange scheduling.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    n_und = und.count()
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "degree": pa.array([], type=pa.int64())}))
-
-    if n_und == 0:
-        return empty()
-    if driver_threshold and n_und <= driver_threshold:
-        return _kcore_driver(und, k, max_rounds, id_type)
-
-    cur, prev_n = und, n_und
-    for _ in range(max_rounds):
-        def endpoints(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": pa.chunked_array(
-                [t.column("a"), t.column("b")]).combine_chunks()})
-
-        deg = hash_aggregate(
-            cur.map_batches(endpoints, batch_format="pyarrow",
-                            zero_copy_batch=True),
-            ["node_id"], [("node_id", "count")],
-            rename={"node_id_count": "degree"},
-            num_buckets=num_buckets, exchange="shuffle")
-        keep = deg.map_batches(
-            lambda t: t.filter(pc.greater_equal(
-                t["degree"], pa.scalar(k, pa.int64()))),
-            batch_format="pyarrow").materialize()
-        # two semi-joins: an edge survives iff BOTH endpoints kept.
-        # EVERY schema below is passed explicitly and statically:
-        # probing .schema() on a lazy side re-executes it (the
-        # documented chained-join rule in functions/agg.py), and even a
-        # MATERIALIZED select_columns-of-join output can report the
-        # pre-projection schema when late buckets are empty (observed
-        # on Ray 2.49: cur.schema() -> [a, b, degree] while every
-        # non-empty block holds only [a, b]).
-        pair_schema = pa.schema([("a", id_type), ("b", id_type)])
-        keep_schema = pa.schema([("node_id", id_type),
-                                 ("degree", pa.int64())])
-        half = bucketed_join(
-            cur, keep, left_key="a", right_key="node_id",
-            right_value_cols=["degree"], num_buckets=num_buckets,
-            left_schema=pair_schema, right_schema=keep_schema,
-        ).select_columns(["a", "b"])
-        nxt = bucketed_join(
-            half, keep, left_key="b", right_key="node_id",
-            right_value_cols=["degree"], num_buckets=num_buckets,
-            left_schema=pair_schema, right_schema=keep_schema,
-        ).select_columns(["a", "b"]).materialize()
-        n_nxt = nxt.count()
-        if n_nxt == prev_n:
-            # fixed point: nothing peeled, so ``keep`` IS the core's
-            # (node_id, within-core degree) table
-            return keep
-        if n_nxt == 0:
-            return empty()
-        cur, prev_n = nxt, n_nxt
-
-    raise RuntimeError(
-        f"kcore did not stabilize within {max_rounds} peel rounds; "
-        f"raise max_rounds")
-
-
-def _kcore_driver(und: rd.Dataset, k: int, max_rounds: int,
-                  id_type: pa.DataType) -> rd.Dataset:
-    """Vectorized numpy peel over the (already canonical-distinct,
-    driver-gathered) skinny undirected edge list."""
-    ac, bc, nodes = _factorize_pairs(und.to_pandas(), "a", "b")
-    n = len(ac)
-    n_nodes = len(nodes)
-    alive = np.ones(n, dtype=bool)
-    for _ in range(max_rounds + 1):
-        deg = (np.bincount(ac[alive], minlength=n_nodes)
-               + np.bincount(bc[alive], minlength=n_nodes))
-        ok = deg >= k
-        nxt = alive & ok[ac] & ok[bc]
-        if (nxt == alive).all():
-            kept = deg >= k
-            return rd.from_arrow(pa.table({
-                "node_id": pa.array(nodes[kept]).cast(id_type),
-                "degree": pa.array(deg[kept].astype(np.int64))}))
-        alive = nxt
-    raise RuntimeError(
-        f"kcore did not stabilize within {max_rounds} peel rounds; "
-        f"raise max_rounds")
-
-
-# ------------------------------------------------------- neighbor overlap
-def neighbor_overlap(edges: rd.Dataset, *, src: str = "src",
-                     dst: str = "dst", min_common: int = 1,
-                     max_center_degree: int = 10_000,
-                     num_buckets: int | None = None,
-                     driver_threshold: int = 500_000,
-                     driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
-    """``(id_a, id_b, common, jaccard_fp)`` — unordered node pairs of
-    the UNDIRECTED simple graph sharing at least ``min_common``
-    neighbors, with ``common`` = shared-neighbor count and
-    ``jaccard_fp = (common * 10^6) // (deg_a + deg_b - common)`` (the
-    neighborhood-Jaccard link-prediction score in exact integer fixed
-    point — bit-identical under any blocking, SQL-replayable).  KG use:
-    entity-MERGE candidate generation — two mentions of the same
-    underlying entity co-occur with the same neighbor entities even
-    when their surface forms share no text, so high neighborhood
-    overlap surfaces merge pairs the string/embedding channels miss.
-    Adjacent pairs are included (adjacency and overlap are independent
-    signals; callers filter if they want non-edges only).
-
-    Scale shape: the wedge expansion through a center node c is
-    C(deg(c), 2), so hub nodes explode quadratically — centers with
-    degree > ``max_center_degree`` are SKIPPED as wedge centers (their
-    own pair scores survive via their other, low-degree co-neighbors)
-    and the dropped wedge count is reported loudly via
-    ``functions/runstats`` (the LSH-truncation policy); degrees in
-    ``jaccard_fp`` always come from the full graph.  All exchanges move
-    skinny id columns: one keyed degree count, a per-center grouped
-    pair expansion, one (id_a, id_b) count reduce, two degree joins.
-    Below ``driver_threshold`` distinct undirected edges (MEASURED,
-    the ``triangle_count`` policy) a vectorized numpy expansion runs
-    the identical arithmetic, doubly gated by the exact wedge total
-    computed from degrees BEFORE any expansion.
-    """
-    if min_common < 1:
-        raise ValueError("min_common must be >= 1")
-
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    n_und = und.count()
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=id_type),
-            "id_b": pa.array([], type=id_type),
-            "common": pa.array([], type=pa.int64()),
-            "jaccard_fp": pa.array([], type=pa.int64())}))
-
-    if n_und == 0:
-        return empty()
-    if driver_threshold and n_und <= driver_threshold:
-        res = _neighbor_overlap_driver(
-            und, id_type, min_common=min_common,
-            max_center_degree=max_center_degree,
-            wedge_limit=driver_wedge_limit)
-        if res is not None:
-            return res
-
-    def sym(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c": pa.chunked_array([t.column("a"),
-                                   t.column("b")]).combine_chunks(),
-            "n": pa.chunked_array([t.column("b"),
-                                   t.column("a")]).combine_chunks()})
-
-    adj = und.map_batches(sym, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    deg = hash_aggregate(
-        adj.select_columns(["c"]), ["c"], [("c", "count")],
-        rename={"c_count": "deg"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    adj_schema = pa.schema([("c", id_type), ("n", id_type)])
-    deg_schema = pa.schema([("c", id_type), ("deg", pa.int64())])
-
-    # drop hub CENTERS before the quadratic expansion (their rows as
-    # NEIGHBORS survive — only their role as wedge center is skipped)
-    with_deg = bucketed_join(
-        adj, deg, left_key="c", right_key="c", right_value_cols=["deg"],
-        num_buckets=num_buckets, left_schema=adj_schema,
-        right_schema=deg_schema).materialize()
-    kept = with_deg.map_batches(
-        lambda t: t.filter(pc.less_equal(
-            t["deg"], pa.scalar(max_center_degree, pa.int64()))),
-        batch_format="pyarrow").select_columns(["c", "n"]).materialize()
-    n_dropped = with_deg.count() - kept.count()
-    if n_dropped:
-        from .runstats import report_truncation
-
-        report_truncation("neighbor_overlap.hub_center",
-                          dropped=n_dropped)
-
-    def expand(g: pd.DataFrame) -> pd.DataFrame:
-        ns = np.sort(g["n"].to_numpy())
-        ia, ib = np.triu_indices(len(ns), k=1)
-        return pd.DataFrame({"id_a": ns[ia], "id_b": ns[ib]})
-
-    from .agg import bucketed_group_map
-
-    pairs = bucketed_group_map(kept, ["c"], expand, min_group_size=2,
-                               num_buckets=num_buckets,
-                               exchange="shuffle")
-    cn = hash_aggregate(
-        pairs, ["id_a", "id_b"], [("id_a", "count")],
-        rename={"id_a_count": "common"},
-        num_buckets=num_buckets, exchange="shuffle",
-    ).map_batches(
-        lambda t: t.filter(pc.greater_equal(
-            t["common"], pa.scalar(min_common, pa.int64()))),
-        batch_format="pyarrow").materialize()
-    cn_schema = pa.schema([("id_a", id_type), ("id_b", id_type),
-                           ("common", pa.int64())])
-
-    def rename_deg(col: str):
-        def f(t: pa.Table) -> pa.Table:
-            return t.rename_columns(["c", col])
-        return f
-
-    j1 = bucketed_join(
-        cn, deg.map_batches(rename_deg("deg_a"), batch_format="pyarrow",
-                            zero_copy_batch=True),
-        left_key="id_a", right_key="c", right_value_cols=["deg_a"],
-        num_buckets=num_buckets, left_schema=cn_schema,
-        right_schema=pa.schema([("c", id_type), ("deg_a", pa.int64())]))
-    j2 = bucketed_join(
-        j1, deg.map_batches(rename_deg("deg_b"), batch_format="pyarrow",
-                            zero_copy_batch=True),
-        left_key="id_b", right_key="c", right_value_cols=["deg_b"],
-        num_buckets=num_buckets,
-        left_schema=cn_schema.append(pa.field("deg_a", pa.int64())),
-        right_schema=pa.schema([("c", id_type), ("deg_b", pa.int64())]))
-
-    def score(t: pa.Table) -> pa.Table:
-        common = t.column("common").to_numpy(zero_copy_only=False)
-        da = t.column("deg_a").to_numpy(zero_copy_only=False)
-        db = t.column("deg_b").to_numpy(zero_copy_only=False)
-        fp = (common * 1_000_000) // (da + db - common)
-        return pa.table({"id_a": t.column("id_a"),
-                         "id_b": t.column("id_b"),
-                         "common": t.column("common"),
-                         "jaccard_fp": pa.array(fp, type=pa.int64())})
-
-    return j2.map_batches(score, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
-def _neighbor_overlap_driver(und: rd.Dataset, id_type: pa.DataType, *,
-                             min_common: int, max_center_degree: int,
-                             wedge_limit: int) -> rd.Dataset | None:
-    """Vectorized numpy wedge expansion over the (already
-    canonical-distinct, driver-gathered) skinny undirected edge list;
-    returns None when the exact pre-computed wedge total exceeds
-    ``wedge_limit`` (caller falls through to the distributed path)."""
-    ac, bc, nodes = _factorize_pairs(und.to_pandas(), "a", "b")
-    n_nodes = len(nodes)
-    full_deg = np.bincount(ac, minlength=n_nodes) + np.bincount(
-        bc, minlength=n_nodes)
-
-    # symmetrized adjacency sorted by center
-    cs = np.concatenate([ac, bc])
-    ns = np.concatenate([bc, ac])
-    center_ok = full_deg[cs] <= max_center_degree
-    n_hub_dropped = int((~center_ok).sum())
-    if n_hub_dropped:
-        cs, ns = cs[center_ok], ns[center_ok]
-    sizes = np.bincount(cs, minlength=n_nodes).astype(np.int64)
-    total_wedges = int((sizes * (sizes - 1) // 2).sum())
-    if total_wedges > wedge_limit:
-        return None  # fall through; the distributed path re-measures
-    if n_hub_dropped:
-        # reported only on the COMMITTED path — a fallthrough would
-        # otherwise double-count with the distributed path's report
-        from .runstats import report_truncation
-
-        report_truncation("neighbor_overlap.hub_center",
-                          dropped=n_hub_dropped)
-
-    order = np.lexsort((ns, cs))  # by center, neighbors ascending
-    ns = ns[order]
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # element at sorted position i pairs with the (s - 1 - local_i)
-    # elements after it in its center block
-    rep = (np.repeat(sizes, sizes) - 1
-           - (np.arange(len(ns)) - starts)) if len(ns) else np.zeros(
-               0, dtype=np.int64)
-    first = np.repeat(np.arange(len(ns)), rep)
-    cum = np.concatenate([[0], np.cumsum(rep)])
-    second = (np.arange(int(cum[-1])) - np.repeat(cum[:-1], rep)
-              + first + 1)
-    # neighbors are sorted within each block, so x < y already
-    key = ns[first] * np.int64(n_nodes) + ns[second]
-    uniq, counts = np.unique(key, return_counts=True)
-    keepm = counts >= min_common
-    uniq, counts = uniq[keepm], counts[keepm]
-    xa, xb = uniq // n_nodes, uniq % n_nodes
-    da, db = full_deg[xa], full_deg[xb]
-    fp = (counts * 1_000_000) // (da + db - counts)
-    node_arr = np.asarray(nodes)
-    return rd.from_arrow(pa.table({
-        "id_a": pa.array(node_arr[xa]).cast(id_type),
-        "id_b": pa.array(node_arr[xb]).cast(id_type),
-        "common": pa.array(counts.astype(np.int64)),
-        "jaccard_fp": pa.array(fp.astype(np.int64))}))
-
-
-_AA_SCALE = 1_000_000_000_000  # 1e12 fixed-point scale for 1/ln(deg)
-
-
-def adamic_adar(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
-                min_common: int = 1, max_center_degree: int = 10_000,
-                num_buckets: int | None = None,
-                driver_threshold: int = 500_000,
-                driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
-    """``(id_a, id_b, common, aa_fp)`` — the Adamic–Adar link-prediction
-    score over the UNDIRECTED simple graph:
-    ``aa_fp = sum over shared neighbors z of floor(1e12 / ln(deg(z)))``
-    (int64 fixed point).  Unlike :func:`neighbor_overlap`'s Jaccard,
-    shared RARE neighbors dominate the score — exactly the KG
-    entity-merge signal (two aliases co-mentioned with one niche method
-    outrank two entities that merely share the field's hub concepts).
-
-    Same scale shape as ``neighbor_overlap``: hub CENTERS above
-    ``max_center_degree`` are skipped as wedge centers (reported via
-    ``functions/runstats``), every exchange moves skinny id columns,
-    and the per-center weight is a scalar ``floor(1e12 / ln(deg_c))``
-    computed from the FULL degree (``deg_c >= 2`` for any wedge
-    center, so ``ln`` is positive) — summed as exact int64, so the
-    result is bit-identical under any blocking and replays in SQL as
-    ``CAST(FLOOR(1e12 / LN(CAST(deg AS DOUBLE))) AS BIGINT)`` (np.log
-    and DuckDB LN agree bitwise on identical double inputs).  Below
-    ``driver_threshold`` distinct undirected edges (MEASURED) a numpy
-    kernel runs the identical arithmetic, doubly gated by the exact
-    wedge total computed from degrees BEFORE any expansion.
-    """
-    if min_common < 1:
-        raise ValueError("min_common must be >= 1")
-
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    n_und = und.count()
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=id_type),
-            "id_b": pa.array([], type=id_type),
-            "common": pa.array([], type=pa.int64()),
-            "aa_fp": pa.array([], type=pa.int64())}))
-
-    if n_und == 0:
-        return empty()
-    if driver_threshold and n_und <= driver_threshold:
-        res = _adamic_adar_driver(
-            und, id_type, min_common=min_common,
-            max_center_degree=max_center_degree,
-            wedge_limit=driver_wedge_limit)
-        if res is not None:
-            return res
-
-    def sym(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c": pa.chunked_array([t.column("a"),
-                                   t.column("b")]).combine_chunks(),
-            "n": pa.chunked_array([t.column("b"),
-                                   t.column("a")]).combine_chunks()})
-
-    adj = und.map_batches(sym, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    deg = hash_aggregate(
-        adj.select_columns(["c"]), ["c"], [("c", "count")],
-        rename={"c_count": "deg"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    adj_schema = pa.schema([("c", id_type), ("n", id_type)])
-    deg_schema = pa.schema([("c", id_type), ("deg", pa.int64())])
-
-    with_deg = bucketed_join(
-        adj, deg, left_key="c", right_key="c", right_value_cols=["deg"],
-        num_buckets=num_buckets, left_schema=adj_schema,
-        right_schema=deg_schema).materialize()
-    kept = with_deg.map_batches(
-        lambda t: t.filter(pc.less_equal(
-            t["deg"], pa.scalar(max_center_degree, pa.int64()))),
-        batch_format="pyarrow").materialize()
-    n_dropped = with_deg.count() - kept.count()
-    if n_dropped:
-        from .runstats import report_truncation
-
-        report_truncation("adamic_adar.hub_center", dropped=n_dropped)
-
-    def expand(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:  # schema probe / filtered-empty bucket
-            return pd.DataFrame({"id_a": g["n"], "id_b": g["n"],
-                                 "w": pd.Series([], dtype="int64")}).iloc[:0]
-        # full degree of the wedge center is constant within the group;
-        # >= 2 because the group has >= 2 neighbor rows
-        w = int(np.floor(_AA_SCALE / np.log(float(g["deg"].iloc[0]))))
-        ns = np.sort(g["n"].to_numpy())
-        ia, ib = np.triu_indices(len(ns), k=1)
-        return pd.DataFrame({"id_a": ns[ia], "id_b": ns[ib],
-                             "w": np.full(len(ia), w, dtype=np.int64)})
-
-    from .agg import bucketed_group_map
-
-    pairs = bucketed_group_map(kept, ["c"], expand, min_group_size=2,
-                               num_buckets=num_buckets,
-                               exchange="shuffle")
-    scored = hash_aggregate(
-        pairs, ["id_a", "id_b"],
-        [("id_a", "count"), ("w", "sum")],
-        rename={"id_a_count": "common", "w_sum": "aa_fp"},
-        num_buckets=num_buckets, exchange="shuffle")
-    return scored.map_batches(
-        lambda t: t.filter(pc.greater_equal(
-            t["common"], pa.scalar(min_common, pa.int64()))),
-        batch_format="pyarrow")
-
-
-def _adamic_adar_driver(und: rd.Dataset, id_type: pa.DataType, *,
-                        min_common: int, max_center_degree: int,
-                        wedge_limit: int) -> rd.Dataset | None:
-    """Vectorized numpy wedge expansion with exact-int64 weight sums
-    (sort + ``np.add.reduceat`` — a float ``bincount`` would lose
-    exactness past 2^53); returns None above ``wedge_limit`` (caller
-    falls through to the distributed path)."""
-    ac, bc, nodes = _factorize_pairs(und.to_pandas(), "a", "b")
-    n_nodes = len(nodes)
-    full_deg = np.bincount(ac, minlength=n_nodes) + np.bincount(
-        bc, minlength=n_nodes)
-
-    cs = np.concatenate([ac, bc])
-    ns = np.concatenate([bc, ac])
-    center_ok = full_deg[cs] <= max_center_degree
-    n_hub_dropped = int((~center_ok).sum())
-    if n_hub_dropped:
-        cs, ns = cs[center_ok], ns[center_ok]
-    sizes = np.bincount(cs, minlength=n_nodes).astype(np.int64)
-    total_wedges = int((sizes * (sizes - 1) // 2).sum())
-    if total_wedges > wedge_limit:
-        return None
-    if n_hub_dropped:
-        from .runstats import report_truncation
-
-        report_truncation("adamic_adar.hub_center",
-                          dropped=n_hub_dropped)
-
-    # per-node fixed-point weight; only wedge centers (deg >= 2) are
-    # ever read, but compute defensively for deg >= 2 only
-    wtab = np.zeros(n_nodes, dtype=np.int64)
-    multi = full_deg >= 2
-    wtab[multi] = np.floor(
-        _AA_SCALE / np.log(full_deg[multi].astype(np.float64))
-    ).astype(np.int64)
-
-    order = np.lexsort((ns, cs))
-    ns = ns[order]
-    cs = cs[order]
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rep = (np.repeat(sizes, sizes) - 1
-           - (np.arange(len(ns)) - starts)) if len(ns) else np.zeros(
-               0, dtype=np.int64)
-    first = np.repeat(np.arange(len(ns)), rep)
-    cum = np.concatenate([[0], np.cumsum(rep)])
-    second = (np.arange(int(cum[-1])) - np.repeat(cum[:-1], rep)
-              + first + 1)
-    key = ns[first] * np.int64(n_nodes) + ns[second]
-    w = wtab[cs[first]]  # the wedge's center weight
-
-    if len(key) == 0:
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=id_type),
-            "id_b": pa.array([], type=id_type),
-            "common": pa.array([], type=pa.int64()),
-            "aa_fp": pa.array([], type=pa.int64())}))
-
-    order3 = np.argsort(key, kind="stable")
-    ks, ws = key[order3], w[order3]
-    bounds = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
-    uniq = ks[bounds]
-    counts = np.diff(np.concatenate([bounds, [len(ks)]]))
-    sums = np.add.reduceat(ws, bounds)  # exact int64 adds
-    keepm = counts >= min_common
-    uniq, counts, sums = uniq[keepm], counts[keepm], sums[keepm]
-    xa, xb = uniq // n_nodes, uniq % n_nodes
-    node_arr = np.asarray(nodes)
-    return rd.from_arrow(pa.table({
-        "id_a": pa.array(node_arr[xa]).cast(id_type),
-        "id_b": pa.array(node_arr[xb]).cast(id_type),
-        "common": pa.array(counts.astype(np.int64)),
-        "aa_fp": pa.array(sums.astype(np.int64))}))
-
-
-# ------------------------------------------------------------ hash walks
-def hash_walks(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
-               seeds: list | None = None, n_auto_seeds: int = 0,
-               walk_len: int = 4, num_buckets: int | None = None,
-               driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """Deterministic hash-derandomized random walks over the undirected
-    simple graph — the walk-corpus generator behind DeepWalk/node2vec
-    embedding pipelines, with the randomness replaced by a content
-    hash so the walks are REPRODUCIBLE and SQL-replayable: at step
-    ``t`` the walker at ``cur`` moves to
-    ``argmin over neighbors n of md5(cur || '|' || t || '|' || n)``
-    (argmin realized as a string MIN over ``md5hex || '|' || n`` — the
-    hex prefix has fixed width 32, so the min orders by hash with a
-    deterministic neighbor tie-break, and the successor is
-    ``substr(min, 34)``).
-
-    Output: ``(seed, step:int64, node_id)`` — one row per visited
-    position, step 0 = the seed itself; a walk reaching an isolated
-    node simply ends.  Every step is one partitioned frontier-to-
-    adjacency ``bucketed_join`` plus one keyed string-min reduce — no
-    driver state, walk count bounded by the seed set.  A hub node's
-    expansion is its degree (one candidate row per neighbor); cap or
-    salt seeds near celebrity nodes the same way ``neighbor_overlap``
-    caps wedge centers if walks must start there.
-
-    ``seeds`` gives explicit start nodes; ``n_auto_seeds=k`` instead
-    starts from the ``k`` lexicographically-smallest nodes of the
-    simple graph (a deterministic set the SQL oracle derives
-    identically).
-    """
-    import hashlib
-
-    if walk_len < 1:
-        raise ValueError("walk_len must be >= 1")
-    if (seeds is None) == (n_auto_seeds == 0):
-        raise ValueError("pass exactly one of seeds / n_auto_seeds")
-
-    und = _undirected_simple_edges(
-        edges.map_batches(
-            lambda t: pa.table({src: t.column(src).cast(pa.string()),
-                                dst: t.column(dst).cast(pa.string())}),
-            batch_format="pyarrow", zero_copy_batch=True),
-        src, dst, num_buckets=num_buckets)
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "seed": pa.array([], type=id_type),
-            "step": pa.array([], type=pa.int64()),
-            "node_id": pa.array([], type=id_type)}))
-
-    if und.count() == 0:
-        return empty()
-
-    def sym(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c": pa.chunked_array([t.column("a"),
-                                   t.column("b")]).combine_chunks(),
-            "n": pa.chunked_array([t.column("b"),
-                                   t.column("a")]).combine_chunks()})
-
-    adj = und.map_batches(sym, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    adj_schema = pa.schema([("c", pa.string()), ("n", pa.string())])
-
-    if seeds is None:
-        def seed_partial(t: pa.Table) -> pa.Table:
-            ids = pc.unique(t["c"].combine_chunks()
-                            if isinstance(t["c"], pa.ChunkedArray)
-                            else t["c"])
-            return pa.table({"s": ids.sort().slice(0, n_auto_seeds)})
-
-        parts = adj.map_batches(seed_partial, batch_format="pyarrow",
-                                zero_copy_batch=True).take_all()
-        seeds = sorted({r["s"] for r in parts})[:n_auto_seeds]
-    seeds = [str(s) for s in seeds]
-    if not seeds:
-        return empty()
-
-    if driver_threshold and adj.count() <= driver_threshold:
-        # MEASURED driver fast path (connected_components policy): a
-        # per-step distributed join+reduce over a frontier of a few
-        # rows is pure scheduling overhead; the gathered skinny
-        # adjacency replays the identical argmin recurrence
-        return _hash_walks_driver(adj, seeds, walk_len, id_type)
-
-    frontier = rd.from_arrow(pa.table({
-        "seed": pa.array(seeds, type=pa.string()),
-        "cur": pa.array(seeds, type=pa.string())}))
-    frontier_schema = pa.schema([("seed", pa.string()),
-                                 ("cur", pa.string())])
-    out_tables = [pa.table({
-        "seed": pa.array(seeds, type=pa.string()),
-        "step": pa.array(np.zeros(len(seeds), dtype=np.int64)),
-        "node_id": pa.array(seeds, type=pa.string())})]
-
-    for t_step in range(1, walk_len + 1):
-        cand = bucketed_join(frontier, adj, left_key="cur",
-                             right_key="c", right_value_cols=["n"],
-                             num_buckets=num_buckets,
-                             left_schema=frontier_schema,
-                             right_schema=adj_schema)
-
-        def pick(t: pa.Table, _t=t_step) -> pa.Table:
-            curs = t["cur"].to_pylist()
-            ns = t["n"].to_pylist()
-            m = [hashlib.md5(f"{c}|{_t}|{n}".encode()).hexdigest()
-                 + "|" + n for c, n in zip(curs, ns)]
-            return pa.table({"seed": t["seed"],
-                             "m": pa.array(m, type=pa.string())})
-
-        nxt = hash_aggregate(
-            cand.map_batches(pick, batch_format="pyarrow",
-                             zero_copy_batch=True),
-            ["seed"], [("m", "min")], rename={"m_min": "m"},
-            num_buckets=num_buckets)
-
-        def strip(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "seed": t["seed"],
-                "cur": pc.utf8_slice_codeunits(t["m"], 33)})
-
-        frontier = nxt.map_batches(strip, batch_format="pyarrow",
-                                   zero_copy_batch=True).materialize()
-        step_tbl = pa.concat_tables(
-            frontier.iter_batches(batch_format="pyarrow",
-                                  batch_size=65536))
-        if step_tbl.num_rows == 0:
-            break
-        out_tables.append(pa.table({
-            "seed": step_tbl["seed"],
-            "step": pa.array(np.full(step_tbl.num_rows, t_step,
-                                     dtype=np.int64)),
-            "node_id": step_tbl["cur"]}))
-
-    out = pa.concat_tables(out_tables)
-    return rd.from_arrow(pa.table({
-        "seed": out["seed"].cast(id_type),
-        "step": out["step"],
-        "node_id": out["node_id"].cast(id_type)}))
-
-
-def _hash_walks_driver(adj: rd.Dataset, seeds: list[str], walk_len: int,
-                       id_type: pa.DataType) -> rd.Dataset:
-    """Pandas/hashlib form of the hash-walk recurrence over the
-    driver-gathered symmetric adjacency — the identical
-    ``min(md5(cur|t|n) || '|' || n)`` argmin per (seed, step)."""
-    import hashlib
-
-    df = adj.to_pandas()
-    nbrs: dict[str, list[str]] = {
-        c: sorted(g["n"]) for c, g in df.groupby("c", sort=False)}
-    rows_seed: list[str] = list(seeds)
-    rows_step: list[int] = [0] * len(seeds)
-    rows_node: list[str] = list(seeds)
-    cur = {s: s for s in seeds}
-    for t in range(1, walk_len + 1):
-        nxt: dict[str, str] = {}
-        for s, c in cur.items():
-            cands = nbrs.get(c)
-            if not cands:
-                continue
-            m = min(hashlib.md5(f"{c}|{t}|{n}".encode()).hexdigest()
-                    + "|" + n for n in cands)
-            nxt[s] = m[33:]
-        if not nxt:
-            break
-        for s, n in nxt.items():
-            rows_seed.append(s)
-            rows_step.append(t)
-            rows_node.append(n)
-        cur = nxt
-    return rd.from_arrow(pa.table({
-        "seed": pa.array(rows_seed, type=pa.string()).cast(id_type),
-        "step": pa.array(np.array(rows_step, dtype=np.int64)),
-        "node_id": pa.array(rows_node, type=pa.string()).cast(id_type)}))
+    if n_iters < 1:
+        raise ValueError("n_iters must be >= 1")
+    h = GraphHandle(edges, src, dst, loops=False, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, katz_fp=pa.int64())
+    max_in = h.max_degree("d")
+    h.check_bound("katz_centrality", "max_in_degree * 2 * beta",
+                  max_in * 2 * beta)
+    den = max(2, 2 * max_in)
+    x = h.propagate(h.init(beta), None, lambda s, n, k: beta + s // den,
+                    n_rounds=n_iters)
+    return h.output(katz_fp=x)
 
 
 # ----------------------------------------------------------------- HITS
@@ -1788,134 +790,937 @@ def hits(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     many well-sourced claims) from SURVEY entities (hubs — whose
     outgoing edges cover the authorities), which PageRank's single
     score conflates.  ``n_iters`` is fixed (HITS converges
-    geometrically; 8 rounds is the standard ranking choice).
+    geometrically; 8 rounds is the standard ranking choice); each half
+    step is one :meth:`GraphHandle.propagate` round (the hub step runs
+    the arcs reversed) plus one driver-scalar max.
 
-    Caller contract: ``max(in_deg, out_deg) * scale < 2^63`` — degrees
-    to ~9.2e6 at the default scale (the ``pagerank`` weighted bound).
-    Scale shape per iteration: two partitioned skinny joins (scores
-    into the edge list) + two keyed sums + two driver-scalar maxes.
-    Below ``driver_threshold`` distinct edges (MEASURED, the 2M
-    policy) the identical recurrence runs vectorized on the driver.
+    Caller contract, checked (``ValueError``): ``max(in_deg, out_deg)
+    * scale < 2^63`` — degrees to ~9.2e6 at the default scale (the
+    ``pagerank`` weighted bound).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    h = GraphHandle(edges, src, dst, loops=False, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, hub_fp=pa.int64(), auth_fp=pa.int64())
+    h.check_bound("hits", "max(in_deg, out_deg) * scale",
+                  max(h.max_degree("s"), h.max_degree("d")) * scale)
 
-    def drop_self(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.equal(t[src], t[dst])))
+    def half_step(x, reverse: bool):
+        raw = h.propagate(x, reverse=reverse)
+        div = max(1, (h.max(raw) + scale - 1) // scale)
+        return h.map(raw, lambda v: v // div)
 
-    e = _distinct_edges(
-        edges.map_batches(drop_self, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        src, dst, num_buckets=num_buckets).materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "hub_fp": pa.array([], type=pa.int64()),
-            "auth_fp": pa.array([], type=pa.int64())}))
-    if driver_threshold and n_edges <= driver_threshold:
-        return _hits_driver(e, src, dst, n_iters=n_iters, scale=scale,
-                            id_type=id_type)
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": pa.chunked_array(
-            [t.column(src), t.column(dst)]).combine_chunks()})
-
-    nodes = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).materialize()
-    e_schema = pa.schema([(src, id_type), (dst, id_type)])
-    score_schema = pa.schema([("node_id", id_type), ("v", pa.int64())])
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-
-    def const_score(value: int):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t.column("node_id"),
-                "v": pa.array(np.full(t.num_rows, value, np.int64))})
-        return f
-
-    def half_step(scores: rd.Dataset, join_key: str,
-                  emit_key: str) -> rd.Dataset:
-        """sum the ``join_key``-side scores onto ``emit_key`` nodes,
-        then divisor-normalize back into [0, scale]."""
-        joined = bucketed_join(
-            e, scores, left_key=join_key, right_key="node_id",
-            right_value_cols=["v"], num_buckets=num_buckets,
-            left_schema=e_schema, right_schema=score_schema)
-
-        def emit(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": t.column(emit_key),
-                             "v": t.column("v")})
-
-        cand = joined.map_batches(
-            emit, batch_format="pyarrow", zero_copy_batch=True,
-        ).union(nodes.map_batches(const_score(0),
-                                  batch_format="pyarrow",
-                                  zero_copy_batch=True))
-        raw = hash_aggregate(
-            cand, ["node_id"], [("v", "sum")], rename={"v_sum": "v"},
-            num_buckets=num_buckets, exchange="shuffle").materialize()
-        m = raw.max("v")
-        div = max(1, (int(m) + scale - 1) // scale)
-
-        def norm(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t.column("node_id"),
-                "v": pc.divide(t.column("v").cast(pa.int64()),
-                               pa.scalar(div, pa.int64()))})
-
-        return raw.map_batches(norm, batch_format="pyarrow",
-                               zero_copy_batch=True,
-                               ).repartition(nblocks).materialize()
-
-    hub = nodes.map_batches(const_score(scale), batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-    auth = hub
+    hub = auth = h.init(scale)
     for _ in range(n_iters):
-        auth = half_step(hub, src, dst)    # authorities gather hub mass
-        hub = half_step(auth, dst, src)    # hubs gather authority mass
+        auth = half_step(hub, False)   # authorities gather hub mass
+        hub = half_step(auth, True)    # hubs gather authority mass
+    return h.output(hub_fp=hub, auth_fp=auth)
 
+
+# ------------------------------------------------------- BFS hops / SSSP
+def bfs_hops(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
+             seeds: list, max_iters: int = 50,
+             num_buckets: int | None = None,
+             driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """``(node_id, hops)`` — minimum UNDIRECTED hop count from the seed
+    set over the distinct simple graph of ``edges`` (multi-source BFS;
+    KG use: distance-from-query-entities relatedness tiers, the hop
+    analogue of the personalized-PageRank neighborhood ranking).
+
+    Only REACHED nodes appear — unreachable nodes are absent, exactly
+    like ``connected_components`` omits singleton nodes (callers
+    left-join and treat null as unreachable).  Self-loops are harmless
+    (a ``hop+1`` candidate back onto a labeled node never beats its
+    existing label) and are left in.  The hop label only ever
+    DECREASES under the min combine, so this is min-plus
+    :meth:`GraphHandle.propagate` run to its fixed point, bit-identical
+    on both paths; ``max_iters`` refuses (``RuntimeError``) when the
+    seed eccentricity exceeds ``max_iters - 1`` rather than report
+    reachable nodes as unreachable.
+
+    Seeds missing from the graph contribute nothing; raises if NO seed
+    is a graph node (same contract as personalized ``pagerank``).
+    """
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    h = GraphHandle(edges, src, dst, view="symmetric",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, hops=pa.int64())
+    mask, _ = h.seed_mask(seeds)
+    hops = h.propagate(h.init(0, mask=mask, fill=None),
+                       lambda x, e: x + 1, combine="min",
+                       n_rounds=max_iters, until_fixed="bfs_hops")
+    return h.output(hops=hops)
+
+
+def shortest_paths(edges: rd.Dataset, *, src: str = "src",
+                   dst: str = "dst", weight: str | None = None,
+                   seeds: list, n_rounds: int = 8,
+                   num_buckets: int | None = None,
+                   driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """``(node_id, dist)`` — cheapest DIRECTED path cost from the seed
+    set over at most ``n_rounds`` edges (bounded-hop multi-source
+    Bellman-Ford; KG use: provenance-discounted evidence distance —
+    how cheaply a claim chain connects query entities to a target).
+
+    ``weight`` names a NON-NEGATIVE int64 edge-cost column; parallel
+    edges collapse to their MIN cost (``weight=None`` costs every
+    distinct edge 1, the hop metric).  The relaxation is pure min-plus
+    integer arithmetic::
+
+        d_0      = 0 on seeds (absent elsewhere)
+        d_{t+1}(v) = min(d_t(v), min_{u->v}(d_t(u) + c(u, v)))
+
+    min and + over int64 are associative / commutative / exact, so the
+    result is bit-identical under any blocking or summation order and
+    the recurrence unrolls verbatim into DuckDB integer SQL.
+    ``n_rounds`` is FIXED (not convergence-tested): the output is the
+    well-defined "cheapest path using <= n_rounds edges", which is the
+    full SSSP whenever n_rounds >= the weighted-path hop diameter.
+    Only REACHED nodes appear (same contract as ``bfs_hops``; the
+    distributed state never holds unreached nodes, so no infinity
+    sentinel travels); self-loops are harmless (``d + c >= d`` for
+    ``c >= 0``) and are left in.  Caller contract, checked
+    (``ValueError``): ``n_rounds * max_cost < 2^63``.
+    """
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    h = GraphHandle(edges, src, dst, weight=weight, reduce="min",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, dist=pa.int64())
+    lo, hi = h.weight_range() if weight is not None else (1, 1)
+    if lo < 0:
+        raise ValueError("edge costs must be non-negative")
+    h.check_bound("shortest_paths", "n_rounds * max_cost", n_rounds * hi)
+    mask, _ = h.seed_mask(seeds)
+    dist = h.propagate(
+        h.init(0, mask=mask, fill=None),
+        (lambda x, e: x + 1) if weight is None else (
+            lambda x, e: x + e["w"]),
+        combine="min", n_rounds=n_rounds)
+    return h.output(dist=dist)
+
+
+# ------------------------------------------------------- feature propagation
+def feature_propagation(edges: rd.Dataset, features: rd.Dataset, *,
+                        src: str = "src", dst: str = "dst",
+                        id_col: str = "node_id", feat_col: str = "f",
+                        rounds: int = 2,
+                        num_buckets: int | None = None,
+                        driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """GNN-style mean aggregation of an int64 node feature over the
+    undirected simple graph: per round, every node's feature becomes
+    the TRUNCATING integer mean of its neighbors' features::
+
+        f_{t+1}(v) = (sum_{u ~ v} f_t(u)) // deg(v)
+
+    The smoothing primitive of graph feature engineering (label
+    propagation on continuous features, over-smoothing probes,
+    feature pre-computation for downstream models).  All arithmetic
+    is int64 — callers scale their feature into fixed point first —
+    so keyed sums are order-independent, both execution paths are
+    bit-identical, and the recurrence unrolls verbatim into integer
+    SQL for the oracle.  Caller contract: features are NONNEGATIVE
+    (Arrow's integer divide truncates toward zero while numpy's ``//``
+    floors — they agree only at >= 0) and ``max(f) * max_deg`` stays
+    below 2^63.
+
+    One :meth:`GraphHandle.propagate` round (sum; the update divides by
+    the received-message count, which is the degree) per ``rounds``
+    over the undirected view; the gate counts distinct undirected
+    edges.  Nodes missing from ``features`` start at 0.
+    """
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(**{id_col: None, feat_col: pa.int64()})
+    f = h.propagate(h.init_from(features, id_col, feat_col), None,
+                    lambda s, deg, k: s // deg, n_rounds=rounds)
+    return h.output(id_col, **{feat_col: f})
+
+
+# ---------------------------------------------------------------- triangles
+def _triangles_driver(a: np.ndarray, b: np.ndarray, n_nodes: int,
+                      wedge_limit: int | None):
+    """``(u, v, w)`` code arrays, one row per triangle of the undirected
+    code edge list ``(a, b)``; None when the exact oriented-wedge count
+    (known from degrees BEFORE any expansion) exceeds ``wedge_limit``
+    — the caller then runs the distributed path.  Orientation breaks
+    degree ties by code; any strict total order yields the same
+    triangle SET, which is all the callers read."""
+    deg = np.bincount(np.concatenate([a, b]),
+                      minlength=n_nodes).astype(np.int64)
+    a_first = (deg[a] < deg[b]) | ((deg[a] == deg[b]) & (a < b))
+    s, d = np.where(a_first, a, b), np.where(a_first, b, a)
+    od = np.bincount(s, minlength=n_nodes).astype(np.int64)
+    if wedge_limit is not None and int((od * (od - 1) // 2).sum()) > \
+            wedge_limit:
+        return None
+    o = pd.DataFrame({"s": s, "d": d, "dd": deg[d]})
+    w = o.merge(o, on="s")
+    w = w[(w["dd_x"] < w["dd_y"]) | ((w["dd_x"] == w["dd_y"])
+                                     & (w["d_x"] < w["d_y"]))]
+    closed = w.merge(o, left_on=["d_x", "d_y"], right_on=["s", "d"])
+    return tuple(closed[c].to_numpy(dtype=np.int64)
+                 for c in ("s_x", "d_x", "d_y"))
+
+
+def _triangles_distributed(und: rd.Dataset, num_buckets: int | None):
+    """``(closed, deg)`` over the materialized distinct ``(a < b)``
+    STRING edge list ``und``: every triangle once as a ``(u, v, w)``
+    row of ``closed`` (the wedge center and its two oriented
+    out-neighbors), and the ``(node_id, deg)`` table.
+
+    Degree-ordered orientation: every undirected edge is directed from
+    its lower-``(degree, id)`` endpoint to the higher one, so every
+    triangle has exactly one node with out-edges to the other two and
+    is found exactly once — and, crucially for web-scale graphs, the
+    oriented OUT-degree is bounded by ``O(sqrt(m))`` even at hub nodes
+    (a celebrity node of degree 10^6 contributes wedges only through
+    its low-degree neighbors), which keeps the wedge self-join from
+    exploding quadratically on skewed degree distributions.  A
+    pair-key join against the oriented edge set closes each wedge.
+    All exchanges are skinny bucketed shuffles with explicit static
+    schemas (the chained-join rule in functions/agg.py)."""
+    sep, st, i64 = "\x1f", pa.string(), pa.int64()
+    deg = degree_table(und, src="a", dst="b",
+                       num_buckets=num_buckets).map_batches(
+        lambda t: pa.table({"node_id": t["node_id"], "deg": pc.cast(
+            pc.add(t["out_degree"], t["in_degree"]), i64)}),
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    deg_schema = pa.schema([("node_id", st), ("deg", i64)])
+    j1 = bucketed_join(und, deg, left_key="a", right_key="node_id",
+                       right_value_cols=["deg"], num_buckets=num_buckets,
+                       left_schema=pa.schema([("a", st), ("b", st)]),
+                       right_schema=deg_schema)
+    j2 = bucketed_join(
+        j1.map_batches(lambda t: t.rename_columns(["a", "b", "deg_a"]),
+                       batch_format="pyarrow", zero_copy_batch=True),
+        deg, left_key="b", right_key="node_id",
+        right_value_cols=["deg"], num_buckets=num_buckets,
+        left_schema=pa.schema([("a", st), ("b", st), ("deg_a", i64)]),
+        right_schema=deg_schema)
+
+    def orient(t: pa.Table) -> pa.Table:
+        a, b = t.column("a"), t.column("b")
+        da, db = t.column("deg_a"), t.column("deg")
+        a_first = pc.or_(pc.less(da, db),
+                         pc.and_(pc.equal(da, db), pc.less(a, b)))
+        return pa.table({
+            "o_src": pc.if_else(a_first, a, b),
+            "o_dst": pc.if_else(a_first, b, a),
+            "deg_dst": pc.if_else(a_first, db, da),
+        })
+
+    o = j2.map_batches(orient, batch_format="pyarrow",
+                       zero_copy_batch=True).materialize()
+    wedges = bucketed_join(
+        o, o.map_batches(
+            lambda t: t.rename_columns(["w_src", "w_dst", "w_deg"]),
+            batch_format="pyarrow", zero_copy_batch=True),
+        left_key="o_src", right_key="w_src",
+        right_value_cols=["w_dst", "w_deg"], num_buckets=num_buckets,
+        left_schema=pa.schema([("o_src", st), ("o_dst", st),
+                               ("deg_dst", i64)]),
+        right_schema=pa.schema([("w_src", st), ("w_dst", st),
+                                ("w_deg", i64)]))
+
+    def ordered_pairs(t: pa.Table) -> pa.Table:
+        d1, d2 = t.column("deg_dst"), t.column("w_deg")
+        v, w = t.column("o_dst"), t.column("w_dst")
+        keep = pc.or_(pc.less(d1, d2),
+                      pc.and_(pc.equal(d1, d2), pc.less(v, w)))
+        u, v, w = (pc.filter(x, keep) for x in (t.column("o_src"), v, w))
+        # explicit casts: an empty filtered batch must still carry
+        # string-typed columns or downstream block schemas diverge
+        return pa.table({
+            "key": pc.binary_join_element_wise(v, w, sep).cast(st),
+            "u": pc.cast(u, st), "v": pc.cast(v, st), "w": pc.cast(w, st)})
+
+    closed = bucketed_join(
+        wedges.map_batches(ordered_pairs, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        o.map_batches(lambda t: pa.table({
+            "key": pc.binary_join_element_wise(t["o_src"], t["o_dst"],
+                                               sep),
+            "m": pa.array(np.ones(t.num_rows, dtype=np.int8))}),
+            batch_format="pyarrow", zero_copy_batch=True),
+        left_key="key", right_key="key", right_value_cols=["m"],
+        num_buckets=num_buckets,
+        left_schema=pa.schema([("key", st), ("u", st), ("v", st),
+                               ("w", st)]),
+        right_schema=pa.schema([("key", st), ("m", pa.int8())]))
+    return closed, deg
+
+
+def triangle_count(edges: rd.Dataset, *, src: str = "src",
+                   dst: str = "dst",
+                   num_buckets: int | None = None,
+                   driver_threshold: int = 500_000,
+                   driver_wedge_limit: int = 20_000_000) -> int:
+    """Exact global triangle count of the UNDIRECTED simple graph
+    underlying ``edges`` (direction, parallel edges and self-loops
+    ignored), by the degree-ordered orientation of
+    :func:`_triangles_distributed`.  The count is orientation-invariant,
+    so a plain 3-way self-join replays it in SQL.  The driver path
+    (the handle's measured gate) is doubly gated: the edge count bounds
+    the gather and the exact ORIENTED wedge count bounds the join
+    memory, so a pathological near-clique falls through to the
+    distributed path instead of blowing up the driver.
+    """
+    h = GraphHandle(edges, src, dst, view="undirected", as_str=True,
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return 0
+    if h.driver:
+        ac, bc, ids = h.codes
+        tri = _triangles_driver(ac, bc, len(ids), driver_wedge_limit)
+        if tri is not None:
+            return len(tri[0])
+    return _triangles_distributed(h.table, num_buckets)[0].count()
+
+
+def _clustering_table(ids, deg, tri, id_type: pa.DataType) -> pa.Table:
+    d, tr = _np(deg), _np(tri)
+    wedges = d * (d - 1) // 2
+    coeff = np.round(tr.astype(np.float64)
+                     / np.maximum(wedges, 1).astype(np.float64), 6)
+    return pa.table({
+        "node_id": ids.cast(id_type),
+        "triangles": pa.array(tr), "wedges": pa.array(wedges),
+        "coeff": pa.array(coeff, mask=wedges == 0)})
+
+
+def clustering_coefficients(edges: rd.Dataset, *, src: str = "src",
+                            dst: str = "dst",
+                            num_buckets: int | None = None,
+                            driver_threshold: int = 500_000,
+                            driver_wedge_limit: int = 20_000_000
+                            ) -> rd.Dataset:
+    """Per-node triangle participation and local clustering coefficient
+    of the UNDIRECTED simple graph underlying ``edges``.
+
+    Output, one row per node of the simple graph:
+    ``(node_id, triangles:int64, wedges:int64, coeff:float64)`` with
+    ``wedges = deg * (deg - 1) / 2`` and ``coeff = triangles / wedges``
+    rounded to 6 decimals (NULL for degree-1 nodes, which close no
+    wedge).  Same orientation and double driver gate as
+    :func:`triangle_count`; each found triangle credits its three
+    corners.  The triangle set is orientation-invariant, so both paths
+    agree bit-for-bit and a plain 3-way SQL self-join replays the
+    counts.  Per-node credit aggregation is a two-stage hash sum seeded
+    with a zero row per node, so nodes in no triangle still report.
+    """
+    h = GraphHandle(edges, src, dst, view="undirected", as_str=True,
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, triangles=pa.int64(),
+                       wedges=pa.int64(), coeff=pa.float64())
+    if h.driver:
+        ac, bc, ids = h.codes
+        tri = _triangles_driver(ac, bc, len(ids), driver_wedge_limit)
+        if tri is not None:
+            count = functools.partial(np.bincount, minlength=len(ids))
+            return rd.from_arrow(_clustering_table(
+                pa.array(ids), count(np.concatenate([ac, bc])),
+                count(np.concatenate(tri)), h.id_type))
+
+    closed, deg = _triangles_distributed(h.table, num_buckets)
+    credits = closed.map_batches(lambda t: pa.table({
+        "node_id": _cat(t["u"], t["v"], t["w"]),
+        "tri": _ints(np.ones(3 * t.num_rows))}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    zeros = deg.map_batches(lambda t: pa.table({
+        "node_id": t["node_id"], "tri": _ints(np.zeros(t.num_rows))}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    tri = hash_aggregate(credits.union(zeros), ["node_id"],
+                         [("tri", "sum")], rename={"tri_sum": "triangles"},
+                         num_buckets=num_buckets)
+    st = pa.string()
     out = bucketed_join(
-        hub.map_batches(lambda t: t.rename_columns(["node_id", "hub_fp"]),
-                        batch_format="pyarrow", zero_copy_batch=True),
-        auth.map_batches(lambda t: t.rename_columns(["node_id", "auth_fp"]),
-                         batch_format="pyarrow", zero_copy_batch=True),
-        left_key="node_id", right_key="node_id",
-        right_value_cols=["auth_fp"], num_buckets=num_buckets,
-        left_schema=pa.schema([("node_id", id_type),
-                               ("hub_fp", pa.int64())]),
-        right_schema=pa.schema([("node_id", id_type),
-                                ("auth_fp", pa.int64())]))
-    return out
+        tri, deg, left_key="node_id", right_key="node_id",
+        right_value_cols=["deg"], num_buckets=num_buckets,
+        left_schema=pa.schema([("node_id", st), ("triangles", pa.int64())]),
+        right_schema=pa.schema([("node_id", st), ("deg", pa.int64())]))
+    return out.map_batches(
+        lambda t: _clustering_table(t["node_id"], t["deg"],
+                                    t["triangles"], h.id_type),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _hits_driver(e: rd.Dataset, src: str, dst: str, *, n_iters: int,
-                 scale: int, id_type: pa.DataType) -> rd.Dataset:
-    """Numpy form of the identical integer recurrence."""
-    sc, dc, nodes = _factorize_pairs(e.to_pandas(), src, dst)
-    n_nodes = len(nodes)
-    hub = np.full(n_nodes, scale, dtype=np.int64)
+# ----------------------------------------------------------------- k-truss
+def _edge_supports(und: rd.Dataset, *,
+                   num_buckets: int | None) -> rd.Dataset:
+    """``(a, b, support)`` for EVERY edge of the materialized distinct
+    ``(a < b)`` STRING edge list ``und`` — the number of triangles the
+    edge closes: each triangle of :func:`_triangles_distributed`
+    credits its THREE undirected edges (vs. the three corner NODES in
+    :func:`clustering_coefficients`), and edges in no triangle are
+    seeded with an explicit zero row so the caller's peel threshold
+    sees them."""
+    closed, _ = _triangles_distributed(und, num_buckets)
 
-    def half(sval: np.ndarray, from_idx: np.ndarray,
-             to_idx: np.ndarray) -> np.ndarray:
-        raw = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(raw, to_idx, sval[from_idx])
-        div = max(1, (int(raw.max()) + scale - 1) // scale)
-        return raw // np.int64(div)
+    def edge_credits(t: pa.Table) -> pa.Table:
+        u, v, w = t.column("u"), t.column("v"), t.column("w")
+        # canonicalize each of the triangle's three edges by id (the
+        # orientation is by DEGREE, so u/v/w carry no id order)
+        pairs = ((u, v), (u, w), (v, w))
+        lo = _cat(*(pc.if_else(pc.less(x, y), x, y) for x, y in pairs))
+        hi = _cat(*(pc.if_else(pc.less(x, y), y, x) for x, y in pairs))
+        return pa.table({"a": lo, "b": hi,
+                         "tri": _ints(np.ones(len(lo)))})
 
-    auth = hub
-    for _ in range(n_iters):
-        auth = half(hub, sc, dc)
-        hub = half(auth, dc, sc)
+    zeros = und.map_batches(lambda t: pa.table({
+        "a": t["a"], "b": t["b"], "tri": _ints(np.zeros(t.num_rows))}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return hash_aggregate(
+        closed.map_batches(edge_credits, batch_format="pyarrow",
+                           zero_copy_batch=True).union(zeros),
+        ["a", "b"], [("tri", "sum")], rename={"tri_sum": "support"},
+        num_buckets=num_buckets, exchange="shuffle")
+
+
+def ktruss(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
+           k: int = 3, max_rounds: int = 30,
+           num_buckets: int | None = None,
+           driver_threshold: int = 2_000_000,
+           driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
+    """``(a, b, support)`` — edges of the k-truss of the UNDIRECTED
+    simple graph underlying ``edges``: the maximal subgraph in which
+    every edge closes at least ``k - 2`` triangles WITHIN the subgraph,
+    found by iteratively peeling under-supported edges to the fixed
+    point.  ``support`` is the edge's within-truss triangle count
+    (>= k - 2 by construction).  KG use: the edge-level analogue of
+    :func:`kcore` — trusses isolate the cohesively cross-referenced
+    relation clusters that survive even when individual hub nodes
+    would keep a core together, the standard community-seed /
+    spam-subgraph filter in entity graphs.
+
+    Peeling only ever REMOVES edges, so the fixed point is reached
+    when a round removes nothing — detected with a cheap count on the
+    round's materialized support table, no extra pass (the surviving
+    support rows ARE the answer).  Per round the distributed path
+    recomputes per-edge triangle support via :func:`_edge_supports`
+    and filters; on the driver path (the handle's measured gate) a
+    numpy peel runs the identical iteration, bit-equal because the
+    triangle SET is orientation-invariant.  The driver path bails to
+    the distributed one when its first round's exact oriented wedge
+    count exceeds ``driver_wedge_limit`` (the
+    :func:`clustering_coefficients` policy)."""
+    if k < 3:
+        raise ValueError("k must be >= 3 (k - 2 triangles per edge)")
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    empty = h.empty(a=None, b=None, support=pa.int64())
+    if h.n_edges == 0:
+        return empty
+    if h.driver:
+        ac, bc, ids = h.codes
+        n = max(len(ids), 1)
+        alive = np.ones(len(ac), dtype=bool)
+        for rnd in range(max_rounds + 1):
+            a, b = ac[alive], bc[alive]
+            if len(a) == 0:
+                return empty
+            tri = _triangles_driver(a, b, n, driver_wedge_limit
+                                    if rnd == 0 else None)
+            if tri is None:
+                break  # first-round wedge limit: run distributed
+            u, v, w = tri
+            pairs = ((u, v), (u, w), (v, w))
+            ekey = np.concatenate([np.minimum(x, y) * n + np.maximum(x, y)
+                                   for x, y in pairs])
+            sup = pd.Series(ekey).value_counts().reindex(
+                a * n + b, fill_value=0).to_numpy(dtype=np.int64)
+            ok = sup >= k - 2
+            if ok.all():
+                return rd.from_arrow(pa.table({
+                    "a": pa.array(ids[a]).cast(h.id_type),
+                    "b": pa.array(ids[b]).cast(h.id_type),
+                    "support": pa.array(sup)}))
+            alive[np.flatnonzero(alive)[~ok]] = False
+        else:
+            raise RuntimeError(
+                f"ktruss did not stabilize within {max_rounds} peel "
+                f"rounds; raise max_rounds")
+
+    cur, prev_n = h.table, h.n_edges
+    thr = pa.scalar(k - 2, pa.int64())
+    for _ in range(max_rounds):
+        keep = _edge_supports(cur, num_buckets=num_buckets).map_batches(
+            lambda t: t.filter(pc.greater_equal(t["support"], thr)),
+            batch_format="pyarrow").materialize()
+        n_nxt = keep.count()
+        if n_nxt == 0:
+            return empty
+        if n_nxt == prev_n:
+            return keep.map_batches(lambda t: pa.table({
+                "a": t.column("a").cast(h.id_type),
+                "b": t.column("b").cast(h.id_type),
+                "support": pc.cast(t.column("support"), pa.int64())}),
+                batch_format="pyarrow", zero_copy_batch=True)
+        cur = keep.select_columns(["a", "b"]).materialize()
+        prev_n = n_nxt
+    raise RuntimeError(
+        f"ktruss did not stabilize within {max_rounds} peel rounds; "
+        f"raise max_rounds")
+
+
+# ------------------------------------------------------------------ k-core
+def kcore(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
+          k: int = 2, max_rounds: int = 30,
+          num_buckets: int | None = None,
+          driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """``(node_id, degree)`` — the k-core of the UNDIRECTED simple graph
+    underlying ``edges`` (direction, parallel edges and self-loops
+    ignored): iteratively peel every node of degree < k until the fixed
+    point; ``degree`` is the node's WITHIN-CORE degree (>= k by
+    construction).  KG use: dense-core extraction for entity-cluster
+    quality tiers — peripheral one-mention entities peel away, the core
+    keeps the densely cross-referenced subgraph.
+
+    Peeling only ever REMOVES edges, so the fixed point is reached when
+    one round removes nothing — detected with a cheap count on the
+    round's materialized edge set, no join.  Per round the distributed
+    path runs one endpoint-explode + keyed count (degrees), then two
+    partitioned semi-joins filtering edges to surviving endpoints; all
+    exchanges move skinny id columns.  On the driver path (the
+    handle's measured gate) a vectorized numpy peel runs the identical
+    iteration — bit-equal output, no exchange scheduling.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    empty = h.empty(node_id=None, degree=pa.int64())
+    if h.n_edges == 0:
+        return empty
+    if h.driver:
+        ac, bc, ids = h.codes
+        alive = np.ones(len(ac), dtype=bool)
+        for _ in range(max_rounds + 1):
+            deg = (np.bincount(ac[alive], minlength=len(ids))
+                   + np.bincount(bc[alive], minlength=len(ids)))
+            ok = deg >= k
+            nxt = alive & ok[ac] & ok[bc]
+            if (nxt == alive).all():
+                return rd.from_arrow(pa.table({
+                    "node_id": pa.array(ids[ok]).cast(h.id_type),
+                    "degree": _ints(deg[ok])}))
+            alive = nxt
+        raise RuntimeError(
+            f"kcore did not stabilize within {max_rounds} peel rounds; "
+            f"raise max_rounds")
+
+    # EVERY schema below is passed explicitly and statically: probing
+    # .schema() on a lazy side re-executes it (the documented
+    # chained-join rule in functions/agg.py), and even a MATERIALIZED
+    # select_columns-of-join output can report the pre-projection
+    # schema when late buckets are empty (observed on Ray 2.49:
+    # cur.schema() -> [a, b, degree] while every non-empty block holds
+    # only [a, b]).
+    pair_schema = pa.schema([("a", h.id_type), ("b", h.id_type)])
+    keep_schema = pa.schema([("node_id", h.id_type),
+                             ("degree", pa.int64())])
+    cur, prev_n = h.table, h.n_edges
+    for _ in range(max_rounds):
+        deg = hash_aggregate(
+            cur.map_batches(
+                lambda t: pa.table({"node_id": _cat(t["a"], t["b"])}),
+                batch_format="pyarrow", zero_copy_batch=True),
+            ["node_id"], [("node_id", "count")],
+            rename={"node_id_count": "degree"},
+            num_buckets=num_buckets, exchange="shuffle")
+        keep = deg.map_batches(
+            lambda t: t.filter(pc.greater_equal(
+                t["degree"], pa.scalar(k, pa.int64()))),
+            batch_format="pyarrow").materialize()
+        # two semi-joins: an edge survives iff BOTH endpoints kept
+        nxt = cur
+        for side in ("a", "b"):
+            nxt = bucketed_join(
+                nxt, keep, left_key=side, right_key="node_id",
+                right_value_cols=["degree"], num_buckets=num_buckets,
+                left_schema=pair_schema, right_schema=keep_schema,
+            ).select_columns(["a", "b"])
+        nxt = nxt.materialize()
+        n_nxt = nxt.count()
+        if n_nxt == prev_n:
+            # fixed point: nothing peeled, so ``keep`` IS the core's
+            # (node_id, within-core degree) table
+            return keep
+        if n_nxt == 0:
+            return empty
+        cur, prev_n = nxt, n_nxt
+    raise RuntimeError(
+        f"kcore did not stabilize within {max_rounds} peel rounds; "
+        f"raise max_rounds")
+
+
+# ------------------------------------------ neighbor overlap / Adamic-Adar
+_AA_SCALE = 1_000_000_000_000  # 1e12 fixed-point scale for 1/ln(deg)
+
+
+def neighbor_overlap(edges: rd.Dataset, *, src: str = "src",
+                     dst: str = "dst", min_common: int = 1,
+                     max_center_degree: int = 10_000,
+                     num_buckets: int | None = None,
+                     driver_threshold: int = 500_000,
+                     driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
+    """``(id_a, id_b, common, jaccard_fp)`` — unordered node pairs of
+    the UNDIRECTED simple graph sharing at least ``min_common``
+    neighbors, with ``common`` = shared-neighbor count and
+    ``jaccard_fp = (common * 10^6) // (deg_a + deg_b - common)`` (the
+    neighborhood-Jaccard link-prediction score in exact integer fixed
+    point — bit-identical under any blocking, SQL-replayable).  KG use:
+    entity-MERGE candidate generation — two mentions of the same
+    underlying entity co-occur with the same neighbor entities even
+    when their surface forms share no text, so high neighborhood
+    overlap surfaces merge pairs the string/embedding channels miss.
+    Adjacent pairs are included (adjacency and overlap are independent
+    signals; callers filter if they want non-edges only).  Scale shape
+    and gates: :func:`_neighbor_pairs`.
+    """
+    return _neighbor_pairs(
+        edges, src, dst, score="jaccard_fp", min_common=min_common,
+        max_center_degree=max_center_degree, num_buckets=num_buckets,
+        driver_threshold=driver_threshold,
+        driver_wedge_limit=driver_wedge_limit)
+
+
+def adamic_adar(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
+                min_common: int = 1, max_center_degree: int = 10_000,
+                num_buckets: int | None = None,
+                driver_threshold: int = 500_000,
+                driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
+    """``(id_a, id_b, common, aa_fp)`` — the Adamic–Adar link-prediction
+    score over the UNDIRECTED simple graph:
+    ``aa_fp = sum over shared neighbors z of floor(1e12 / ln(deg(z)))``
+    (int64 fixed point).  Unlike :func:`neighbor_overlap`'s Jaccard,
+    shared RARE neighbors dominate the score — exactly the KG
+    entity-merge signal (two aliases co-mentioned with one niche method
+    outrank two entities that merely share the field's hub concepts).
+    The per-center weight is a scalar ``floor(1e12 / ln(deg_c))`` from
+    the FULL degree (``deg_c >= 2`` for any wedge center, so ``ln`` is
+    positive), summed as exact int64, so the result is bit-identical
+    under any blocking and replays in SQL as
+    ``CAST(FLOOR(1e12 / LN(CAST(deg AS DOUBLE))) AS BIGINT)`` (np.log
+    and DuckDB LN agree bitwise on identical double inputs).  Scale
+    shape and gates: :func:`_neighbor_pairs`.
+    """
+    return _neighbor_pairs(
+        edges, src, dst, score="aa_fp", min_common=min_common,
+        max_center_degree=max_center_degree, num_buckets=num_buckets,
+        driver_threshold=driver_threshold,
+        driver_wedge_limit=driver_wedge_limit)
+
+
+def _neighbor_pairs(edges, src, dst, *, score, min_common,
+                    max_center_degree, num_buckets, driver_threshold,
+                    driver_wedge_limit) -> rd.Dataset:
+    """Shared body of :func:`neighbor_overlap` (``score="jaccard_fp"``)
+    and :func:`adamic_adar` (``score="aa_fp"``).
+
+    Scale shape: the wedge expansion through a center node c is
+    C(deg(c), 2), so hub nodes explode quadratically — centers with
+    degree > ``max_center_degree`` are SKIPPED as wedge centers (their
+    own pair scores survive via their other, low-degree co-neighbors)
+    and the dropped wedge-center rows are reported loudly via
+    ``functions/runstats`` (the LSH-truncation policy); degrees in the
+    scores always come from the full graph.  All exchanges move skinny
+    id columns: one keyed degree count, a per-center grouped pair
+    expansion, one (id_a, id_b) count/sum reduce, and for Jaccard two
+    degree joins.  On the driver path (the handle's measured gate) a
+    numpy expansion runs the identical arithmetic, doubly gated by the
+    exact wedge total computed from degrees BEFORE any expansion;
+    weight sums use sort + ``np.add.reduceat`` (a float ``bincount``
+    would lose exactness past 2^53)."""
+    from .runstats import report_truncation
+
+    if min_common < 1:
+        raise ValueError("min_common must be >= 1")
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    cols = {"id_a": None, "id_b": None, "common": pa.int64(),
+            score: pa.int64()}
+    if h.n_edges == 0:
+        return h.empty(**cols)
+    name = "neighbor_overlap" if score == "jaccard_fp" else "adamic_adar"
+    if h.driver:
+        ac, bc, ids = h.codes
+        n = len(ids)
+        deg = np.bincount(ac, minlength=n) + np.bincount(bc, minlength=n)
+        cs, ns = np.concatenate([ac, bc]), np.concatenate([bc, ac])
+        center_ok = deg[cs] <= max_center_degree
+        cs, ns = cs[center_ok], ns[center_ok]
+        sizes = np.bincount(cs, minlength=n).astype(np.int64)
+        if int((sizes * (sizes - 1) // 2).sum()) <= driver_wedge_limit:
+            if not center_ok.all():
+                # reported only on the COMMITTED path — a fallthrough
+                # would double-count with the distributed report
+                report_truncation(f"{name}.hub_center",
+                                  dropped=int((~center_ok).sum()))
+            return _neighbor_pairs_driver(h, deg, cs, ns, sizes, score,
+                                          min_common, cols)
+
+    adj = h.arcs  # (s, d): center, neighbor
+    st, i64 = h.key_type, pa.int64()
+    deg = hash_aggregate(
+        adj.select_columns(["s"]), ["s"], [("s", "count")],
+        rename={"s_count": "deg"},
+        num_buckets=num_buckets, exchange="shuffle").materialize()
+    deg_schema = pa.schema([("s", st), ("deg", i64)])
+    with_deg = bucketed_join(
+        adj, deg, left_key="s", right_key="s", right_value_cols=["deg"],
+        num_buckets=num_buckets,
+        left_schema=pa.schema([("s", st), ("d", st)]),
+        right_schema=deg_schema).materialize()
+    # drop hub CENTERS before the quadratic expansion (their rows as
+    # NEIGHBORS survive — only their role as wedge center is skipped)
+    kept = with_deg.map_batches(
+        lambda t: t.filter(pc.less_equal(
+            t["deg"], pa.scalar(max_center_degree, i64))),
+        batch_format="pyarrow").materialize()
+    n_dropped = with_deg.count() - kept.count()
+    if n_dropped:
+        report_truncation(f"{name}.hub_center", dropped=n_dropped)
+
+    def expand(g: pd.DataFrame) -> pd.DataFrame:
+        if len(g) < 2:  # schema probe / filtered-empty bucket
+            return pd.DataFrame({"id_a": g["d"], "id_b": g["d"],
+                                 "w": pd.Series([], dtype="int64")}).iloc[:0]
+        # full degree of the wedge center is constant within the group;
+        # >= 2 because the group has >= 2 neighbor rows
+        w = int(np.floor(_AA_SCALE / np.log(float(g["deg"].iloc[0]))))
+        nb = np.sort(g["d"].to_numpy())
+        ia, ib = np.triu_indices(len(nb), k=1)
+        return pd.DataFrame({"id_a": nb[ia], "id_b": nb[ib],
+                             "w": np.full(len(ia), w, dtype=np.int64)})
+
+    pairs = bucketed_group_map(kept, ["s"], expand, min_group_size=2,
+                               num_buckets=num_buckets,
+                               exchange="shuffle")
+    scored = hash_aggregate(
+        pairs, ["id_a", "id_b"],
+        [("id_a", "count")] + ([("w", "sum")] if score == "aa_fp" else []),
+        rename={"id_a_count": "common", "w_sum": "aa_fp"},
+        num_buckets=num_buckets, exchange="shuffle",
+    ).map_batches(
+        lambda t: t.filter(pc.greater_equal(
+            t["common"], pa.scalar(min_common, i64))),
+        batch_format="pyarrow")
+    if score == "aa_fp":
+        return scored
+    out, schema = scored.materialize(), pa.schema(
+        [("id_a", st), ("id_b", st), ("common", i64)])
+    for side in ("a", "b"):
+        out = bucketed_join(
+            out, deg.map_batches(
+                lambda t, _c=f"deg_{side}": t.rename_columns(["s", _c]),
+                batch_format="pyarrow", zero_copy_batch=True),
+            left_key=f"id_{side}", right_key="s",
+            right_value_cols=[f"deg_{side}"], num_buckets=num_buckets,
+            left_schema=schema,
+            right_schema=pa.schema([("s", st), (f"deg_{side}", i64)]))
+        schema = schema.append(pa.field(f"deg_{side}", i64))
+
+    def jaccard(t: pa.Table) -> pa.Table:
+        common = _np(t.column("common"))
+        fp = (common * 1_000_000) // (
+            _np(t.column("deg_a")) + _np(t.column("deg_b")) - common)
+        return pa.table({"id_a": t.column("id_a"),
+                         "id_b": t.column("id_b"),
+                         "common": t.column("common"),
+                         "jaccard_fp": _ints(fp)})
+
+    return out.map_batches(jaccard, batch_format="pyarrow",
+                           zero_copy_batch=True)
+
+
+def _neighbor_pairs_driver(h, deg, cs, ns, sizes, score, min_common,
+                           cols) -> rd.Dataset:
+    """Numpy wedge expansion over the gathered, hub-capped symmetric
+    adjacency ``(cs, ns)``: every unordered neighbor pair of every
+    center, keyed ``x * n + y`` with ``x < y``, then one sorted reduce
+    to the pair's common count and exact int64 weight sum."""
+    ids = h.codes[2]
+    n = len(ids)
+    order = np.lexsort((ns, cs))  # by center, neighbors ascending
+    cs, ns = cs[order], ns[order]
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # element at sorted position i pairs with the (s - 1 - local_i)
+    # elements after it in its center block
+    rep = np.repeat(sizes, sizes) - 1 - (np.arange(len(ns)) - starts)
+    first = np.repeat(np.arange(len(ns)), rep)
+    cum = np.concatenate([[0], np.cumsum(rep)]).astype(np.int64)
+    second = (np.arange(int(cum[-1])) - np.repeat(cum[:-1], rep)
+              + first + 1)
+    # neighbors are sorted within each block, so x < y already
+    key = ns[first] * np.int64(n) + ns[second]
+    if len(key) == 0:
+        return h.empty(**cols)
+    wtab = np.zeros(n, dtype=np.int64)
+    multi = deg >= 2  # only wedge centers (deg >= 2) are ever read
+    wtab[multi] = np.floor(
+        _AA_SCALE / np.log(deg[multi].astype(np.float64))).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    ks, ws = key[order], wtab[cs[first]][order]
+    bounds = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
+    counts = np.diff(np.concatenate([bounds, [len(ks)]]))
+    sums = np.add.reduceat(ws, bounds)  # exact int64 adds
+    keep = counts >= min_common
+    uniq, counts, sums = ks[bounds][keep], counts[keep], sums[keep]
+    xa, xb = uniq // n, uniq % n
+    value = (sums if score == "aa_fp" else
+             (counts * 1_000_000) // (deg[xa] + deg[xb] - counts))
     return rd.from_arrow(pa.table({
-        "node_id": pa.array(np.asarray(nodes)).cast(id_type),
-        "hub_fp": pa.array(hub),
-        "auth_fp": pa.array(auth)}))
+        "id_a": pa.array(ids[xa]).cast(h.id_type),
+        "id_b": pa.array(ids[xb]).cast(h.id_type),
+        "common": _ints(counts), score: _ints(value)}))
+
+
+# ------------------------------------------------------------ hash walks
+def hash_walks(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
+               seeds: list | None = None, n_auto_seeds: int = 0,
+               walk_len: int = 4, num_buckets: int | None = None,
+               driver_threshold: int = 2_000_000) -> rd.Dataset:
+    """Deterministic hash-derandomized random walks over the undirected
+    simple graph — the walk-corpus generator behind DeepWalk/node2vec
+    embedding pipelines, with the randomness replaced by a content
+    hash so the walks are REPRODUCIBLE and SQL-replayable: at step
+    ``t`` the walker at ``cur`` moves to
+    ``argmin over neighbors n of md5(cur || '|' || t || '|' || n)``
+    (argmin realized as a string MIN over ``md5hex || '|' || n`` — the
+    hex prefix has fixed width 32, so the min orders by hash with a
+    deterministic neighbor tie-break, and the successor is
+    ``substr(min, 34)``).
+
+    Output: ``(seed, step:int64, node_id)`` — one row per visited
+    position, step 0 = the seed itself; a walk reaching an isolated
+    node simply ends.  Every step is one partitioned frontier-to-
+    adjacency ``bucketed_join`` plus one keyed string-min reduce — no
+    driver state, walk count bounded by the seed set.  A hub node's
+    expansion is its degree (one candidate row per neighbor); cap or
+    salt seeds near celebrity nodes the same way ``neighbor_overlap``
+    caps wedge centers if walks must start there.  On the driver path
+    (the handle's gate, measured on the symmetric adjacency) the
+    gathered adjacency replays the identical argmin recurrence — a
+    per-step exchange over a frontier of a few rows is pure
+    scheduling overhead.
+
+    ``seeds`` gives explicit start nodes; ``n_auto_seeds=k`` instead
+    starts from the ``k`` lexicographically-smallest nodes of the
+    simple graph (a deterministic set the SQL oracle derives
+    identically).
+    """
+    import hashlib
+
+    if walk_len < 1:
+        raise ValueError("walk_len must be >= 1")
+    if (seeds is None) == (n_auto_seeds == 0):
+        raise ValueError("pass exactly one of seeds / n_auto_seeds")
+    h = GraphHandle(edges, src, dst, view="symmetric", loops=False,
+                    as_str=True, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    empty = h.empty(seed=None, step=pa.int64(), node_id=None)
+    if h.n_edges == 0:
+        return empty
+    adj = h.table  # (s, d): walker, neighbor — both directions
+    if seeds is None:
+        parts = adj.map_batches(
+            lambda t: pa.table({"s": pc.unique(t["s"].combine_chunks())
+                                .sort().slice(0, n_auto_seeds)}),
+            batch_format="pyarrow", zero_copy_batch=True).take_all()
+        seeds = sorted({r["s"] for r in parts})[:n_auto_seeds]
+    seeds = [str(s) for s in seeds]
+    if not seeds:
+        return empty
+    if h.driver:
+        return _hash_walks_driver(h.df, seeds, walk_len, h.id_type)
+
+    st = pa.string()
+    frontier_schema = pa.schema([("seed", st), ("cur", st)])
+    frontier = rd.from_arrow(pa.table({"seed": pa.array(seeds, st),
+                                       "cur": pa.array(seeds, st)}))
+    out_tables = [pa.table({
+        "seed": pa.array(seeds, type=st),
+        "step": _ints(np.zeros(len(seeds))),
+        "node_id": pa.array(seeds, type=st)})]
+    for t_step in range(1, walk_len + 1):
+        cand = bucketed_join(frontier, adj, left_key="cur",
+                             right_key="s", right_value_cols=["d"],
+                             num_buckets=num_buckets,
+                             left_schema=frontier_schema,
+                             right_schema=pa.schema([("s", st),
+                                                     ("d", st)]))
+
+        def pick(t: pa.Table, _t=t_step) -> pa.Table:
+            m = [hashlib.md5(f"{c}|{_t}|{n}".encode()).hexdigest()
+                 + "|" + n for c, n in zip(t["cur"].to_pylist(),
+                                           t["d"].to_pylist())]
+            return pa.table({"seed": t["seed"],
+                             "m": pa.array(m, type=st)})
+
+        nxt = hash_aggregate(
+            cand.map_batches(pick, batch_format="pyarrow",
+                             zero_copy_batch=True),
+            ["seed"], [("m", "min")], rename={"m_min": "m"},
+            num_buckets=num_buckets)
+        frontier = nxt.map_batches(lambda t: pa.table({
+            "seed": t["seed"],
+            "cur": pc.utf8_slice_codeunits(t["m"], 33)}),
+            batch_format="pyarrow", zero_copy_batch=True).materialize()
+        step_tbl = pa.concat_tables(
+            frontier.iter_batches(batch_format="pyarrow",
+                                  batch_size=65536))
+        if step_tbl.num_rows == 0:
+            break
+        out_tables.append(pa.table({
+            "seed": step_tbl["seed"],
+            "step": _ints(np.full(step_tbl.num_rows, t_step)),
+            "node_id": step_tbl["cur"]}))
+    out = pa.concat_tables(out_tables)
+    return rd.from_arrow(pa.table({
+        "seed": out["seed"].cast(h.id_type), "step": out["step"],
+        "node_id": out["node_id"].cast(h.id_type)}))
+
+
+def _hash_walks_driver(df: pd.DataFrame, seeds: list[str], walk_len: int,
+                       id_type: pa.DataType) -> rd.Dataset:
+    """Pandas/hashlib form of the hash-walk recurrence over the
+    driver-gathered symmetric adjacency — the identical
+    ``min(md5(cur|t|n) || '|' || n)`` argmin per (seed, step)."""
+    import hashlib
+
+    nbrs = {c: sorted(g["d"]) for c, g in df.groupby("s", sort=False)}
+    rows = [(s, 0, s) for s in seeds]
+    cur = {s: s for s in seeds}
+    for t in range(1, walk_len + 1):
+        cur = {s: min(hashlib.md5(f"{c}|{t}|{n}".encode()).hexdigest()
+                      + "|" + n for n in nbrs[c])[33:]
+               for s, c in cur.items() if nbrs.get(c)}
+        if not cur:
+            break
+        rows += [(s, t, n) for s, n in cur.items()]
+    return rd.from_arrow(pa.table({
+        "seed": pa.array([r[0] for r in rows], pa.string()).cast(id_type),
+        "step": _ints([r[1] for r in rows]),
+        "node_id": pa.array([r[2] for r in rows],
+                            pa.string()).cast(id_type)}))
 
 
 # ------------------------------------------------- label propagation
@@ -1942,55 +1747,46 @@ def label_propagation(edges: rd.Dataset, *, src: str = "src",
     round count makes that a well-defined (and replayable) output
     rather than a convergence hazard.
 
-    Scale shape per round: one partitioned join (labels into the
-    symmetric adjacency on the neighbor key) + one ``(node, label)``
-    keyed count + one per-node vectorized argmax inside hash buckets —
-    all skinny id/int columns.  Below ``driver_threshold`` distinct
-    undirected edges (MEASURED, the ``connected_components`` 2M
-    policy) an identical numpy recurrence runs on the driver.
+    The vote is not a sum or min of one value, so it keeps its own
+    round instead of :meth:`GraphHandle.propagate`: one partitioned
+    join (labels into the symmetric arcs on the neighbor key) + one
+    ``(node, label)`` keyed count + one per-node vectorized argmax
+    inside hash buckets.  On the driver path (the handle's gate) the
+    identical numpy vote runs over ``sort=True`` codes, which are
+    order-isomorphic to the ids, so the min-code tie-break is the
+    min-label tie-break bit-for-bit.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    n_und = und.count()
-    id_type = _input_id_type(edges, src)
-    if n_und == 0:
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, label=None)
+    if h.driver:
+        ac, bc, ids = h.codes
+        n = len(ids)
+        cs, ns = np.concatenate([ac, bc]), np.concatenate([bc, ac])
+        labels = np.arange(n, dtype=np.int64)
+        for _ in range(n_rounds):
+            uniq, counts = np.unique(cs * np.int64(n) + labels[ns],
+                                     return_counts=True)
+            c_part, lab_part = uniq // n, uniq % n
+            order = np.lexsort((lab_part, -counts, c_part))
+            cp, lp = c_part[order], lab_part[order]
+            firsts = np.concatenate([[True], cp[1:] != cp[:-1]])
+            labels = labels.copy()
+            labels[cp[firsts]] = lp[firsts]
         return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "label": pa.array([], type=id_type)}))
-    if driver_threshold and n_und <= driver_threshold:
-        return _label_propagation_driver(und, id_type,
-                                         n_rounds=n_rounds)
+            "node_id": pa.array(ids).cast(h.id_type),
+            "label": pa.array(ids[labels]).cast(h.id_type)}))
 
-    def sym(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c": pa.chunked_array([t.column("a"),
-                                   t.column("b")]).combine_chunks(),
-            "n": pa.chunked_array([t.column("b"),
-                                   t.column("a")]).combine_chunks()})
-
-    adj = und.map_batches(sym, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    adj_schema = pa.schema([("c", id_type), ("n", id_type)])
-    labels_schema = pa.schema([("node_id", id_type),
-                               ("label", id_type)])
-
-    def self_label(t: pa.Table) -> pa.Table:
-        u = pc.unique(t.column("c"))
-        return pa.table({"node_id": u, "label": u})
-
-    labels = hash_aggregate(
-        adj.map_batches(self_label, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        ["node_id", "label"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id", "label"]).materialize()
-    nblocks = max(adj.num_blocks(),
-                  num_buckets or default_num_buckets())
-
-    from .agg import bucketed_apply
+    adj = h.arcs
+    labels = h.nodes.map_batches(
+        lambda t: pa.table({"node_id": t["node_id"],
+                            "label": t["node_id"]}),
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    nblocks = max(adj.num_blocks(), num_buckets or default_num_buckets())
 
     def argmax_label(df: pd.DataFrame) -> pd.DataFrame:
         # max count first, then smallest label — vectorized per bucket
@@ -2001,47 +1797,20 @@ def label_propagation(edges: rd.Dataset, *, src: str = "src",
 
     for _ in range(n_rounds):
         joined = bucketed_join(
-            adj, labels, left_key="n", right_key="node_id",
+            adj, labels, left_key="d", right_key="node_id",
             right_value_cols=["label"], num_buckets=num_buckets,
-            left_schema=adj_schema, right_schema=labels_schema)
+            left_schema=pa.schema([("s", h.id_type), ("d", h.id_type)]),
+            right_schema=pa.schema([("node_id", h.id_type),
+                                    ("label", h.id_type)]))
         votes = hash_aggregate(
-            joined.select_columns(["c", "label"]), ["c", "label"],
-            [("c", "count")], rename={"c_count": "cnt", "c": "node_id"},
+            joined.select_columns(["s", "label"]), ["s", "label"],
+            [("s", "count")], rename={"s_count": "cnt", "s": "node_id"},
             num_buckets=num_buckets, exchange="shuffle")
         labels = bucketed_apply(
             votes, ["node_id"], argmax_label,
             num_buckets=num_buckets, exchange="shuffle",
         ).repartition(nblocks).materialize()
-
     return labels
-
-
-def _label_propagation_driver(und: rd.Dataset, id_type: pa.DataType, *,
-                              n_rounds: int) -> rd.Dataset:
-    """Numpy form of the identical synchronous vote: factorized codes
-    are order-isomorphic to the id strings (``sort=True``), so the
-    min-code tie-break equals the min-label tie-break bit-for-bit."""
-    ac, bc, nodes = _factorize_pairs(und.to_pandas(), "a", "b")
-    n_nodes = len(nodes)
-    cs = np.concatenate([ac, bc])
-    ns = np.concatenate([bc, ac])
-    labels = np.arange(n_nodes, dtype=np.int64)
-    for _ in range(n_rounds):
-        key = cs * np.int64(n_nodes) + labels[ns]
-        uniq, counts = np.unique(key, return_counts=True)
-        c_part, lab_part = uniq // n_nodes, uniq % n_nodes
-        order = np.lexsort((lab_part, -counts, c_part))
-        cp, lp = c_part[order], lab_part[order]
-        firsts = np.concatenate([[True], cp[1:] != cp[:-1]])
-        new_labels = labels.copy()
-        new_labels[cp[firsts]] = lp[firsts]
-        labels = new_labels
-    node_arr = np.asarray(nodes)
-    present = np.zeros(n_nodes, dtype=bool)
-    present[cs] = True  # every endpoint; all nodes of the edge set
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(node_arr[present]).cast(id_type),
-        "label": pa.array(node_arr[labels[present]]).cast(id_type)}))
 
 
 # ----------------------------------------------------------------- SCC
@@ -2075,36 +1844,30 @@ def strongly_connected_components(edges: rd.Dataset, *,
     ``max_rounds`` refuses rather than returning partial labels.  All
     distributed stages are the ``connected_components`` machinery:
     partitioned label joins + keyed min reduces, signature-gated
-    convergence, per-iteration block re-bounding; the MEASURED
-    ``driver_threshold`` gate picks a vectorized numpy peel below it.
+    convergence, per-iteration block re-bounding; the handle's
+    measured gate picks a vectorized numpy peel below it.
     """
-    e = _distinct_edges(edges.select_columns([src, dst]), src, dst,
-                        num_buckets=num_buckets).materialize()
-    id_type = _input_id_type(edges, src)
-    if e.count() == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "scc_id": pa.array([], type=id_type)}))
-    if driver_threshold and e.count() <= driver_threshold:
-        return _scc_driver(e, src, dst, max_rounds)
-    return _scc_distributed(e, src, dst, max_rounds=max_rounds,
-                            max_iters=max_iters, num_buckets=num_buckets)
+    h = GraphHandle(edges, src, dst, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, scc_id=None)
+    if h.driver:
+        return _scc_driver(h, max_rounds)
+    return _scc_distributed(h, max_rounds=max_rounds, max_iters=max_iters)
 
 
-def _scc_driver(e: rd.Dataset, src: str, dst: str,
-                max_rounds: int) -> rd.Dataset:
+def _scc_driver(h: GraphHandle, max_rounds: int) -> rd.Dataset:
     """Vectorized numpy F/B min-label peel over the driver-gathered
     distinct edge list.  ``sort=True`` factorize codes are monotone in
     the id ordering, so code minima equal id minima."""
-    s, d, nodes = _factorize_pairs(e.to_pandas(), src, dst)
+    s, d, nodes = h.codes
     n = len(nodes)
-    sentinel = np.int64(n)
     label = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     base = np.arange(n, dtype=np.int64)
 
     def min_prop(from_idx, to_idx):
-        lab = np.where(active, base, sentinel)
+        lab = np.where(active, base, np.int64(n))
         for _ in range(n + 1):
             prev = lab.copy()
             np.minimum.at(lab, to_idx, lab[from_idx])
@@ -2133,121 +1896,92 @@ def _scc_driver(e: rd.Dataset, src: str, dst: str,
         "scc_id": pa.array(nodes[label])}))
 
 
-def _scc_distributed(e: rd.Dataset, src: str, dst: str, *,
-                     max_rounds: int, max_iters: int,
-                     num_buckets: int | None) -> rd.Dataset:
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": pa.chunked_array(
-            [t.column(src), t.column(dst)]).combine_chunks()})
-
-    active = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets).select_columns(
-        ["node_id"]).materialize()
-    act_edges = e.materialize()
+def _scc_distributed(h: GraphHandle, *, max_rounds: int,
+                     max_iters: int) -> rd.Dataset:
+    nb, nid_type = h.num_buckets, h.id_type
+    nblocks = max(h.table.num_blocks(), nb or default_num_buckets())
+    active, act_edges = h.nodes, h.table
     results: list[rd.Dataset] = []
-    # schemas are invariant across pruning rounds; derive them ONCE from
-    # the original edge set — an empty pruned act_edges materializes
-    # with null-typed columns (empty pandas merge output), which would
-    # poison the next join's key cast if we re-derived from it
-    e_schema = e.schema()
-    e_schema = getattr(e_schema, "base_schema", e_schema)
-    nid_type = e_schema.field(src).type
+    # schemas are invariant across pruning rounds and stated ONCE — an
+    # empty pruned act_edges materializes with null-typed columns
+    # (empty pandas merge output), which would poison the next join's
+    # key cast if we re-derived from it
+    e_schema = pa.schema([("s", nid_type), ("d", nid_type)])
     lbl_schema = pa.schema([("node_id", nid_type),
                             ("component_id", nid_type)])
+    act_schema = pa.schema([("node_id", nid_type)])
 
-    def min_prop(direction: str) -> rd.Dataset:
-        def self_label(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": t["node_id"],
-                             "component_id": t["node_id"]})
-
+    def min_prop(join_key: str, emit_key: str) -> rd.Dataset:
         labels = active.map_batches(
-            self_label, batch_format="pyarrow", zero_copy_batch=True
+            lambda t: pa.table({"node_id": t["node_id"],
+                                "component_id": t["node_id"]}),
+            batch_format="pyarrow", zero_copy_batch=True,
         ).repartition(nblocks).materialize()
         if act_edges.count() == 0:
             # isolated actives: the self labels ARE the fixed point
             return labels
         prev_sig = _labels_sig(labels)
-        join_key, emit_key = ((dst, src) if direction == "fwd"
-                              else (src, dst))
         for _ in range(max_iters):
             prop = bucketed_join(
                 act_edges, labels, left_key=join_key,
                 right_key="node_id", right_value_cols=["component_id"],
-                num_buckets=num_buckets, left_schema=e_schema,
+                num_buckets=nb, left_schema=e_schema,
                 right_schema=lbl_schema)
-
-            def emit(t: pa.Table, _k=emit_key) -> pa.Table:
-                return pa.table({"node_id": t[_k],
-                                 "component_id": t["component_id"]})
-
-            cand = prop.map_batches(emit, batch_format="pyarrow",
-                                    zero_copy_batch=True).union(labels)
+            cand = prop.map_batches(
+                lambda t: pa.table({"node_id": t[emit_key],
+                                    "component_id": t["component_id"]}),
+                batch_format="pyarrow", zero_copy_batch=True,
+            ).union(labels)
             new_labels = hash_aggregate(
                 cand, ["node_id"], [("component_id", "min")],
                 rename={"component_id_min": "component_id"},
-                num_buckets=num_buckets, exchange="shuffle",
+                num_buckets=nb, exchange="shuffle",
             ).repartition(nblocks).materialize()
             new_sig = _labels_sig(new_labels)
             if new_sig == prev_sig and _changed_count(
-                    new_labels, labels, num_buckets) == 0:
+                    new_labels, labels, nb) == 0:
                 return new_labels
             labels, prev_sig = new_labels, new_sig
         raise RuntimeError(
-            f"SCC {direction} min-label pass did not converge within "
-            f"{max_iters} iterations; raise max_iters")
+            f"SCC min-label pass did not converge within {max_iters} "
+            f"iterations; raise max_iters")
 
     for _ in range(max_rounds):
         if active.count() == 0:
             break
-        f = min_prop("fwd")
-
-        def bwd_name(t: pa.Table) -> pa.Table:
-            return t.rename_columns(["node_id", "bwd"])
-
-        bwd_schema = pa.schema([("node_id", nid_type),
-                                ("bwd", nid_type)])
         fb = bucketed_join(
-            f, min_prop("bwd").map_batches(
-                bwd_name, batch_format="pyarrow", zero_copy_batch=True),
+            min_prop("d", "s"),     # F: u adopts its successor's label
+            min_prop("s", "d").map_batches(
+                lambda t: t.rename_columns(["node_id", "bwd"]),
+                batch_format="pyarrow", zero_copy_batch=True),
             left_key="node_id", right_key="node_id",
-            right_value_cols=["bwd"], num_buckets=num_buckets,
-            left_schema=lbl_schema, right_schema=bwd_schema).materialize()
+            right_value_cols=["bwd"], num_buckets=nb,
+            left_schema=lbl_schema,
+            right_schema=pa.schema([("node_id", nid_type),
+                                    ("bwd", nid_type)])).materialize()
 
-        def done_rows(t: pa.Table) -> pa.Table:
-            keep = pc.equal(t["component_id"], t["bwd"])
-            kept = t.filter(keep)
-            return pa.table({"node_id": kept["node_id"],
-                             "scc_id": kept["component_id"]})
+        def split(done: bool):
+            def rows(t: pa.Table) -> pa.Table:
+                same = pc.equal(t["component_id"], t["bwd"])
+                kept = t.filter(same if done else pc.invert(same))
+                return pa.table({"node_id": kept["node_id"],
+                                 "scc_id": kept["component_id"]}
+                                if done else {"node_id": kept["node_id"]})
+            return fb.map_batches(rows, batch_format="pyarrow",
+                                  zero_copy_batch=True).materialize()
 
-        def todo_rows(t: pa.Table) -> pa.Table:
-            keep = pc.invert(pc.equal(t["component_id"], t["bwd"]))
-            return pa.table({"node_id": t.filter(keep)["node_id"]})
-
-        results.append(fb.map_batches(done_rows, batch_format="pyarrow",
-                                      zero_copy_batch=True).materialize())
-        active = fb.map_batches(todo_rows, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
+        results.append(split(True))
+        active = split(False)
         if active.count() == 0:
             break
         # prune the edge set to active x active (two inner semi-joins
         # against the deduped active node list)
-        act_schema = pa.schema([("node_id", nid_type)])
-        half = bucketed_join(act_edges, active, left_key=src,
-                             right_key="node_id", right_value_cols=[],
-                             num_buckets=num_buckets,
-                             left_schema=e_schema,
-                             right_schema=act_schema)
-        act_edges = bucketed_join(half, active, left_key=dst,
-                                  right_key="node_id",
-                                  right_value_cols=[],
-                                  num_buckets=num_buckets,
-                                  left_schema=e_schema,
-                                  right_schema=act_schema).materialize()
+        for side in ("s", "d"):
+            act_edges = bucketed_join(
+                act_edges, active, left_key=side, right_key="node_id",
+                right_value_cols=[], num_buckets=nb,
+                left_schema=e_schema, right_schema=act_schema)
+        act_edges = act_edges.materialize()
     if active.count() != 0:
         raise RuntimeError(
             f"strongly_connected_components did not finish within "
@@ -2270,10 +2004,12 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
     extracted triple connects them.
 
     Input: one row per (document, entity) mention (duplicates collapse
-    internally).  Output: the global top-``top_k`` unordered entity
-    pairs by ``pmi = ln((N * c_ab) / (c_a * c_b))`` with their doc
-    counts — ``(id_a, id_b, c_ab:int64, pmi:float64)``, pmi rounded to
-    6 decimals BEFORE the sort (ties break on the pair ids), every
+    internally — the handle's directed-distinct view of the
+    doc -> entity incidence, whose measured size is the gate).
+    Output: the global top-``top_k`` unordered entity pairs by
+    ``pmi = ln((N * c_ab) / (c_a * c_b))`` with their doc counts —
+    ``(id_a, id_b, c_ab:int64, pmi:float64)``, pmi rounded to 6
+    decimals BEFORE the sort (ties break on the pair ids), every
     factor an exact-integer double so the SQL oracle replays the
     ranking bit-for-bit.
 
@@ -2282,54 +2018,33 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
     which the extraction volume cap (SURVEY §2.5 A6) bounds at the
     source; everything else is keyed counts and two partitioned
     ``bucketed_join``s against the marginal table (never assumed
-    broadcastable).
+    broadcastable).  On the driver path the identical op tree runs
+    in pandas/numpy (measured 20.9 s -> <1 s at sf0.1).
     """
-    from .agg import bucketed_apply
+    h = GraphHandle(mentions, doc_col, node_col, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    nid_type = _input_id_type(mentions, node_col)
+    empty = h.empty(id_a=nid_type, id_b=nid_type, c_ab=pa.int64(),
+                    pmi=pa.float64())
+    if h.n_edges == 0:
+        return empty
+    if h.driver:
+        return _pmi_driver(h.df, top_k, nid_type, empty)
 
-    m = hash_aggregate(
-        mentions.select_columns([doc_col, node_col]),
-        [doc_col, node_col], [(node_col, "count")],
-        num_buckets=num_buckets).select_columns(
-        [doc_col, node_col]).materialize()
-
-    from .agg import pa_type_of
-
-    in_sch = mentions.schema()  # may be a PandasBlockSchema
-    nid_type = pa_type_of(dict(zip(in_sch.names, in_sch.types))[node_col])
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=nid_type),
-            "id_b": pa.array([], type=nid_type),
-            "c_ab": pa.array([], type=pa.int64()),
-            "pmi": pa.array([], type=pa.float64())}))
-
-    if m.count() == 0:
-        return empty()
-    if driver_threshold and m.count() <= driver_threshold:
-        # MEASURED driver fast path (connected_components policy): the
-        # deduped (doc, entity) incidence is two skinny columns, and
-        # the distributed route below is ~10 keyed exchanges of pure
-        # scheduling overhead when it fits (measured 20.9 s -> <1 s at
-        # sf0.1); same exact-integer-double op tree, bit-equal output
-        return _pmi_driver(m, doc_col, node_col, top_k, nid_type)
-
-    n_docs = hash_aggregate(
-        m.select_columns([doc_col]), [doc_col], [(doc_col, "count")],
-        num_buckets=num_buckets).count()
-    ca = hash_aggregate(
-        m.select_columns([node_col]), [node_col],
-        [(node_col, "count")], rename={f"{node_col}_count": "c"},
-        num_buckets=num_buckets).materialize()
+    m = h.table  # (s, d): document, entity
+    n_docs = hash_aggregate(m.select_columns(["s"]), ["s"],
+                            [("s", "count")], num_buckets=num_buckets).count()
+    ca = hash_aggregate(m.select_columns(["d"]), ["d"], [("d", "count")],
+                        rename={"d_count": "c"},
+                        num_buckets=num_buckets).materialize()
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         outs_a, outs_b = [], []
-        for _, grp in g.groupby(doc_col, sort=False):
-            ids = np.sort(grp[node_col].to_numpy())
-            k = len(ids)
-            if k < 2:
+        for _, grp in g.groupby("s", sort=False):
+            ids = np.sort(grp["d"].to_numpy())
+            if len(ids) < 2:
                 continue
-            iu = np.triu_indices(k, 1)
+            iu = np.triu_indices(len(ids), 1)
             outs_a.append(ids[iu[0]])
             outs_b.append(ids[iu[1]])
         if not outs_a:
@@ -2339,389 +2054,86 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
                              "id_b": np.concatenate(outs_b)})
 
     cab = hash_aggregate(
-        bucketed_apply(m, [doc_col], pairs, num_buckets=num_buckets),
+        bucketed_apply(m, ["s"], pairs, num_buckets=num_buckets),
         ["id_a", "id_b"], [("id_a", "count")],
         rename={"id_a_count": "c_ab"}, num_buckets=num_buckets)
-
-    cab_schema = pa.schema([("id_a", nid_type), ("id_b", nid_type),
-                            ("c_ab", pa.int64())])
-    ca_schema = pa.schema([(node_col, nid_type), ("c", pa.int64())])
-    j1 = bucketed_join(cab, ca, left_key="id_a", right_key=node_col,
-                       right_value_cols=["c"], num_buckets=num_buckets,
-                       left_schema=cab_schema, right_schema=ca_schema)
-
-    def name_ca(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["id_a", "id_b", "c_ab", "c_a"])
-
-    j1_schema = pa.schema([("id_a", nid_type), ("id_b", nid_type),
-                           ("c_ab", pa.int64()), ("c_a", pa.int64())])
-    j2 = bucketed_join(
-        j1.map_batches(name_ca, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ca, left_key="id_b", right_key=node_col,
-        right_value_cols=["c"], num_buckets=num_buckets,
-        left_schema=j1_schema, right_schema=ca_schema)
+    schema = pa.schema([("id_a", nid_type), ("id_b", nid_type),
+                        ("c_ab", pa.int64())])
+    j = cab
+    for side, col in (("a", "c_a"), ("b", "c_b")):
+        j = bucketed_join(j, ca.map_batches(
+            lambda t, _c=col: t.rename_columns(["d", _c]),
+            batch_format="pyarrow", zero_copy_batch=True),
+            left_key=f"id_{side}", right_key="d",
+            right_value_cols=[col], num_buckets=num_buckets,
+            left_schema=schema, right_schema=pa.schema(
+                [("d", nid_type), (col, pa.int64())]))
+        schema = schema.append(pa.field(col, pa.int64()))
 
     def score(t: pa.Table) -> pa.Table:
-        cab_ = t["c_ab"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ca_ = t["c_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cb_ = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # identical IEEE op tree to the oracle: integer products are
-        # exact in int64 and exact as doubles, one division, one ln
-        pmi = np.round(np.log((n_docs * cab_).astype(np.float64)
-                              / (ca_ * cb_).astype(np.float64)), 6)
+        pmi = _pmi(n_docs, _np(t["c_ab"]), _np(t["c_a"]), _np(t["c_b"]))
         return pa.table({"id_a": t["id_a"], "id_b": t["id_b"],
                          "c_ab": t["c_ab"],
                          "pmi": pa.array(pmi, type=pa.float64())})
 
-    return (j2.map_batches(score, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return (j.map_batches(score, batch_format="pyarrow",
+                          zero_copy_batch=True)
             .sort(["pmi", "id_a", "id_b"],
                   descending=[True, False, False])
             .limit(top_k))
 
 
-def _pmi_driver(m: rd.Dataset, doc_col: str, node_col: str, top_k: int,
-                nid_type: pa.DataType) -> rd.Dataset:
+def _pmi(n_docs: int, c_ab, c_a, c_b) -> np.ndarray:
+    # identical IEEE op tree to the oracle: integer products are exact
+    # in int64 and exact as doubles, one division, one ln
+    return np.round(np.log((n_docs * c_ab).astype(np.float64)
+                           / (c_a * c_b).astype(np.float64)), 6)
+
+
+def _pmi_driver(df: pd.DataFrame, top_k: int, nid_type: pa.DataType,
+                empty: rd.Dataset) -> rd.Dataset:
     """Vectorized pandas/numpy PMI over the driver-gathered deduped
-    (doc, entity) incidence — the identical op tree as the distributed
-    route (integer counts, exact-int-double division, ln, round 6,
-    id-tiebroken top-k)."""
-    df = m.to_pandas()
-    n_docs = df[doc_col].nunique()
-    ca = df[node_col].value_counts()
-    dcodes, _ = pd.factorize(df[doc_col], sort=False)
+    (doc ``s``, entity ``d``) incidence — the identical op tree as the
+    distributed route (integer counts, exact-int-double division, ln,
+    round 6, id-tiebroken top-k)."""
+    n_docs = df["s"].nunique()
+    ca = df["d"].value_counts()
+    dcodes, _ = pd.factorize(df["s"], sort=False)
     order = np.argsort(dcodes, kind="stable")
     dcodes = dcodes[order]
-    ids = df[node_col].to_numpy()[order]
+    ids = df["d"].to_numpy()[order]
     # per-doc sorted-id pair expansion, numpy only
     outs_a, outs_b = [], []
     starts = np.flatnonzero(np.r_[True, dcodes[1:] != dcodes[:-1]])
     ends = np.r_[starts[1:], len(dcodes)]
     for s, e in zip(starts, ends):
-        k = e - s
-        if k < 2:
+        if e - s < 2:
             continue
         grp = np.sort(ids[s:e])
-        iu = np.triu_indices(k, 1)
+        iu = np.triu_indices(e - s, 1)
         outs_a.append(grp[iu[0]])
         outs_b.append(grp[iu[1]])
     if not outs_a:
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=nid_type),
-            "id_b": pa.array([], type=nid_type),
-            "c_ab": pa.array([], type=pa.int64()),
-            "pmi": pa.array([], type=pa.float64())}))
+        return empty
     pairs = pd.DataFrame({"id_a": np.concatenate(outs_a),
                           "id_b": np.concatenate(outs_b)})
     cab = (pairs.groupby(["id_a", "id_b"], sort=False)
            .size().rename("c_ab").reset_index())
-    ca_a = ca.reindex(cab["id_a"]).to_numpy(dtype=np.int64)
-    ca_b = ca.reindex(cab["id_b"]).to_numpy(dtype=np.int64)
     c_ab = cab["c_ab"].to_numpy(dtype=np.int64)
-    pmi = np.round(np.log((n_docs * c_ab).astype(np.float64)
-                          / (ca_a * ca_b).astype(np.float64)), 6)
+    pmi = _pmi(n_docs, c_ab,
+               ca.reindex(cab["id_a"]).to_numpy(dtype=np.int64),
+               ca.reindex(cab["id_b"]).to_numpy(dtype=np.int64))
     out = cab.assign(pmi=pmi).sort_values(
         ["pmi", "id_a", "id_b"],
         ascending=[False, True, True]).head(top_k)
     return rd.from_arrow(pa.table({
         "id_a": pa.array(out["id_a"]).cast(nid_type),
         "id_b": pa.array(out["id_b"]).cast(nid_type),
-        "c_ab": pa.array(out["c_ab"].to_numpy(dtype=np.int64)),
+        "c_ab": _ints(out["c_ab"]),
         "pmi": pa.array(out["pmi"].to_numpy(), type=pa.float64())}))
 
 
-KATZ_BETA = 1_000_000_000_000
-
-
-def katz_centrality(edges: rd.Dataset, *, src: str = "src",
-                    dst: str = "dst", n_iters: int = 8,
-                    beta: int = KATZ_BETA,
-                    num_buckets: int | None = None,
-                    driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """``(node_id, katz_fp)`` — Katz centrality over the DISTINCT
-    simple digraph (self-loops dropped) in exact integer fixed point.
-    The attenuation factor is MEASURED from the graph::
-
-        den        = max(2, 2 * max_in_degree)        (alpha = 1/den)
-        x_0(i)     = beta
-        x_{t+1}(i) = beta + (sum_{j->i} x_t(j)) // den
-
-    ``alpha < 1/max_in_degree <= 1/lambda_max`` is the classic Katz
-    convergence condition, and it doubles as an overflow bound:
-    ``x <= beta + (max_in_deg * x_max) // (2 * max_in_deg)`` gives
-    ``x_max <= 2 * beta``, so every intermediate sum stays below
-    ``max_in_deg * 2 * beta`` (< 2^63 for in-degrees to ~4.6e6 at the
-    default beta — document-derived KGs are far below).  Unlike
-    PageRank, Katz credits a node for ALL walks that reach it without
-    dividing by the walker's out-degree, so prolific sources transfer
-    full endorsement weight — the standard alternative centrality for
-    citation-style graphs.  Sum / max / floor-division over positive
-    int64 are associative / exact, so the result is bit-identical
-    under any blocking or summation order and the recurrence unrolls
-    verbatim into DuckDB integer SQL.
-
-    Scale shape per iteration: one partitioned skinny join (scores
-    into the edge list on ``src``) + one keyed sum, both bucketed
-    exchanges; scores re-bounded to the edge block count per round.
-    Below ``driver_threshold`` distinct edges (MEASURED, the 2M
-    policy) the identical recurrence runs vectorized on the driver.
-    """
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-
-    def drop_self(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.equal(t[src], t[dst])))
-
-    e = _distinct_edges(
-        edges.map_batches(drop_self, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        src, dst, num_buckets=num_buckets).materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "katz_fp": pa.array([], type=pa.int64())}))
-    if driver_threshold and n_edges <= driver_threshold:
-        return _katz_driver(e, src, dst, n_iters=n_iters, beta=beta,
-                            id_type=id_type)
-
-    indeg = hash_aggregate(
-        e, [dst], [(dst, "count")], rename={f"{dst}_count": "indeg"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    den = max(2, 2 * int(indeg.max("indeg")))
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": pa.chunked_array(
-            [t.column(src), t.column(dst)]).combine_chunks()})
-
-    nodes = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).materialize()
-    e_schema = pa.schema([(src, id_type), (dst, id_type)])
-    score_schema = pa.schema([("node_id", id_type), ("v", pa.int64())])
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-
-    def init_score(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t.column("node_id"),
-            "v": pa.array(np.full(t.num_rows, beta, np.int64))})
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t.column("node_id"),
-            "v": pa.array(np.zeros(t.num_rows, np.int64))})
-
-    scores = nodes.map_batches(init_score, batch_format="pyarrow",
-                               zero_copy_batch=True).materialize()
-    for _ in range(n_iters):
-        joined = bucketed_join(
-            e, scores, left_key=src, right_key="node_id",
-            right_value_cols=["v"], num_buckets=num_buckets,
-            left_schema=e_schema, right_schema=score_schema)
-
-        def emit(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": t.column(dst),
-                             "v": t.column("v")})
-
-        cand = joined.map_batches(
-            emit, batch_format="pyarrow", zero_copy_batch=True,
-        ).union(nodes.map_batches(zero_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True))
-        sums = hash_aggregate(
-            cand, ["node_id"], [("v", "sum")], rename={"v_sum": "v"},
-            num_buckets=num_buckets, exchange="shuffle")
-
-        def affine(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t.column("node_id"),
-                "v": pc.add(pa.scalar(beta, pa.int64()),
-                            pc.divide(t.column("v").cast(pa.int64()),
-                                      pa.scalar(den, pa.int64())))})
-
-        scores = sums.map_batches(
-            affine, batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(nblocks).materialize()
-
-    return scores.map_batches(
-        lambda t: t.rename_columns(["node_id", "katz_fp"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _katz_driver(e: rd.Dataset, src: str, dst: str, *, n_iters: int,
-                 beta: int, id_type: pa.DataType) -> rd.Dataset:
-    """Numpy form of the identical integer recurrence."""
-    sc, dc, nodes = _factorize_pairs(e.to_pandas(), src, dst)
-    n_nodes = len(nodes)
-    indeg = np.bincount(dc, minlength=n_nodes)
-    den = max(2, 2 * int(indeg.max()))
-    x = np.full(n_nodes, beta, dtype=np.int64)
-    for _ in range(n_iters):
-        raw = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(raw, dc, x[sc])
-        x = beta + raw // np.int64(den)
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(np.asarray(nodes)).cast(id_type),
-        "katz_fp": pa.array(x)}))
-
-
-def shortest_paths(edges: rd.Dataset, *, src: str = "src",
-                   dst: str = "dst", weight: str | None = None,
-                   seeds: list, n_rounds: int = 8,
-                   num_buckets: int | None = None,
-                   driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """``(node_id, dist)`` — cheapest DIRECTED path cost from the seed
-    set over at most ``n_rounds`` edges (bounded-hop multi-source
-    Bellman-Ford; KG use: provenance-discounted evidence distance —
-    how cheaply a claim chain connects query entities to a target).
-
-    ``weight`` names a NON-NEGATIVE int64 edge-cost column; parallel
-    edges collapse to their MIN cost (``weight=None`` costs every
-    distinct edge 1, the hop metric).  The relaxation is pure min-plus
-    integer arithmetic::
-
-        d_0      = 0 on seeds (absent elsewhere)
-        d_{t+1}(v) = min(d_t(v), min_{u->v}(d_t(u) + c(u, v)))
-
-    min and + over int64 are associative / commutative / exact, so the
-    result is bit-identical under any blocking or summation order and
-    the recurrence unrolls verbatim into DuckDB integer SQL.
-    ``n_rounds`` is FIXED (not convergence-tested): the output is the
-    well-defined "cheapest path using <= n_rounds edges", which is the
-    full SSSP whenever n_rounds >= the weighted-path hop diameter.
-    Only REACHED nodes appear (same contract as ``bfs_hops``);
-    self-loops are harmless (``d + c >= d`` for ``c >= 0``) and are
-    left in.  Caller contract: ``n_rounds * max_cost < 2^63``.
-
-    Scale shape per round: one partitioned skinny join (dists into the
-    edge list on ``src``) + one keyed min — bucketed exchanges over
-    int columns only; the frontier dataset is re-bounded per round.
-    Below ``driver_threshold`` distinct edges (MEASURED, the 2M
-    policy) the identical relaxation runs vectorized on the driver.
-    """
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-
-    if weight is None:
-        e = _distinct_edges(edges.select_columns([src, dst]), src, dst,
-                            num_buckets=num_buckets)
-
-        def const_w(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "c", pa.array(np.ones(t.num_rows, np.int64)))
-
-        e = e.map_batches(const_w, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    else:
-        e = hash_aggregate(
-            edges.select_columns([src, dst, weight]), [src, dst],
-            [(weight, "min")], rename={f"{weight}_min": "c"},
-            num_buckets=num_buckets, exchange="shuffle")
-    e = e.materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "dist": pa.array([], type=pa.int64())}))
-    seed_arr = pa.array(sorted(set(seeds))).cast(id_type)
-    if driver_threshold and n_edges <= driver_threshold:
-        return _sssp_driver(e, src, dst, seed_arr, n_rounds)
-    return _sssp_distributed(e, src, dst, seed_arr, n_rounds,
-                             id_type=id_type, num_buckets=num_buckets)
-
-
-def _sssp_driver(e: rd.Dataset, src: str, dst: str,
-                 seed_arr: pa.Array, n_rounds: int) -> rd.Dataset:
-    """Vectorized numpy min-plus relaxation over the (already
-    cost-reduced, driver-gathered) skinny edge list."""
-    df = e.to_pandas()
-    sc, dc, nodes = _factorize_pairs(df, src, dst)
-    w = df["c"].to_numpy(dtype=np.int64)
-    if (w < 0).any():
-        raise ValueError("edge costs must be non-negative")
-    INF = np.int64(2**62)
-    dist = np.full(len(nodes), INF, dtype=np.int64)
-    seed_mask = np.isin(nodes, np.asarray(seed_arr))
-    if not seed_mask.any():
-        raise ValueError("no seed appears as a graph node")
-    dist[seed_mask] = 0
-    for _ in range(n_rounds):
-        valid = dist[sc] < INF
-        np.minimum.at(dist, dc[valid], dist[sc][valid] + w[valid])
-    reached = dist < INF
-    return rd.from_arrow(pa.table({
-        "node_id": pa.array(nodes[reached]).cast(seed_arr.type),
-        "dist": pa.array(dist[reached])}))
-
-
-def _sssp_distributed(e: rd.Dataset, src: str, dst: str,
-                      seed_arr: pa.Array, n_rounds: int, *,
-                      id_type: pa.DataType,
-                      num_buckets: int | None) -> rd.Dataset:
-    """Bounded-round distributed relaxation: the dist dataset holds
-    ONLY reached nodes, so no infinity sentinels travel the wire."""
-    neg = e.map_batches(
-        lambda t: t.filter(pc.less(t["c"], pa.scalar(0, pa.int64()))),
-        batch_format="pyarrow", zero_copy_batch=True).count()
-    if neg:
-        raise ValueError("edge costs must be non-negative")
-    # seeds absent from the graph contribute nothing (bfs_hops
-    # contract): reduce the endpoint multiset against the seed set —
-    # the gathered result is bounded by len(seeds), never by the graph
-    def seed_endpoints(t: pa.Table) -> pa.Table:
-        both = pa.chunked_array([t.column(src),
-                                 t.column(dst)]).combine_chunks()
-        return pa.table({"node_id": both.filter(
-            pc.is_in(both, value_set=seed_arr))})
-
-    present = hash_aggregate(
-        e.map_batches(seed_endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).take_all()
-    if not present:
-        raise ValueError("no seed appears as a graph node")
-    seed_arr = pa.array(sorted(r["node_id"] for r in present)
-                        ).cast(id_type)
-    e_schema = pa.schema([(src, id_type), (dst, id_type),
-                          ("c", pa.int64())])
-    dist_schema = pa.schema([("node_id", id_type),
-                             ("dist", pa.int64())])
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-    dists = rd.from_arrow(pa.table({
-        "node_id": seed_arr,
-        "dist": pa.array(np.zeros(len(seed_arr), np.int64))})
-    ).materialize()
-    for _ in range(n_rounds):
-        joined = bucketed_join(
-            e, dists, left_key=src, right_key="node_id",
-            right_value_cols=["dist"], num_buckets=num_buckets,
-            left_schema=e_schema, right_schema=dist_schema)
-
-        def relax(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t.column(dst),
-                "dist": pc.add(t.column("dist"), t.column("c"))})
-
-        cand = joined.map_batches(
-            relax, batch_format="pyarrow", zero_copy_batch=True,
-        ).union(dists)
-        dists = hash_aggregate(
-            cand, ["node_id"], [("dist", "min")],
-            rename={"dist_min": "dist"},
-            num_buckets=num_buckets, exchange="shuffle",
-        ).repartition(nblocks).materialize()
-    return dists
-
-
+# ---------------------------------------------------------------- Luby MIS
 def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
              n_rounds: int = 12, num_buckets: int | None = None,
              driver_threshold: int = 2_000_000) -> rd.Dataset:
@@ -2750,96 +2162,60 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     joins double as the residual filter), then one keyed min for the
     neighborhood minima, two mark joins, and one left-join anti filter
     — all bucketed exchanges with hoisted schemas (empty late rounds
-    must not re-derive types from empty blocks).  Below
-    ``driver_threshold`` distinct edges (MEASURED, the 2M policy) the
-    identical recurrence runs on the driver.
+    must not re-derive types from empty blocks).  On the driver path
+    (the handle's gate) the identical recurrence runs in dicts.
     """
     import hashlib
 
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
+    h = GraphHandle(edges, src, dst, view="symmetric", loops=False,
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, round=pa.int64())
+    if h.driver:
+        return _luby_driver(h.df, n_rounds, id_type=h.id_type)
 
-    def sym(t: pa.Table) -> pa.Table:
-        a, b = t.column(src), t.column(dst)
-        keep = pc.invert(pc.equal(a, b))
-        a, b = a.filter(keep), b.filter(keep)
-        return pa.table({
-            "s": pa.chunked_array([a, b]).combine_chunks(),
-            "d": pa.chunked_array([b, a]).combine_chunks()})
-
-    e = _distinct_edges(
-        edges.select_columns([src, dst]).map_batches(
-            sym, batch_format="pyarrow", zero_copy_batch=True),
-        "s", "d", num_buckets=num_buckets).materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "round": pa.array([], type=pa.int64())}))
-    if driver_threshold and n_edges <= driver_threshold:
-        return _luby_driver(e, n_rounds, id_type=id_type)
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": t.column("s")})
-
-    und = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).materialize()
-
+    id_type, e, und = h.id_type, h.table, h.nodes
     e_schema = pa.schema([("s", id_type), ("d", id_type)])
     und_schema = pa.schema([("node_id", id_type)])
     k_schema = pa.schema([("node_id", id_type), ("k", pa.string())])
+    mn_schema = pa.schema([("node_id", id_type), ("mk", pa.string())])
     mis_rounds: list[rd.Dataset] = []
     for r in range(1, n_rounds + 1):
         if und.count() == 0:
             break
 
         def with_key(t: pa.Table, _r=r) -> pa.Table:
-            ids = t.column("node_id").to_pylist()
-            ks = [hashlib.md5(f"{v}|{_r}".encode()).hexdigest()
-                  + f"|{v}" for v in ids]
+            ks = [hashlib.md5(f"{v}|{_r}".encode()).hexdigest() + f"|{v}"
+                  for v in t.column("node_id").to_pylist()]
             return pa.table({"node_id": t.column("node_id"),
                              "k": pa.array(ks, pa.string())})
 
         kt = und.map_batches(with_key, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
-        kx = kt.map_batches(lambda t: t.rename_columns(["node_id", "kx"]),
-                            batch_format="pyarrow", zero_copy_batch=True)
-        ky = kt.map_batches(lambda t: t.rename_columns(["node_id", "ky"]),
-                            batch_format="pyarrow", zero_copy_batch=True)
-        kx_schema = pa.schema([("node_id", id_type), ("kx", pa.string())])
-        ky_schema = pa.schema([("node_id", id_type), ("ky", pa.string())])
         # inner joins against the undecided-key table double as the
         # residual-subgraph filter
-        er1 = bucketed_join(e, kx, left_key="s", right_key="node_id",
-                            right_value_cols=["kx"],
-                            num_buckets=num_buckets,
-                            left_schema=e_schema, right_schema=kx_schema)
-        er1_schema = pa.schema([("s", id_type), ("d", id_type),
-                                ("kx", pa.string())])
-        er = bucketed_join(er1, ky, left_key="d", right_key="node_id",
-                           right_value_cols=["ky"],
-                           num_buckets=num_buckets,
-                           left_schema=er1_schema,
-                           right_schema=ky_schema).materialize()
-        er_schema = pa.schema([("s", id_type), ("d", id_type),
-                               ("kx", pa.string()), ("ky", pa.string())])
-
-        def nb_rows(t: pa.Table) -> pa.Table:
-            return pa.table({"node_id": t.column("s"),
-                             "k": t.column("ky")})
-
+        er, schema = e, e_schema
+        for side, col in (("s", "kx"), ("d", "ky")):
+            er = bucketed_join(
+                er, kt.map_batches(
+                    lambda t, _c=col: t.rename_columns(["node_id", _c]),
+                    batch_format="pyarrow", zero_copy_batch=True),
+                left_key=side, right_key="node_id", right_value_cols=[col],
+                num_buckets=num_buckets, left_schema=schema,
+                right_schema=pa.schema([("node_id", id_type),
+                                        (col, pa.string())]))
+            schema = schema.append(pa.field(col, pa.string()))
+        er = er.materialize()
         mn = hash_aggregate(
-            kt.union(er.map_batches(nb_rows, batch_format="pyarrow",
-                                    zero_copy_batch=True)),
+            kt.union(er.map_batches(
+                lambda t: pa.table({"node_id": t.column("s"),
+                                    "k": t.column("ky")}),
+                batch_format="pyarrow", zero_copy_batch=True)),
             ["node_id"], [("k", "min")], rename={"k_min": "mk"},
             num_buckets=num_buckets, exchange="shuffle").materialize()
-        mn_schema = pa.schema([("node_id", id_type), ("mk", pa.string())])
-
         mis = bucketed_join(
             kt, mn, left_key="node_id", right_key="node_id",
             right_value_cols=["mk"], num_buckets=num_buckets,
@@ -2848,17 +2224,14 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             lambda t: pa.table({"node_id": t.column("node_id").filter(
                 pc.equal(t.column("k"), t.column("mk")))}),
             batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-        def rem_rows(t: pa.Table) -> pa.Table:
-            won = pc.equal(t.column("kx"), t.column("mk"))
-            return pa.table({"node_id": t.column("d").filter(won)})
-
         rem = bucketed_join(
             er, mn, left_key="s", right_key="node_id",
             right_value_cols=["mk"], num_buckets=num_buckets,
-            left_schema=er_schema, right_schema=mn_schema,
-        ).map_batches(rem_rows, batch_format="pyarrow",
-                      zero_copy_batch=True)
+            left_schema=schema, right_schema=mn_schema,
+        ).map_batches(
+            lambda t: pa.table({"node_id": t.column("d").filter(
+                pc.equal(t.column("kx"), t.column("mk")))}),
+            batch_format="pyarrow", zero_copy_batch=True)
         decided = hash_aggregate(
             mis.union(rem), ["node_id"], [("node_id", "count")],
             num_buckets=num_buckets, exchange="shuffle",
@@ -2876,10 +2249,9 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             lambda t: pa.table({"node_id": t.column("node_id").filter(
                 pc.is_null(t.column("f")))}),
             batch_format="pyarrow", zero_copy_batch=True).materialize()
-
         mis_rounds.append(mis.map_batches(
             lambda t, _r=r: t.append_column(
-                "round", pa.array(np.full(t.num_rows, _r, np.int64))),
+                "round", _ints(np.full(t.num_rows, _r))),
             batch_format="pyarrow", zero_copy_batch=True).materialize())
 
     out = mis_rounds[0]
@@ -2888,13 +2260,12 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     return out
 
 
-def _luby_driver(e: rd.Dataset, n_rounds: int, *,
+def _luby_driver(df: pd.DataFrame, n_rounds: int, *,
                  id_type: pa.DataType) -> rd.Dataset:
     """Dict-based form of the identical keyed recurrence over the
     (already symmetrized, distinct, driver-gathered) edge list."""
     import hashlib
 
-    df = e.to_pandas()
     adj: dict = {}
     for a, b in zip(df["s"], df["d"]):
         adj.setdefault(a, set()).add(b)
@@ -2945,62 +2316,43 @@ def bfs_path_counts(edges: rd.Dataset, *, src: str = "src",
     change again), so with ``n_rounds`` FIXED the output is the
     well-defined "counts over paths of <= n_rounds hops" — bit-equal on
     both engine paths and in the unrolled-CTE oracle, because min and
-    sum over int64 are order-independent.  Only reached nodes appear.
-    Caller contract: the shortest-path count within ``n_rounds`` hops
-    must fit int64 (sigma grows multiplicatively with graph fan-out).
+    sum over int64 are order-independent.  Only reached nodes appear;
+    seeds resolve through the handle (missing seeds contribute
+    nothing; raises if NO seed is a graph node).  Caller contract: the
+    shortest-path count within ``n_rounds`` hops must fit int64 (sigma
+    grows multiplicatively with graph fan-out).
 
-    Scale shape per round: one partitioned skinny join (states into
-    the symmetric edge list) + one node-bucketed argmin/sum reduce.
-    Below ``driver_threshold`` distinct edges (MEASURED, the 2M
-    policy) the identical iteration runs vectorized on the driver."""
+    The state is keyed by (pivot, node) and the combine is an argmin
+    with a sum over ties, so this keeps its own round instead of
+    :meth:`GraphHandle.propagate`: one partitioned skinny join (states
+    into the symmetric edge list) + one node-bucketed argmin/sum
+    reduce, or the identical vectorized iteration on the driver path
+    (the handle's gate)."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-
-    def sym(t: pa.Table) -> pa.Table:
-        a, b = t.column(src), t.column(dst)
-        keep = pc.invert(pc.equal(a, b))
-        a, b = a.filter(keep), b.filter(keep)
-        return pa.table({
-            "s": pa.chunked_array([a, b]).combine_chunks(),
-            "d": pa.chunked_array([b, a]).combine_chunks()})
-
-    e = _distinct_edges(
-        edges.select_columns([src, dst]).map_batches(
-            sym, batch_format="pyarrow", zero_copy_batch=True),
-        "s", "d", num_buckets=num_buckets).materialize()
-    id_type = _input_id_type(edges, src)
-    n_edges = e.count()
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "pivot": pa.array([], type=id_type),
-            "node_id": pa.array([], type=id_type),
-            "dist": pa.array([], type=pa.int64()),
-            "sigma": pa.array([], type=pa.int64())}))
-    seed_arr = pa.array(sorted(set(seeds))).cast(id_type)
-    if driver_threshold and n_edges <= driver_threshold:
-        return _path_counts_driver(e, seed_arr, n_rounds,
-                                   id_type=id_type)
-    return _path_counts_distributed(e, seed_arr, n_rounds,
-                                    id_type=id_type,
-                                    num_buckets=num_buckets)
+    h = GraphHandle(edges, src, dst, view="symmetric", loops=False,
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(pivot=None, node_id=None, dist=pa.int64(),
+                       sigma=pa.int64())
+    mask, _ = h.seed_mask(seeds)
+    if h.driver:
+        return _path_counts_driver(h, mask, n_rounds)
+    return _path_counts_distributed(h, mask, n_rounds)
 
 
-def _path_counts_driver(e: rd.Dataset, seed_arr: pa.Array,
-                        n_rounds: int, *,
-                        id_type: pa.DataType) -> rd.Dataset:
+def _path_counts_driver(h: GraphHandle, mask: np.ndarray,
+                        n_rounds: int) -> rd.Dataset:
     """Vectorized numpy form of the identical Jacobi iteration over
     the (already symmetrized, distinct, driver-gathered) edges."""
-    df = e.to_pandas()
-    sc, dc, nodes = _factorize_pairs(df, "s", "d")
+    sc, dc, nodes = h.codes
     INF = np.int64(2**62)
-    out = {"pivot": [], "node_id": [], "dist": [], "sigma": []}
-    for p in seed_arr.to_pylist():
-        where = np.nonzero(nodes == p)[0]
-        if len(where) == 0:
-            continue
-        pi = where[0]
+    out: dict[str, list] = {"pivot": [], "node_id": [], "dist": [],
+                            "sigma": []}
+    for pi in np.flatnonzero(mask):
         dist = np.full(len(nodes), INF, dtype=np.int64)
         sigma = np.zeros(len(nodes), dtype=np.int64)
         dist[pi], sigma[pi] = 0, 1
@@ -3017,36 +2369,30 @@ def _path_counts_driver(e: rd.Dataset, seed_arr: pa.Array,
             ns[pi] = 1
             dist, sigma = nd, ns
         reached = dist < INF
-        out["pivot"].extend([p] * int(reached.sum()))
+        out["pivot"].extend([nodes[pi]] * int(reached.sum()))
         out["node_id"].extend(nodes[reached].tolist())
         out["dist"].extend(dist[reached].tolist())
         out["sigma"].extend(sigma[reached].tolist())
     return rd.from_arrow(pa.table({
-        "pivot": pa.array(out["pivot"]).cast(id_type)
-        if out["pivot"] else pa.array([], type=id_type),
-        "node_id": pa.array(out["node_id"]).cast(id_type)
-        if out["node_id"] else pa.array([], type=id_type),
+        "pivot": pa.array(out["pivot"]).cast(h.id_type),
+        "node_id": pa.array(out["node_id"]).cast(h.id_type),
         "dist": pa.array(out["dist"], pa.int64()),
         "sigma": pa.array(out["sigma"], pa.int64())}))
 
 
-def _path_counts_distributed(e: rd.Dataset, seed_arr: pa.Array,
-                             n_rounds: int, *, id_type: pa.DataType,
-                             num_buckets: int | None) -> rd.Dataset:
+def _path_counts_distributed(h: GraphHandle, seed_arr: pa.Array,
+                             n_rounds: int) -> rd.Dataset:
     """Bounded-round distributed Jacobi iteration; the state dataset
     holds ONLY reached (pivot, node) pairs — no infinity sentinels."""
-    seeds_present = [s for s in seed_arr.to_pylist()]
-    base = pa.table({
-        "pivot": pa.array(seeds_present).cast(id_type),
-        "node_id": pa.array(seeds_present).cast(id_type),
-        "dist": pa.array(np.zeros(len(seeds_present), np.int64)),
-        "sigma": pa.array(np.ones(len(seeds_present), np.int64))})
+    id_type, nb = h.id_type, h.num_buckets
+    n = len(seed_arr)
+    base = pa.table({"node_id": seed_arr, "pivot": seed_arr,
+                     "dist": _ints(np.zeros(n)),
+                     "sigma": _ints(np.ones(n))})
     e_schema = pa.schema([("s", id_type), ("d", id_type)])
     st_schema = pa.schema([("node_id", id_type), ("pivot", id_type),
                            ("dist", pa.int64()), ("sigma", pa.int64())])
-    state = rd.from_arrow(base).map_batches(
-        lambda t: t.select(["node_id", "pivot", "dist", "sigma"]),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    state = rd.from_arrow(base).materialize()
 
     def reduce_states(df: pd.DataFrame) -> pd.DataFrame:
         md = df.groupby(["pivot", "node_id"], sort=False)["dist"] \
@@ -3058,26 +2404,17 @@ def _path_counts_distributed(e: rd.Dataset, seed_arr: pa.Array,
 
     for _ in range(n_rounds):
         joined = bucketed_join(
-            e, state, left_key="s", right_key="node_id",
-            right_value_cols=["pivot", "dist", "sigma"],
-            num_buckets=num_buckets,
+            h.table, state, left_key="s", right_key="node_id",
+            right_value_cols=["pivot", "dist", "sigma"], num_buckets=nb,
             left_schema=e_schema, right_schema=st_schema)
-
-        def cand(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": t.column("d"), "pivot": t.column("pivot"),
-                "dist": pc.add(t.column("dist"),
-                               pa.scalar(1, pa.int64())),
-                "sigma": t.column("sigma")})
-
-        cands = joined.map_batches(
-            cand, batch_format="pyarrow", zero_copy_batch=True,
-        ).union(rd.from_arrow(base).map_batches(
-            lambda t: t.select(["node_id", "pivot", "dist", "sigma"]),
-            batch_format="pyarrow", zero_copy_batch=True))
-        state = bucketed_apply(cands, ["pivot", "node_id"],
-                               reduce_states,
-                               num_buckets=num_buckets,
+        cands = joined.map_batches(lambda t: pa.table({
+            "node_id": t.column("d"), "pivot": t.column("pivot"),
+            "dist": pc.add(t.column("dist"), pa.scalar(1, pa.int64())),
+            "sigma": t.column("sigma")}),
+            batch_format="pyarrow", zero_copy_batch=True,
+        ).union(rd.from_arrow(base))
+        state = bucketed_apply(cands, ["pivot", "node_id"], reduce_states,
+                               num_buckets=nb,
                                exchange="shuffle").materialize()
     return state.map_batches(
         lambda t: t.select(["pivot", "node_id", "dist", "sigma"]),
@@ -3113,100 +2450,80 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
     exploded (endpoint, key) rows, two mark joins against the
     per-node minima, and two left-join anti filters to drop edges
     touching matched nodes — all skinny bucketed exchanges with
-    hoisted static schemas.  Below ``driver_threshold`` distinct edges
-    (MEASURED, the connected_components 2M policy) the identical
-    recurrence runs vectorized on the driver."""
+    hoisted static schemas.  On the driver path (the handle's gate)
+    the identical recurrence runs in dicts."""
     import hashlib
 
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    empty = h.empty(a=None, b=None, match_round=pa.int64())
+    if h.n_edges == 0:
+        return empty
+    if h.driver:
+        return _matching_driver(h.df, n_rounds, id_type=h.id_type)
 
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "a": pa.array([], type=id_type),
-            "b": pa.array([], type=id_type),
-            "match_round": pa.array([], type=pa.int64())}))
-
-    n_und = und.count()
-    if n_und == 0:
-        return empty()
-    if driver_threshold and n_und <= driver_threshold:
-        return _matching_driver(und, n_rounds, id_type=id_type)
-
+    id_type, st = h.id_type, pa.string()
     e_schema = pa.schema([("a", id_type), ("b", id_type)])
-    ek_schema = pa.schema([("a", id_type), ("b", id_type),
-                           ("k", pa.string())])
-    mn_schema = pa.schema([("node_id", id_type), ("mk", pa.string())])
-    cur = und
+    mn_schema = pa.schema([("node_id", id_type), ("mk", st)])
+    mv_schema = pa.schema([("node_id", id_type), ("f", pa.int8())])
+    cur = h.table
     matched_rounds: list[rd.Dataset] = []
     for r in range(1, n_rounds + 1):
         if cur.count() == 0:
             break
 
         def with_key(t: pa.Table, _r=r) -> pa.Table:
-            pairs = zip(t.column("a").to_pylist(),
-                        t.column("b").to_pylist())
             ks = [hashlib.md5(f"{a}|{b}|{_r}".encode()).hexdigest()
-                  + f"|{a}|{b}" for a, b in pairs]
+                  + f"|{a}|{b}" for a, b in zip(t.column("a").to_pylist(),
+                                                t.column("b").to_pylist())]
             return pa.table({"a": t.column("a"), "b": t.column("b"),
-                             "k": pa.array(ks, pa.string())})
+                             "k": pa.array(ks, st)})
 
         ek = cur.map_batches(with_key, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
-
-        def explode(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node_id": pa.chunked_array(
-                    [t.column("a"), t.column("b")]).combine_chunks(),
-                "k": pa.chunked_array(
-                    [t.column("k"), t.column("k")]).combine_chunks()})
-
         mn = hash_aggregate(
-            ek.map_batches(explode, batch_format="pyarrow",
-                           zero_copy_batch=True),
+            ek.map_batches(lambda t: pa.table({
+                "node_id": _cat(t.column("a"), t.column("b")),
+                "k": _cat(t.column("k"), t.column("k"))}),
+                batch_format="pyarrow", zero_copy_batch=True),
             ["node_id"], [("k", "min")], rename={"k_min": "mk"},
             num_buckets=num_buckets, exchange="shuffle").materialize()
-
-        j1 = bucketed_join(ek, mn, left_key="a", right_key="node_id",
-                           right_value_cols=["mk"],
-                           num_buckets=num_buckets,
-                           left_schema=ek_schema, right_schema=mn_schema)
-        j1 = j1.map_batches(
-            lambda t: t.rename_columns(["a", "b", "k", "mka"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        j1_schema = pa.schema([("a", id_type), ("b", id_type),
-                               ("k", pa.string()), ("mka", pa.string())])
-        j2 = bucketed_join(j1, mn, left_key="b", right_key="node_id",
-                           right_value_cols=["mk"],
-                           num_buckets=num_buckets,
-                           left_schema=j1_schema, right_schema=mn_schema)
+        j, schema = ek, e_schema.append(pa.field("k", st))
+        for side in ("a", "b"):
+            j = bucketed_join(
+                j, mn.map_batches(
+                    lambda t, _c=f"mk{side}": t.rename_columns(
+                        ["node_id", _c]),
+                    batch_format="pyarrow", zero_copy_batch=True),
+                left_key=side, right_key="node_id",
+                right_value_cols=[f"mk{side}"], num_buckets=num_buckets,
+                left_schema=schema, right_schema=pa.schema(
+                    [("node_id", id_type), (f"mk{side}", st)]))
+            schema = schema.append(pa.field(f"mk{side}", st))
 
         def winners(t: pa.Table) -> pa.Table:
             won = pc.and_(pc.equal(t.column("k"), t.column("mka")),
-                          pc.equal(t.column("k"), t.column("mk")))
+                          pc.equal(t.column("k"), t.column("mkb")))
             return pa.table({"a": t.column("a").filter(won),
                              "b": t.column("b").filter(won)})
 
-        m = j2.map_batches(winners, batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
+        m = j.map_batches(winners, batch_format="pyarrow",
+                          zero_copy_batch=True).materialize()
         if m.count() == 0:
             # no edge is bilocally minimal only when the residual is
             # empty, so this is unreachable; guard keeps rounds total
             break
         matched_rounds.append(m.map_batches(
             lambda t, _r=r: t.append_column(
-                "match_round",
-                pa.array(np.full(t.num_rows, _r, np.int64))),
+                "match_round", _ints(np.full(t.num_rows, _r))),
             batch_format="pyarrow", zero_copy_batch=True).materialize())
-
         mv = hash_aggregate(
             m.map_batches(
-                lambda t: pa.table({"node_id": pa.chunked_array(
-                    [t.column("a"), t.column("b")]).combine_chunks()}),
+                lambda t: pa.table({"node_id": _cat(t.column("a"),
+                                                    t.column("b"))}),
                 batch_format="pyarrow", zero_copy_batch=True),
             ["node_id"], [("node_id", "count")],
             num_buckets=num_buckets, exchange="shuffle",
@@ -3214,46 +2531,34 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
             lambda t: t.append_column(
                 "f", pa.array(np.ones(t.num_rows, np.int8))),
             batch_format="pyarrow", zero_copy_batch=True).materialize()
-        mv_schema = pa.schema([("node_id", id_type), ("f", pa.int8())])
-
-        surv = bucketed_join(cur, mv, left_key="a",
-                             right_key="node_id", right_value_cols=["f"],
-                             how="left", num_buckets=num_buckets,
-                             left_schema=e_schema,
-                             right_schema=mv_schema).map_batches(
-            lambda t: pa.table({
-                "a": t.column("a").filter(pc.is_null(t.column("f"))),
-                "b": t.column("b").filter(pc.is_null(t.column("f")))}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        cur = bucketed_join(surv, mv, left_key="b",
-                            right_key="node_id", right_value_cols=["f"],
-                            how="left", num_buckets=num_buckets,
-                            left_schema=e_schema,
-                            right_schema=mv_schema).map_batches(
-            lambda t: pa.table({
-                "a": t.column("a").filter(pc.is_null(t.column("f"))),
-                "b": t.column("b").filter(pc.is_null(t.column("f")))}),
-            batch_format="pyarrow", zero_copy_batch=True).materialize()
+        for side in ("a", "b"):
+            cur = bucketed_join(
+                cur, mv, left_key=side, right_key="node_id",
+                right_value_cols=["f"], how="left",
+                num_buckets=num_buckets, left_schema=e_schema,
+                right_schema=mv_schema).map_batches(
+                lambda t: pa.table({
+                    "a": t.column("a").filter(pc.is_null(t.column("f"))),
+                    "b": t.column("b").filter(pc.is_null(t.column("f")))}),
+                batch_format="pyarrow", zero_copy_batch=True)
+        cur = cur.materialize()
 
     if not matched_rounds:
-        return empty()
+        return empty
     out = matched_rounds[0]
     for m in matched_rounds[1:]:
         out = out.union(m)
     return out
 
 
-def _matching_driver(und: rd.Dataset, n_rounds: int, *,
+def _matching_driver(df: pd.DataFrame, n_rounds: int, *,
                      id_type: pa.DataType) -> rd.Dataset:
     """Dict-based form of the identical keyed recurrence over the
     (already canonical ``a < b`` distinct, driver-gathered) edges."""
     import hashlib
 
-    df = und.to_pandas()
     residual = list(zip(df["a"], df["b"]))
-    out_a: list = []
-    out_b: list = []
-    rounds: list[int] = []
+    out: list[tuple] = []
     for r in range(1, n_rounds + 1):
         if not residual:
             break
@@ -3261,439 +2566,18 @@ def _matching_driver(und: rd.Dataset, n_rounds: int, *,
                + f"|{a}|{b}" for a, b in residual}
         mk: dict = {}
         for (a, b), k in key.items():
-            if a not in mk or k < mk[a]:
-                mk[a] = k
-            if b not in mk or k < mk[b]:
-                mk[b] = k
+            mk[a] = min(mk.get(a, k), k)
+            mk[b] = min(mk.get(b, k), k)
         matched = [(a, b) for (a, b), k in key.items()
                    if mk[a] == k and mk[b] == k]
         gone = {v for ab in matched for v in ab}
-        out_a.extend(a for a, _ in matched)
-        out_b.extend(b for _, b in matched)
-        rounds.extend([r] * len(matched))
+        out += [(a, b, r) for a, b in matched]
         residual = [(a, b) for a, b in residual
                     if a not in gone and b not in gone]
     return rd.from_arrow(pa.table({
-        "a": pa.array(out_a).cast(id_type) if out_a
-        else pa.array([], type=id_type),
-        "b": pa.array(out_b).cast(id_type) if out_b
-        else pa.array([], type=id_type),
-        "match_round": pa.array(rounds, pa.int64())}))
-
-
-# ----------------------------------------------------------------- k-truss
-def _edge_supports(und: rd.Dataset, *,
-                   num_buckets: int | None) -> rd.Dataset:
-    """``(a, b, support)`` for EVERY edge of the materialized distinct
-    ``(a < b)`` STRING edge list ``und`` — the number of triangles the
-    edge closes.  Same degree-ordered orientation as
-    :func:`triangle_count` (oriented out-degree is O(sqrt(m)) even at
-    hub nodes); the wedge -> closing-edge join confirms each triangle
-    exactly once, and each confirmed triangle credits its THREE
-    undirected edges (vs. the three corner NODES in
-    :func:`clustering_coefficients`).  Edges in no triangle are seeded
-    with an explicit zero row so the caller's peel threshold sees them.
-    All exchanges are skinny bucketed shuffles with explicit static
-    schemas (the chained-join rule in functions/agg.py)."""
-    sep = "\x1f"
-    und_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-    deg_schema = pa.schema([("node_id", pa.string()),
-                            ("deg", pa.int64())])
-
-    def und_deg(t: pa.Table) -> pa.Table:
-        d = pc.add(t.column("out_degree"), t.column("in_degree"))
-        return pa.table({"node_id": t.column("node_id"),
-                         "deg": pc.cast(d, pa.int64())})
-
-    deg = degree_table(und, src="a", dst="b",
-                       num_buckets=num_buckets).map_batches(
-        und_deg, batch_format="pyarrow",
-        zero_copy_batch=True).materialize()
-
-    j1 = bucketed_join(und, deg, left_key="a", right_key="node_id",
-                       right_value_cols=["deg"], num_buckets=num_buckets,
-                       left_schema=und_schema, right_schema=deg_schema)
-
-    def name_deg_a(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["a", "b", "deg_a"])
-
-    j1_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                           ("deg_a", pa.int64())])
-    j2 = bucketed_join(
-        j1.map_batches(name_deg_a, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        deg, left_key="b", right_key="node_id",
-        right_value_cols=["deg"], num_buckets=num_buckets,
-        left_schema=j1_schema, right_schema=deg_schema)
-
-    def orient(t: pa.Table) -> pa.Table:
-        a, b = t.column("a"), t.column("b")
-        da, db = t.column("deg_a"), t.column("deg")
-        a_first = pc.or_(pc.less(da, db),
-                         pc.and_(pc.equal(da, db), pc.less(a, b)))
-        return pa.table({
-            "o_src": pc.if_else(a_first, a, b),
-            "o_dst": pc.if_else(a_first, b, a),
-            "deg_dst": pc.if_else(a_first, db, da),
-        })
-
-    o = j2.map_batches(orient, batch_format="pyarrow",
-                       zero_copy_batch=True).materialize()
-    o_schema = pa.schema([("o_src", pa.string()), ("o_dst", pa.string()),
-                          ("deg_dst", pa.int64())])
-
-    def as_right(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["w_src", "w_dst", "w_deg"])
-
-    right_schema = pa.schema([("w_src", pa.string()),
-                              ("w_dst", pa.string()),
-                              ("w_deg", pa.int64())])
-    wedges_j = bucketed_join(
-        o, o.map_batches(as_right, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        left_key="o_src", right_key="w_src",
-        right_value_cols=["w_dst", "w_deg"],
-        num_buckets=num_buckets, left_schema=o_schema,
-        right_schema=right_schema)
-
-    def ordered_pairs(t: pa.Table) -> pa.Table:
-        d1, d2 = t.column("deg_dst"), t.column("w_deg")
-        u = t.column("o_src")
-        v, w = t.column("o_dst"), t.column("w_dst")
-        keep = pc.or_(pc.less(d1, d2),
-                      pc.and_(pc.equal(d1, d2), pc.less(v, w)))
-        u = pc.filter(u, keep)
-        v, w = pc.filter(v, keep), pc.filter(w, keep)
-        key = pc.binary_join_element_wise(v, w, sep).cast(pa.string())
-        return pa.table({"key": key, "u": pc.cast(u, pa.string()),
-                         "v": pc.cast(v, pa.string()),
-                         "w": pc.cast(w, pa.string())})
-
-    def edge_keys(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": pc.binary_join_element_wise(
-                t.column("o_src"), t.column("o_dst"), sep),
-            "m": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-        })
-
-    wedge_schema = pa.schema([("key", pa.string()), ("u", pa.string()),
-                              ("v", pa.string()), ("w", pa.string())])
-    ekey_schema = pa.schema([("key", pa.string()), ("m", pa.int8())])
-    closed = bucketed_join(
-        wedges_j.map_batches(ordered_pairs, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        o.map_batches(edge_keys, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        left_key="key", right_key="key", right_value_cols=["m"],
-        num_buckets=num_buckets, left_schema=wedge_schema,
-        right_schema=ekey_schema)
-
-    def edge_credits(t: pa.Table) -> pa.Table:
-        u, v, w = t.column("u"), t.column("v"), t.column("w")
-        # canonicalize each of the triangle's three edges by id (the
-        # orientation above is by DEGREE, so u/v/w carry no id order)
-        lo = pa.chunked_array([
-            pc.if_else(pc.less(u, v), u, v),
-            pc.if_else(pc.less(u, w), u, w),
-            pc.if_else(pc.less(v, w), v, w)]).combine_chunks()
-        hi = pa.chunked_array([
-            pc.if_else(pc.less(u, v), v, u),
-            pc.if_else(pc.less(u, w), w, u),
-            pc.if_else(pc.less(v, w), w, v)]).combine_chunks()
-        return pa.table({
-            "a": lo, "b": hi,
-            "tri": pa.array(np.ones(len(lo), dtype=np.int64))})
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": t.column("a"), "b": t.column("b"),
-            "tri": pa.array(np.zeros(t.num_rows, dtype=np.int64))})
-
-    return hash_aggregate(
-        closed.map_batches(edge_credits, batch_format="pyarrow",
-                           zero_copy_batch=True).union(
-            und.map_batches(zero_rows, batch_format="pyarrow",
-                            zero_copy_batch=True)),
-        ["a", "b"], [("tri", "sum")], rename={"tri_sum": "support"},
-        num_buckets=num_buckets, exchange="shuffle")
-
-
-def ktruss(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
-           k: int = 3, max_rounds: int = 30,
-           num_buckets: int | None = None,
-           driver_threshold: int = 2_000_000,
-           driver_wedge_limit: int = 20_000_000) -> rd.Dataset:
-    """``(a, b, support)`` — edges of the k-truss of the UNDIRECTED
-    simple graph underlying ``edges``: the maximal subgraph in which
-    every edge closes at least ``k - 2`` triangles WITHIN the subgraph,
-    found by iteratively peeling under-supported edges to the fixed
-    point.  ``support`` is the edge's within-truss triangle count
-    (>= k - 2 by construction).  KG use: the edge-level analogue of
-    :func:`kcore` — trusses isolate the cohesively cross-referenced
-    relation clusters that survive even when individual hub nodes
-    would keep a core together, the standard community-seed /
-    spam-subgraph filter in entity graphs.
-
-    Peeling only ever REMOVES edges, so the fixed point is reached
-    when a round removes nothing — detected with a cheap count on the
-    round's materialized support table, no extra pass (the surviving
-    support rows ARE the answer).  Per round the distributed path
-    recomputes per-edge triangle support via :func:`_edge_supports`
-    (degree-ordered oriented wedge join, all-skinny bucketed
-    exchanges) and filters; below ``driver_threshold`` distinct
-    undirected edges (MEASURED — the connected_components 2M policy) a
-    vectorized numpy peel runs the identical iteration, bit-equal
-    because the triangle SET is orientation-invariant.  The driver
-    path additionally bails to the distributed one when its first
-    round's exact oriented wedge count exceeds
-    ``driver_wedge_limit`` (the :func:`clustering_coefficients`
-    policy)."""
-    if k < 3:
-        raise ValueError("k must be >= 3 (k - 2 triangles per edge)")
-
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "a": pa.array([], type=id_type),
-            "b": pa.array([], type=id_type),
-            "support": pa.array([], type=pa.int64())}))
-
-    n_und = und.count()
-    if n_und == 0:
-        return empty()
-    if driver_threshold and n_und <= driver_threshold:
-        res = _ktruss_driver(und, k, max_rounds, driver_wedge_limit,
-                             id_type)
-        if res is not None:
-            return res
-
-    cur, prev_n = und, n_und
-    thr = pa.scalar(k - 2, pa.int64())
-    for _ in range(max_rounds):
-        keep = _edge_supports(cur, num_buckets=num_buckets).map_batches(
-            lambda t: t.filter(pc.greater_equal(t["support"], thr)),
-            batch_format="pyarrow").materialize()
-        n_nxt = keep.count()
-        if n_nxt == 0:
-            return empty()
-        if n_nxt == prev_n:
-            def out_cast(t: pa.Table) -> pa.Table:
-                return pa.table({
-                    "a": t.column("a").cast(id_type),
-                    "b": t.column("b").cast(id_type),
-                    "support": pc.cast(t.column("support"), pa.int64())})
-
-            return keep.map_batches(out_cast, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-        cur = keep.select_columns(["a", "b"]).materialize()
-        prev_n = n_nxt
-
-    raise RuntimeError(
-        f"ktruss did not stabilize within {max_rounds} peel rounds; "
-        f"raise max_rounds")
-
-
-def _ktruss_driver(und: rd.Dataset, k: int, max_rounds: int,
-                   wedge_limit: int,
-                   id_type: pa.DataType) -> rd.Dataset | None:
-    """Vectorized numpy/pandas peel over the driver-gathered distinct
-    undirected edge list; None when the first round's exact oriented
-    wedge count exceeds ``wedge_limit`` (caller falls through to the
-    distributed path).  Edge identity is the (lo, hi) code pair —
-    ``_factorize_pairs`` sorts, so code order equals id order and the
-    input's ``a < b`` rows are already canonical."""
-    df = und.to_pandas()
-    ac, bc, nodes = _factorize_pairs(df, "a", "b")
-    n_nodes = max(len(nodes), 1)
-    alive = np.ones(len(ac), dtype=bool)
-    for rnd in range(max_rounds + 1):
-        a, b = ac[alive], bc[alive]
-        if len(a) == 0:
-            return rd.from_arrow(pa.table({
-                "a": pa.array([], type=id_type),
-                "b": pa.array([], type=id_type),
-                "support": pa.array([], type=pa.int64())}))
-        deg = (np.bincount(a, minlength=n_nodes)
-               + np.bincount(b, minlength=n_nodes)).astype(np.int64)
-        a_first = (deg[a] < deg[b]) | ((deg[a] == deg[b]) & (a < b))
-        s = np.where(a_first, a, b)
-        d = np.where(a_first, b, a)
-        if rnd == 0:
-            od = np.bincount(s, minlength=n_nodes).astype(np.int64)
-            if int((od * (od - 1) // 2).sum()) > wedge_limit:
-                return None
-        o = pd.DataFrame({"s": s, "d": d, "dd": deg[d]})
-        w = o.merge(o, on="s")
-        keep_w = (w["dd_x"] < w["dd_y"]) | ((w["dd_x"] == w["dd_y"])
-                                            & (w["d_x"] < w["d_y"]))
-        w = w[keep_w]
-        closed = w.merge(o, left_on=["d_x", "d_y"],
-                         right_on=["s", "d"])
-        u_ = closed["s_x"].to_numpy(dtype=np.int64)
-        v_ = closed["d_x"].to_numpy(dtype=np.int64)
-        w_ = closed["d_y"].to_numpy(dtype=np.int64)
-        e_lo = np.concatenate([np.minimum(u_, v_), np.minimum(u_, w_),
-                               np.minimum(v_, w_)])
-        e_hi = np.concatenate([np.maximum(u_, v_), np.maximum(u_, w_),
-                               np.maximum(v_, w_)])
-        ekey = e_lo * np.int64(n_nodes) + e_hi
-        cur_key = a.astype(np.int64) * np.int64(n_nodes) + b
-        uk, cnt = np.unique(ekey, return_counts=True)
-        if len(uk) == 0:  # no triangles anywhere: every edge peels
-            sup = np.zeros(len(a), dtype=np.int64)
-        else:
-            pos = np.minimum(np.searchsorted(uk, cur_key), len(uk) - 1)
-            sup = np.where(uk[pos] == cur_key, cnt[pos], 0
-                           ).astype(np.int64)
-        ok = sup >= k - 2
-        if ok.all():
-            return rd.from_arrow(pa.table({
-                "a": pa.array(nodes[a]).cast(id_type),
-                "b": pa.array(nodes[b]).cast(id_type),
-                "support": pa.array(sup)}))
-        idx = np.flatnonzero(alive)
-        alive[idx[~ok]] = False
-    raise RuntimeError(
-        f"ktruss did not stabilize within {max_rounds} peel rounds; "
-        f"raise max_rounds")
-
-
-# ------------------------------------------------------- feature propagation
-def feature_propagation(edges: rd.Dataset, features: rd.Dataset, *,
-                        src: str = "src", dst: str = "dst",
-                        id_col: str = "node_id", feat_col: str = "f",
-                        rounds: int = 2,
-                        num_buckets: int | None = None,
-                        driver_threshold: int = 2_000_000) -> rd.Dataset:
-    """GNN-style mean aggregation of an int64 node feature over the
-    undirected simple graph: per round, every node's feature becomes
-    the TRUNCATING integer mean of its neighbors' features::
-
-        f_{t+1}(v) = (sum_{u ~ v} f_t(u)) // deg(v)
-
-    The smoothing primitive of graph feature engineering (label
-    propagation on continuous features, over-smoothing probes,
-    feature pre-computation for downstream models).  All arithmetic
-    is int64 — callers scale their feature into fixed point first —
-    so keyed sums are order-independent, both execution paths are
-    bit-identical, and the recurrence unrolls verbatim into integer
-    SQL for the oracle.  Caller contract: features are NONNEGATIVE
-    (Arrow's integer divide truncates toward zero while numpy's ``//``
-    floors — they agree only at >= 0) and ``max(f) * max_deg`` stays
-    below 2^63.
-
-    Scale shape per round: one partitioned hash join (features into
-    the symmetric adjacency on ``src``) + one keyed sum + one skinny
-    degree join — the pagerank exchange pattern; adjacency and
-    degrees are built once.  Nodes missing from ``features`` start at
-    0 (typed zero-union, the pagerank convention).  Below
-    ``driver_threshold`` distinct undirected edges (MEASURED, the
-    connected_components 2M policy) a numpy driver pass runs the
-    identical integer recurrence.
-    """
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    n_edges = und.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], type=id_type),
-            feat_col: pa.array([], type=pa.int64())}))
-
-    if driver_threshold and n_edges <= driver_threshold:
-        df = und.to_pandas()
-        ca, cb, nodes = _factorize_pairs(df, "a", "b")
-        n = len(nodes)
-        fdf = features.to_pandas()
-        pos = pd.Index(nodes).get_indexer(fdf[id_col].to_numpy())
-        f = np.zeros(n, dtype=np.int64)
-        ok = pos >= 0
-        f[pos[ok]] = fdf[feat_col].to_numpy(dtype=np.int64)[ok]
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, ca, 1)
-        np.add.at(deg, cb, 1)
-        for _ in range(rounds):
-            s = np.zeros(n, dtype=np.int64)
-            np.add.at(s, cb, f[ca])
-            np.add.at(s, ca, f[cb])
-            f = s // deg  # deg >= 1: every node here has an edge
-        return rd.from_arrow(pa.table({
-            id_col: pa.array(nodes, type=id_type),
-            feat_col: pa.array(f, type=pa.int64())}))
-
-    def sym(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "x": pa.chunked_array([t["a"], t["b"]]).combine_chunks(),
-            "y": pa.chunked_array([t["b"], t["a"]]).combine_chunks()})
-
-    adj = und.map_batches(sym, batch_format="pyarrow",
-                          zero_copy_batch=True).materialize()
-    adj_schema = pa.schema([("x", id_type), ("y", id_type)])
-    deg = hash_aggregate(adj, ["x"], [("x", "count")],
-                         rename={"x_count": "deg"},
-                         num_buckets=num_buckets,
-                         exchange="shuffle").materialize()
-    deg_schema = pa.schema([("x", id_type), ("deg", pa.int64())])
-    nblocks = max(adj.num_blocks(),
-                  num_buckets or default_num_buckets())
-
-    # typed f_0 over the graph's node set: features join onto the
-    # degree table (the node set), absent features start at 0
-    f_sch = pa.schema([(id_col, id_type), (feat_col, pa.int64())])
-    f0 = bucketed_join(
-        deg, features.select_columns([id_col, feat_col]),
-        left_key="x", right_key=id_col, right_value_cols=[feat_col],
-        how="left", num_buckets=num_buckets,
-        left_schema=deg_schema, right_schema=f_sch)
-
-    def to_f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t["x"],
-            "f": pc.coalesce(pc.cast(t[feat_col], pa.int64()),
-                             pa.scalar(0, pa.int64()))})
-
-    f = f0.map_batches(to_f, batch_format="pyarrow").materialize()
-    f_schema = pa.schema([("node_id", id_type), ("f", pa.int64())])
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node_id": t["x"],
-            "s": pa.array(np.zeros(t.num_rows, dtype=np.int64))})
-
-    for _ in range(rounds):
-        joined = bucketed_join(
-            adj, f, left_key="x", right_key="node_id",
-            right_value_cols=["f"], num_buckets=num_buckets,
-            left_schema=adj_schema, right_schema=f_schema)
-        cand = joined.map_batches(
-            lambda t: pa.table({"node_id": t["y"], "s": t["f"]}),
-            batch_format="pyarrow",
-        ).union(deg.map_batches(zero_rows, batch_format="pyarrow",
-                                zero_copy_batch=True))
-        sums = hash_aggregate(
-            cand, ["node_id"], [("s", "sum")], rename={"s_sum": "s"},
-            num_buckets=num_buckets, exchange="shuffle")
-        sums_schema = pa.schema([("node_id", id_type), ("s", pa.int64())])
-        withdeg = bucketed_join(
-            sums, deg, left_key="node_id", right_key="x",
-            right_value_cols=["deg"], num_buckets=num_buckets,
-            left_schema=sums_schema, right_schema=deg_schema)
-        f = withdeg.map_batches(
-            lambda t: pa.table({
-                "node_id": t["node_id"],
-                "f": pc.divide(pc.cast(t["s"], pa.int64()),
-                               pc.cast(t["deg"], pa.int64()))}),
-            batch_format="pyarrow",
-        ).repartition(nblocks).materialize()
-
-    def out_name(t: pa.Table) -> pa.Table:
-        return t.rename_columns([id_col, feat_col])
-
-    return f.map_batches(out_name, batch_format="pyarrow",
-                         zero_copy_batch=True)
+        "a": pa.array([x[0] for x in out], type=id_type),
+        "b": pa.array([x[1] for x in out], type=id_type),
+        "match_round": pa.array([x[2] for x in out], pa.int64())}))
 
 
 # ------------------------------------------------------- DAG topological levels
@@ -3719,90 +2603,65 @@ def dag_levels(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
 
     Scale shape per round: one partitioned hash join (levels into the
     edge table on ``src``) + one keyed max + one scalar sum — the
-    pagerank exchange pattern.  Below ``driver_threshold`` distinct
-    edges (MEASURED, the connected_components 2M policy) a numpy
-    relaxation runs the identical recurrence.
+    pagerank exchange pattern (a max combine, so it keeps its own
+    round).  On the driver path (the handle's gate) a numpy relaxation
+    runs the identical recurrence.
     """
-    e = _distinct_edges(edges, src, dst,
-                        num_buckets=num_buckets).materialize()
-    n_edges = e.count()
-    id_type = _input_id_type(edges, src)
-    if n_edges == 0:
-        return rd.from_arrow(pa.table({
-            "node_id": pa.array([], type=id_type),
-            "level": pa.array([], type=pa.int64())}))
-    n_self = e.map_batches(
-        lambda t: pa.table({"n": pa.array(
-            [pc.sum(pc.cast(pc.equal(t[src], t[dst]),
-                            pa.int64())).as_py() or 0])}),
-        batch_format="pyarrow").to_pandas()["n"].sum()
+    h = GraphHandle(edges, src, dst, num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    if h.n_edges == 0:
+        return h.empty(node_id=None, level=pa.int64())
+    n_self = h.table.map_batches(
+        lambda t: t.filter(pc.equal(t["s"], t["d"])),
+        batch_format="pyarrow").count()
     if n_self:
         raise ValueError(f"dag_levels: {n_self} self-loop(s) — not a DAG")
+    cycle = RuntimeError(
+        f"dag_levels did not converge within {max_rounds} rounds — "
+        f"the input contains a directed cycle")
 
-    if driver_threshold and n_edges <= driver_threshold:
-        df = e.to_pandas()
-        ca, cb, nodes = _factorize_pairs(df, src, dst)
-        n = len(nodes)
-        lev = np.zeros(n, dtype=np.int64)
-        for _ in range(min(max_rounds, n + 1)):
+    if h.driver:
+        ca, cb, nodes = h.codes
+        lev = np.zeros(len(nodes), dtype=np.int64)
+        for _ in range(min(max_rounds, len(nodes) + 1)):
             nxt = lev.copy()
             np.maximum.at(nxt, cb, lev[ca] + 1)
             if (nxt == lev).all():
                 return rd.from_arrow(pa.table({
-                    "node_id": pa.array(nodes, type=id_type),
+                    "node_id": pa.array(nodes, type=h.id_type),
                     "level": pa.array(lev, type=pa.int64())}))
             lev = nxt
-        raise RuntimeError(
-            f"dag_levels did not converge within {max_rounds} rounds — "
-            f"the input contains a directed cycle")
+        raise cycle
 
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table({"node_id": pa.chunked_array(
-            [t.column(src), t.column(dst)]).combine_chunks()})
-
-    nodes = hash_aggregate(
-        e.map_batches(endpoints, batch_format="pyarrow",
-                      zero_copy_batch=True),
-        ["node_id"], [("node_id", "count")],
-        num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns(["node_id"]).materialize()
-    e_schema = pa.schema([(src, id_type), (dst, id_type)])
-    lev_schema = pa.schema([("node_id", id_type), ("lev", pa.int64())])
-    nblocks = max(e.num_blocks(), num_buckets or default_num_buckets())
-
-    levels = nodes.map_batches(
-        lambda t: t.append_column(
-            "lev", pa.array(np.zeros(t.num_rows, dtype=np.int64))),
+    e_schema = pa.schema([("s", h.id_type), ("d", h.id_type)])
+    lev_schema = pa.schema([("node_id", h.id_type), ("lev", pa.int64())])
+    nblocks = max(h.table.num_blocks(),
+                  num_buckets or default_num_buckets())
+    levels = h.nodes.map_batches(
+        lambda t: t.append_column("lev", _ints(np.zeros(t.num_rows))),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
     prev_sum = 0
     for _ in range(max_rounds):
         joined = bucketed_join(
-            e, levels, left_key=src, right_key="node_id",
+            h.table, levels, left_key="s", right_key="node_id",
             right_value_cols=["lev"], num_buckets=num_buckets,
             left_schema=e_schema, right_schema=lev_schema)
-        cand = joined.map_batches(
-            lambda t: pa.table({
-                "node_id": t[dst],
-                "lev": pc.add(pc.cast(t["lev"], pa.int64()),
-                              pa.scalar(1, pa.int64()))}),
-            batch_format="pyarrow",
-        ).union(levels)
+        cand = joined.map_batches(lambda t: pa.table({
+            "node_id": t["d"],
+            "lev": pc.add(pc.cast(t["lev"], pa.int64()),
+                          pa.scalar(1, pa.int64()))}),
+            batch_format="pyarrow").union(levels)
         levels = hash_aggregate(
             cand, ["node_id"], [("lev", "max")], rename={"lev_max": "lev"},
             num_buckets=num_buckets, exchange="shuffle",
         ).repartition(nblocks).materialize()
-        cur_sum = int(levels.map_batches(
-            lambda t: pa.table({"s": pa.array(
-                [pc.sum(t["lev"]).as_py() or 0])}),
-            batch_format="pyarrow").to_pandas()["s"].sum())
+        cur_sum = int(levels.sum("lev") or 0)
         if cur_sum == prev_sum:
             return levels.map_batches(
                 lambda t: t.rename_columns(["node_id", "level"]),
                 batch_format="pyarrow", zero_copy_batch=True)
         prev_sum = cur_sum
-    raise RuntimeError(
-        f"dag_levels did not converge within {max_rounds} rounds — "
-        f"the input contains a directed cycle")
+    raise cycle
 
 
 # --------------------------------------------------- Boruvka spanning forest
@@ -3834,140 +2693,96 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
     (and whose own measured driver gate keeps late tiny rounds off
     the cluster).  Components with any outgoing edge at least halve
     per round, so rounds are O(log n); an unconverged exit raises
-    rather than returning a partial forest.  Below
-    ``driver_threshold`` distinct edges (MEASURED, the 2M policy) a
-    driver-side Kruskal over the identical weights runs instead."""
+    rather than returning a partial forest.  On the driver path (the
+    handle's gate) a Kruskal over the identical weights runs
+    instead."""
     import hashlib
 
-    und = _undirected_simple_edges(edges, src, dst,
-                                   num_buckets=num_buckets)
-    id_type = _input_id_type(edges, src)
-
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
-            "a": pa.array([], type=id_type),
-            "b": pa.array([], type=id_type),
-            "w": pa.array([], type=pa.string())}))
-
-    n_und = und.count()
-    if n_und == 0:
-        return empty()
+    h = GraphHandle(edges, src, dst, view="undirected",
+                    num_buckets=num_buckets,
+                    driver_threshold=driver_threshold)
+    empty = h.empty(a=None, b=None, w=pa.string())
+    if h.n_edges == 0:
+        return empty
 
     def with_w(t: pa.Table) -> pa.Table:
         # length-prefixed encoding: ids containing the separator
         # cannot collide (("x|y","z") vs ("x","y|z") differ), so
         # weights stay DISTINCT and the MSF unique — the property the
         # Kruskal/Boruvka gate equality rests on
-        pairs = zip(t.column("a").to_pylist(),
-                    t.column("b").to_pylist())
-        keys = [f"{len(str(a))}:{a}|{len(str(b))}:{b}"
-                for a, b in pairs]
-        ws = [hashlib.md5(k.encode()).hexdigest() + "|" + k
-              for k in keys]
+        keys = [f"{len(str(a))}:{a}|{len(str(b))}:{b}" for a, b in
+                zip(t.column("a").to_pylist(), t.column("b").to_pylist())]
+        ws = [hashlib.md5(k.encode()).hexdigest() + "|" + k for k in keys]
         return pa.table({"a": t.column("a"), "b": t.column("b"),
                          "w": pa.array(ws, pa.string())})
 
-    ew = und.map_batches(with_w, batch_format="pyarrow",
-                         zero_copy_batch=True).materialize()
+    ew = h.table.map_batches(with_w, batch_format="pyarrow",
+                             zero_copy_batch=True).materialize()
+    if h.driver:
+        return _msf_driver(ew, id_type=h.id_type)
 
-    if driver_threshold and n_und <= driver_threshold:
-        return _msf_driver(ew, id_type=id_type)
-
-    ew_schema = pa.schema([("a", id_type), ("b", id_type),
-                           ("w", pa.string())])
+    id_type, st = h.id_type, pa.string()
+    ew_schema = pa.schema([("a", id_type), ("b", id_type), ("w", st)])
     lb_schema = pa.schema([("node_id", id_type),
                            ("component_id", id_type)])
-
+    mc_schema = pa.schema([("comp", id_type), ("mw", st)])
     # init: every endpoint its own component
-    def self_label(t: pa.Table) -> pa.Table:
-        both = pa.chunked_array([t.column("a"),
-                                 t.column("b")]).combine_chunks()
-        return pa.table({"node_id": both, "component_id": both})
-
-    labels = hash_aggregate(
-        ew.map_batches(self_label, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["node_id"], [("component_id", "min")],
-        rename={"component_id_min": "component_id"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-
+    labels = h.nodes.map_batches(
+        lambda t: pa.table({"node_id": t["node_id"],
+                            "component_id": t["node_id"]}),
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
     chosen_rounds: list[rd.Dataset] = []
     residual = ew
     for _ in range(max_rounds):
         # attach both endpoint labels (la, lb); drop intra-component
-        j1 = bucketed_join(residual, labels, left_key="a",
-                           right_key="node_id",
-                           right_value_cols=["component_id"],
-                           num_buckets=num_buckets,
-                           left_schema=ew_schema,
-                           right_schema=lb_schema).map_batches(
-            lambda t: t.rename_columns(["a", "b", "w", "la"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        j1_schema = pa.schema([("a", id_type), ("b", id_type),
-                               ("w", pa.string()), ("la", id_type)])
-        j2 = bucketed_join(j1, labels, left_key="b",
-                           right_key="node_id",
-                           right_value_cols=["component_id"],
-                           num_buckets=num_buckets,
-                           left_schema=j1_schema,
-                           right_schema=lb_schema).map_batches(
-            lambda t: t.rename_columns(
-                ["a", "b", "w", "la", "lb"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-
-        cross = j2.map_batches(
+        j, schema = residual, ew_schema
+        for side in ("a", "b"):
+            j = bucketed_join(
+                j, labels.map_batches(
+                    lambda t, _c=f"l{side}": t.rename_columns(
+                        ["node_id", _c]),
+                    batch_format="pyarrow", zero_copy_batch=True),
+                left_key=side, right_key="node_id",
+                right_value_cols=[f"l{side}"], num_buckets=num_buckets,
+                left_schema=schema, right_schema=pa.schema(
+                    [("node_id", id_type), (f"l{side}", id_type)]))
+            schema = schema.append(pa.field(f"l{side}", id_type))
+        cross = j.map_batches(
             lambda t: t.filter(pc.invert(pc.equal(t.column("la"),
                                                   t.column("lb")))),
             batch_format="pyarrow", zero_copy_batch=True).materialize()
         if cross.count() == 0:
-            forest = chosen_rounds[0] if chosen_rounds else empty()
+            forest = chosen_rounds[0] if chosen_rounds else empty
             for m in chosen_rounds[1:]:
                 forest = forest.union(m)
             return forest
 
         # keyed MIN weight per component over exploded endpoints
-        def explode(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "comp": pa.chunked_array(
-                    [t.column("la"), t.column("lb")]).combine_chunks(),
-                "w": pa.chunked_array(
-                    [t.column("w"), t.column("w")]).combine_chunks()})
-
         mc = hash_aggregate(
-            cross.map_batches(explode, batch_format="pyarrow",
-                              zero_copy_batch=True),
+            cross.map_batches(lambda t: pa.table({
+                "comp": _cat(t.column("la"), t.column("lb")),
+                "w": _cat(t.column("w"), t.column("w"))}),
+                batch_format="pyarrow", zero_copy_batch=True),
             ["comp"], [("w", "min")], rename={"w_min": "mw"},
             num_buckets=num_buckets, exchange="shuffle").materialize()
-        mc_schema = pa.schema([("comp", id_type),
-                               ("mw", pa.string())])
-
-        cross_schema = pa.schema([("a", id_type), ("b", id_type),
-                                  ("w", pa.string()), ("la", id_type),
-                                  ("lb", id_type)])
-        k1 = bucketed_join(cross, mc, left_key="la", right_key="comp",
-                           right_value_cols=["mw"],
-                           num_buckets=num_buckets,
-                           left_schema=cross_schema,
-                           right_schema=mc_schema).map_batches(
-            lambda t: t.rename_columns(
-                ["a", "b", "w", "la", "lb", "mwa"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        k1_schema = pa.schema([("a", id_type), ("b", id_type),
-                               ("w", pa.string()), ("la", id_type),
-                               ("lb", id_type), ("mwa", pa.string())])
-        k2 = bucketed_join(k1, mc, left_key="lb", right_key="comp",
-                           right_value_cols=["mw"],
-                           num_buckets=num_buckets,
-                           left_schema=k1_schema,
-                           right_schema=mc_schema)
-
-        def winners(t: pa.Table) -> pa.Table:
-            won = pc.or_(pc.equal(t.column("w"), t.column("mwa")),
-                         pc.equal(t.column("w"), t.column("mw")))
-            return t.filter(won)
-
-        chosen = k2.map_batches(winners, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
+        k = cross
+        for side in ("a", "b"):
+            k = bucketed_join(
+                k, mc.map_batches(
+                    lambda t, _c=f"mw{side}": t.rename_columns(
+                        ["comp", _c]),
+                    batch_format="pyarrow", zero_copy_batch=True),
+                left_key=f"l{side}", right_key="comp",
+                right_value_cols=[f"mw{side}"], num_buckets=num_buckets,
+                left_schema=schema,
+                right_schema=pa.schema([("comp", id_type),
+                                        (f"mw{side}", st)]))
+            schema = schema.append(pa.field(f"mw{side}", st))
+        chosen = k.map_batches(
+            lambda t: t.filter(pc.or_(
+                pc.equal(t.column("w"), t.column("mwa")),
+                pc.equal(t.column("w"), t.column("mwb")))),
+            batch_format="pyarrow", zero_copy_batch=True).materialize()
         chosen_rounds.append(
             chosen.select_columns(["a", "b", "w"]).materialize())
         # intra-component edges never become cross-component again:
@@ -3978,28 +2793,21 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
         # bounded by the component count; its own gate handles size
         contract = connected_components(
             chosen.select_columns(["la", "lb"]),
-            id_a="la", id_b="lb", num_buckets=num_buckets) \
-            .map_batches(
+            id_a="la", id_b="lb", num_buckets=num_buckets).map_batches(
             lambda t: t.rename_columns(["node_id", "new_comp"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        cl_schema = pa.schema([("node_id", id_type),
-                               ("new_comp", id_type)])
-        relab = bucketed_join(
+        labels = bucketed_join(
             labels, contract, left_key="component_id",
             right_key="node_id", right_value_cols=["new_comp"],
             how="left", num_buckets=num_buckets,
-            left_schema=lb_schema, right_schema=cl_schema)
-
-        def pick_new(t: pa.Table) -> pa.Table:
-            new = t.column("new_comp").cast(id_type)
-            old = t.column("component_id")
-            return pa.table({
-                "node_id": t.column("node_id"),
-                "component_id": pc.coalesce(new, old)})
-
-        labels = relab.map_batches(pick_new, batch_format="pyarrow",
-                                   zero_copy_batch=True).materialize()
-
+            left_schema=lb_schema,
+            right_schema=pa.schema([("node_id", id_type),
+                                    ("new_comp", id_type)]),
+        ).map_batches(lambda t: pa.table({
+            "node_id": t.column("node_id"),
+            "component_id": pc.coalesce(t.column("new_comp").cast(id_type),
+                                        t.column("component_id"))}),
+            batch_format="pyarrow", zero_copy_batch=True).materialize()
     raise RuntimeError(
         f"minimum_spanning_forest did not converge within "
         f"{max_rounds} Boruvka rounds — raise max_rounds")

@@ -151,13 +151,13 @@ def node_id_map(nodes: rd.Dataset) -> dict[str, str]:
     name_norm collisions across node types resolve to the MIN node_id —
     deterministic regardless of block arrival order, and identical to
     the shuffle path's rank-tag rule (``node_index_dataset``)."""
-    tbl = pa.concat_tables(
-        nodes.select_columns(["name_norm", "node_id"])
-        .iter_batches(batch_format="pyarrow", batch_size=65536)
-    )
+    pairs: list[tuple[str, str]] = []
+    for b in nodes.select_columns(["name_norm", "node_id"]).iter_batches(
+            batch_format="pyarrow", batch_size=65536):
+        pairs += zip(b.column("name_norm").to_pylist(),
+                     b.column("node_id").to_pylist())
     out: dict[str, str] = {}
-    for key, nid in sorted(zip(tbl.column("name_norm").to_pylist(),
-                               tbl.column("node_id").to_pylist())):
+    for key, nid in sorted(pairs):
         out.setdefault(key, nid)
     return out
 

@@ -180,3 +180,78 @@ def test_graph_gate_fallthrough_matches_fast_path(name, kw):
     fast = dq.QUERIES[name](SF_DIR).reset_index(drop=True)
     slow = getattr(dq, name)(SF_DIR, **kw).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
+
+
+def _tmp_sf(tmp_path, **tables) -> str:
+    import pyarrow.parquet as pq
+
+    for name, t in tables.items():
+        pq.write_table(t, tmp_path / f"{name}.parquet")
+    return str(tmp_path)
+
+
+def _oracle_on(sf_dir: str, name: str) -> pd.DataFrame:
+    """Run one registered oracle against the tables of ``sf_dir``
+    (the raw SQL, without ``oracle_sql()``'s re-materialization)."""
+    from aisafetyintervention_literatureextraction_ray import (
+        driver_queries as dq,
+    )
+
+    c = duckdb.connect()
+    for t in TABLES:
+        path = f"{sf_dir}/{t}.parquet"
+        if os.path.exists(path):
+            c.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                      f"read_parquet('{path}')")
+    return c.execute(dq.ORACLE_SQL[name]).fetchdf()
+
+
+def test_kg_diameter_2sweep_empty_kg_matches_oracle(tmp_path):
+    """A corpus with no gazetteer entity builds an empty KG (the
+    interleave adapter plants 1-3 facts in every document, so only an
+    empty documents table has none).  Engine and oracle then agree on
+    ``(NULL, NULL, NULL, 0)``: no seed, nothing reached — the oracle no
+    longer seeds its sweeps with a NULL start node."""
+    import pyarrow as pa
+
+    from aisafetyintervention_literatureextraction_ray import (
+        driver_queries as dq,
+    )
+
+    sf = _tmp_sf(tmp_path, documents=pa.table({
+        "doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string()),
+        "lang": pa.array([], pa.string()),
+        "source": pa.array([], pa.string()),
+        "n_chars": pa.array([], pa.int64())}))
+    got = _to_pandas(dq.QUERIES["kg_diameter_2sweep"](sf))
+    exp = _oracle_on(sf, "kg_diameter_2sweep")
+    assert got["n_reached"].tolist() == [0]
+    assert sorted(got.columns) == sorted(exp.columns)
+    assert _canon(got) == _canon(exp)
+
+
+def test_top_component_energy_exact_at_fp_bound(tmp_path):
+    """16,384 identical 64-dim embeddings at 0.53 (|fp| = 0.53 S, the
+    documented bound) put all mass on one direction, so energy_ppm is
+    exactly 10^6.  One block's sum(dot^2) is ~1.9e19, past 2^63: an
+    int64 fold would wrap.  The HUGEINT oracle replay agrees."""
+    import numpy as np
+    import pyarrow as pa
+
+    from aisafetyintervention_literatureextraction_ray import (
+        driver_queries as dq,
+    )
+
+    n, dims = 16_384, 64
+    emb = pa.ListArray.from_arrays(
+        pa.array(np.arange(0, n * dims + 1, dims, dtype=np.int32)),
+        pa.array(np.full(n * dims, 0.53, np.float32)))
+    sf = _tmp_sf(tmp_path, embeddings=pa.table({
+        "vec_id": pa.array(np.arange(n, dtype=np.int64)),
+        "embedding": emb,
+        "label": pa.array(np.zeros(n, np.int32))}))
+    got = _to_pandas(dq.QUERIES["embedding_top_component_energy"](sf))
+    assert got.to_dict("list") == {"energy_ppm": [1_000_000],
+                                   "n_vecs": [n]}
+    assert _canon(got) == _canon(
+        _oracle_on(sf, "embedding_top_component_energy"))

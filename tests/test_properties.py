@@ -2203,3 +2203,140 @@ def test_msf_empty_graph():
     # empty Ray to_pandas drops column names; assert the typed schema
     sch = out.schema()
     assert list(sch.names) == ["a", "b", "w"]
+
+
+# ------------------------------------ propagate family: degenerate inputs
+_DEGENERATE_GRAPHS = {
+    # name: (src, dst, weight, seed)
+    "empty": ([], [], [], "a"),
+    "self_loop": (["x"], ["x"], [3], "x"),
+    "single_edge": (["a"], ["b"], [7], "a"),
+}
+_B, _S = 10**12, 10**12  # default Katz beta / PageRank and HITS scale
+# expected (node -> value) per (algorithm, graph); empty graphs give {}
+_DEGENERATE_WANT = {
+    "connected_components": {"self_loop": {"x": "x"},
+                             "single_edge": {"a": "a", "b": "a"}},
+    # a lone self-loop keeps all mass: 0.15 r + 0.85 r == r exactly
+    "pagerank": {"self_loop": {"x": _S},
+                 "single_edge": {"a": 75 * 10**9, "b": 13875 * 10**7}},
+    "pagerank_seeded": {"self_loop": {"x": _S},
+                        "single_edge": {"a": 15 * 10**10,
+                                        "b": 1275 * 10**8}},
+    "pagerank_weighted": {"self_loop": {"x": _S},
+                          "single_edge": {"a": 75 * 10**9,
+                                          "b": 13875 * 10**7}},
+    # Katz / HITS / feature propagation drop self-loops: nothing left
+    "katz_centrality": {"self_loop": {},
+                        "single_edge": {"a": _B, "b": _B + _B // 2}},
+    "hits": {"self_loop": {},
+             "single_edge": {"a": (_S, 0), "b": (0, _S)}},
+    "bfs_hops": {"self_loop": {"x": 0}, "single_edge": {"a": 0, "b": 1}},
+    "shortest_paths": {"self_loop": {"x": 0},
+                       "single_edge": {"a": 0, "b": 1}},
+    "feature_propagation": {"self_loop": {},
+                            "single_edge": {"a": 10, "b": 0}},
+}
+
+
+def _run_ported(algo: str, ds, seed: str, driver_threshold: int):
+    from aisafetyintervention_literatureextraction_ray.functions import (
+        graph as g,
+    )
+
+    kw = {"driver_threshold": driver_threshold}
+    if algo == "connected_components":
+        return g.connected_components(ds, id_a="src", id_b="dst", **kw), [
+            "node_id", "component_id"]
+    if algo.startswith("pagerank"):
+        extra = {"pagerank_seeded": {"seeds": [seed]},
+                 "pagerank_weighted": {"weight": "w"}}.get(algo, {})
+        return g.pagerank(ds, **extra, **kw), ["node_id", "rank_fp"]
+    if algo == "katz_centrality":
+        return g.katz_centrality(ds, **kw), ["node_id", "katz_fp"]
+    if algo == "hits":
+        return g.hits(ds, **kw), ["node_id", "hub_fp", "auth_fp"]
+    if algo == "bfs_hops":
+        return g.bfs_hops(ds, seeds=[seed], **kw), ["node_id", "hops"]
+    if algo == "shortest_paths":
+        return g.shortest_paths(ds, seeds=[seed], **kw), ["node_id", "dist"]
+    feats = rd.from_arrow(pa.table({"node_id": [seed],
+                                    "f": pa.array([10], pa.int64())}))
+    return g.feature_propagation(ds, feats, **kw), ["node_id", "f"]
+
+
+@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+@pytest.mark.parametrize("graph", sorted(_DEGENERATE_GRAPHS))
+@pytest.mark.parametrize("algo", sorted(_DEGENERATE_WANT))
+def test_ported_family_degenerate_inputs(algo, graph, driver_threshold):
+    """Every algorithm on the propagate primitive, on BOTH paths, on an
+    empty, a self-loop-only and a single-edge graph: typed-empty output
+    with the documented columns, or the hand-computed exact values."""
+    src, dst, w, seed = _DEGENERATE_GRAPHS[graph]
+    ds = rd.from_arrow(pa.table({"src": pa.array(src, pa.string()),
+                                 "dst": pa.array(dst, pa.string()),
+                                 "w": pa.array(w, pa.int64())}))
+    out, cols = _run_ported(algo, ds, seed, driver_threshold)
+    want = _DEGENERATE_WANT[algo].get(graph, {})
+    if not want:
+        assert out.schema().names == cols
+        assert out.count() == 0
+        return
+    got = out.to_pandas()
+    assert list(got.columns) == cols
+    assert {r[0]: (tuple(r[1:]) if len(r) > 2 else r[1])
+            for r in got.itertuples(index=False)} == want
+
+
+# ------------------------------------------ documented int64 caller bounds
+@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+def test_weighted_pagerank_refuses_weight_scale_overflow(driver_threshold):
+    """max(w) * scale must stay below 2^63: exactly 2^63 is refused."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        pagerank,
+    )
+
+    ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"],
+                                 "w": pa.array([2**40], pa.int64())}))
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        pagerank(ds, weight="w", scale=2**23,
+                 driver_threshold=driver_threshold)
+
+
+@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+def test_katz_refuses_beta_overflow(driver_threshold):
+    """max_in_degree * 2 * beta must stay below 2^63."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        katz_centrality,
+    )
+
+    ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"]}))
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        katz_centrality(ds, beta=2**62, driver_threshold=driver_threshold)
+
+
+@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+def test_hits_refuses_degree_scale_overflow(driver_threshold):
+    """max(in_deg, out_deg) * scale must stay below 2^63 (out-degree 2
+    at scale 2^62)."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        hits,
+    )
+
+    ds = rd.from_arrow(pa.table({"src": ["a", "a"], "dst": ["b", "c"]}))
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        hits(ds, scale=2**62, driver_threshold=driver_threshold)
+
+
+@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+def test_sssp_refuses_rounds_cost_overflow(driver_threshold):
+    """n_rounds * max_cost must stay below 2^63."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        shortest_paths,
+    )
+
+    ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"],
+                                 "c": pa.array([2**62], pa.int64())}))
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        shortest_paths(ds, weight="c", seeds=["a"], n_rounds=2,
+                       driver_threshold=driver_threshold)
