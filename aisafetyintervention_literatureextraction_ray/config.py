@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass, field
 @dataclass
 class ExtractionConfig:
     batch_size: int = 256
-    concurrency: int | tuple[int, int] | None = None  # None = size from CPUs
+    # cap on concurrent extraction tasks; a (lo, hi) tuple means its upper
+    # bound hi; None = size from CPUs
+    concurrency: int | tuple[int, int] | None = None
     max_triples_per_doc: int | None = None            # A6 budget cap
 
 

@@ -641,7 +641,7 @@ def pdf_ingest(sf_dir: str):
 
 # ---------------------------------------------------------------- KG oracle support
 #
-# The extraction itself is not SQL-expressible (gazetteer actor pool),
+# The extraction itself is not SQL-expressible (gazetteer extractor tasks),
 # but everything DOWNSTREAM of it is relational.  The flat extraction
 # products (triples + exploded node mentions) are materialized ONCE per
 # sf_dir to a fixed parquet path; the kg_nodes / kg_edges / kg_mentions

@@ -1,9 +1,11 @@
 """Extraction pipeline: interleaved docs -> extractions -> triples.
 
 Target shape from SURVEY.md §3.1: ``read(docs) ->
-map_batches(assemble) -> map_batches(TripleExtractor actors) ->
-[write]``.  Everything is lazy/streaming; nothing materializes the
-corpus.
+map_batches(assemble) -> map_batches(extract_batch) -> [write]``.  Both
+maps are stateless Ray tasks; the extractor's compiled state lives in a
+per-worker-process cache (``functions/worker_state.py``), so it is built
+once per worker, not once per partition, and no actor pool is started.
+Everything is lazy/streaming; nothing materializes the corpus.
 """
 
 from __future__ import annotations
@@ -12,19 +14,21 @@ import ray
 import ray.data as rd
 
 from ..functions.explode import explode_chain_edges
+from ..functions.worker_state import task_concurrency
 from ..schemas import TRIPLES_SCHEMA, cast_batch
-from ..stages.extract import TripleExtractor, assemble_full_text
+from ..stages.extract import assemble_full_text, extract_batch
 
 
-def default_concurrency(frac: float = 0.75, lo: int = 1) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized from the cluster CPU budget.
+def default_concurrency(frac: float = 0.75, lo: int = 1) -> int:
+    """Cap on concurrent extraction tasks, sized from the cluster CPU
+    budget.
 
     Leaves headroom (1-frac) so the read / write / shuffle stages are not
-    starved (ray_guide.md: a pool that reserves every CPU serializes the
+    starved (ray_guide.md: a stage that reserves every CPU serializes the
     pipeline).
     """
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return (lo, max(lo, int(cpus * frac)))
+    return max(lo, int(cpus * frac))
 
 
 def extract_pipeline(
@@ -34,17 +38,21 @@ def extract_pipeline(
     batch_size: int = 256,
     max_triples_per_doc: int | None = None,
 ) -> rd.Dataset:
-    """docs (DOCS_SCHEMA) -> extractions (EXTRACTION_SCHEMA), streaming."""
+    """docs (DOCS_SCHEMA) -> extractions (EXTRACTION_SCHEMA), streaming.
+
+    ``concurrency`` caps the concurrent extraction tasks; a ``(lo, hi)``
+    tuple caps them at ``hi``.
+    """
     if concurrency is None:
         concurrency = default_concurrency()
     ds = docs.map_batches(assemble_full_text, batch_format="pyarrow",
                           batch_size=batch_size, zero_copy_batch=True)
     return ds.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs={"max_triples_per_doc": max_triples_per_doc},
+        extract_batch,
+        fn_kwargs={"max_triples_per_doc": max_triples_per_doc},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=task_concurrency(concurrency),
         num_cpus=1,
     )
 

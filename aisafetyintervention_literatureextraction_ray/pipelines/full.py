@@ -72,7 +72,7 @@ def run_partitioned_extraction(
     def _block_cap():
         # SURVEY §7.4 "very wide rows": spans lists + chains structs
         # dominate block size; cap target blocks below Ray's 128 MB
-        # default so batch x actor-pool concurrency fits the worker
+        # default so batch x task concurrency fits the worker
         # heap.  DataContext is process-global — restore on exit so the
         # cap never leaks into unrelated Ray Data work.
         if max_block_mb is None:

@@ -19,9 +19,10 @@ group-by-reduce materialization (SURVEY.md §2.5 A1/A2/A3):
   description, provenance count.
 * endpoint resolution — triples carry node *names* (string FKs,
   ``core.py:18-19``); they are resolved to node_ids with a broadcast
-  name_norm -> node_id map (``ray.put`` once, read per actor/task —
-  SURVEY.md §2.4 J1).  At 10^12-doc scale with an unbounded vocabulary
-  the same step becomes a hash-shuffle ``Dataset.join`` on name_norm;
+  name_norm -> node_id map (``ray.put`` once, read once per worker
+  process by stateless map tasks — SURVEY.md §2.4 J1).  At 10^12-doc
+  scale with an unbounded vocabulary the same step becomes a
+  hash-shuffle ``Dataset.join`` on name_norm;
   the broadcast path is correct while the canonical-node table fits the
   object store (millions of nodes).
 
@@ -34,12 +35,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..functions.explode import explode_nodes
 from ..functions.hashing import stable_id
 from ..functions.normalize import normalize_names
+from ..functions.worker_state import process_cached, task_concurrency
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, cast_batch
 
 
@@ -109,40 +112,72 @@ def build_nodes(extractions: rd.Dataset) -> rd.Dataset:
 class _EndpointResolver:
     """Broadcast name_norm -> node_id lookup inside the edge stage (J1).
 
-    The node map is shipped once via ``ray.put`` and fetched once per
-    actor in ``__init__`` — never re-serialized per batch.  The lookup
-    itself is a vectorized hash join (``pd.Index.get_indexer``); no
-    per-row Python.
+    The node map ships once via ``ray.put``; map tasks receive its ref
+    boxed in ``fn_args`` and fetch it through ``_resolver``, which keeps
+    ONE resolver per worker process, keyed on the ref's id: the map is
+    deserialized and indexed on the first batch a process sees for that
+    build and reused by every later task there, never per batch and
+    never across builds.  The lookup itself is a vectorized hash join
+    (``pd.Index.get_indexer``); no per-row Python.
     """
 
-    def __init__(self, node_map_ref) -> None:
-        node_map: dict[str, str] = ray.get(node_map_ref)
+    def __init__(self, node_map: dict[str, str]) -> None:
         self.index = pd.Index(list(node_map.keys()))
         self.ids = np.asarray(list(node_map.values()), dtype=object)
 
-    def _resolve(self, names: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    def lookup(self, names: pa.ChunkedArray | pa.Array) -> pa.Array:
+        """node_id per surface name; null where the name is unknown."""
         norm = normalize_names(names).to_pandas().to_numpy()
         pos = self.index.get_indexer(norm)
         out = np.where(pos >= 0, self.ids[np.clip(pos, 0, None)], None)
-        return out
+        return pa.array(out, type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        src = self._resolve(batch.column("subj"))
-        dst = self._resolve(batch.column("obj"))
         t = pa.table({
-            "src_id": pa.array(src, type=pa.string()),
+            "src_id": self.lookup(batch.column("subj")),
             "pred": batch.column("pred"),
-            "dst_id": pa.array(dst, type=pa.string()),
+            "dst_id": self.lookup(batch.column("obj")),
             "subj": batch.column("subj"),
             "obj": batch.column("obj"),
             "description": batch.column("description"),
             "confidence": batch.column("confidence"),
             "doc_id": batch.column("doc_id"),
         })
-        import pyarrow.compute as pc
-
         valid = pc.and_(pc.is_valid(t["src_id"]), pc.is_valid(t["dst_id"]))
         return t.filter(valid)
+
+    def mentions(self, batch: pa.Table) -> pa.Table:
+        """One ``(doc_id, node_id)`` row per resolved endpoint."""
+        parts = []
+        for col in ("subj", "obj"):
+            t = pa.table({"doc_id": batch.column("doc_id"),
+                          "node_id": self.lookup(batch.column(col))})
+            parts.append(t.filter(pc.is_valid(t["node_id"])))
+        return pa.concat_tables(parts)
+
+
+def _resolver(boxed_ref: list) -> _EndpointResolver:
+    (ref,) = boxed_ref
+    return process_cached("node_map", ref.binary(),
+                          lambda: _EndpointResolver(ray.get(ref)))
+
+
+def _resolve_edges(batch: pa.Table, boxed_ref: list) -> pa.Table:
+    return _resolver(boxed_ref)(batch)
+
+
+def _resolve_mentions(batch: pa.Table, boxed_ref: list) -> pa.Table:
+    return _resolver(boxed_ref).mentions(batch)
+
+
+def _resolve(triples: rd.Dataset, fn, node_map: dict[str, str],
+             concurrency: int | tuple[int, int]) -> rd.Dataset:
+    """Map ``fn`` over ``triples`` as tasks sharing the broadcast map.
+    The ref stays boxed so a task deserializes the map only when its
+    process has not cached this build's resolver yet."""
+    return triples.map_batches(
+        fn, fn_args=([ray.put(node_map)],), batch_format="pyarrow",
+        concurrency=task_concurrency(concurrency))
 
 
 def node_id_map(nodes: rd.Dataset) -> dict[str, str]:
@@ -180,19 +215,18 @@ def build_alias_index(nodes: rd.Dataset) -> dict[str, str]:
     )
     norms = tbl.column("name_norm").to_pylist()
     ids = tbl.column("node_id").to_pylist()
-    aliases = tbl.column("aliases").to_pylist()
     index: dict[str, str] = {}
     # canonical names first (min-id deterministic on collisions —
     # identical to the shuffle path's rank-tag min aggregate) ...
     for key, nid in sorted(zip(norms, ids)):
         index.setdefault(key, nid)
-    # ... then aliases fill remaining keys (min-id deterministic)
-    alias_pairs = []
-    for nid, al in zip(ids, aliases):
-        for a in al or []:
-            alias_pairs.append((normalize_names(pa.array([a])).to_pylist()[0],
-                                nid))
-    for key, nid in sorted(alias_pairs):
+    # ... then aliases fill remaining keys (min-id deterministic),
+    # normalized in one call over the flattened alias lists
+    al = tbl.column("aliases").combine_chunks()
+    alias_keys = normalize_names(pc.list_flatten(al)).to_pylist()
+    alias_ids = pc.take(tbl.column("node_id"),
+                        pc.list_parent_indices(al)).to_pylist()
+    for key, nid in sorted(zip(alias_keys, alias_ids)):
         index.setdefault(key, nid)
     return index
 
@@ -202,13 +236,7 @@ def build_edges(triples: rd.Dataset, node_map: dict[str, str],
     """triples + broadcast node map -> canonical edges table (EDGES_SCHEMA)."""
     from ..functions.agg import hash_aggregate
 
-    ref = ray.put(node_map)
-    partials = triples.map_batches(
-        _EndpointResolver,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    partials = _resolve(triples, _resolve_edges, node_map, concurrency)
     # A3 last-wins-determinized reduce, fully Arrow-expressible:
     # min surface forms / description, max confidence, provenance =
     # row count (each (doc, subj, pred, obj) is unique post-extraction).
@@ -238,8 +266,6 @@ def node_index_dataset(nodes: rd.Dataset) -> rd.Dataset:
     Priority is encoded as a rank prefix on the node id ('0' canonical,
     '1' alias) so one ``min`` aggregate implements the whole rule.
     """
-    import pyarrow.compute as pc
-
     from ..functions.agg import hash_aggregate
 
     def _arr(x) -> pa.Array:
@@ -389,11 +415,8 @@ def build_edges_and_mentions(triples: rd.Dataset, node_map: dict[str, str],
     aggregated twice (they are flat and far smaller than extractions)."""
     from ..functions.agg import hash_aggregate
 
-    ref = ray.put(node_map)
-    resolved = triples.map_batches(
-        _EndpointResolver, fn_constructor_args=(ref,),
-        batch_format="pyarrow", concurrency=concurrency,
-    ).materialize()
+    resolved = _resolve(triples, _resolve_edges, node_map,
+                        concurrency).materialize()
     # resolved is materialized, so count() is free metadata: gate the
     # reduce exchange on the MEASURED row bound (edge keys <= resolved
     # rows; mention keys <= 2x — each row contributes two endpoints)
@@ -430,33 +453,6 @@ def build_edges_and_mentions(triples: rd.Dataset, node_map: dict[str, str],
     return edges, mentions
 
 
-class _MentionResolver:
-    """Endpoint -> node_id resolution for mention provenance, as an
-    actor pool: the broadcast index is built ONCE per worker in
-    ``__init__`` (same pattern as ``_EndpointResolver``), not per batch
-    (VERDICT r2 #4)."""
-
-    def __init__(self, node_map_ref) -> None:
-        node_map: dict[str, str] = ray.get(node_map_ref)
-        self.index = pd.Index(list(node_map.keys()))
-        self.ids = np.asarray(list(node_map.values()), dtype=object)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        parts = []
-        for col in ("subj", "obj"):
-            norm = normalize_names(batch.column(col)).to_pandas().to_numpy()
-            pos = self.index.get_indexer(norm)
-            node_id = np.where(pos >= 0, self.ids[np.clip(pos, 0, None)], None)
-            t = pa.table({
-                "doc_id": batch.column("doc_id"),
-                "node_id": pa.array(node_id, type=pa.string()),
-            })
-            parts.append(t.filter(pc.is_valid(t["node_id"])))
-        return pa.concat_tables(parts)
-
-
 def build_mentions(triples: rd.Dataset, node_map: dict[str, str]
                    ) -> rd.Dataset:
     """PAPER -[MENTIONS]-> node provenance edges.
@@ -474,10 +470,8 @@ def build_mentions(triples: rd.Dataset, node_map: dict[str, str]
     """
     from ..functions.agg import hash_aggregate
 
-    ref = ray.put(node_map)
-    mentions = triples.select_columns(["doc_id", "subj", "obj"]).map_batches(
-        _MentionResolver, fn_constructor_args=(ref,),
-        batch_format="pyarrow", concurrency=(1, 8))
+    mentions = _resolve(triples.select_columns(["doc_id", "subj", "obj"]),
+                        _resolve_mentions, node_map, (1, 8))
     out = hash_aggregate(mentions, ["doc_id", "node_id"],
                          [("node_id", "count")],
                          rename={"node_id_count": "n_mentions"},

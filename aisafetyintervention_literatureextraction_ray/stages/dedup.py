@@ -122,8 +122,15 @@ _SHINGLE_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F),
                 np.uint64(0x165667B19E3779F9))
 
 
+# entries a token cache may hold; a worker process keeps its extractor
+# (and so this cache) across partitions, so it must not grow with every
+# vocabulary it sees.  Clearing only costs re-hashes: crc32 is pure.
+_TOKEN_CACHE_MAX = 1 << 18
+
+
 class _TokenHashCache:
-    """Shared token->crc32 cache; vocabulary << corpus, so hit rate ~1."""
+    """Shared token->crc32 cache; vocabulary << corpus, so hit rate ~1.
+    Cleared when a miss finds it holding ``_TOKEN_CACHE_MAX`` entries."""
 
     def __init__(self) -> None:
         self._cache: dict[str, int] = {}
@@ -135,6 +142,8 @@ class _TokenHashCache:
             h = cache.get(t)
             if h is None:
                 h = zlib.crc32(t.encode("utf-8"))
+                if len(cache) >= _TOKEN_CACHE_MAX:
+                    cache.clear()
                 cache[t] = h
             out[i] = h
         return out

@@ -11,12 +11,15 @@ prompt -> ``responses.parse`` -> write JSON) with two Ray Data stages:
    untouched — the per-row invariant ``(kind, text, media_ref, order)``
    must survive the stage (BASELINE.json input_hint).
 
-2. ``TripleExtractor`` — the flagship *stateful* stage: a callable class
-   run as a ``map_batches`` actor pool.  ``__init__`` compiles the
-   gazetteer alternation + one regex per predicate ONCE per actor (the
-   sandbox stand-in for loading an LLM client, ``extract.py:23-27``);
-   ``__call__`` detects planted facts per batch and emits the exact
-   Arrow mirror of the reference's ``PaperSchema``
+2. ``TripleExtractor`` — the flagship *stateful* stage, run as
+   stateless ``map_batches`` tasks over ``extract_batch``: each worker
+   process keeps ONE extractor (``functions/worker_state.py``), built on
+   the first batch it sees and reused by every later task there.  The
+   constructor compiles the gazetteer alternation + one regex per
+   predicate (the sandbox stand-in for loading an LLM client,
+   ``extract.py:23-27``), so that cost is paid once per worker, not once
+   per partition; ``__call__`` detects planted facts per batch and emits
+   the exact Arrow mirror of the reference's ``PaperSchema``
    (``core.py:5-34``): nodes + logical chains of confidence-scored
    edges.  Output is deterministic, so retries are idempotent and P/R
    scoring against the golden set is exact.
@@ -30,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.worker_state import process_cached
 from ..gazetteer import ENTITIES, ENTITY_BY_NAME, RULES, TRIGGERS
 from ..schemas import EXTRACTION_SCHEMA, cast_batch
 
@@ -52,10 +56,10 @@ def assemble_full_text(batch: pa.Table) -> pa.Table:
 
 
 class TripleExtractor:
-    """Actor-pool extraction: gazetteer mention detection + pattern rules.
+    """Gazetteer mention detection + pattern rules over Arrow batches.
 
-    Use as ``ds.map_batches(TripleExtractor, batch_format="pyarrow",
-    concurrency=N, batch_size=B)``.
+    Build once, call per batch.  In a pipeline it runs through
+    ``extract_batch``, which keeps one instance per worker process.
     """
 
     def __init__(self, max_triples_per_doc: int | None = None) -> None:
@@ -68,9 +72,9 @@ class TripleExtractor:
         # dedup sketch computed in the same pass (one text scan feeds
         # both the KG structures and near-dup detection downstream)
         self.minhasher = MinHasher()
-        # one-time state (per actor): surface->entity map + per-predicate
-        # compiled patterns.  Longest-first alternation so multi-word
-        # aliases win over embedded shorter aliases.
+        # one-time state (per worker process): surface->entity map +
+        # per-predicate compiled patterns.  Longest-first alternation so
+        # multi-word aliases win over embedded shorter aliases.
         surfaces: dict[str, str] = {}
         for ent in ENTITIES:
             for s in ent.surfaces:
@@ -243,3 +247,14 @@ class TripleExtractor:
             }
         )
         return cast_batch(out, EXTRACTION_SCHEMA)
+
+
+def extract_batch(batch: pa.Table,
+                  max_triples_per_doc: int | None = None) -> pa.Table:
+    """``TripleExtractor`` as a stateless map task: this process's
+    cached extractor, rebuilt only when ``max_triples_per_doc`` differs
+    from the one it was built with."""
+    extractor = process_cached(
+        "extract", max_triples_per_doc,
+        lambda: TripleExtractor(max_triples_per_doc=max_triples_per_doc))
+    return extractor(batch)

@@ -222,11 +222,10 @@ def run_headline(num_cpus: int) -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)
     make_partition = make_partition_factory(SF_DIR, REPLICAS, PARTITIONS,
                                             num_cpus)
-    # fixed pools sized so the two concurrent partitions together fit
-    # the CPU budget with ~25% headroom for read/write tasks (a fixed
-    # pool of num_cpus actors per partition would deadlock; an
-    # autoscaling pool ramps too slowly; and pools that pin every CPU
-    # starve the write stage, which backpressures the extractors).
+    # extraction task caps sized so the two concurrent partitions
+    # together fit the CPU budget with ~25% headroom for read/write
+    # tasks (caps that pin every CPU starve the write stage, which
+    # backpressures the extractors).
     inflight = min(2, PARTITIONS)
     conc = max(1, (num_cpus - max(2, num_cpus // 8)) // inflight)
 

@@ -312,3 +312,19 @@ def test_prefix_jaccard_matches_bruteforce(driver_threshold):
     got_map = {(r.id_a, r.id_b): (r.inter_n, r.union_n, r.jac_fp)
                for r in got.itertuples()}
     assert got_map == ref
+
+
+def test_token_cache_bound_keeps_signatures(monkeypatch):
+    """The token cache clears itself when a miss finds it full; a clear
+    in the middle of a batch changes no signature byte."""
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
+
+    texts = _corpus()["text"].tolist()
+    unbounded = MinHasher().signatures(texts)
+    monkeypatch.setattr(dedup, "_TOKEN_CACHE_MAX", 8)
+    mh = MinHasher()
+    # the corpus has far more distinct tokens than the bound
+    assert len({tok for t in texts for tok in t.split()}) > 8
+    for _ in range(2):
+        assert mh.signatures(texts).tobytes() == unbounded.tobytes()
+        assert len(mh._tokens._cache) <= 8

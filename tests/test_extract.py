@@ -165,3 +165,22 @@ def test_distractors_do_not_fire():
     })
     out = ex(batch)
     assert all(len(c) == 0 for c in out.column("logical_chains").to_pylist())
+
+
+def test_extractor_cache_follows_max_triples(corpus, extractions):
+    """The per-process extractor is keyed on ``max_triples_per_doc``: an
+    uncapped run followed by a capped one gives the capped output."""
+    docs, _ = corpus
+
+    def n_edges(tbl):
+        return [sum(len(c["edges"]) for c in chains)
+                for chains in tbl.column("logical_chains").to_pylist()]
+
+    assert max(n_edges(extractions)) > 1  # the cap has something to cut
+    for cap in (None, 1, None):
+        ds = extract_pipeline(rd.from_arrow(docs), concurrency=1,
+                              batch_size=64, max_triples_per_doc=cap)
+        got = pa.Table.from_pandas(ds.to_pandas(), schema=EXTRACTION_SCHEMA)
+        want = extractions if cap is None else TripleExtractor(
+            max_triples_per_doc=cap)(assemble_full_text(docs))
+        assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))

@@ -2,6 +2,7 @@
 
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from aisafetyintervention_literatureextraction_ray.fixtures import make_corpus
@@ -70,6 +71,30 @@ def test_idempotent_rebuild(built):
     key = ["src_id", "pred", "dst_id"]
     assert edges.sort_values(key).reset_index(drop=True).equals(
         edges2.sort_values(key).reset_index(drop=True))
+
+
+def test_resolver_cache_never_serves_another_builds_map(built):
+    """Builds whose node maps send the same names to different node ids
+    each resolve through their own map, in the same worker processes
+    (and, called directly, in the same process)."""
+    extr_tbl, _, nmap, _ = built
+    triples = triples_from_extractions(rd.from_arrow(extr_tbl)).materialize()
+    other = {name: f"other-{nid}" for name, nid in nmap.items()}
+    for node_map in (nmap, other, nmap):
+        edges, mentions = gb.build_edges_and_mentions(triples, node_map,
+                                                      concurrency=1)
+        e, m = edges.to_pandas(), mentions.to_pandas()
+        ids = set(node_map.values())
+        assert len(e) and set(e["src_id"]) | set(e["dst_id"]) <= ids
+        assert len(m) and set(m["node_id"]) <= ids
+
+    batch = triples.take_batch(50, batch_format="pyarrow")
+    for node_map in (nmap, other, nmap):
+        boxed = [ray.put(node_map)]
+        ids = set(node_map.values())
+        assert set(gb._resolve_edges(batch, boxed)["src_id"].to_pylist()) <= ids
+        assert set(gb._resolve_mentions(batch, boxed)["node_id"]
+                   .to_pylist()) <= ids
 
 
 def test_provenance_counts(built):

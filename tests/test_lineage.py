@@ -107,6 +107,25 @@ def test_full_run_idempotent(run_dir):
     assert r1["graph"]["n_edges"] == r2["graph"]["n_edges"]
 
 
+def _map_worker_actors() -> int:
+    """Actors ever started for ``map_batches`` actor pools this session
+    (dead ones included); Ray Data's own internal actors do not count."""
+    from ray._private.state import actors
+
+    return sum("MapWorker" in a.get("ActorClassName", "")
+               for a in actors().values())
+
+
+def test_build_starts_no_map_actor(run_dir):
+    """Extraction and endpoint resolution run as tasks over per-process
+    state: once a build has run, another build starts no actor pool."""
+    run_full(make_part, P, run_dir.parent / "warm", concurrency=(1, 2))
+    before = _map_worker_actors()
+    r = run_full(make_part, P, run_dir, concurrency=(1, 2))
+    assert r["extract"]["ran"] == P and r["graph"]["n_edges"] > 0
+    assert _map_worker_actors() == before
+
+
 def test_raw_response_persisted_per_partition(run_dir):
     """S4: every extraction partition carries the raw pre-parse JSON
     artifact, and it round-trips to the parsed columns."""
