@@ -1702,13 +1702,10 @@ def kg_canonicalized(sf_dir: str):
     ``stages/canonicalize.py::union_find``) and checks the surviving
     node table rows+schema+hash against the A1 node reduce."""
     from .pipelines.canonicalization import canonicalize
-    from .pipelines.graph_build import build_edges, build_nodes, node_id_map
+    from .pipelines.graph_build import build_graph
 
     out = _materialize_kg_inputs(sf_dir)
-    extr = rd.read_parquet(f"{out}/extractions", columns=["doc_id", "nodes"])
-    nodes = build_nodes(extr).materialize()
-    nmap = node_id_map(nodes)
-    edges = build_edges(rd.read_parquet(f"{out}/triples"), nmap)
+    nodes, edges, _, _ = build_graph(out)
     nodes2, edges2, accepted, remap = canonicalize(
         nodes, edges, mode="lsh", top_n=None, threshold=0.2)
     _write_canon_accepted(out, accepted)
@@ -1916,33 +1913,26 @@ def kg_edges(sf_dir: str):
     """Canonical edge table (endpoint resolution J1 + edge dedup A3);
     oracle: normalize-join endpoint resolution + the A3 reduce in
     DuckDB over the materialized flat triples."""
-    from .pipelines.graph_build import build_edges, build_nodes, node_id_map
+    from .pipelines.graph_build import build_graph
 
-    out = _materialize_kg_inputs(sf_dir)
-    extr = rd.read_parquet(f"{out}/extractions", columns=["doc_id", "nodes"])
-    nmap = node_id_map(build_nodes(extr))
-    triples = rd.read_parquet(f"{out}/triples")
-    return build_edges(triples, nmap).to_pandas()
+    return build_graph(_materialize_kg_inputs(sf_dir))[1].to_pandas()
 
 
 @query("kg_edges_shuffle", ORACLE_SQL.get("kg_edges"))
 def kg_edges_shuffle(sf_dir: str):
-    """J1 SCALE path: the same edge table via fully distributed hash
-    joins (node index as a dataset, ``bucketed_join`` on name_norm) —
+    """J1 SCALE path: the same edge table from the forced-distributed
+    placement of ``build_graph`` (limit 0: node index as a dataset,
+    ``bucketed_join`` on name_norm, the same kernels per bucket) —
     checked against the same DuckDB oracle as ``kg_edges``.
 
-    Note: the broadcast path resolves aliases too; the sf-derived
-    corpus has no alias-only endpoints, so both paths and the oracle
-    agree (the equivalence test in tests/test_graph_build.py covers
-    alias resolution explicitly).
+    Note: resolution is alias-aware on both placements; the sf-derived
+    corpus has no alias-only endpoints, so both and the oracle agree
+    (tests/test_sources_and_ops.py covers alias resolution explicitly).
     """
-    from .pipelines.graph_build import build_edges_shuffle, build_nodes
+    from .pipelines.graph_build import build_graph
 
-    out = _materialize_kg_inputs(sf_dir)
-    extr = rd.read_parquet(f"{out}/extractions", columns=["doc_id", "nodes"])
-    nodes = build_nodes(extr)
-    triples = rd.read_parquet(f"{out}/triples")
-    return build_edges_shuffle(triples, nodes).to_pandas()
+    return build_graph(_materialize_kg_inputs(sf_dir),
+                       local_triple_limit=0)[1].to_pandas()
 
 
 # ---------------------------------------------------------------- window functions
@@ -2997,7 +2987,7 @@ _KG_EDGES_CACHE: dict[str, rd.Dataset] = {}
 def _kg_simple_edges(sf_dir: str) -> rd.Dataset:
     """Resolved-KG ``(src_id, dst_id)`` edge set, MATERIALIZED and
     cached per (sf_dir, testdata mtime, code version) — six graph
-    queries share it per driver/bench run, and the node-map rebuild
+    queries share it per driver/bench run, and the graph build
     dominated each one's wall time before the cache.  The cache holds
     a materialized Dataset (blocks stay in the object store), never a
     driver-side gather, so it is scale-safe."""
@@ -3005,7 +2995,7 @@ def _kg_simple_edges(sf_dir: str) -> rd.Dataset:
 
     import ray
 
-    from .pipelines.graph_build import build_edges, build_nodes, node_id_map
+    from .pipelines.graph_build import build_graph
 
     # the Ray job id is part of the key: a cached Dataset's blocks live
     # in the CURRENT session's object store, so a shutdown+re-init in
@@ -3015,12 +3005,7 @@ def _kg_simple_edges(sf_dir: str) -> rd.Dataset:
     key = job + _json.dumps(_kg_cache_key(sf_dir), sort_keys=True)
     ds = _KG_EDGES_CACHE.get(key)
     if ds is None:
-        out = _materialize_kg_inputs(sf_dir)
-        extr = rd.read_parquet(f"{out}/extractions",
-                               columns=["doc_id", "nodes"])
-        nmap = node_id_map(build_nodes(extr))
-        triples = rd.read_parquet(f"{out}/triples")
-        ds = build_edges(triples, nmap).select_columns(
+        ds = build_graph(_materialize_kg_inputs(sf_dir))[1].select_columns(
             ["src_id", "dst_id"]).materialize()
         _KG_EDGES_CACHE.clear()  # one live sf at a time
         _KG_EDGES_CACHE[key] = ds
@@ -3038,19 +3023,14 @@ def _kg_weighted_edges(sf_dir: str) -> rd.Dataset:
 
     import ray
 
-    from .pipelines.graph_build import build_edges, build_nodes, node_id_map
+    from .pipelines.graph_build import build_graph
 
     job = (ray.get_runtime_context().get_job_id()
            if ray.is_initialized() else "no-ray")
     key = job + _json.dumps(_kg_cache_key(sf_dir), sort_keys=True)
     ds = _KG_WEDGES_CACHE.get(key)
     if ds is None:
-        out = _materialize_kg_inputs(sf_dir)
-        extr = rd.read_parquet(f"{out}/extractions",
-                               columns=["doc_id", "nodes"])
-        nmap = node_id_map(build_nodes(extr))
-        triples = rd.read_parquet(f"{out}/triples")
-        ds = build_edges(triples, nmap).select_columns(
+        ds = build_graph(_materialize_kg_inputs(sf_dir))[1].select_columns(
             ["src_id", "dst_id", "n_provenance"]).materialize()
         _KG_WEDGES_CACHE.clear()  # one live sf at a time
         _KG_WEDGES_CACHE[key] = ds
@@ -3061,27 +3041,22 @@ _KG_MENTIONS_CACHE: dict[str, rd.Dataset] = {}
 
 
 def _kg_mentions_ds(sf_dir: str) -> rd.Dataset:
-    """Materialized ``build_mentions`` output, cached with the same
+    """Materialized ``build_graph`` mentions, cached with the same
     (job, sf_dir, mtime, code version) policy as ``_kg_simple_edges``
-    — kg_mentions and kg_pmi_cooccurrence share the node-map rebuild
+    — kg_mentions and kg_pmi_cooccurrence share the graph build
     that otherwise dominates each query's wall time."""
     import json as _json
 
     import ray
 
-    from .pipelines.graph_build import build_mentions, build_nodes, node_id_map
+    from .pipelines.graph_build import build_graph
 
     job = (ray.get_runtime_context().get_job_id()
            if ray.is_initialized() else "no-ray")
     key = job + _json.dumps(_kg_cache_key(sf_dir), sort_keys=True)
     ds = _KG_MENTIONS_CACHE.get(key)
     if ds is None:
-        out = _materialize_kg_inputs(sf_dir)
-        extr = rd.read_parquet(f"{out}/extractions",
-                               columns=["doc_id", "nodes"])
-        nmap = node_id_map(build_nodes(extr))
-        triples = rd.read_parquet(f"{out}/triples")
-        ds = build_mentions(triples, nmap).materialize()
+        ds = build_graph(_materialize_kg_inputs(sf_dir))[2].materialize()
         _KG_MENTIONS_CACHE.clear()  # one live sf at a time
         _KG_MENTIONS_CACHE[key] = ds
     return ds

@@ -1,15 +1,14 @@
 """Per-worker-process state for stateless Ray Data map tasks.
 
-The KG build's stateful stages (the triple extractor, the broadcast
-endpoint resolver) run as plain ``map_batches`` tasks, not actor pools:
+The KG build's stateful stage (the triple extractor) runs as plain
+``map_batches`` tasks, not actor pools:
 Ray reuses its worker processes across tasks, so state built on the
 first batch a process sees serves every later task in that process.
 That costs one build per worker, not one actor pool per partition or
-per graph build.
+per build.
 
 Each slot holds ONE entry, replaced when its key changes, so a task
-is never served state built for other settings or another build's
-broadcast, and at most one state per slot stays resident per process.
+is never served state built for other settings, and at most one state per slot stays resident per process.
 """
 
 from __future__ import annotations

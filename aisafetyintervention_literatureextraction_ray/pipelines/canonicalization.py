@@ -23,6 +23,7 @@ from ..stages.canonicalize import (
     union_find,
 )
 from ..stages.encode import DEFAULT_DIM, HashingEncoder
+from .graph_build import dedup_edges
 
 
 def candidate_pairs(
@@ -142,17 +143,8 @@ def apply_merges(nodes: rd.Dataset, edges: rd.Dataset,
                              pa.array(out, type=t.schema.field(col).type))
         return t
 
-    edges2 = hash_aggregate(
-        edges.map_batches(rewire, batch_format="pyarrow"),
-        ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("n_provenance", "sum")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "n_provenance_sum": "n_provenance"},
-        exchange=exchange,
-    )
+    edges2 = dedup_edges(edges.map_batches(rewire, batch_format="pyarrow"),
+                         exchange=exchange)
     return nodes2, edges2, remap
 
 
@@ -238,16 +230,7 @@ def apply_merges_distributed(nodes: rd.Dataset, edges: rd.Dataset,
         return joined.map_batches(coalesce, batch_format="pyarrow")
 
     rewired = rewire_col(rewire_col(edges, "src_id"), "dst_id")
-    edges2 = hash_aggregate(
-        rewired, ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("n_provenance", "sum")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "n_provenance_sum": "n_provenance"},
-        exchange="shuffle",
-    )
+    edges2 = dedup_edges(rewired, exchange="shuffle")
     return nodes2, edges2, labels
 
 
@@ -337,9 +320,12 @@ def canonicalize(nodes: rd.Dataset, edges: rd.Dataset, *,
 
     nodes_tbl = None
     if driver_threshold:
-        head = pa.concat_tables(
-            nodes.limit(driver_threshold + 1)
-            .iter_batches(batch_format="pyarrow", batch_size=65536))
+        head = list(nodes.limit(driver_threshold + 1)
+                    .iter_batches(batch_format="pyarrow", batch_size=65536))
+        if not sum(b.num_rows for b in head):  # no node, nothing to merge
+            return nodes, edges, pd.DataFrame(
+                {"id_a": [], "id_b": [], "distance": []}), {}
+        head = pa.concat_tables(head)
         if head.num_rows <= driver_threshold:
             nodes_tbl = head
     if nodes_tbl is not None:
@@ -357,7 +343,7 @@ def canonicalize(nodes: rd.Dataset, edges: rd.Dataset, *,
         pairs = candidate_pairs(nodes, mode=mode, k=k, **kwargs)
         if closure == "auto" and threshold is not None:
             # MEASURE the accepted-pair count before deciding where the
-            # closure runs — mirror of full.py's broadcast_node_limit
+            # closure runs — mirror of graph_build.build_graph's gate
             accepted_ds = pairs.map_batches(
                 lambda t: t.filter(pc.less_equal(t["distance"],
                                                  threshold)),

@@ -4,38 +4,43 @@ The run directory is a Lance-style layout of partitioned Parquet:
 
     <out>/extractions/part=K/*.parquet    (resumable, one dir per partition)
     <out>/triples/part=K/*.parquet
-    <out>/graph/nodes/*.parquet           (global, rewritten atomically)
+    <out>/graph/nodes/*.parquet           (global, swapped in atomically)
     <out>/graph/edges/*.parquet
-    <out>/manifest.jsonl                  (lineage + per-partition metrics)
+    <out>/graph/mentions/*.parquet
+    <out>/neardup_pairs/*.parquet
+    <out>/manifest.jsonl                  (lineage + per-stage metrics)
 
 Extraction (the expensive, embarrassingly-parallel stage — per-doc, no
 shuffle) is checkpointed per partition; the graph build (three keyed
-shuffles, cheap relative to extraction) is recomputed from the
-extraction outputs, which keeps it a pure deterministic function of
-checkpointed state (re-run => identical graph, the MERGE idempotency
-property of ``db.py:36,42,51``).
+reduces, cheap relative to extraction, placed by one measured gate in
+``graph_build.build_graph``) is recomputed from the extraction outputs,
+which keeps it a pure deterministic function of checkpointed state
+(re-run => identical graph, the MERGE idempotency property of
+``db.py:36,42,51``).
 """
 
 from __future__ import annotations
 
-import shutil
 import time
 from collections.abc import Callable
 from pathlib import Path
 
+import pyarrow as pa
 import pyarrow.dataset as pads
-import ray
+import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..state.lineage import Manifest, atomic_partition_dir, order_free_checksum
+from ..schemas import (
+    EDGES_SCHEMA,
+    EXTRACTION_SCHEMA,
+    MENTIONS_SCHEMA,
+    NODES_SCHEMA,
+    TRIPLES_SCHEMA,
+)
+from ..state.lineage import Manifest, atomic_dir, order_free_checksum
 from .canonicalization import canonicalize
 from .extraction import extract_pipeline, triples_from_extractions
-from .graph_build import (
-    build_alias_index,
-    build_edges_and_mentions,
-    build_edges_and_mentions_shuffle,
-    build_nodes,
-)
+from .graph_build import build_graph, rewire_mentions
 
 
 def run_partitioned_extraction(
@@ -116,18 +121,18 @@ def run_partitioned_extraction(
         # zstd checkpoints: measured 37% smaller than snappy on this
         # payload at no write-CPU cost — checkpoint write bandwidth is
         # the scarce resource at high parallelism (BASELINE.md probes)
-        with atomic_partition_dir(out / "extractions", pid) as tmp:
-            extr.write_parquet(str(tmp), min_rows_per_file=8192,
-                               compression="zstd")
+        with atomic_dir(out / "extractions" / f"part={pid}") as tmp:
+            _write(extr, tmp, EXTRACTION_SCHEMA, min_rows_per_file=8192,
+                   compression="zstd")
         # triples need only (doc_id, logical_chains): prune at the read
         with plan_lock:
             extr_part = rd.read_parquet(
                 str(out / "extractions" / f"part={pid}"),
                 columns=["doc_id", "logical_chains"])
             tri = triples_from_extractions(extr_part)
-        with atomic_partition_dir(out / "triples", pid) as tmp:
-            tri.write_parquet(str(tmp), min_rows_per_file=32768,
-                              compression="zstd")
+        with atomic_dir(out / "triples" / f"part={pid}") as tmp:
+            _write(tri, tmp, TRIPLES_SCHEMA, min_rows_per_file=32768,
+                   compression="zstd")
         ids = pads.dataset(out / "extractions" / f"part={pid}").to_table(
             columns=["doc_id"]).column("doc_id").to_pylist()
         with lock:
@@ -161,94 +166,38 @@ def run_partitioned_extraction(
     return stats
 
 
-def _rewire_mentions_labels(nodes, edges, mentions, labels):
-    """Mention-provenance rewire for the DATASET-closure path (the
-    measured gate chose ``apply_merges_distributed``): a left join
-    against the ``(node_id, component_id)`` label table + coalesce +
-    keyed re-dedup — the same join-based pattern as the edge rewire,
-    no broadcast remap, no driver state.  Returns
-    ``(nodes, edges, mentions2, n_merged)``; nodes/edges pass through
-    (already rewired by the distributed closure)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ..functions.agg import bucketed_join, hash_aggregate
-
-    n_merged = labels.map_batches(
-        lambda t: t.filter(pc.not_equal(t["node_id"], t["component_id"])),
-        batch_format="pyarrow").count()
-    if n_merged == 0:
-        return nodes, edges, mentions, 0
-    m = mentions.select_columns(["doc_id", "node_id", "n_mentions"])
-    joined = bucketed_join(
-        m, labels, left_key="node_id", right_key="node_id",
-        right_value_cols=["component_id"], how="left",
-        # the mention contract is fixed — pass it instead of probing
-        # the lazy upstream pipeline for a schema
-        left_schema=pa.schema([("doc_id", pa.string()),
-                               ("node_id", pa.string()),
-                               ("n_mentions", pa.int64())]),
-        right_schema=labels.schema())
-
-    def coalesce_node(t: pa.Table) -> pa.Table:
-        comp = t["component_id"]
-        if pa.types.is_null(comp.type):  # all-null merge side
-            comp = comp.cast(t["node_id"].type)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "node_id": pc.coalesce(comp, t["node_id"]),
-            "n_mentions": t["n_mentions"],
-        })
-
-    mentions2 = hash_aggregate(
-        joined.map_batches(coalesce_node, batch_format="pyarrow"),
-        ["doc_id", "node_id"], [("n_mentions", "sum")],
-        rename={"n_mentions_sum": "n_mentions"},
-        exchange="shuffle",
-    ).add_column("pred", lambda df: "mentions")
-    return nodes, edges, mentions2, n_merged
+def _write(ds: rd.Dataset, path: Path, schema: pa.Schema, **kw) -> None:
+    ds.write_parquet(str(path), **kw)
+    if not any(path.glob("*.parquet")):
+        # an empty Dataset writes no file: leave a typed empty table so
+        # readers see the schema, not a missing directory
+        path.mkdir(parents=True, exist_ok=True)
+        pq.write_table(schema.empty_table(), path / "empty.parquet")
 
 
 def run_graph_build(out_dir: str | Path, *, canonicalize_mode: str | None = None,
                     top_n: int | None = None,
                     threshold: float | None = 0.2,
                     k: int = 40, dim: int | None = None,
-                    broadcast_node_limit: int = 2_000_000,
+                    local_triple_limit: int = 2_000_000,
                     canon_driver_threshold: int = 50_000,
                     closure: str = "auto",
                     closure_pair_limit: int = 2_000_000) -> dict:
-    """extractions/* -> graph/nodes + graph/edges (+ optional near-dup merge).
+    """extractions/* -> graph/{nodes,edges,mentions} (+ optional near-dup
+    merge).
 
-    Endpoint resolution picks broadcast vs distributed-shuffle from the
-    MEASURED canonical-node count (VERDICT r2 #5): at or below
-    ``broadcast_node_limit`` the alias index ships once via ``ray.put``
-    (map-side lookup, no shuffle); above it the index becomes a dataset
-    and resolution runs as partitioned hash joins
-    (``build_edges_and_mentions_shuffle``), since a broadcast dict of
-    tens of millions of entries would be re-deserialized per worker and
-    strain the object store.
+    ``build_graph`` places the whole build from one measured gate: the
+    triple count against ``local_triple_limit`` (one task at or below
+    it, bucketed exchanges above it).  The mention rewire after a merge
+    reuses that gate's exchange.  The three tables are written into a
+    tmp sibling of ``graph/`` and swapped in only once all three are
+    complete, so a failed build leaves the previous graph as it was.
     """
     out = Path(out_dir)
     manifest = Manifest(out)
     t0 = time.time()
-    # node dedup needs only (doc_id, nodes) — never re-read the heavy
-    # spans/chains columns (prune at the read, SURVEY.md brief).
-    extr = rd.read_parquet(str(out / "extractions"),
-                           columns=["doc_id", "nodes"])
-    triples = rd.read_parquet(str(out / "triples"))
-
-    # the canonical node table is small relative to the corpus and is
-    # consumed three times (id map, canonicalization, write) — pin it
-    # in the object store instead of recomputing the dedup per consumer.
-    nodes = build_nodes(extr).materialize()
-    if nodes.count() <= broadcast_node_limit:
-        # J5: endpoint resolution goes through the shared alias index,
-        # so surface-form variants (aliases) link to their canonical
-        # node.
-        alias_index = build_alias_index(nodes)
-        edges, mentions = build_edges_and_mentions(triples, alias_index)
-    else:
-        edges, mentions = build_edges_and_mentions_shuffle(triples, nodes)
+    nodes, edges, mentions, gate = build_graph(
+        out, local_triple_limit=local_triple_limit)
 
     n_merged = 0
     if canonicalize_mode:
@@ -256,76 +205,27 @@ def run_graph_build(out_dir: str | Path, *, canonicalize_mode: str | None = None
         # merge only true near-dups; pass top_n for reference-parity
         # fixed-k accepts.
         canon_kwargs = {"dim": dim} if dim is not None else {}
-        nodes, edges, accepted, remap = canonicalize(
+        nodes, edges, _, remap = canonicalize(
             nodes, edges, mode=canonicalize_mode, top_n=top_n,
             threshold=threshold if top_n is None else None,
             k=k, driver_threshold=canon_driver_threshold,
             closure=closure, closure_pair_limit=closure_pair_limit,
             **canon_kwargs)
-        if not isinstance(remap, dict):
-            # measured-gate distributed closure: ``remap`` is the label
-            # DATASET (node_id, component_id) — rewire the mention
-            # provenance with the same join-based pattern as the edge
-            # rewire (no broadcast, no driver union-find)
-            nodes, edges, mentions, n_merged = _rewire_mentions_labels(
-                nodes, edges, mentions, remap)
-        elif remap:
-            n_merged = len(remap)
-            # provenance follows the merge: rewire mention endpoints
-            # through the same remap and re-dedup per (doc, node)
-            from ..functions.agg import hash_aggregate
+        # provenance follows the merge
+        mentions, n_merged = rewire_mentions(mentions, remap,
+                                             exchange=gate["exchange"])
 
-            import numpy as np
-            import pandas as pd
-
-            keys = sorted(remap)
-            remap_ref = ray.put((pd.Index(keys),
-                                 np.asarray([remap[k] for k in keys],
-                                            dtype=object)))
-
-            def rewire_mentions(t):
-                # Arrow-native get_indexer remap (VERDICT r4 fix #1) —
-                # no pandas round-trip on the driver-closure path
-                import pyarrow as pa
-
-                index, targets = ray.get(remap_ref)
-                vals = t.column("node_id").to_numpy(zero_copy_only=False)
-                pos = index.get_indexer(vals)
-                out = np.where(pos >= 0, targets[np.clip(pos, 0, None)],
-                               vals)
-                return pa.table({
-                    "doc_id": t.column("doc_id"),
-                    "node_id": pa.array(
-                        out, type=t.schema.field("node_id").type),
-                    "n_mentions": t.column("n_mentions"),
-                })
-
-            # mentions is consumed exactly once below and written out
-            # afterwards, so pinning it here costs no extra pass; the
-            # free count() then gates the rewire-reduce exchange on the
-            # measured key bound (rewired keys <= input rows)
-            from ..functions.agg import measured_exchange
-
-            mentions = mentions.materialize()
-            mentions = hash_aggregate(
-                mentions.map_batches(rewire_mentions, batch_format="pyarrow"),
-                ["doc_id", "node_id"], [("n_mentions", "sum")],
-                rename={"n_mentions_sum": "n_mentions"},
-                exchange=measured_exchange(mentions.count()),
-            ).add_column("pred", lambda df: "mentions")
-
-    graph = out / "graph"
-    if graph.exists():
-        shutil.rmtree(graph)
     # the three sinks are independent pipelines — run them concurrently
     # (driver threads), overlapping their scheduling latencies
     from concurrent.futures import ThreadPoolExecutor
 
-    sinks = [(nodes, graph / "nodes"), (edges, graph / "edges"),
-             (mentions, graph / "mentions")]
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        futs = [pool.submit(lambda d, p: d.write_parquet(str(p)), d, p)
-                for d, p in sinks]
+    graph = out / "graph"
+    with atomic_dir(graph) as tmp, ThreadPoolExecutor(max_workers=3) as pool:
+        futs = [pool.submit(_write, d, tmp / name, schema)
+                for d, name, schema in ((nodes, "nodes", NODES_SCHEMA),
+                                        (edges, "edges", EDGES_SCHEMA),
+                                        (mentions, "mentions",
+                                         MENTIONS_SCHEMA))]
         for f in futs:
             f.result()
 
@@ -334,9 +234,9 @@ def run_graph_build(out_dir: str | Path, *, canonicalize_mode: str | None = None
     wall = time.time() - t0
     manifest.mark("graph_build", 0, n_rows=n_edges, checksum=f"{n_nodes}n",
                   wall_time_s=wall,
-                  extra={"n_nodes": n_nodes, "n_merged": n_merged})
+                  extra={"n_nodes": n_nodes, "n_merged": n_merged, **gate})
     return {"n_nodes": n_nodes, "n_edges": n_edges, "n_merged": n_merged,
-            "wall_time_s": wall}
+            "wall_time_s": wall, **gate}
 
 
 def run_full(
@@ -401,11 +301,9 @@ def run_doc_neardup(out_dir: str | Path, *, jaccard_threshold: float = 0.9,
     pairs = pairs_from_signatures(sigs, jaccard_threshold=jaccard_threshold,
                                   num_bands=num_bands)
     dest = out / "neardup_pairs"
-    if dest.exists():
-        shutil.rmtree(dest)
-    pairs.write_parquet(str(dest))
-    # an empty result writes no files at all
-    n_pairs = pads.dataset(dest).count_rows() if dest.exists() else 0
+    with atomic_dir(dest) as tmp:
+        pairs.write_parquet(str(tmp))
+    n_pairs = pads.dataset(dest).count_rows()
     wall = time.time() - t0
     # no-silent-caps: any band-bucket truncation during this stage is
     # recorded in the run metrics + manifest, so a capped run is

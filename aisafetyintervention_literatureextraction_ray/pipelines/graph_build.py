@@ -1,484 +1,338 @@
-"""Graph materialization: extractions -> canonical nodes / edges tables.
+"""Graph materialization: extractions -> canonical nodes / edges / mentions.
 
 Replaces the reference's per-row Cypher MERGE upserts into FalkorDB
 (``db.py:34-54``: node key ``(label, name)`` at ``db.py:42``, edge key
-``(src, type, dst)`` at ``db.py:50-53``) with deterministic
-group-by-reduce materialization (SURVEY.md §2.5 A1/A2/A3):
+``(src, type, dst)`` at ``db.py:50-53``) with deterministic keyed
+reduces (SURVEY.md §2.5 A1/A2/A3).  Each step is ONE pure
+``pa.Table -> pa.Table`` kernel:
 
-* node dedup  — group by ``(type, name_norm)``; alias set-union,
-  provenance count, deterministic-first props.  The shuffle moves only
-  per-batch PARTIAL aggregates (one row per key per batch), so head
-  entities ("rlhf", "alignment", …) cost one row per block instead of
-  one row per mention — the salted/combined two-stage aggregate of
-  SURVEY.md §4.2 (A1's reduce is commutative+associative, so this is
-  semantics-free).
-* edge dedup  — same two-stage pattern on ``(src_id, pred, dst_id)``.
+* ``reduce_nodes`` (A1) — group by ``(type, name_norm)``: the
+  column-wise MIN of every property, the sorted union of the aliases,
+  ``n_provenance`` = distinct contributing docs.
+* ``name_index`` (J5) — normalized surface form -> node_id.  Canonical
+  names win over aliases; a remaining collision goes to the min
+  node_id.
+* ``resolve`` (J1) — two joins of the triples' normalized endpoint
+  names against the index; a triple with an unknown endpoint drops.
+* ``reduce_edges`` (A3) — group by ``(src_id, pred, dst_id)``: min
+  surface forms and description, max confidence, summed provenance.
   The reference's ``SET`` is last-writer-wins in file order
-  (``db.py:52``); file order is not defined for a parallel engine, so we
-  pick the deterministic equivalent: max confidence, lexicographic-first
-  description, provenance count.
-* endpoint resolution — triples carry node *names* (string FKs,
-  ``core.py:18-19``); they are resolved to node_ids with a broadcast
-  name_norm -> node_id map (``ray.put`` once, read once per worker
-  process by stateless map tasks — SURVEY.md §2.4 J1).  At 10^12-doc
-  scale with an unbounded vocabulary the same step becomes a
-  hash-shuffle ``Dataset.join`` on name_norm;
-  the broadcast path is correct while the canonical-node table fits the
-  object store (millions of nodes).
+  (``db.py:52``); file order is not defined for a parallel engine, so
+  this is the deterministic equivalent.
+* ``reduce_mentions`` — PAPER -[mentions]-> node provenance, one row
+  per ``(doc_id, node_id)``.
 
-Re-running the whole build is idempotent (a pure function of the
-extractions dataset) — the analogue of MERGE re-run safety.
+Every reduce is associative and idempotent on its own output, so the
+same kernel serves as the per-block partial and the per-bucket final
+(a hot key costs one row per block in the exchange, SURVEY.md §4.2).
+
+``build_graph`` makes the one placement decision: the measured triple
+count against ``functions/agg.py::measured_exchange``'s limit.  At or
+below it one Ray task runs the whole chain over the concatenated
+tables, with no exchange at all.  Above it the bucketed exchanges of
+``functions/agg.py`` call the same kernels per bucket, and endpoint
+resolution becomes two partitioned joins against the index dataset.
+
+Re-running the build is idempotent (a pure function of the extraction
+outputs) — the analogue of MERGE re-run safety.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray
 import ray.data as rd
 
+from ..functions.agg import bucketed_apply, bucketed_join, measured_exchange
 from ..functions.explode import explode_nodes
 from ..functions.hashing import stable_id
 from ..functions.normalize import normalize_names
-from ..functions.worker_state import process_cached, task_concurrency
-from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, cast_batch
+from ..schemas import (
+    EDGES_SCHEMA,
+    MENTIONS_SCHEMA,
+    NODES_SCHEMA,
+    TRIPLES_SCHEMA,
+    cast_batch,
+)
+
+NODE_KEY = ["type", "name_norm"]
+EDGE_KEY = ["src_id", "pred", "dst_id"]
+MENTION_KEY = ["doc_id", "node_id"]
+_NODE_PROPS = ["name", "description", "concept_category",
+               "intervention_lifecycle", "intervention_maturity"]
+_EDGE_AGGS = [("subj", "min"), ("obj", "min"), ("description", "min"),
+              ("confidence", "max"), ("n_provenance", "sum")]
+_TRIPLE_COLS = ["doc_id", "subj", "pred", "obj", "description", "confidence"]
+# normalized endpoint name -> the node id column it resolves to
+_ENDPOINTS = (("subj_norm", "src_id"), ("obj_norm", "dst_id"))
 
 
-# ------------------------------------------------------------------ nodes
+# ---------------------------------------------------------------- kernels
 
-def _node_partials(batch: pa.Table) -> pd.DataFrame:
-    """Per-batch partial combine for the node-dedup aggregate."""
-    flat = explode_nodes(batch)
-    flat = flat.append_column("name_norm", normalize_names(flat.column("name")))
-    df = flat.to_pandas()
-    grouped = df.groupby(["type", "name_norm"], sort=False)
-    out = grouped.agg(
-        name=("name", "first"),
-        description=("description", "first"),
-        concept_category=("concept_category", "first"),
-        intervention_lifecycle=("intervention_lifecycle", "first"),
-        intervention_maturity=("intervention_maturity", "first"),
-        n_provenance=("doc_id", "nunique"),
-    ).reset_index()
-    # alias union within the batch (kept as sorted tuple for determinism)
-    out["aliases"] = grouped["aliases"].agg(
-        lambda lists: sorted({a for lst in lists for a in lst})
-    ).to_numpy()
-    return out
+def _arr(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
 
 
-def _node_final(group: pd.DataFrame) -> pd.DataFrame:
-    """Final reduce per (type, name_norm) over partials (assoc+comm)."""
-    aliases = sorted({a for lst in group["aliases"] for a in lst})
-    first = group.sort_values("name", kind="stable").iloc[0]
-    return pd.DataFrame(
-        {
-            "node_id": [stable_id(first["type"], first["name_norm"])],
-            "type": [first["type"]],
-            "name_norm": [first["name_norm"]],
-            "name": [first["name"]],
-            "aliases": [aliases],
-            "description": [first["description"]],
-            "concept_category": [first["concept_category"]],
-            "intervention_lifecycle": [first["intervention_lifecycle"]],
-            "intervention_maturity": [first["intervention_maturity"]],
-            "n_provenance": [int(group["n_provenance"].sum())],
-        }
-    )
+def _grouped(t: pa.Table, keys: list[str], aggs: list[tuple]) -> pa.Table:
+    """One row per key, sorted by key; aggregates keep their input
+    column names."""
+    out = t.group_by(keys, use_threads=False).aggregate(aggs)
+    names = {f"{a[0]}_{a[1]}": a[0] for a in aggs}
+    out = out.rename_columns([names.get(c, c) for c in out.column_names])
+    return out.sort_by([(k, "ascending") for k in keys])
+
+
+def reduce_nodes(t: pa.Table) -> pa.Table:
+    """A1: extraction rows ``(doc_id, nodes)`` or node rows -> one
+    NODES_SCHEMA row per ``(type, name_norm)``.
+
+    Props are the column-wise MIN (the kg_nodes oracle's rule), so the
+    result depends on no row order or block boundary.  A doc is one
+    extraction row, so per-block distinct-doc counts sum to the
+    distinct count."""
+    if "nodes" in t.column_names:
+        t = explode_nodes(t)
+        t = t.append_column("name_norm", normalize_names(t["name"]))
+        prov = ("doc_id", "count_distinct")
+    else:
+        prov = ("n_provenance", "sum")
+    props = _grouped(t, NODE_KEY, [(c, "min") for c in _NODE_PROPS] + [prov])
+    # alias union: the distinct (key, alias) pairs in key-then-alias
+    # order, cut into one sorted list per props row by their counts
+    al = _arr(t["aliases"])
+    pairs = (t.select(NODE_KEY).take(pc.list_parent_indices(al))
+             .append_column("alias", pc.list_flatten(al)).drop_null()
+             .group_by(NODE_KEY + ["alias"], use_threads=False).aggregate([])
+             .sort_by([(c, "ascending") for c in NODE_KEY + ["alias"]]))
+    counts = props.select(NODE_KEY).join(
+        pairs.group_by(NODE_KEY).aggregate([("alias", "count")]), NODE_KEY
+    ).sort_by([(k, "ascending") for k in NODE_KEY])
+    counts = pc.fill_null(counts["alias_count"], 0).to_numpy()
+    aliases = pa.ListArray.from_arrays(
+        pa.array(np.concatenate([[0], np.cumsum(counts)]), pa.int32()),
+        _arr(pairs["alias"]))
+    ids = [stable_id(ty, nn) for ty, nn in
+           zip(props["type"].to_pylist(), props["name_norm"].to_pylist())]
+    return cast_batch(pa.table({
+        "node_id": pa.array(ids, pa.string()),
+        **{c: props[c] for c in NODE_KEY + _NODE_PROPS},
+        "aliases": aliases,
+        "n_provenance": props[prov[0]],
+    }), NODES_SCHEMA)
+
+
+def name_index(t: pa.Table) -> pa.Table:
+    """J5: node rows or index rows -> one ``(key, tag)`` row per
+    normalized surface form, ``tag`` = rank + node_id with rank "0" for
+    a canonical name and "1" for an alias, so the min tag is the rule:
+    canonical names first, then the min node_id."""
+    if "aliases" in t.column_names:
+        al = _arr(t["aliases"])
+        ids = _arr(t["node_id"])
+        t = pa.table({
+            "key": pa.concat_arrays([_arr(t["name_norm"]),
+                                     normalize_names(pc.list_flatten(al))]),
+            "tag": pa.concat_arrays([
+                pc.binary_join_element_wise("0", ids, ""),
+                pc.binary_join_element_wise(
+                    "1", pc.take(ids, pc.list_parent_indices(al)), "")]),
+        })
+    return _grouped(t, ["key"], [("tag", "min")])
+
+
+def _with_norms(t: pa.Table) -> pa.Table:
+    return (t.select(_TRIPLE_COLS)
+            .append_column("subj_norm", normalize_names(t["subj"]))
+            .append_column("obj_norm", normalize_names(t["obj"])))
+
+
+def _index_side(index: pa.Table, col: str) -> pa.Table:
+    return pa.table({"key": index["key"],
+                     col: pc.utf8_slice_codeunits(index["tag"], 1)})
+
+
+def _edge_rows(t: pa.Table) -> pa.Table:
+    """Resolved triples -> edge rows of one provenance each (doc_id
+    kept for the mentions)."""
+    return pa.table({
+        **{c: t[c] for c in EDGE_KEY + ["subj", "obj", "description",
+                                        "confidence", "doc_id"]},
+        "n_provenance": pa.array(np.ones(t.num_rows, np.int64)),
+    })
+
+
+def resolve(triples: pa.Table, index: pa.Table) -> pa.Table:
+    """J1: triples -> edge rows with ``src_id``/``dst_id`` from two
+    inner joins on the normalized endpoint names."""
+    t = _with_norms(triples)
+    for key, col in _ENDPOINTS:
+        t = t.join(_index_side(index, col), key, right_keys="key",
+                   join_type="inner")
+    return _edge_rows(t)
+
+
+def reduce_edges(t: pa.Table) -> pa.Table:
+    """A3: edge rows -> one EDGES_SCHEMA row per ``(src_id, pred,
+    dst_id)``; also the re-dedup after a canonicalization merge."""
+    return cast_batch(_grouped(t, EDGE_KEY, _EDGE_AGGS), EDGES_SCHEMA)
+
+
+def reduce_mentions(t: pa.Table) -> pa.Table:
+    """Edge rows or mention rows -> one MENTIONS_SCHEMA row per
+    ``(doc_id, node_id)``, pred = "mentions": the legacy schema's
+    implicit paper source (``prompts.py:96``) kept as a derived
+    provenance edge.  A doc mentions a node iff the node is an endpoint
+    of one of its resolved triples (the extractor declares only nodes
+    that edges use)."""
+    if "src_id" in t.column_names:
+        ones = pa.array(np.ones(t.num_rows, np.int64))
+        t = pa.concat_tables([
+            pa.table({"doc_id": _arr(t["doc_id"]), "node_id": _arr(t[c]),
+                      "n_mentions": ones}) for c in ("src_id", "dst_id")])
+    out = _grouped(t, MENTION_KEY, [("n_mentions", "sum")])
+    return cast_batch(out.append_column(
+        "pred", pa.repeat(pa.scalar("mentions"), out.num_rows)),
+        MENTIONS_SCHEMA)
+
+
+# ------------------------------------------------------ bucketed placement
+
+def _keyed(ds: rd.Dataset, keys: list[str], kernel,
+           exchange: str = "shuffle") -> rd.Dataset:
+    """``kernel`` once per block (partial), then once per key bucket."""
+    return bucketed_apply(ds.map_batches(kernel, batch_format="pyarrow"),
+                          keys, kernel, batch_format="pyarrow",
+                          exchange=exchange)
 
 
 def build_nodes(extractions: rd.Dataset) -> rd.Dataset:
-    """extractions -> canonical nodes table (NODES_SCHEMA).
-
-    Exchange uses the bucketed reduce of ``functions/agg.py`` (coarse
-    hash buckets, per-key reduce inside the bucket) instead of Ray's
-    per-key sort groupby — same semantics, orders of magnitude faster
-    with many distinct nodes.
-    """
-    from ..functions.agg import bucketed_group_map
-
-    partials = extractions.map_batches(_node_partials, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-    nodes = bucketed_group_map(partials, ["type", "name_norm"], _node_final)
-    return nodes.map_batches(
-        lambda b: cast_batch(b, NODES_SCHEMA), batch_format="pyarrow"
-    )
+    """extractions -> canonical nodes table (NODES_SCHEMA), bucketed."""
+    return _keyed(extractions, NODE_KEY, reduce_nodes)
 
 
-# ------------------------------------------------------------------ edges
-
-class _EndpointResolver:
-    """Broadcast name_norm -> node_id lookup inside the edge stage (J1).
-
-    The node map ships once via ``ray.put``; map tasks receive its ref
-    boxed in ``fn_args`` and fetch it through ``_resolver``, which keeps
-    ONE resolver per worker process, keyed on the ref's id: the map is
-    deserialized and indexed on the first batch a process sees for that
-    build and reused by every later task there, never per batch and
-    never across builds.  The lookup itself is a vectorized hash join
-    (``pd.Index.get_indexer``); no per-row Python.
-    """
-
-    def __init__(self, node_map: dict[str, str]) -> None:
-        self.index = pd.Index(list(node_map.keys()))
-        self.ids = np.asarray(list(node_map.values()), dtype=object)
-
-    def lookup(self, names: pa.ChunkedArray | pa.Array) -> pa.Array:
-        """node_id per surface name; null where the name is unknown."""
-        norm = normalize_names(names).to_pandas().to_numpy()
-        pos = self.index.get_indexer(norm)
-        out = np.where(pos >= 0, self.ids[np.clip(pos, 0, None)], None)
-        return pa.array(out, type=pa.string())
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "src_id": self.lookup(batch.column("subj")),
-            "pred": batch.column("pred"),
-            "dst_id": self.lookup(batch.column("obj")),
-            "subj": batch.column("subj"),
-            "obj": batch.column("obj"),
-            "description": batch.column("description"),
-            "confidence": batch.column("confidence"),
-            "doc_id": batch.column("doc_id"),
-        })
-        valid = pc.and_(pc.is_valid(t["src_id"]), pc.is_valid(t["dst_id"]))
-        return t.filter(valid)
-
-    def mentions(self, batch: pa.Table) -> pa.Table:
-        """One ``(doc_id, node_id)`` row per resolved endpoint."""
-        parts = []
-        for col in ("subj", "obj"):
-            t = pa.table({"doc_id": batch.column("doc_id"),
-                          "node_id": self.lookup(batch.column(col))})
-            parts.append(t.filter(pc.is_valid(t["node_id"])))
-        return pa.concat_tables(parts)
-
-
-def _resolver(boxed_ref: list) -> _EndpointResolver:
-    (ref,) = boxed_ref
-    return process_cached("node_map", ref.binary(),
-                          lambda: _EndpointResolver(ray.get(ref)))
-
-
-def _resolve_edges(batch: pa.Table, boxed_ref: list) -> pa.Table:
-    return _resolver(boxed_ref)(batch)
-
-
-def _resolve_mentions(batch: pa.Table, boxed_ref: list) -> pa.Table:
-    return _resolver(boxed_ref).mentions(batch)
-
-
-def _resolve(triples: rd.Dataset, fn, node_map: dict[str, str],
-             concurrency: int | tuple[int, int]) -> rd.Dataset:
-    """Map ``fn`` over ``triples`` as tasks sharing the broadcast map.
-    The ref stays boxed so a task deserializes the map only when its
-    process has not cached this build's resolver yet."""
-    return triples.map_batches(
-        fn, fn_args=([ray.put(node_map)],), batch_format="pyarrow",
-        concurrency=task_concurrency(concurrency))
-
-
-def node_id_map(nodes: rd.Dataset) -> dict[str, str]:
-    """Collect the (small) canonical node key map for broadcast.
-
-    name_norm collisions across node types resolve to the MIN node_id —
-    deterministic regardless of block arrival order, and identical to
-    the shuffle path's rank-tag rule (``node_index_dataset``)."""
-    pairs: list[tuple[str, str]] = []
-    for b in nodes.select_columns(["name_norm", "node_id"]).iter_batches(
-            batch_format="pyarrow", batch_size=65536):
-        pairs += zip(b.column("name_norm").to_pylist(),
-                     b.column("node_id").to_pylist())
-    out: dict[str, str] = {}
-    for key, nid in sorted(pairs):
-        out.setdefault(key, nid)
-    return out
+def dedup_edges(edges: rd.Dataset, *, exchange: str = "shuffle"
+                ) -> rd.Dataset:
+    """Edge rows -> canonical edges (A3), bucketed."""
+    return _keyed(edges, EDGE_KEY, reduce_edges, exchange)
 
 
 def build_alias_index(nodes: rd.Dataset) -> dict[str, str]:
-    """J5: shared alias index — normalized surface form -> node_id.
-
-    Generalizes the prompt's alias/canonical_name machinery
-    (``prompts.py:94``, ``core.py:7``): every canonical name AND every
-    alias resolves to its node.  Canonical names win over aliases on
-    collision; remaining collisions resolve to the min node_id
-    (deterministic).  Built from the (small, post-dedup) canonical node
-    table and broadcast via ``ray.put``; at an unbounded-vocabulary
-    scale the same index is a ``flat_map(aliases) -> groupby`` dataset
-    joined instead of broadcast (SURVEY.md §2.4 J5).
-    """
-    tbl = pa.concat_tables(
-        nodes.select_columns(["name_norm", "node_id", "aliases"])
-        .iter_batches(batch_format="pyarrow", batch_size=65536)
-    )
-    norms = tbl.column("name_norm").to_pylist()
-    ids = tbl.column("node_id").to_pylist()
-    index: dict[str, str] = {}
-    # canonical names first (min-id deterministic on collisions —
-    # identical to the shuffle path's rank-tag min aggregate) ...
-    for key, nid in sorted(zip(norms, ids)):
-        index.setdefault(key, nid)
-    # ... then aliases fill remaining keys (min-id deterministic),
-    # normalized in one call over the flattened alias lists
-    al = tbl.column("aliases").combine_chunks()
-    alias_keys = normalize_names(pc.list_flatten(al)).to_pylist()
-    alias_ids = pc.take(tbl.column("node_id"),
-                        pc.list_parent_indices(al)).to_pylist()
-    for key, nid in sorted(zip(alias_keys, alias_ids)):
-        index.setdefault(key, nid)
-    return index
+    """The name index of ``nodes`` as a ``{key: node_id}`` dict."""
+    batches = list(nodes.select_columns(["name_norm", "node_id", "aliases"])
+                   .iter_batches(batch_format="pyarrow", batch_size=65536))
+    if not batches:
+        return {}
+    idx = _index_side(name_index(pa.concat_tables(batches)), "node_id")
+    return dict(zip(idx["key"].to_pylist(), idx["node_id"].to_pylist()))
 
 
-def build_edges(triples: rd.Dataset, node_map: dict[str, str],
-                *, concurrency: int | tuple[int, int] = (1, 8)) -> rd.Dataset:
-    """triples + broadcast node map -> canonical edges table (EDGES_SCHEMA)."""
-    from ..functions.agg import hash_aggregate
-
-    partials = _resolve(triples, _resolve_edges, node_map, concurrency)
-    # A3 last-wins-determinized reduce, fully Arrow-expressible:
-    # min surface forms / description, max confidence, provenance =
-    # row count (each (doc, subj, pred, obj) is unique post-extraction).
-    edges = hash_aggregate(
-        partials, ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("doc_id", "count")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "doc_id_count": "n_provenance"},
-        # the canonical EDGE key set scales with the corpus — never
-        # coalesce it without a measured bound (the input is lazy here)
-        exchange="shuffle",
-    )
-    return edges.map_batches(
-        lambda b: cast_batch(b, EDGES_SCHEMA), batch_format="pyarrow"
-    )
-
-
-def node_index_dataset(nodes: rd.Dataset) -> rd.Dataset:
-    """The alias index as a DATASET ``(key, node_id)`` — the
-    unbounded-vocabulary form of ``build_alias_index``: every canonical
-    name and every alias resolves to its node, canonical names win over
-    aliases, residual collisions resolve to the min node_id.
-
-    Priority is encoded as a rank prefix on the node id ('0' canonical,
-    '1' alias) so one ``min`` aggregate implements the whole rule.
-    """
-    from ..functions.agg import hash_aggregate
-
-    def _arr(x) -> pa.Array:
-        return x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x
-
-    def expand(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.string()),
-                             "tag": pa.array([], pa.string())})
-        al = _arr(t.column("aliases"))
-        parent = pc.list_parent_indices(al)
-        alias_norm = _arr(normalize_names(al.flatten()))
-        alias_ids = _arr(pc.take(t.column("node_id"), parent))
-        n_canon, n_alias = t.num_rows, len(alias_ids)
-        key = pa.concat_arrays([_arr(t.column("name_norm")), alias_norm])
-        ids = pa.concat_arrays([_arr(t.column("node_id")), alias_ids])
-        rank = pa.array(["0"] * n_canon + ["1"] * n_alias,
-                        type=pa.string())
-        tag = pc.binary_join_element_wise(rank, ids, "")
-        return pa.table({"key": key, "tag": tag})
-
-    idx = hash_aggregate(
-        nodes.select_columns(["name_norm", "node_id", "aliases"])
-        .map_batches(expand, batch_format="pyarrow"),
-        ["key"], [("tag", "min")], rename={"tag_min": "tag"},
-        exchange="shuffle")
-    return idx.map_batches(
-        lambda t: pa.table({"key": t.column("key"),
-                            "node_id": pc.utf8_slice_codeunits(
-                                t.column("tag"), 1)}),
-        batch_format="pyarrow")
-
-
-def resolve_endpoints_shuffle(triples: rd.Dataset, nodes: rd.Dataset,
-                              *, num_buckets: int | None = None
-                              ) -> rd.Dataset:
-    """Endpoint resolution as a DISTRIBUTED hash join (J1 scale path).
-
-    The broadcast path (``_EndpointResolver``) is correct while the
-    canonical node table fits the object store; at unbounded vocabulary
-    the index becomes a dataset (``node_index_dataset``) and resolution
-    becomes two partitioned joins on the normalized name, built on
-    ``functions/agg.py::bucketed_join``.  Output: one row per resolved
-    triple with ``src_id``/``dst_id`` attached (unresolved endpoints
-    drop — inner-join semantics, same as the broadcast path's filter).
-    """
-    from ..functions.agg import bucketed_join
-
-    idx = node_index_dataset(nodes).materialize()
-
-    def add_norms(t: pa.Table) -> pa.Table:
-        return (t.append_column("subj_norm",
-                                normalize_names(t.column("subj")))
-                .append_column("obj_norm", normalize_names(t.column("obj"))))
-
-    t2 = triples.select_columns(
-        ["doc_id", "subj", "pred", "obj", "description", "confidence"]
-    ).map_batches(add_norms, batch_format="pyarrow")
-    src_idx = idx.map_batches(
-        lambda t: t.rename_columns(["key", "src_id"]),
-        batch_format="pyarrow")
-    dst_idx = idx.map_batches(
-        lambda t: t.rename_columns(["key", "dst_id"]),
-        batch_format="pyarrow")
+def _link(triples: rd.Dataset, index: rd.Dataset):
+    """Bucketed J1 + A3 + mentions: two partitioned joins against the
+    index dataset, then the edge and mention reduces per bucket."""
     s = pa.string()
-    t2_schema = pa.schema([
-        ("doc_id", s), ("subj", s), ("pred", s), ("obj", s),
-        ("description", s), ("confidence", pa.int8()),
-        ("subj_norm", s), ("obj_norm", s)])
-    j = bucketed_join(t2, src_idx, left_key="subj_norm", right_key="key",
-                      right_value_cols=["src_id"], num_buckets=num_buckets,
-                      left_schema=t2_schema,
-                      right_schema=pa.schema([("key", s), ("src_id", s)]))
-    return bucketed_join(
-        j, dst_idx, left_key="obj_norm", right_key="key",
-        right_value_cols=["dst_id"], num_buckets=num_buckets,
-        left_schema=t2_schema.append(pa.field("src_id", s)),
-        right_schema=pa.schema([("key", s), ("dst_id", s)]))
+    schema = pa.schema([TRIPLES_SCHEMA.field(c) for c in _TRIPLE_COLS]
+                       + [("subj_norm", s), ("obj_norm", s)])
+    t = triples.map_batches(_with_norms, batch_format="pyarrow")
+    for key, col in _ENDPOINTS:
+        t = bucketed_join(
+            t, index.map_batches(_index_side, fn_args=(col,),
+                                 batch_format="pyarrow"),
+            left_key=key, right_key="key", right_value_cols=[col],
+            left_schema=schema, right_schema=pa.schema([("key", s), (col, s)]))
+        schema = schema.append(pa.field(col, s))
+    resolved = t.map_batches(_edge_rows, batch_format="pyarrow").materialize()
+    return (_keyed(resolved, EDGE_KEY, reduce_edges),
+            _keyed(resolved, MENTION_KEY, reduce_mentions))
 
 
-def build_edges_shuffle(triples: rd.Dataset, nodes: rd.Dataset,
-                        *, num_buckets: int | None = None) -> rd.Dataset:
-    """Canonical edges via the fully distributed J1 scale path
-    (equivalence-tested against the broadcast ``build_edges``)."""
-    from ..functions.agg import hash_aggregate
-
-    edges = hash_aggregate(
-        resolve_endpoints_shuffle(triples, nodes, num_buckets=num_buckets),
-        ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("doc_id", "count")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "doc_id_count": "n_provenance"},
-        exchange="shuffle")
-    return edges.map_batches(
-        lambda b: cast_batch(b, EDGES_SCHEMA), batch_format="pyarrow"
-    )
+def build_edges_and_mentions(triples: rd.Dataset, index: dict[str, str]):
+    """triples + a ``{key: node_id}`` name index -> (edges, mentions),
+    bucketed."""
+    return _link(triples, rd.from_arrow(pa.table({
+        "key": pa.array(list(index), pa.string()),
+        "tag": pa.array([f"0{v}" for v in index.values()], pa.string())})))
 
 
-def build_edges_and_mentions_shuffle(triples: rd.Dataset, nodes: rd.Dataset,
-                                     *, num_buckets: int | None = None):
-    """The shuffle-path twin of ``build_edges_and_mentions``: one
-    distributed endpoint-resolution pass (partitioned hash joins), the
-    resolved rows pinned once and aggregated into BOTH canonical edges
-    and mention provenance.  Chosen automatically by ``run_graph_build``
-    when the canonical node table outgrows a broadcast."""
-    from ..functions.agg import hash_aggregate
-
-    resolved = resolve_endpoints_shuffle(
-        triples, nodes, num_buckets=num_buckets).materialize()
-
-    edges = hash_aggregate(
-        resolved, ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("doc_id", "count")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "doc_id_count": "n_provenance"},
-        exchange="shuffle",
-    ).map_batches(lambda b: cast_batch(b, EDGES_SCHEMA),
-                  batch_format="pyarrow")
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            pa.table({"doc_id": t.column("doc_id"),
-                      "node_id": t.column("src_id")}),
-            pa.table({"doc_id": t.column("doc_id"),
-                      "node_id": t.column("dst_id")}),
-        ])
-
-    mentions = hash_aggregate(
-        resolved.map_batches(endpoints, batch_format="pyarrow"),
-        ["doc_id", "node_id"], [("node_id", "count")],
-        rename={"node_id_count": "n_mentions"},
-        exchange="shuffle",
-    ).add_column("pred", lambda df: "mentions")
-    return edges, mentions
+def _relabel(t: pa.Table) -> pa.Table:
+    comp = t["component_id"]
+    if pa.types.is_null(comp.type):  # all-null merge side
+        comp = comp.cast(pa.string())
+    return t.set_column(t.schema.get_field_index("node_id"), "node_id",
+                        pc.coalesce(comp, t["node_id"]))
 
 
-def build_edges_and_mentions(triples: rd.Dataset, node_map: dict[str, str],
-                             *, concurrency: int | tuple[int, int] = (1, 8)):
-    """One endpoint-resolve pass feeding BOTH canonical edges (A3) and
-    mentions provenance: the resolved triple rows are pinned once and
-    aggregated twice (they are flat and far smaller than extractions)."""
-    from ..functions.agg import hash_aggregate
-
-    resolved = _resolve(triples, _resolve_edges, node_map,
-                        concurrency).materialize()
-    # resolved is materialized, so count() is free metadata: gate the
-    # reduce exchange on the MEASURED row bound (edge keys <= resolved
-    # rows; mention keys <= 2x — each row contributes two endpoints)
-    from ..functions.agg import measured_exchange
-
-    n_resolved = resolved.count()
-
-    edges = hash_aggregate(
-        resolved, ["src_id", "pred", "dst_id"],
-        [("subj", "min"), ("obj", "min"), ("description", "min"),
-         ("confidence", "max"), ("doc_id", "count")],
-        rename={"subj_min": "subj", "obj_min": "obj",
-                "description_min": "description",
-                "confidence_max": "confidence",
-                "doc_id_count": "n_provenance"},
-        exchange=measured_exchange(n_resolved),
-    ).map_batches(lambda b: cast_batch(b, EDGES_SCHEMA),
-                  batch_format="pyarrow")
-
-    def endpoints(t: pa.Table) -> pa.Table:
-        return pa.concat_tables([
-            pa.table({"doc_id": t.column("doc_id"),
-                      "node_id": t.column("src_id")}),
-            pa.table({"doc_id": t.column("doc_id"),
-                      "node_id": t.column("dst_id")}),
-        ])
-
-    mentions = hash_aggregate(
-        resolved.map_batches(endpoints, batch_format="pyarrow"),
-        ["doc_id", "node_id"], [("node_id", "count")],
-        rename={"node_id_count": "n_mentions"},
-        exchange=measured_exchange(2 * n_resolved),
-    ).add_column("pred", lambda df: "mentions")
-    return edges, mentions
+def rewire_mentions(mentions: rd.Dataset, remap, *, exchange: str):
+    """Mention provenance follows a canonicalization merge: each
+    ``node_id`` becomes its keeper and the rows are re-reduced.
+    ``remap`` is the driver closure's ``{node_id: keeper}`` dict or the
+    distributed closure's ``(node_id, component_id)`` label dataset.
+    Returns ``(mentions, n_merged)``."""
+    s = pa.string()
+    if isinstance(remap, dict):
+        n_merged = len(remap)
+        remap = rd.from_arrow(pa.table({
+            "node_id": pa.array(list(remap), s),
+            "component_id": pa.array(list(remap.values()), s)}))
+    else:
+        n_merged = remap.map_batches(
+            lambda t: t.filter(pc.not_equal(t["node_id"], t["component_id"])),
+            batch_format="pyarrow").count()
+    if not n_merged:
+        return mentions, 0
+    joined = bucketed_join(
+        mentions, remap, left_key="node_id", right_key="node_id",
+        right_value_cols=["component_id"], how="left", exchange=exchange,
+        left_schema=MENTIONS_SCHEMA,
+        right_schema=pa.schema([("node_id", s), ("component_id", s)]))
+    return _keyed(joined.map_batches(_relabel, batch_format="pyarrow"),
+                  MENTION_KEY, reduce_mentions, exchange), n_merged
 
 
-def build_mentions(triples: rd.Dataset, node_map: dict[str, str]
-                   ) -> rd.Dataset:
-    """PAPER -[MENTIONS]-> node provenance edges.
+# ------------------------------------------------------------ the one gate
 
-    The reference's legacy schema makes the paper the implicit source of
-    every extraction (``prompts.py:96``; ingested as paper->node edges
-    at ``db.py:50-53``).  The PaperSchema generation drops that, so we
-    keep it as a derived provenance edge table (SURVEY.md §1.1.3):
-    one row per (doc_id, node_id), pred = "mentions".
+@ray.remote(num_returns=3)
+def _build_local(run_dir: str):
+    """The whole chain over the run dir's concatenated tables, in one
+    task (not the driver: the tables never enter its heap)."""
+    extr = pads.dataset(f"{run_dir}/extractions").to_table(
+        columns=["doc_id", "nodes"])
+    triples = pads.dataset(f"{run_dir}/triples").to_table(
+        columns=_TRIPLE_COLS)
+    nodes = reduce_nodes(extr)
+    resolved = resolve(triples, name_index(nodes))
+    return nodes, reduce_edges(resolved), reduce_mentions(resolved)
 
-    Derived from the FLAT triples table (a node is mentioned by a doc
-    iff it appears as an endpoint there — the extractor only declares
-    nodes that edges use), so this never re-reads the nested extraction
-    columns.
-    """
-    from ..functions.agg import hash_aggregate
 
-    mentions = _resolve(triples.select_columns(["doc_id", "subj", "obj"]),
-                        _resolve_mentions, node_map, (1, 8))
-    out = hash_aggregate(mentions, ["doc_id", "node_id"],
-                         [("node_id", "count")],
-                         rename={"node_id_count": "n_mentions"},
-                         # (doc, node) mention keys scale with the
-                         # corpus; lazy input, no measured bound
-                         exchange="shuffle")
-    return out.add_column("pred", lambda df: "mentions")
+def build_graph(run_dir: str | Path, *, local_triple_limit: int = 2_000_000):
+    """A run dir's ``extractions/`` + ``triples/`` -> ``(nodes, edges,
+    mentions, gate)`` datasets.
+
+    The one placement decision: the measured triple count (parquet
+    metadata, no scan) against ``local_triple_limit``.  At or below it
+    one task runs every kernel over the whole tables; above it the
+    bucketed exchanges run the same kernels per bucket.  ``gate``
+    records the measured count, the limit and the chosen exchange,
+    which later keyed steps of the same build reuse."""
+    run_dir = str(run_dir)
+    n_triples = pads.dataset(f"{run_dir}/triples").count_rows()
+    exchange = measured_exchange(n_triples, threshold=local_triple_limit)
+    gate = {"triples_in": n_triples, "triple_limit": local_triple_limit,
+            "exchange": exchange}
+    if exchange == "coalesce":
+        refs = _build_local.remote(run_dir)
+        return (*(rd.from_arrow_refs([r]) for r in refs), gate)
+    nodes = build_nodes(rd.read_parquet(
+        f"{run_dir}/extractions", columns=["doc_id", "nodes"])).materialize()
+    index = _keyed(nodes.select_columns(["name_norm", "node_id", "aliases"]),
+                   ["key"], name_index)
+    edges, mentions = _link(
+        rd.read_parquet(f"{run_dir}/triples", columns=_TRIPLE_COLS), index)
+    return nodes, edges, mentions, gate
 
 
 def papers(extractions: rd.Dataset) -> rd.Dataset:

@@ -149,6 +149,16 @@ EDGES_SCHEMA = pa.schema(
     ]
 )
 
+# PAPER -[mentions]-> node provenance edges, one row per (doc_id, node_id)
+MENTIONS_SCHEMA = pa.schema(
+    [
+        pa.field("doc_id", pa.string()),
+        pa.field("node_id", pa.string()),
+        pa.field("n_mentions", pa.int64()),
+        pa.field("pred", pa.string()),
+    ]
+)
+
 GOLDEN_TRIPLES_SCHEMA = pa.schema(
     [
         pa.field("doc_id", pa.string()),

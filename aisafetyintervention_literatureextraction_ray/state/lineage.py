@@ -11,8 +11,9 @@ before any row is read).
 
 The manifest doubles as the per-partition metrics stream the north rule
 asks for.  Writes are atomic at line granularity (single append +
-flush); partition output directories are written to a temp path and
-renamed, so a crash mid-partition leaves no partial output visible.
+flush); every output directory (a partition's, the graph's, the
+near-dup pairs') is written to a temp path and renamed, so a crash
+mid-write leaves no partial output visible.
 """
 
 from __future__ import annotations
@@ -73,28 +74,35 @@ def order_free_checksum(doc_ids: list[str]) -> str:
     return f"{acc:016x}"
 
 
-def atomic_partition_dir(base: Path, partition_id: int):
-    """Context for writing one partition's output atomically.
+def atomic_dir(final: Path):
+    """Context for writing one output directory atomically.
 
     Usage::
 
-        with atomic_partition_dir(out, pid) as tmp:
+        with atomic_dir(out / f"part={pid}") as tmp:
             ds.write_parquet(str(tmp))
-        # on success tmp is renamed to part=<pid>/
+        # on success tmp replaces ``final``; on failure ``final`` is
+        # left as it was
+
+    The output is built in the ``_tmp_<name>`` sibling; the previous
+    ``final`` moves aside to ``_old_<name>`` only for the two renames
+    of the swap, then is deleted.
     """
     import contextlib
     import shutil
 
     @contextlib.contextmanager
     def cm():
-        final = base / f"part={partition_id}"
-        tmp = base / f"_tmp_part={partition_id}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
+        tmp = final.with_name(f"_tmp_{final.name}")
+        old = final.with_name(f"_old_{final.name}")
+        for d in (tmp, old):
+            if d.exists():
+                shutil.rmtree(d)
         tmp.mkdir(parents=True)
         yield tmp
         if final.exists():
-            shutil.rmtree(final)
+            final.rename(old)
         tmp.rename(final)
+        shutil.rmtree(old, ignore_errors=True)
 
     return cm()

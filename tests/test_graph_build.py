@@ -2,7 +2,6 @@
 
 import pyarrow as pa
 import pytest
-import ray
 import ray.data as rd
 
 from aisafetyintervention_literatureextraction_ray.fixtures import make_corpus
@@ -29,10 +28,10 @@ def built():
         schema=EXTRACTION_SCHEMA)
     extr = rd.from_arrow(extr_tbl)
     nodes = gb.build_nodes(extr).to_pandas()
-    nmap = gb.node_id_map(gb.build_nodes(rd.from_arrow(extr_tbl)))
-    edges = gb.build_edges(
-        triples_from_extractions(rd.from_arrow(extr_tbl)), nmap).to_pandas()
-    return extr_tbl, nodes, nmap, edges
+    nmap = gb.build_alias_index(gb.build_nodes(rd.from_arrow(extr_tbl)))
+    edges, _ = gb.build_edges_and_mentions(
+        triples_from_extractions(rd.from_arrow(extr_tbl)), nmap)
+    return extr_tbl, nodes, nmap, edges.to_pandas()
 
 
 def test_node_pk_unique(built):
@@ -66,35 +65,11 @@ def test_idempotent_rebuild(built):
     b = nodes2.sort_values("node_id").reset_index(drop=True)
     assert a.drop(columns="aliases").equals(b.drop(columns="aliases"))
     assert all(list(x) == list(y) for x, y in zip(a["aliases"], b["aliases"]))
-    edges2 = gb.build_edges(
-        triples_from_extractions(rd.from_arrow(extr_tbl)), nmap).to_pandas()
+    edges2 = gb.build_edges_and_mentions(
+        triples_from_extractions(rd.from_arrow(extr_tbl)), nmap)[0].to_pandas()
     key = ["src_id", "pred", "dst_id"]
     assert edges.sort_values(key).reset_index(drop=True).equals(
         edges2.sort_values(key).reset_index(drop=True))
-
-
-def test_resolver_cache_never_serves_another_builds_map(built):
-    """Builds whose node maps send the same names to different node ids
-    each resolve through their own map, in the same worker processes
-    (and, called directly, in the same process)."""
-    extr_tbl, _, nmap, _ = built
-    triples = triples_from_extractions(rd.from_arrow(extr_tbl)).materialize()
-    other = {name: f"other-{nid}" for name, nid in nmap.items()}
-    for node_map in (nmap, other, nmap):
-        edges, mentions = gb.build_edges_and_mentions(triples, node_map,
-                                                      concurrency=1)
-        e, m = edges.to_pandas(), mentions.to_pandas()
-        ids = set(node_map.values())
-        assert len(e) and set(e["src_id"]) | set(e["dst_id"]) <= ids
-        assert len(m) and set(m["node_id"]) <= ids
-
-    batch = triples.take_batch(50, batch_format="pyarrow")
-    for node_map in (nmap, other, nmap):
-        boxed = [ray.put(node_map)]
-        ids = set(node_map.values())
-        assert set(gb._resolve_edges(batch, boxed)["src_id"].to_pylist()) <= ids
-        assert set(gb._resolve_mentions(batch, boxed)["node_id"]
-                   .to_pylist()) <= ids
 
 
 def test_provenance_counts(built):
@@ -112,32 +87,70 @@ def test_papers_distinct(built):
 
 
 def test_build_edges_shuffle_matches_broadcast():
-    """J1 scale path: distributed join endpoint resolution produces the
-    same edge table as the broadcast alias-index path."""
-    import ray.data as rd
-
-    from aisafetyintervention_literatureextraction_ray.fixtures import make_corpus
-    from aisafetyintervention_literatureextraction_ray.pipelines import (
-        graph_build as gb,
-    )
-    from aisafetyintervention_literatureextraction_ray.pipelines.extraction import (
-        extract_pipeline,
-        triples_from_extractions,
-    )
+    """J1 scale path: the bucketed placement (partitioned joins on the
+    normalized name, the kernels once per block and once per bucket)
+    gives the same edge and mention tables as the kernels run once over
+    the whole tables, as the local placement does."""
+    import pandas as pd
 
     docs, _ = make_corpus(60)
-    extr = extract_pipeline(rd.from_arrow(docs), concurrency=(1, 2)).materialize()
-    nodes = gb.build_nodes(extr).materialize()
-    triples = triples_from_extractions(extr).materialize()
+    extr_tbl = pa.Table.from_pandas(
+        extract_pipeline(rd.from_arrow(docs), concurrency=(1, 2)).to_pandas(),
+        schema=EXTRACTION_SCHEMA)
+    triples = triples_from_extractions(rd.from_arrow(extr_tbl)).materialize()
 
-    broadcast = gb.build_edges(triples, gb.build_alias_index(nodes)).to_pandas()
-    shuffle = gb.build_edges_shuffle(triples, nodes).to_pandas()
-    key = ["src_id", "pred", "dst_id"]
-    broadcast = broadcast.sort_values(key).reset_index(drop=True)
-    shuffle = shuffle.sort_values(key).reset_index(drop=True)
-    assert list(broadcast.columns) == list(shuffle.columns)
-    pd_testing = __import__("pandas").testing
-    pd_testing.assert_frame_equal(broadcast, shuffle)
+    resolved = gb.resolve(
+        pa.Table.from_pandas(triples.to_pandas()),
+        gb.name_index(gb.reduce_nodes(extr_tbl)))
+    local = (gb.reduce_edges(resolved).to_pandas(),
+             gb.reduce_mentions(resolved).to_pandas())
+    index = gb.build_alias_index(
+        gb.build_nodes(rd.from_arrow(extr_tbl)).materialize())
+    shuffle = [d.to_pandas()
+               for d in gb.build_edges_and_mentions(triples, index)]
+    for a, b, key in zip(local, shuffle, (gb.EDGE_KEY, gb.MENTION_KEY)):
+        a = a.sort_values(key).reset_index(drop=True)
+        b = b.sort_values(key).reset_index(drop=True)
+        assert len(a) and list(a.columns) == list(b.columns)
+        pd.testing.assert_frame_equal(a, b)
+
+
+def test_node_reduce_is_order_and_block_free():
+    """Mentions of one node key that disagree on description and
+    aliases reduce to ONE row holding the column-wise MIN and the sorted
+    alias union, whatever the row order and the block boundaries."""
+    def doc(i, desc, aliases):
+        node = {"name": "Alpha Method", "aliases": aliases,
+                "type": "concept", "description": desc,
+                "concept_category": "Method",
+                "intervention_lifecycle": None,
+                "intervention_maturity": None}
+        other = dict(node, name="Beta", aliases=[], description="b")
+        return {"doc_id": f"d{i}", "nodes": [node, other]}
+
+    rows = [doc(0, "zeta description", ["z alias"]),
+            doc(1, "alpha description", ["a alias"]),
+            doc(2, "zeta description", ["m alias", "a alias"]),
+            doc(3, "alpha description", [])]
+    schema = pa.schema([EXTRACTION_SCHEMA.field("doc_id"),
+                        EXTRACTION_SCHEMA.field("nodes")])
+    want = {"name": "Alpha Method", "description": "alpha description",
+            "aliases": ["a alias", "m alias", "z alias"], "n_provenance": 4}
+    for order in ([0, 1, 2, 3], [2, 0, 3, 1]):
+        tbl = pa.Table.from_pylist([rows[i] for i in order], schema=schema)
+        outs = [gb.reduce_nodes(tbl)]
+        for cuts in ([4], [1, 1, 1, 1], [1, 3]):
+            blocks, at = [], 0
+            for n in cuts:
+                blocks.append(tbl.slice(at, n))
+                at += n
+            outs.append(pa.Table.from_pandas(
+                gb.build_nodes(rd.from_arrow(blocks)).to_pandas(),
+                schema=NODES_SCHEMA))
+        for out in outs:
+            got = [r for r in out.to_pylist() if r["name"] == "Alpha Method"]
+            assert len(got) == 1 and out.num_rows == 2
+            assert {k: got[0][k] for k in want} == want
 
 
 def test_bucketed_join_left_keeps_unmatched():

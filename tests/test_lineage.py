@@ -145,10 +145,10 @@ def test_raw_response_persisted_per_partition(run_dir):
 
 
 def test_run_graph_build_shuffle_path_matches_broadcast(run_dir):
-    """broadcast_node_limit=0 forces run_graph_build through the fully
-    distributed endpoint-resolution path (node index as a dataset +
-    partitioned hash joins); graph outputs must match the broadcast
-    alias-index path exactly."""
+    """local_triple_limit=0 forces run_graph_build through the fully
+    distributed placement (node index as a dataset + partitioned hash
+    joins, the kernels per bucket); graph outputs must match the local
+    placement, which runs the same kernels in one task, exactly."""
     from aisafetyintervention_literatureextraction_ray.pipelines.full import (
         run_graph_build,
     )
@@ -165,9 +165,9 @@ def test_run_graph_build_shuffle_path_matches_broadcast(run_dir):
             out[t] = df
         return out
 
-    r_b = run_graph_build(run_dir)  # node count << default limit: broadcast
+    r_b = run_graph_build(run_dir)  # triple count << default limit: local
     broadcast = snap()
-    r_s = run_graph_build(run_dir, broadcast_node_limit=0)  # forced shuffle
+    r_s = run_graph_build(run_dir, local_triple_limit=0)  # forced shuffle
     shuffle = snap()
     assert r_b["n_nodes"] == r_s["n_nodes"]
     assert r_b["n_edges"] == r_s["n_edges"]
@@ -219,3 +219,86 @@ def test_run_graph_build_distributed_closure_matches_driver(run_dir):
         bb = b[cols].astype(str).to_numpy().tolist()
         ss = s[cols].astype(str).to_numpy().tolist()
         assert sorted(map(tuple, bb)) == sorted(map(tuple, ss)), t
+
+
+def _entity_free_part(pid):
+    """Docs whose text names no gazetteer entity: zero node mentions."""
+    import pyarrow as pa
+
+    from aisafetyintervention_literatureextraction_ray.schemas import DOCS_SCHEMA
+
+    return rd.from_arrow(pa.Table.from_pylist([
+        {"doc_id": f"plain_{pid}_{i}", "title": "t", "authors": [],
+         "date_published": None, "url": None,
+         "spans": [{"kind": "text", "text": "nothing of note is said here.",
+                    "media_ref": "", "offset": 0}]}
+        for i in range(3)], schema=DOCS_SCHEMA))
+
+
+@pytest.mark.parametrize("limit,exchange", [(2_000_000, "coalesce"),
+                                            (-1, "shuffle")])
+def test_run_graph_build_empty_corpus(run_dir, limit, exchange):
+    """A corpus in which no entity is extracted builds typed-empty
+    graph tables and a graph_build manifest row on both placements (a
+    limit below any count, -1, forces the distributed one), with and
+    without canonicalization."""
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_graph_build,
+    )
+    from aisafetyintervention_literatureextraction_ray.schemas import (
+        EDGES_SCHEMA,
+        MENTIONS_SCHEMA,
+        NODES_SCHEMA,
+    )
+
+    run_partitioned_extraction(_entity_free_part, 2, run_dir,
+                               concurrency=(1, 2))
+    for mode in (None, "lsh"):
+        r = run_graph_build(run_dir, canonicalize_mode=mode,
+                            local_triple_limit=limit)
+        assert (r["n_nodes"], r["n_edges"], r["n_merged"],
+                r["exchange"]) == (0, 0, 0, exchange)
+        for name, schema in (("nodes", NODES_SCHEMA), ("edges", EDGES_SCHEMA),
+                             ("mentions", MENTIONS_SCHEMA)):
+            ds = pads.dataset(Path(run_dir) / "graph" / name)
+            assert ds.count_rows() == 0
+            assert ds.schema.remove_metadata() == schema, name
+        (row,) = Manifest(run_dir).completed("graph_build").values()
+        assert (row["n_rows"], row["n_nodes"]) == (0, 0)
+
+
+def test_graph_swap_is_atomic(run_dir, monkeypatch):
+    """A build whose writer fails after the first sink leaves the
+    previous graph/ in place, readable and byte-for-byte unchanged."""
+    import threading
+
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_graph_build,
+    )
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    run_graph_build(run_dir)
+    graph = Path(run_dir) / "graph"
+
+    def files():
+        return {p.relative_to(graph): p.read_bytes()
+                for p in sorted(graph.rglob("*")) if p.is_file()}
+
+    before = files()
+    write, lock, calls = rd.Dataset.write_parquet, threading.Lock(), []
+
+    def write_then_fail(self, path, **kw):
+        with lock:
+            calls.append(path)
+            first = len(calls) == 1
+        if not first:
+            raise OSError("disk full")
+        return write(self, path, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "write_parquet", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_graph_build(run_dir)
+    assert len(calls) == 3
+    assert files() == before
+    for name in ("nodes", "edges", "mentions"):
+        assert pads.dataset(graph / name).count_rows() > 0

@@ -68,9 +68,9 @@ def test_golden_sample_roundtrip():
     nodes = gb.build_nodes(rd.from_arrow(tbl)).materialize()
     ndf = nodes.to_pandas()
     assert len(ndf) == len(data["nodes"])
-    nmap = gb.node_id_map(nodes)
-    edges = gb.build_edges(triples_from_extractions(rd.from_arrow(tbl)),
-                           nmap).to_pandas()
+    edges = gb.build_edges_and_mentions(
+        triples_from_extractions(rd.from_arrow(tbl)),
+        gb.build_alias_index(nodes))[0].to_pandas()
     # every edge endpoint resolves to a declared node (prompt mandate:
     # chains share unique nodes, fpp.py:174)
     assert len(edges) == len(expected)

@@ -56,7 +56,11 @@ def test_alias_index_resolves_aliases():
     extr = extract_pipeline(rd.from_arrow(docs), concurrency=(1, 2))
     nodes = gb.build_nodes(extr).materialize()
     index = gb.build_alias_index(nodes)
-    nmap = gb.node_id_map(nodes)
+    # canonical name -> node id, the min id on a collision
+    nmap = {}
+    for norm, nid in sorted(nodes.to_pandas()[["name_norm", "node_id"]]
+                            .itertuples(index=False)):
+        nmap.setdefault(norm, nid)
     # canonical names resolve identically
     for norm, nid in nmap.items():
         assert index[norm] == nid
@@ -71,7 +75,7 @@ def test_alias_index_resolves_aliases():
         "obj": ["Constitutional AI during RLHF"],  # alias of the intervention
         "description": ["x"], "confidence": [3],
     }))
-    edges = gb.build_edges(triples, index).to_pandas()
+    edges = gb.build_edges_and_mentions(triples, index)[0].to_pandas()
     assert len(edges) == 1
     assert edges.iloc[0]["src_id"] == nmap["rlhf"]
 
@@ -142,12 +146,13 @@ def test_mentions_provenance():
     docs, _ = make_corpus(50)
     extr = extract_pipeline(rd.from_arrow(docs), concurrency=(1, 2)).materialize()
     nodes = gb.build_nodes(extr).materialize()
-    nmap = gb.node_id_map(nodes)
-    mentions = gb.build_mentions(triples_from_extractions(extr), nmap).to_pandas()
+    _, mentions = gb.build_edges_and_mentions(triples_from_extractions(extr),
+                                              gb.build_alias_index(nodes))
+    mentions = mentions.to_pandas()
     # one row per (doc, node) with pred=mentions; node ids all valid
     assert (mentions["pred"] == "mentions").all()
     assert not mentions.duplicated(subset=["doc_id", "node_id"]).any()
-    assert set(mentions["node_id"]) <= set(nmap.values())
+    assert set(mentions["node_id"]) <= set(nodes.to_pandas()["node_id"])
     total_mentions = sum(len(ns) for ns in extr.to_pandas()["nodes"])
     assert len(mentions) == total_mentions
 
