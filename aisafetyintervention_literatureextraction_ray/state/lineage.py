@@ -86,7 +86,9 @@ def atomic_dir(final: Path):
 
     The output is built in the ``_tmp_<name>`` sibling; the previous
     ``final`` moves aside to ``_old_<name>`` only for the two renames
-    of the swap, then is deleted.
+    of the swap, then is deleted.  A process that died between those
+    two renames left ``_old_<name>`` and no ``final``: the next call
+    moves it back first, so the previous output survives the crash.
     """
     import contextlib
     import shutil
@@ -95,6 +97,8 @@ def atomic_dir(final: Path):
     def cm():
         tmp = final.with_name(f"_tmp_{final.name}")
         old = final.with_name(f"_old_{final.name}")
+        if old.exists() and not final.exists():
+            old.rename(final)
         for d in (tmp, old):
             if d.exists():
                 shutil.rmtree(d)

@@ -302,3 +302,31 @@ def test_graph_swap_is_atomic(run_dir, monkeypatch):
     assert files() == before
     for name in ("nodes", "edges", "mentions"):
         assert pads.dataset(graph / name).count_rows() > 0
+
+
+def test_atomic_dir_recovers_an_interrupted_swap(tmp_path):
+    """A process that died between the swap's two renames left
+    ``_old_<name>`` (the previous output), the complete ``_tmp_<name>``
+    and no ``<name>``.  The next ``atomic_dir`` moves the previous output
+    back, so a rebuild that fails too still leaves it readable."""
+    from aisafetyintervention_literatureextraction_ray.state.lineage import (
+        atomic_dir,
+    )
+
+    final = tmp_path / "graph"
+    for name, text in (("_old_graph", "previous"), ("_tmp_graph", "new")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "part.parquet").write_text(text)
+
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_dir(final) as tmp:
+            assert (final / "part.parquet").read_text() == "previous"
+            assert not list(tmp.iterdir())
+            raise OSError("disk full")
+    assert (final / "part.parquet").read_text() == "previous"
+    assert not (tmp_path / "_old_graph").exists()
+
+    with atomic_dir(final) as tmp:
+        (tmp / "part.parquet").write_text("rebuilt")
+    assert (final / "part.parquet").read_text() == "rebuilt"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph"]
