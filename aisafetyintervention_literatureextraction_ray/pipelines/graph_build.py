@@ -312,16 +312,19 @@ def rewire_mentions(mentions: rd.Dataset, remap, *, exchange: str):
 
 # ------------------------------------------------------------ the one gate
 
-def _chunks(path: str, columns: list[str], rows: int = 65536):
-    """The parquet dataset at ``path`` as tables of about ``rows`` rows
-    (small files are merged up to it), ending with the remainder, which
-    is typed-empty when nothing is left."""
+_CHUNK_ROWS = 65536
+
+
+def _chunks(path: str, columns: list[str]):
+    """The parquet dataset at ``path`` as tables of about _CHUNK_ROWS
+    rows (small files are merged up to it), ending with the remainder,
+    which is typed-empty when nothing is left."""
     ds = pads.dataset(path)
     buf, n = [], 0
-    for b in ds.to_batches(columns=columns, batch_size=rows):
+    for b in ds.to_batches(columns=columns, batch_size=_CHUNK_ROWS):
         buf.append(b)
         n += b.num_rows
-        if n >= rows:
+        if n >= _CHUNK_ROWS:
             yield pa.Table.from_batches(buf)
             buf, n = [], 0
     yield pa.Table.from_batches(buf, ds.schema.empty_table()

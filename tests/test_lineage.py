@@ -330,3 +330,20 @@ def test_atomic_dir_recovers_an_interrupted_swap(tmp_path):
         (tmp / "part.parquet").write_text("rebuilt")
     assert (final / "part.parquet").read_text() == "rebuilt"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["graph"]
+
+
+def test_local_build_is_chunk_free(run_dir, monkeypatch):
+    """The one-task build streams its input chunk by chunk; chunks of a
+    few rows give the same graph tables as one chunk per table."""
+    from aisafetyintervention_literatureextraction_ray.pipelines import (
+        graph_build as gb,
+    )
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    whole = gb._build_local._function(str(run_dir))
+    monkeypatch.setattr(gb, "_CHUNK_ROWS", 7)
+    chunked = gb._build_local._function(str(run_dir))
+    assert [t.num_rows for t in whole] == [t.num_rows for t in chunked]
+    assert min(t.num_rows for t in whole) > 0
+    for a, b in zip(whole, chunked):
+        assert b.equals(a)
