@@ -4,9 +4,10 @@ The reference's extension points are configuration-by-editing-source:
 model pin (``extract.py:14``), I/O dirs (``extract.py:18-19``), DB
 host/port (``db.py:11-13``), merge thresholds (``merge.py:73,115``,
 both flagged TODO).  Here every knob is one typed dataclass consumed by
-``pipelines.full.run_full``; a custom stage is any callable class with
-an Arrow-batch ``__call__`` (the stage protocol every built-in stage
-follows), passed via the ``extractor`` / ``encoder`` hooks.
+``pipelines.full.run_full``.  There are no plug-in hooks: a stage is a
+pure ``pa.Table -> pa.Table`` function (``stages/extract.py::
+extract_batch``, ``stages/encode.py::encode``), and a custom one
+replaces the built-in at its call site.
 """
 
 from __future__ import annotations

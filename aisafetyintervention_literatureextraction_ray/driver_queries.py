@@ -1692,8 +1692,9 @@ def ensure_canon_accepted(sf_dir: str) -> None:
     """,
 )
 def kg_canonicalized(sf_dir: str):
-    """Full canonicalization over the sf-derived KG: encoder actors ->
-    LSH buckets -> pair-gen -> union-find merge; returns merged nodes.
+    """Full canonicalization over the sf-derived KG: encode -> LSH
+    buckets -> pair-gen -> accept -> union-find closure -> merge, as one
+    task at this node count; returns merged nodes.
 
     Oracle: the accepted-pair list the pipeline produces (not
     SQL-expressible — encoder + LSH) is persisted as a flat artifact;
@@ -1743,7 +1744,7 @@ def materialize_parity_oracle(sf_dir: str) -> None:
     from .pipelines.graph_build import build_nodes
     from .sources.docs import interleave_from_documents
     from .stages.canonicalize import project_node_text
-    from .stages.encode import HashingEncoder
+    from .stages.encode import encode
 
     out = _PARITY_DIR
     marker = f"{out}/_SUCCESS"
@@ -1759,10 +1760,10 @@ def materialize_parity_oracle(sf_dir: str) -> None:
     docs = interleave_from_documents(sf_dir)
     nodes = build_nodes(extract_pipeline(docs, batch_size=128))
     # the canonical node table is tiny (it is the DEDUPED concept set);
-    # run the same kernels driver-side, as candidate_pairs_local does
+    # the oracle side runs the same kernels driver-side
     tbl = pa.concat_tables(nodes.iter_batches(batch_format="pyarrow",
                                               batch_size=65536))
-    t = HashingEncoder()(project_node_text(tbl))
+    t = encode(project_node_text(tbl))
     emb = pc.cast(t.column("embedding"), pa.list_(pa.float64()))
     build = f"{out}.build.{os.getpid()}"
     sh.rmtree(build, ignore_errors=True)
@@ -12448,11 +12449,13 @@ _Q14_LO, _Q14_HI = "1997-01-01", "1998-01-01"
 def promo_revenue_share(sf_dir: str):
     """TPC-H Q14 (promotion effect): the fraction of window revenue
     carried by {_Q8_PTYPE}-type parts.  The only non-lineitem input is
-    a 1-bit-per-partkey flag array shipped ONCE via ray.put (parts are
-    bounded at 200k x SF; the flag is 1 byte each, ~200 MB even at
-    100 TB scale — a legitimate broadcast where the part TABLE would
-    not be).  The scan folds to one (promo, total) partial row per
-    block and a scalar driver fold — zero exchanges."""
+    a 1-byte-per-partkey kind array (0 = no such part, 1 = part,
+    2 = promo part) shipped ONCE via ray.put (parts are bounded at
+    200k x SF, ~200 MB even at 100 TB scale — a legitimate broadcast
+    where the part TABLE would not be).  A lineitem whose part is
+    absent counts nowhere, as in the oracle's INNER join.  The scan
+    folds to one (promo, total) partial row per block and a scalar
+    driver fold — zero exchanges."""
     import datetime as _dt
 
     import pyarrow.parquet as pq
@@ -12460,10 +12463,11 @@ def promo_revenue_share(sf_dir: str):
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_type"])
     pk = part["p_partkey"].to_numpy()
-    flag = np.zeros(int(pk.max()) + 1 if len(pk) else 1, np.bool_)
-    flag[pk[np.asarray(pc.equal(part["p_type"], _Q8_PTYPE).to_numpy(
-        zero_copy_only=False))]] = True
-    bc = ray.put(flag)
+    kind = np.zeros(int(pk.max()) + 1 if len(pk) else 1, np.uint8)
+    kind[pk] = 1
+    kind[pk[np.asarray(pc.equal(part["p_type"], _Q8_PTYPE).to_numpy(
+        zero_copy_only=False))]] = 2
+    bc = ray.put(kind)
 
     lo = _dt.datetime.fromisoformat(_Q14_LO)
     hi = _dt.datetime.fromisoformat(_Q14_HI)
@@ -12478,17 +12482,17 @@ def promo_revenue_share(sf_dir: str):
         if t.num_rows == 0:
             return pa.table({"promo_milli": pa.array([], pa.int64()),
                              "total_milli": pa.array([], pa.int64())})
-        flag_a = ray.get(bc)
+        kind_a = ray.get(bc)
         pkv = t["l_partkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        promo = (pkv < len(flag_a)) & flag_a[np.clip(pkv, 0,
-                                                     len(flag_a) - 1)]
+        k = np.where((pkv >= 0) & (pkv < len(kind_a)),
+                     kind_a[np.clip(pkv, 0, len(kind_a) - 1)], 0)
         ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = t["l_discount"].to_numpy(zero_copy_only=False)
         milli = np.floor(ext * (1.0 - disc) * 1000.0).astype(np.int64)
         return pa.table({
-            "promo_milli": pa.array([int(milli[promo].sum())]),
-            "total_milli": pa.array([int(milli.sum())])})
+            "promo_milli": pa.array([int(milli[k == 2].sum())]),
+            "total_milli": pa.array([int(milli[k > 0].sum())])})
 
     parts = li.map_batches(partial, batch_format="pyarrow",
                            batch_size=65536,
@@ -12963,15 +12967,18 @@ def idle_rich_customers(sf_dir: str):
     cust_m = cust.map_batches(cust_proj, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
 
-    # global positive-balance stats: one partial row per block
+    # global positive-balance stats: one partial row per block; the
+    # filter is the raw balance > 0.0 (a balance under half a cent is
+    # positive yet rounds to 0 cents), the sum is of rounded cents
     def stat_partial(t: pa.Table) -> pa.Table:
-        c = t["cents"].to_numpy()
-        pos = c > 0
+        bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
+        pos = bal > 0.0
+        c = np.round(bal[pos] * 100.0).astype(np.int64)
         return pa.table({"n": pa.array([int(pos.sum())]),
-                         "s": pa.array([int(c[pos].sum())])})
+                         "s": pa.array([int(c.sum())])})
 
-    sp = cust_m.map_batches(stat_partial, batch_format="pyarrow",
-                            zero_copy_batch=True).to_pandas()
+    sp = cust.map_batches(stat_partial, batch_format="pyarrow",
+                          zero_copy_batch=True).to_pandas()
     n_pos = int(sp["n"].sum()) if len(sp) else 0
     s_pos = int(sp["s"].sum()) if len(sp) else 0
 

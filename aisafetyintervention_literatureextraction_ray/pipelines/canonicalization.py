@@ -1,366 +1,300 @@
-"""Canonicalization pipeline: nodes/edges -> merged nodes/edges.
+"""Canonicalization pipeline: near-duplicate node merge.
 
-Target shape from SURVEY.md §3.3: ``nodes -> TextProjector -> Encoder
-actors -> LSHBucketer -> groupby(bucket).map_groups(PairGen) ->
-groupby(pair).min -> threshold/top-n -> driver union-find -> broadcast
-remap -> groupby re-reduce``.
+Target shape from SURVEY.md §3.3: ``nodes -> text projection -> encode
+-> LSH bands -> per-bucket KNN pairs -> min distance per pair ->
+threshold/top-n accept -> closure -> merge``.  Every step is one pure
+``pa.Table -> pa.Table`` kernel (``stages/canonicalize.py``,
+``stages/encode.py`` and the graph build's reduces), and both
+placements run the same kernels:
+
+* The candidate pairs and the closure read only the node table, so the
+  measured node count against ``_LOCAL_NODE_LIMIT`` places them.  At or
+  below it one Ray task runs encode -> buckets -> pairs -> accept ->
+  union-find.  Above it the kernels run as stateless ``map_batches``
+  tasks and bucketed exchanges, and the closure is
+  ``functions/graph.py::connected_components``.
+* The merge touches edges and mentions, which grow with the triples,
+  so it takes the graph build's exchange: one task over the tables, or
+  bucketed joins and reduces.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.agg import bucketed_group_map, hash_aggregate
+from ..functions.agg import bucketed_apply, bucketed_join, measured_exchange
+from ..schemas import EDGES_SCHEMA, MENTIONS_SCHEMA, NODES_SCHEMA, cast_batch
 from ..stages.canonicalize import (
-    LSHBucketer,
     constant_bucket,
+    lsh_buckets,
     make_pairgen,
     project_node_text,
     union_find,
 )
-from ..stages.encode import DEFAULT_DIM, HashingEncoder
-from .graph_build import dedup_edges
+from ..stages.encode import DEFAULT_DIM, encode
+from .graph_build import (
+    EDGE_KEY,
+    MENTION_KEY,
+    _grouped,
+    _keyed,
+    reduce_edges,
+    reduce_mentions,
+)
+
+# the measured node count at or below which one task runs the pairs and
+# the closure: ~50 MB of float32 embeddings at the limit.  Its crossover
+# against the bucketed placement is not measured.
+_LOCAL_NODE_LIMIT = 50_000
+PAIR_KEY = ["id_a", "id_b"]
+_LABELS_SCHEMA = pa.schema([("node_id", pa.string()),
+                            ("component_id", pa.string())])
 
 
-def candidate_pairs(
-    nodes: rd.Dataset,
-    *,
-    mode: str = "exact",          # "exact" (global KNN parity) | "lsh" (scale)
-    k: int = 40,                  # neighbors per node (merge.py:115)
-    dim: int = DEFAULT_DIM,
-    n_bands: int = 8,
-    planes_per_band: int = 6,
-    encoder_concurrency: int | tuple[int, int] = (1, 4),
-    exchange: str = "shuffle",
-) -> rd.Dataset:
-    """nodes -> deduped candidate pairs ``(id_a, id_b, distance)``.
+# ---------------------------------------------------------------- kernels
 
-    ``exchange`` defaults to ``"shuffle"``: this function is the
-    DISTRIBUTED canonicalization path — it only runs when the node table
-    exceeds ``canonicalize``'s ``driver_threshold``, i.e. exactly when
-    the bucket/pair data must never coalesce into one block (VERDICT r2
-    #1).  The small-table case is handled by ``candidate_pairs_local``.
-    """
-    ds = nodes.map_batches(project_node_text, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    ds = ds.map_batches(HashingEncoder, fn_constructor_kwargs={"dim": dim},
-                        batch_format="pyarrow", batch_size=1024,
-                        concurrency=encoder_concurrency)
-    ds = ds.select_columns(["node_id", "embedding"])
-    if mode == "exact":
-        ds = ds.map_batches(constant_bucket, batch_format="pyarrow")
-    elif mode == "lsh":
-        ds = ds.map_batches(
-            LSHBucketer,
-            fn_constructor_kwargs={"dim": dim, "n_bands": n_bands,
-                                   "planes_per_band": planes_per_band},
-            batch_format="pyarrow", batch_size=4096,
-            concurrency=encoder_concurrency,
-        )
-    else:
+def _bucketed(t: pa.Table, *, mode: str, dim: int) -> pa.Table:
+    """Node rows -> ``(node_id, embedding, bucket)`` rows: ``"exact"``
+    is one bucket (global KNN, reference parity), ``"lsh"`` the bands
+    of the banded similarity join (scale)."""
+    t = encode(project_node_text(t), dim=dim).select(["node_id", "embedding"])
+    return constant_bucket(t) if mode == "exact" else lsh_buckets(t, dim=dim)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "lsh"):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = bucketed_group_map(ds, ["bucket"], make_pairgen(k=k),
-                               batch_format="pyarrow", min_group_size=2,
-                               exchange=exchange)
-    # A4/A5: best distance per unordered pair (symmetric hits collapse);
-    # two-stage arrow hash aggregate (functions/agg.py), NOT Ray's
-    # sort-based groupby (orders of magnitude slower on many pairs).
-    return hash_aggregate(pairs, ["id_a", "id_b"], [("distance", "min")],
-                          rename={"distance_min": "distance"},
-                          exchange=exchange)
 
 
-def accept_pairs(pairs: rd.Dataset, *, top_n: int | None = 30,
-                 threshold: float | None = None) -> pd.DataFrame:
-    """O3: top-n mode (reference parity, ``merge.py:92,115``) or
-    threshold mode (the scale path — a global top-k over 10^12 pairs is
-    an artifact of the reference's interactive use, SURVEY.md §2.6)."""
+def _min_distance(t: pa.Table) -> pa.Table:
+    """The best distance per unordered pair (symmetric hits and pairs
+    found in several bands collapse)."""
+    return _grouped(t, PAIR_KEY, [("distance", "min")])
+
+
+def _pairs(t: pa.Table, *, k: int) -> pa.Table:
+    """Bucketed rows -> candidate pairs of every bucket in ``t``.  The
+    rows of a bucket keep their input order (stable sort), and a
+    singleton bucket makes no pair."""
+    t = t.take(pc.sort_indices(t, [("bucket", "ascending")]))
+    cuts = np.flatnonzero(np.diff(t["bucket"].to_numpy())) + 1
+    pairgen = make_pairgen(k=k)
+    return _min_distance(pa.concat_tables([pairgen(t.slice(0, 0))] + [
+        pairgen(t.slice(lo, hi - lo))
+        for lo, hi in zip([0, *cuts], [*cuts, t.num_rows]) if hi - lo >= 2]))
+
+
+def accept(t: pa.Table, *, top_n: int | None = 30,
+           threshold: float | None = None) -> pa.Table:
+    """O3: threshold mode (the scale path) or the top-n cut by
+    ``(distance, id_a, id_b)`` (reference parity, ``merge.py:92,115``).
+    The top-n of per-block top-ns is the global top-n."""
     if threshold is not None:
-        import pyarrow.compute as pc
-
-        pairs = pairs.map_batches(
-            lambda t: t.filter(pc.less_equal(t["distance"], threshold)),
-            batch_format="pyarrow",
-        )
-        out = pairs.to_pandas()
-    else:
-        out = pairs.sort(["distance", "id_a", "id_b"]).limit(top_n).to_pandas()
-    if out.empty:  # empty Datasets can drop column names
-        out = pd.DataFrame({"id_a": [], "id_b": [], "distance": []})
-    return out
+        return t.filter(pc.less_equal(t["distance"], threshold))
+    return t.sort_by([("distance", "ascending"), ("id_a", "ascending"),
+                      ("id_b", "ascending")]).slice(0, top_n)
 
 
-def apply_merges(nodes: rd.Dataset, edges: rd.Dataset,
-                 accepted: pd.DataFrame, *,
-                 exchange: str = "coalesce"):
-    """Union-find closure + broadcast remap + edge re-dedup (J3/J4).
-
-    Loser nodes are dropped (keeper props win — reference ``DELETE a``
-    at ``db.py:151``); edges are rewired through the remap and re-deduped
-    on ``(src_id, pred, dst_id)`` with property union.  Self-loops
-    arising from merged endpoints are retained (parity with MERGE
-    ``(b)-[r2]->(b)``, SURVEY.md §2.4 J4).
-
-    ``exchange`` governs the re-dedup reduce; ``canonicalize`` passes
-    ``"shuffle"`` whenever it took the distributed branch (the edge key
-    set there is unbounded, so the partials must never coalesce).
-    """
-    if accepted.empty:
-        return nodes, edges, {}
-    import pyarrow.compute as pc
-
-    remap = union_find(list(zip(accepted["id_a"], accepted["id_b"])))
-    losers = sorted(x for x, c in remap.items() if x != c)
-    # broadcast the remap as (sorted keys, values) arrays: lookups are
-    # vectorized hash joins (pd.Index.get_indexer), never per-row Python
-    remap_ref = ray.put((pd.Index(sorted(remap)),
-                         np.asarray([remap[k] for k in sorted(remap)],
-                                    dtype=object)))
-    losers_ref = ray.put(pa.array(losers, type=pa.string()))
-
-    def drop_losers(t: pa.Table) -> pa.Table:
-        lose = ray.get(losers_ref)
-        return t.filter(pc.invert(pc.is_in(t.column("node_id"),
-                                           value_set=lose)))
-
-    nodes2 = nodes.map_batches(drop_losers, batch_format="pyarrow")
-
-    def rewire(t: pa.Table) -> pa.Table:
-        # Arrow-native (VERDICT r4 fix #1): the vectorized get_indexer
-        # remap works directly on the column's numpy view — the old
-        # batch_format="pandas" round-trip was an avoidable copy on this
-        # driver-closure path (the distributed path is already Arrow)
-        index, targets = ray.get(remap_ref)
-        for col in ("src_id", "dst_id"):
-            vals = t.column(col).to_numpy(zero_copy_only=False)
-            pos = index.get_indexer(vals)
-            out = np.where(pos >= 0, targets[np.clip(pos, 0, None)], vals)
-            t = t.set_column(t.schema.get_field_index(col), col,
-                             pa.array(out, type=t.schema.field(col).type))
-        return t
-
-    edges2 = dedup_edges(edges.map_batches(rewire, batch_format="pyarrow"),
-                         exchange=exchange)
-    return nodes2, edges2, remap
+def _losers(labels: pa.Table) -> pa.Table:
+    """Closure labels -> the rows of merged-away nodes only."""
+    return cast_batch(labels.filter(pc.not_equal(labels["node_id"],
+                                                 labels["component_id"])),
+                      _LABELS_SCHEMA)
 
 
-def apply_merges_distributed(nodes: rd.Dataset, edges: rd.Dataset,
-                             accepted: rd.Dataset, *,
-                             num_buckets: int | None = None):
-    """J3/J4 with NO driver-side closure and NO broadcast remap: the
-    scale form of ``apply_merges`` for when the accepted-pair list is
-    itself a dataset too large to union-find in one process.
+def _component(t: pa.Table):
+    comp = t["component_id"]
+    if pa.types.is_null(comp.type):  # all-null merge side
+        comp = comp.cast(pa.string())
+    return comp
 
-    * closure: ``functions/graph.py::connected_components`` (min-label
-      propagation — per iteration one partitioned hash join + one keyed
-      min-aggregate);
-    * loser drop: left-join nodes against the label table — a node with
-      a label different from itself is a loser;
-    * rewire: two left-joins (src_id, dst_id) against the label table
-      with null-coalesce, then the same keyed re-dedup reduce as
-      ``apply_merges`` (shuffle — the edge key set is unbounded here by
-      assumption).
 
-    Semantics are identical to ``apply_merges`` (equivalence-tested):
-    keeper props win, self-loops retained, closure order-independent.
-    Returns ``(nodes2, edges2, labels)`` with ``labels`` the
-    ``(node_id, component_id)`` dataset instead of a driver dict.
-    """
-    import pyarrow.compute as pc
+def _drop_losers(t: pa.Table) -> pa.Table:
+    """Node rows + their ``component_id`` -> the keepers (keeper props
+    win, reference ``DELETE a`` at ``db.py:151``)."""
+    comp = _component(t)
+    return cast_batch(t.filter(pc.or_kleene(
+        pc.is_null(comp), pc.equal(comp, t["node_id"]))
+    ).drop_columns(["component_id"]), NODES_SCHEMA)
 
-    from ..functions.agg import bucketed_join
+
+def _relabel(t: pa.Table, col: str) -> pa.Table:
+    """Rows + the ``component_id`` of ``col`` -> ``col`` rewired to its
+    keeper.  Self-loops from merged endpoints stay (parity with MERGE
+    ``(b)-[r2]->(b)``, SURVEY.md §2.4 J4)."""
+    comp = _component(t)
+    out = t.drop_columns(["component_id"])
+    return out.set_column(out.schema.get_field_index(col), col,
+                          pc.coalesce(comp, t[col]))
+
+
+def _keeper(t: pa.Table, col: str, labels: pa.Table) -> pa.Table:
+    """The in-task left join: ``t`` + the label of its ``col``."""
+    pos = pc.index_in(t[col], value_set=labels["node_id"].combine_chunks())
+    return t.append_column("component_id",
+                           pc.take(labels["component_id"], pos))
+
+
+# ------------------------------------------------------- local placement
+
+def _table(refs: list, schema: pa.Schema) -> pa.Table:
+    """The blocks behind ``refs`` as one table; ``schema`` types the
+    empty case (an empty block may carry no columns at all)."""
+    tables = [t for t in ray.get(refs) if t.num_rows]
+    return (pa.concat_tables(tables, promote_options="permissive")
+            if tables else schema.empty_table())
+
+
+@ray.remote(num_returns=2)
+def _closure_local(node_refs: list, *, mode: str, k: int,
+                   top_n: int | None, threshold: float | None, dim: int):
+    """Encode -> buckets -> pairs -> accept -> union-find in one task."""
+    accepted = accept(_pairs(_bucketed(_table(node_refs, NODES_SCHEMA),
+                                       mode=mode, dim=dim), k=k),
+                      top_n=top_n, threshold=threshold)
+    remap = union_find(list(zip(accepted["id_a"].to_pylist(),
+                                accepted["id_b"].to_pylist())))
+    return accepted, pa.table({"node_id": list(remap),
+                               "component_id": list(remap.values())},
+                              schema=_LABELS_SCHEMA)
+
+
+@ray.remote(num_returns=3)
+def _merge_local(labels: list, nodes: list, edges: list, mentions):
+    labels = _table(labels, _LABELS_SCHEMA)
+    nodes = _drop_losers(_keeper(_table(nodes, NODES_SCHEMA), "node_id",
+                                 labels))
+    edges = _table(edges, EDGES_SCHEMA)
+    for col in ("src_id", "dst_id"):
+        edges = _relabel(_keeper(edges, col, labels), col)
+    if mentions is not None:
+        mentions = reduce_mentions(_relabel(_keeper(
+            _table(mentions, MENTIONS_SCHEMA), "node_id", labels),
+            "node_id"))
+    return nodes, reduce_edges(edges), mentions
+
+
+# ------------------------------------------------- bucketed placement
+
+def candidate_pairs(nodes: rd.Dataset, *, mode: str = "exact", k: int = 40,
+                    dim: int = DEFAULT_DIM) -> rd.Dataset:
+    """nodes -> deduped candidate pairs ``(id_a, id_b, distance)`` as
+    stateless tasks and bucketed exchanges."""
+    _check_mode(mode)
+    ds = nodes.map_batches(_bucketed, fn_kwargs={"mode": mode, "dim": dim},
+                           batch_format="pyarrow")
+    pairs = bucketed_apply(ds, ["bucket"], functools.partial(_pairs, k=k),
+                           batch_format="pyarrow")
+    return _keyed(pairs, PAIR_KEY, _min_distance)
+
+
+def _merge_bucketed(labels, nodes, edges, mentions):
+    def join(ds: rd.Dataset, col: str, schema: pa.Schema) -> rd.Dataset:
+        return bucketed_join(
+            ds, labels, left_key=col, right_key="node_id",
+            right_value_cols=["component_id"], how="left",
+            left_schema=schema, right_schema=_LABELS_SCHEMA)
+
+    def cast(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
+        return ds.map_batches(cast_batch, fn_args=(schema,),
+                              batch_format="pyarrow")
+
+    nodes = join(cast(nodes, NODES_SCHEMA), "node_id", NODES_SCHEMA
+                 ).map_batches(_drop_losers, batch_format="pyarrow")
+    edges = cast(edges, EDGES_SCHEMA)
+    for col in ("src_id", "dst_id"):
+        edges = join(edges, col, EDGES_SCHEMA).map_batches(
+            _relabel, fn_args=(col,), batch_format="pyarrow")
+    if mentions is not None:
+        mentions = _keyed(join(cast(mentions, MENTIONS_SCHEMA), "node_id",
+                               MENTIONS_SCHEMA).map_batches(
+            _relabel, fn_args=("node_id",), batch_format="pyarrow"),
+            MENTION_KEY, reduce_mentions)
+    return nodes, _keyed(edges, EDGE_KEY, reduce_edges), mentions
+
+
+# ------------------------------------------------------------ the one gate
+
+def canonical_labels(nodes: rd.Dataset, *, mode: str = "exact", k: int = 40,
+                     top_n: int | None = 30, threshold: float | None = None,
+                     dim: int | None = None):
+    """nodes -> ``(accepted, labels, gate)``: the accepted pairs, the
+    ``(node_id, component_id)`` labels of the merged-away nodes (the
+    keeper is the min id of its component) and the gate record.
+
+    The one placement decision: the measured node count against
+    ``_LOCAL_NODE_LIMIT``.  At or below it one task computes both
+    outputs (no node row reaches the driver); above it the candidate
+    pairs are bucketed exchanges and the closure is
+    ``connected_components`` with its own measured gate."""
+    _check_mode(mode)
+    dim = dim or DEFAULT_DIM
+    n_nodes = nodes.count()
+    exchange = measured_exchange(n_nodes, threshold=_LOCAL_NODE_LIMIT)
+    gate = {"canon_nodes_in": n_nodes, "canon_exchange": exchange}
+    if exchange == "coalesce":
+        refs = _closure_local.remote(nodes.to_arrow_refs(), mode=mode, k=k,
+                                     top_n=top_n, threshold=threshold,
+                                     dim=dim)
+        return (*(rd.from_arrow_refs([r]) for r in refs), gate)
     from ..functions.graph import connected_components
 
-    labels = connected_components(accepted, driver_threshold=0,
-                                  num_buckets=num_buckets).materialize()
-
-    # force Arrow blocks so bucketed_join's union-schema projection sees
-    # true types (pandas blocks report list columns as object dtype —
-    # agg.py::pa_type_of caveat)
-    nodes = nodes.map_batches(lambda t: t, batch_format="pyarrow")
-    edges = edges.map_batches(lambda t: t, batch_format="pyarrow")
-    # schemas captured ONCE: bucketed_join falls back to
-    # Dataset.schema() otherwise, which on the lazy first-rewire output
-    # would re-execute that whole join just to learn the schema
-    nodes_schema = nodes.schema()
-    edges_schema = edges.schema()
-    labels_schema = labels.schema()
-
-    def _comp(t: pa.Table, like: str):
-        # an all-null merge side arrives as null-typed; cast to the key
-        comp = t["component_id"]
-        if pa.types.is_null(comp.type):
-            comp = comp.cast(t[like].type)
-        return comp
-
-    def keep_winners(t: pa.Table) -> pa.Table:
-        comp = _comp(t, "node_id")
-        return t.filter(
-            pc.or_kleene(pc.is_null(comp), pc.equal(comp, t["node_id"]))
-        ).drop_columns(["component_id"])
-
-    nodes2 = bucketed_join(
-        nodes, labels, left_key="node_id", right_key="node_id",
-        right_value_cols=["component_id"], how="left",
-        num_buckets=num_buckets,
-        left_schema=nodes_schema, right_schema=labels_schema,
-    ).map_batches(keep_winners, batch_format="pyarrow")
-
-    def rewire_col(ds: rd.Dataset, col: str) -> rd.Dataset:
-        # the rewire preserves the edge schema, so BOTH rewires (the
-        # second one's left side is the lazy output of the first) use
-        # the captured edges schema — no re-execution for schema probes
-        joined = bucketed_join(ds, labels, left_key=col,
-                               right_key="node_id",
-                               right_value_cols=["component_id"],
-                               how="left", num_buckets=num_buckets,
-                               left_schema=edges_schema,
-                               right_schema=labels_schema)
-
-        def coalesce(t: pa.Table) -> pa.Table:
-            new = pc.coalesce(_comp(t, col), t[col])
-            i = t.schema.get_field_index(col)
-            return t.drop_columns(["component_id"]).set_column(
-                i, col, new)
-
-        return joined.map_batches(coalesce, batch_format="pyarrow")
-
-    rewired = rewire_col(rewire_col(edges, "src_id"), "dst_id")
-    edges2 = dedup_edges(rewired, exchange="shuffle")
-    return nodes2, edges2, labels
+    cut = functools.partial(accept, top_n=top_n, threshold=threshold)
+    accepted = candidate_pairs(nodes, mode=mode, k=k, dim=dim).map_batches(
+        cut, batch_format="pyarrow", batch_size=None)
+    if threshold is None:
+        accepted = accepted.repartition(1).map_batches(
+            cut, batch_format="pyarrow", batch_size=None)
+    accepted = accepted.materialize()
+    labels = connected_components(accepted).map_batches(
+        _losers, batch_format="pyarrow").materialize()
+    return accepted, labels, gate
 
 
-def candidate_pairs_local(nodes_tbl: pa.Table, *, mode: str = "exact",
-                          k: int = 40, dim: int | None = None,
-                          n_bands: int = 8, planes_per_band: int = 6
-                          ) -> pd.DataFrame:
-    """Driver-side pair generation over a SMALL canonical node table.
-
-    Same kernels and seeds as the distributed path (text projection,
-    hashing encoder, bucketer, pairgen) applied to one in-memory Arrow
-    table — identical results, none of the per-stage scheduling cost.
-    Used automatically when the node table is far below a block's worth
-    of data; the distributed path is the same operator graph at scale.
-    """
-    from ..stages.encode import DEFAULT_DIM as _D
-    from ..stages.encode import HashingEncoder as _Enc
-
-    dim = dim or _D
-    t = project_node_text(nodes_tbl)
-    t = _Enc(dim=dim)(t)
-    t = t.select(["node_id", "embedding"])
-    if mode == "exact":
-        t = constant_bucket(t)
-    else:
-        t = LSHBucketer(dim=dim, n_bands=n_bands,
-                        planes_per_band=planes_per_band)(t)
-    pairgen = make_pairgen(k=k)
-    frames = []
-    buckets = t.column("bucket").to_numpy()
-    for b in np.unique(buckets):
-        frames.append(pairgen(t.filter(pa.array(buckets == b))))
-    pairs = pd.concat(frames, ignore_index=True) if frames else \
-        pd.DataFrame({"id_a": [], "id_b": [], "distance": []})
-    if pairs.empty:
-        return pairs
-    return pairs.groupby(["id_a", "id_b"], as_index=False)["distance"].min()
+def merge(labels: rd.Dataset, nodes: rd.Dataset, edges: rd.Dataset,
+          mentions: rd.Dataset | None = None, *, exchange: str):
+    """J3/J4: apply ``(node_id, component_id)`` labels to the graph.
+    Loser nodes drop, edge endpoints and mentions move to their keeper,
+    and edges and mentions are re-reduced (``reduce_edges`` /
+    ``reduce_mentions``).  ``exchange`` is the graph build's: one task
+    at ``"coalesce"``, bucketed joins and reduces at ``"shuffle"``.
+    Returns ``(nodes, edges, mentions)``."""
+    if not labels.count():
+        return nodes, edges, mentions
+    if exchange == "shuffle":
+        return _merge_bucketed(labels, nodes, edges, mentions)
+    n, e, m = _merge_local.remote(
+        labels.to_arrow_refs(), nodes.to_arrow_refs(), edges.to_arrow_refs(),
+        None if mentions is None else mentions.to_arrow_refs())
+    return (rd.from_arrow_refs([n]), rd.from_arrow_refs([e]),
+            None if mentions is None else rd.from_arrow_refs([m]))
 
 
 def canonicalize(nodes: rd.Dataset, edges: rd.Dataset, *,
                  mode: str = "exact", k: int = 40, top_n: int | None = 30,
-                 threshold: float | None = None,
-                 driver_threshold: int = 50_000,
-                 closure: str = "auto",
-                 closure_pair_limit: int = 2_000_000, **kwargs):
-    """Full canonicalization (merge.py ``run()`` analogue, merge.py:111-116).
+                 threshold: float | None = None, dim: int | None = None):
+    """Full canonicalization (merge.py ``run()`` analogue, merge.py:111-116)
+    -> ``(nodes, edges, accepted, remap)``.
 
-    Node tables at or below ``driver_threshold`` rows take the local
-    fast path (same kernels, driver-side) — a tiny table spread over a
-    dozen distributed stages is pure scheduling overhead.  Above it, the
-    shuffle-based path runs.
-
-    ``closure`` picks how the accepted pairs close into merges:
-
-    * ``"auto"`` (default): on the distributed branch in threshold
-      mode, the accepted-pair count is MEASURED and compared to
-      ``closure_pair_limit`` (the same 2M-pair gate as
-      ``connected_components``): at or below it the pairs come to the
-      driver for the union-find (a few MB of skinny ids); above it the
-      distributed closure runs with no driver gather (VERDICT r3 #2 —
-      the default pipeline now reaches ``apply_merges_distributed``
-      with no opt-in flag).  Top-n mode is driver-sized by definition.
-    * ``"driver"``: always the driver union-find + broadcast remap.
-    * ``"distributed"`` (threshold mode only): always the dataset-
-      native path — connected-components closure + join-based
-      loser-drop/rewire, equivalence-tested against the driver path.
-
-    When the distributed closure runs, the return value carries the
-    accepted-pair Dataset in place of the DataFrame and the label
-    Dataset ``(node_id, component_id)`` in place of the remap dict —
-    callers dispatch on ``isinstance(remap, dict)``.
-    """
-    import pyarrow.compute as pc
-
-    if closure == "distributed" and threshold is None:
-        raise ValueError("closure='distributed' requires threshold "
-                         "mode (a global top-n is driver-sized by "
-                         "definition)")
-    if closure == "distributed":
-        pairs = candidate_pairs(nodes, mode=mode, k=k, **kwargs)
-        accepted_ds = pairs.map_batches(
-            lambda t: t.filter(pc.less_equal(t["distance"], threshold)),
-            batch_format="pyarrow")
-        nodes2, edges2, labels = apply_merges_distributed(nodes, edges,
-                                                          accepted_ds)
-        return nodes2, edges2, accepted_ds, labels
-
-    nodes_tbl = None
-    if driver_threshold:
-        head = list(nodes.limit(driver_threshold + 1)
-                    .iter_batches(batch_format="pyarrow", batch_size=65536))
-        if not sum(b.num_rows for b in head):  # no node, nothing to merge
-            return nodes, edges, pd.DataFrame(
-                {"id_a": [], "id_b": [], "distance": []}), {}
-        head = pa.concat_tables(head)
-        if head.num_rows <= driver_threshold:
-            nodes_tbl = head
-    if nodes_tbl is not None:
-        pairs_df = candidate_pairs_local(nodes_tbl, mode=mode, k=k,
-                                         **{k2: v for k2, v in kwargs.items()
-                                            if k2 in ("dim", "n_bands",
-                                                      "planes_per_band")})
-        if threshold is not None:
-            accepted = pairs_df[pairs_df["distance"] <= threshold]
-        else:
-            accepted = pairs_df.sort_values(
-                ["distance", "id_a", "id_b"]).head(top_n)
-        accepted = accepted.reset_index(drop=True)
-    else:
-        pairs = candidate_pairs(nodes, mode=mode, k=k, **kwargs)
-        if closure == "auto" and threshold is not None:
-            # MEASURE the accepted-pair count before deciding where the
-            # closure runs — mirror of graph_build.build_graph's gate
-            accepted_ds = pairs.map_batches(
-                lambda t: t.filter(pc.less_equal(t["distance"],
-                                                 threshold)),
-                batch_format="pyarrow").materialize()
-            if accepted_ds.count() > closure_pair_limit:
-                nodes2, edges2, labels = apply_merges_distributed(
-                    nodes, edges, accepted_ds)
-                return nodes2, edges2, accepted_ds, labels
-            accepted = accepted_ds.to_pandas()  # bounded by the measure
-            if accepted.empty:  # empty Datasets can drop column names
-                accepted = pd.DataFrame({"id_a": [], "id_b": [],
-                                         "distance": []})
-        else:
-            accepted = accept_pairs(pairs, top_n=top_n,
-                                    threshold=threshold)
-    # distributed branch => unbounded edge key set: shuffle the re-dedup
-    merge_exchange = "coalesce" if nodes_tbl is not None else "shuffle"
-    nodes2, edges2, remap = apply_merges(nodes, edges, accepted,
-                                         exchange=merge_exchange)
-    return nodes2, edges2, accepted, remap
+    With no graph build around it, the merge's exchange comes from the
+    measured edge count.  When the closure ran as the local task (a
+    small node table) the accepted pairs come back as a DataFrame and
+    ``remap`` as a ``{loser: keeper}`` dict; otherwise both are
+    datasets, ``remap`` the loser labels."""
+    accepted, labels, gate = canonical_labels(
+        nodes, mode=mode, k=k, top_n=top_n, threshold=threshold, dim=dim)
+    nodes, edges, _ = merge(labels, nodes, edges,
+                            exchange=measured_exchange(edges.count()))
+    if gate["canon_exchange"] == "shuffle":
+        return nodes, edges, accepted, labels
+    # one typed block each (a zero-row Dataset.to_pandas loses columns)
+    accepted, labels = (pa.concat_tables(ray.get(ds.to_arrow_refs()))
+                        for ds in (accepted, labels))
+    return (nodes, edges, accepted.to_pandas(),
+            dict(zip(labels["node_id"].to_pylist(),
+                     labels["component_id"].to_pylist())))

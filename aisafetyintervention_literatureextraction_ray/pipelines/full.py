@@ -38,9 +38,9 @@ from ..schemas import (
     TRIPLES_SCHEMA,
 )
 from ..state.lineage import Manifest, atomic_dir, order_free_checksum
-from .canonicalization import canonicalize
+from .canonicalization import canonical_labels, merge
 from .extraction import extract_pipeline, triples_from_extractions
-from .graph_build import build_graph, rewire_mentions
+from .graph_build import build_graph
 
 
 def run_partitioned_extraction(
@@ -179,19 +179,18 @@ def run_graph_build(out_dir: str | Path, *, canonicalize_mode: str | None = None
                     top_n: int | None = None,
                     threshold: float | None = 0.2,
                     k: int = 40, dim: int | None = None,
-                    local_triple_limit: int = 2_000_000,
-                    canon_driver_threshold: int = 50_000,
-                    closure: str = "auto",
-                    closure_pair_limit: int = 2_000_000) -> dict:
+                    local_triple_limit: int = 2_000_000) -> dict:
     """extractions/* -> graph/{nodes,edges,mentions} (+ optional near-dup
     merge).
 
     ``build_graph`` places the whole build from one measured gate: the
     triple count against ``local_triple_limit`` (one task at or below
-    it, bucketed exchanges above it).  The mention rewire after a merge
-    reuses that gate's exchange.  The three tables are written into a
-    tmp sibling of ``graph/`` and swapped in only once all three are
-    complete, so a failed build leaves the previous graph as it was.
+    it, bucketed exchanges above it).  Canonicalization places its
+    pairs and closure from the measured node count, and its merge of
+    nodes, edges and mentions reuses the build gate's exchange.  The
+    three tables are written into a tmp sibling of ``graph/`` and
+    swapped in only once all three are complete, so a failed build
+    leaves the previous graph as it was.
     """
     out = Path(out_dir)
     manifest = Manifest(out)
@@ -204,16 +203,13 @@ def run_graph_build(out_dir: str | Path, *, canonicalize_mode: str | None = None
         # default = threshold mode (the scale path, SURVEY.md §2.6 O3):
         # merge only true near-dups; pass top_n for reference-parity
         # fixed-k accepts.
-        canon_kwargs = {"dim": dim} if dim is not None else {}
-        nodes, edges, _, remap = canonicalize(
-            nodes, edges, mode=canonicalize_mode, top_n=top_n,
-            threshold=threshold if top_n is None else None,
-            k=k, driver_threshold=canon_driver_threshold,
-            closure=closure, closure_pair_limit=closure_pair_limit,
-            **canon_kwargs)
-        # provenance follows the merge
-        mentions, n_merged = rewire_mentions(mentions, remap,
-                                             exchange=gate["exchange"])
+        _, labels, canon_gate = canonical_labels(
+            nodes, mode=canonicalize_mode, top_n=top_n,
+            threshold=threshold if top_n is None else None, k=k, dim=dim)
+        gate.update(canon_gate)
+        n_merged = labels.count()
+        nodes, edges, mentions = merge(labels, nodes, edges, mentions,
+                                       exchange=gate["exchange"])
 
     # the three sinks are independent pipelines — run them concurrently
     # (driver threads), overlapping their scheduling latencies

@@ -232,12 +232,6 @@ def build_nodes(extractions: rd.Dataset) -> rd.Dataset:
     return _keyed(extractions, NODE_KEY, reduce_nodes)
 
 
-def dedup_edges(edges: rd.Dataset, *, exchange: str = "shuffle"
-                ) -> rd.Dataset:
-    """Edge rows -> canonical edges (A3), bucketed."""
-    return _keyed(edges, EDGE_KEY, reduce_edges, exchange)
-
-
 def build_alias_index(nodes: rd.Dataset) -> dict[str, str]:
     """The name index of ``nodes`` as a ``{key: node_id}`` dict."""
     batches = list(nodes.select_columns(["name_norm", "node_id", "aliases"])
@@ -273,41 +267,6 @@ def build_edges_and_mentions(triples: rd.Dataset, index: dict[str, str]):
     return _link(triples, rd.from_arrow(pa.table({
         "key": pa.array(list(index), pa.string()),
         "tag": pa.array([f"0{v}" for v in index.values()], pa.string())})))
-
-
-def _relabel(t: pa.Table) -> pa.Table:
-    comp = t["component_id"]
-    if pa.types.is_null(comp.type):  # all-null merge side
-        comp = comp.cast(pa.string())
-    return t.set_column(t.schema.get_field_index("node_id"), "node_id",
-                        pc.coalesce(comp, t["node_id"]))
-
-
-def rewire_mentions(mentions: rd.Dataset, remap, *, exchange: str):
-    """Mention provenance follows a canonicalization merge: each
-    ``node_id`` becomes its keeper and the rows are re-reduced.
-    ``remap`` is the driver closure's ``{node_id: keeper}`` dict or the
-    distributed closure's ``(node_id, component_id)`` label dataset.
-    Returns ``(mentions, n_merged)``."""
-    s = pa.string()
-    if isinstance(remap, dict):
-        n_merged = len(remap)
-        remap = rd.from_arrow(pa.table({
-            "node_id": pa.array(list(remap), s),
-            "component_id": pa.array(list(remap.values()), s)}))
-    else:
-        n_merged = remap.map_batches(
-            lambda t: t.filter(pc.not_equal(t["node_id"], t["component_id"])),
-            batch_format="pyarrow").count()
-    if not n_merged:
-        return mentions, 0
-    joined = bucketed_join(
-        mentions, remap, left_key="node_id", right_key="node_id",
-        right_value_cols=["component_id"], how="left", exchange=exchange,
-        left_schema=MENTIONS_SCHEMA,
-        right_schema=pa.schema([("node_id", s), ("component_id", s)]))
-    return _keyed(joined.map_batches(_relabel, batch_format="pyarrow"),
-                  MENTION_KEY, reduce_mentions, exchange), n_merged
 
 
 # ------------------------------------------------------------ the one gate

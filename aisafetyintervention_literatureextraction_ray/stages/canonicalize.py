@@ -9,11 +9,12 @@ best-distance-per-pair (``merge.py:85-91``) -> top-n/threshold accept
 Differences by design (documented in SURVEY.md §2.7):
 
 * The reference builds ONE global usearch index in driver RAM
-  (``merge.py:77-79``).  Here candidate generation is a shuffle: nodes
-  are hashed into LSH bands/buckets and exact KNN runs per bucket inside
-  ``groupby(bucket).map_groups`` — no global state, scales with the
-  cluster.  ``exact`` mode (single bucket) reproduces the reference's
-  global-KNN candidate set for parity tests at small scale.
+  (``merge.py:77-79``).  Here candidate generation is a banded
+  similarity join: nodes are hashed into LSH bands/buckets and exact
+  KNN runs per bucket — no global state, and the buckets shuffle when
+  the node table is large.  ``exact`` mode (single bucket) reproduces
+  the reference's global-KNN candidate set for parity tests at small
+  scale.
 * The reference merges accepted pairs sequentially without transitive
   closure (``merge.py:107-109``), which is order-dependent.  We compute
   the union-find closure over the accepted-pair set (order-independent,
@@ -26,8 +27,9 @@ Differences by design (documented in SURVEY.md §2.7):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -68,33 +70,31 @@ def project_node_text(batch: pa.Table) -> pa.Table:
 
 # ------------------------------------------------------------ LSH bucketing
 
-class LSHBucketer:
-    """Random-hyperplane banding: explode each row into ``n_bands`` rows
-    keyed ``(band, bucket)``.  Rows sharing any band-bucket become KNN
-    candidates.  Actor state = the projection matrix (seeded, built once
-    per actor)."""
+@functools.lru_cache(maxsize=8)
+def _planes(dim: int, n_bands: int, planes_per_band: int,
+            seed: int) -> np.ndarray:
+    """The seeded random hyperplanes: a pure function of its arguments
+    (cached per worker process, never mutated)."""
+    planes = np.random.default_rng(seed).standard_normal(
+        (n_bands * planes_per_band, dim)).astype(np.float32)
+    planes.setflags(write=False)
+    return planes
 
-    def __init__(self, dim: int, n_bands: int = 8, planes_per_band: int = 6,
-                 seed: int = 42) -> None:
-        rng = np.random.default_rng(seed)
-        self.n_bands = n_bands
-        self.planes = rng.standard_normal(
-            (n_bands * planes_per_band, dim)).astype(np.float32)
-        self.ppb = planes_per_band
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        X = embeddings_to_numpy(batch.column("embedding")).astype(np.float32)
-        bits = (X @ self.planes.T) > 0  # (n, bands*ppb)
-        n = len(batch)
-        weights = (1 << np.arange(self.ppb, dtype=np.int64))
-        out = []
-        for band in range(self.n_bands):
-            chunk = bits[:, band * self.ppb: (band + 1) * self.ppb]
-            bucket = chunk @ weights + (np.int64(band) << 32)
-            t = batch.append_column("bucket", pa.array(bucket, type=pa.int64()))
-            out.append(t)
-        return pa.concat_tables(out) if n else batch.append_column(
-            "bucket", pa.array([], type=pa.int64()))
+def lsh_buckets(batch: pa.Table, *, dim: int, n_bands: int = 8,
+                planes_per_band: int = 6, seed: int = 42) -> pa.Table:
+    """Random-hyperplane banding: each row repeated once per band (all
+    rows of band 0 first) with a ``bucket`` column keyed ``(band,
+    bucket)``.  Rows sharing any band-bucket become KNN candidates."""
+    if not batch.num_rows:
+        return batch.append_column("bucket", pa.array([], pa.int64()))
+    X = embeddings_to_numpy(batch.column("embedding")).astype(np.float32)
+    planes = _planes(dim, n_bands, planes_per_band, seed)
+    bits = ((X @ planes.T) > 0).reshape(len(X), n_bands, planes_per_band)
+    bucket = (bits @ (1 << np.arange(planes_per_band, dtype=np.int64))
+              + (np.arange(n_bands, dtype=np.int64) << 32))
+    return batch.take(np.tile(np.arange(len(X)), n_bands)).append_column(
+        "bucket", pa.array(bucket.T.ravel(), type=pa.int64()))
 
 
 def constant_bucket(batch: pa.Table) -> pa.Table:
@@ -114,40 +114,39 @@ def make_pairgen(k: int = 40, id_col: str = "node_id",
     larger than ``max_group`` are processed in row-chunks against the
     whole group (bounded memory; full coverage, no silent truncation).
 
-    Takes Arrow groups (``batch_format="pyarrow"``): Ray promotes
-    uniform list columns to its tensor extension type after a shuffle,
-    and that type's chunked pandas conversion fails — Arrow in, pandas
-    out sidesteps it.
+    Takes and returns Arrow tables (``batch_format="pyarrow"``): Ray
+    promotes uniform list columns to its tensor extension type after a
+    shuffle, and that type's chunked pandas conversion fails.
     """
 
-    def pairgen(group: pa.Table) -> pd.DataFrame:
-        from .encode import embeddings_to_numpy
-
+    def pairgen(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        if n < 2:
-            # typed empty (same id dtype) so block schemas stay mergeable
-            return pd.DataFrame({"id_a": ids[:0], "id_b": ids[:0],
-                                 "distance": np.array([], dtype=np.float64)})
-        X = embeddings_to_numpy(group.column("embedding")).astype(np.float32)
+        col = group.column(id_col)
+        ids = col.to_numpy(zero_copy_only=False)
         rows_a, rows_b, dists = [], [], []
-        kk = min(k + 1, n)
-        for start in range(0, n, max_group):
-            chunk = X[start: start + max_group]
-            sims = chunk @ X.T  # vectors are L2-normalized upstream
-            # top-(k+1) per row, then drop self
-            idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-            for i in range(chunk.shape[0]):
-                gi = start + i
-                for j in idx[i]:
-                    if j == gi:
-                        continue
-                    a, b = (gi, j) if ids[gi] < ids[j] else (j, gi)
-                    rows_a.append(ids[a])
-                    rows_b.append(ids[b])
-                    dists.append(1.0 - float(sims[i, j]))
-        return pd.DataFrame({"id_a": rows_a, "id_b": rows_b,
-                             "distance": np.asarray(dists, dtype=np.float64)})
+        if n >= 2:
+            X = embeddings_to_numpy(group.column("embedding")).astype(np.float32)
+            kk = min(k + 1, n)
+            for start in range(0, n, max_group):
+                chunk = X[start: start + max_group]
+                sims = chunk @ X.T  # vectors are L2-normalized upstream
+                # top-(k+1) per row, then drop self
+                idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+                gi = np.repeat(np.arange(len(chunk)), kk)
+                j = idx.ravel()
+                keep = j != gi + start
+                gi, j = gi[keep], j[keep]
+                dists.append(1.0 - sims[gi, j].astype(np.float64))
+                gi = gi + start
+                lt = ids[gi] < ids[j]
+                rows_a.append(np.where(lt, gi, j))
+                rows_b.append(np.where(lt, j, gi))
+        a, b = (np.concatenate(r) if r else np.zeros(0, np.int64)
+                for r in (rows_a, rows_b))
+        return pa.table({
+            "id_a": col.take(a), "id_b": col.take(b),
+            "distance": pa.array(np.concatenate(dists) if dists
+                                 else np.zeros(0), pa.float64())})
 
     return pairgen
 
@@ -157,10 +156,11 @@ def make_pairgen(k: int = 40, id_col: str = "node_id",
 def union_find(pairs: list[tuple[str, str]]) -> dict[str, str]:
     """Transitive closure over accepted pairs -> {node_id: canon_id}.
 
-    Driver-side by design: accepted pairs are tiny relative to nodes
+    One process by design: accepted pairs are tiny relative to nodes
     (reference caps at top_n=30, ``merge.py:115``; threshold mode yields
-    |pairs| ~ O(dup rate * nodes), still << corpus).  Canon id = min id
-    in the component (deterministic, order-independent).
+    |pairs| ~ O(dup rate * nodes), still << corpus).  Only merged-away
+    ids are keys.  Canon id = min id in the component (deterministic,
+    order-independent).
     """
     parent: dict[str, str] = {}
 

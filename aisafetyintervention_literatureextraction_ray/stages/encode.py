@@ -1,23 +1,27 @@
-"""Embedding encoder stage (actor pool, deterministic hashing encoder).
+"""Embedding encoder kernel (stateless, deterministic hashing encoder).
 
 Replaces the reference's OpenAI Batch-API embedding round-trip
 (``merge.py:35-70``: write request JSONL -> upload -> 24h batch job ->
-poll -> parse vectors) with an inline actor-pool ``map_batches`` stage:
-vectors are just another column (``fixed_size_list<float32>``), never a
-driver-resident matrix (the reference holds all embeddings in driver
-RAM at ``merge.py:70`` — its scalability ceiling, SURVEY.md ST5).
+poll -> parse vectors) with one pure ``pa.Table -> pa.Table`` function
+that runs inside any ``map_batches`` task: vectors are just another
+column (``list<float32>``), never a driver-resident matrix (the
+reference holds all embeddings in driver RAM at ``merge.py:70`` — its
+scalability ceiling, SURVEY.md ST5).
 
 In-sandbox the encoder is a seeded feature-hashing model (dim 256
 instead of the reference's 1536, ``merge.py:43``): tokens are hashed to
 (index, sign) buckets, counts accumulated, L2-normalized.  Deterministic
 across processes, so entity-linking results are exactly reproducible.
-An LLM-backed encoder would swap only ``__init__`` (load model) and the
-vector math in ``_encode`` — the Ray plumbing is identical.
+A model-backed encoder would replace the vector math in ``encode``
+(loading its weights once per worker process through
+``functions/worker_state.py::process_cached``); the Ray plumbing stays
+the same.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 import numpy as np
 import pyarrow as pa
@@ -28,44 +32,24 @@ DEFAULT_DIM = 256
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-class HashingEncoder:
-    """``map_batches(HashingEncoder, concurrency=N)`` actor.
-
-    Adds an ``embedding`` column (list<float32>[dim]) computed from
-    ``text_col``.  Token -> (bucket, sign) assignments are cached in
-    actor state, so repeated vocabulary costs one crc32 each.
-    """
-
-    def __init__(self, text_col: str = "text", dim: int = DEFAULT_DIM) -> None:
-        self.text_col = text_col
-        self.dim = dim
-        self._cache: dict[str, tuple[int, float]] = {}
-
-    def _slot(self, token: str) -> tuple[int, float]:
-        slot = self._cache.get(token)
-        if slot is None:
-            h = int(crc32_tokens([token])[0])
-            slot = (h % self.dim, 1.0 if (h >> 31) & 1 else -1.0)
-            self._cache[token] = slot
-        return slot
-
-    def _encode(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            for tok in _TOKEN_RE.findall((text or "").lower()):
-                j, sign = self._slot(tok)
-                out[i, j] += sign
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column(self.text_col).to_pylist()
-        vecs = self._encode(texts)
-        emb = vectors_to_arrow(vecs)
-        if "embedding" in batch.column_names:
-            batch = batch.drop_columns(["embedding"])
-        return batch.append_column("embedding", emb)
+def encode(batch: pa.Table, *, dim: int = DEFAULT_DIM) -> pa.Table:
+    """Add an ``embedding`` column (list<float32>[dim]) computed from
+    ``text``: every token of the batch is crc32-hashed in one pass,
+    its (bucket, sign) counts are summed with one ``np.add.at``, and
+    each row is L2-normalized.  Sums of +-1 are exact in float32, so
+    the result does not depend on the summation order."""
+    toks = [_TOKEN_RE.findall((t or "").lower())
+            for t in batch.column("text").to_pylist()]
+    h = crc32_tokens(list(chain.from_iterable(toks))).astype(np.int64)
+    rows = np.repeat(np.arange(len(toks)), [len(t) for t in toks])
+    vecs = np.zeros((len(toks), dim), dtype=np.float32)
+    np.add.at(vecs, (rows, h % dim),
+              np.where((h >> 31) & 1, 1.0, -1.0).astype(np.float32))
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    np.divide(vecs, norms, out=vecs, where=norms > 0)
+    if "embedding" in batch.column_names:
+        batch = batch.drop_columns(["embedding"])
+    return batch.append_column("embedding", vectors_to_arrow(vecs))
 
 
 def vectors_to_arrow(vecs: np.ndarray) -> pa.ListArray:

@@ -279,7 +279,7 @@ def embedding_neardup_pairs(ds: rd.Dataset, *, id_col: str = "vec_id",
     import pyarrow.compute as pc
 
     from ..functions.agg import bucketed_group_map, hash_aggregate
-    from .canonicalize import LSHBucketer, constant_bucket, make_pairgen
+    from .canonicalize import constant_bucket, lsh_buckets, make_pairgen
 
     if dim is None:
         # prefer the SCHEMA (metadata-only on parquet reads): a
@@ -310,11 +310,9 @@ def embedding_neardup_pairs(ds: rd.Dataset, *, id_col: str = "vec_id",
         ds = ds.map_batches(constant_bucket, batch_format="pyarrow")
     else:
         ds = ds.map_batches(
-            LSHBucketer,
-            fn_constructor_kwargs={"dim": dim, "n_bands": n_bands,
-                                   "planes_per_band": planes_per_band},
-            batch_format="pyarrow", batch_size=4096, concurrency=(1, 4),
-        )
+            lsh_buckets, fn_kwargs={"dim": dim, "n_bands": n_bands,
+                                    "planes_per_band": planes_per_band},
+            batch_format="pyarrow")
     pairs = bucketed_group_map(ds, ["bucket"],
                                make_pairgen(k=k, id_col=id_col),
                                batch_format="pyarrow", min_group_size=2,

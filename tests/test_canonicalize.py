@@ -5,17 +5,24 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aisafetyintervention_literatureextraction_ray.pipelines import canonicalization
 from aisafetyintervention_literatureextraction_ray.pipelines.canonicalization import (
-    accept_pairs,
-    apply_merges,
+    accept,
     candidate_pairs,
+    merge,
 )
 from aisafetyintervention_literatureextraction_ray.stages.canonicalize import (
+    make_pairgen,
     project_node_text,
     union_find,
 )
-from aisafetyintervention_literatureextraction_ray.stages.encode import HashingEncoder
+from aisafetyintervention_literatureextraction_ray.stages.encode import (
+    encode,
+    vectors_to_arrow,
+)
 
 
 def _nodes_df():
@@ -62,22 +69,41 @@ def _nodes_df():
 PLANTED = {("n01", "n02"), ("n03", "n04"), ("n05", "n06")}
 
 
+def accept_pairs(pairs, **kw) -> pd.DataFrame:
+    """The accept kernel over a whole candidate-pair dataset."""
+    t = pa.Table.from_pandas(pairs.to_pandas(), preserve_index=False)
+    return accept(t, **kw).to_pandas()
+
+
+def _labels(accepted: pd.DataFrame) -> rd.Dataset:
+    """Accepted pairs -> the union-find loser labels as a dataset."""
+    remap = union_find(list(zip(accepted["id_a"], accepted["id_b"])))
+    return rd.from_pandas(pd.DataFrame({
+        "node_id": list(remap), "component_id": list(remap.values())}))
+
+
+def _as_dict(labels) -> dict:
+    """A remap dict, or a label dataset as the same dict."""
+    if isinstance(labels, dict):
+        return labels
+    df = labels.to_pandas()
+    return dict(zip(df["node_id"], df["component_id"]))
+
+
 @pytest.fixture(scope="module")
 def nodes_ds():
     return rd.from_pandas(_nodes_df())
 
 
 def test_exact_mode_finds_planted_pairs(nodes_ds):
-    pairs = candidate_pairs(nodes_ds, mode="exact", k=5,
-                            encoder_concurrency=(1, 2))
+    pairs = candidate_pairs(nodes_ds, mode="exact", k=5)
     accepted = accept_pairs(pairs, threshold=0.25, top_n=None)
     got = set(zip(accepted["id_a"], accepted["id_b"]))
     assert got == PLANTED
 
 
 def test_lsh_mode_finds_planted_pairs(nodes_ds):
-    pairs = candidate_pairs(nodes_ds, mode="lsh", k=5,
-                            encoder_concurrency=(1, 2))
+    pairs = candidate_pairs(nodes_ds, mode="lsh", k=5)
     accepted = accept_pairs(pairs, threshold=0.25, top_n=None)
     got = set(zip(accepted["id_a"], accepted["id_b"]))
     assert got == PLANTED  # high-cosine pairs collide in >=1 band whp
@@ -85,8 +111,7 @@ def test_lsh_mode_finds_planted_pairs(nodes_ds):
 
 def test_top_n_parity_mode(nodes_ds):
     """Reference parity: fixed top-n accepted pair list (merge.py:92)."""
-    pairs = candidate_pairs(nodes_ds, mode="exact", k=5,
-                            encoder_concurrency=(1, 2))
+    pairs = candidate_pairs(nodes_ds, mode="exact", k=5)
     accepted = accept_pairs(pairs, top_n=3)
     assert len(accepted) == 3
     assert set(zip(accepted["id_a"], accepted["id_b"])) == PLANTED
@@ -114,7 +139,8 @@ def test_apply_merges(nodes_ds):
     }))
     accepted = pd.DataFrame({"id_a": ["n01", "n03"], "id_b": ["n02", "n04"],
                              "distance": [0.1, 0.1]})
-    nodes2, edges2, remap = apply_merges(nodes_ds, edges, accepted)
+    nodes2, edges2, _ = merge(_labels(accepted), nodes_ds, edges,
+                              exchange="coalesce")
     ndf = nodes2.to_pandas()
     assert "n02" not in set(ndf["node_id"]) and "n04" not in set(ndf["node_id"])
     edf = edges2.to_pandas()
@@ -128,10 +154,9 @@ def test_apply_merges(nodes_ds):
 
 
 def test_encoder_determinism():
-    enc1, enc2 = HashingEncoder("text"), HashingEncoder("text")
     t = pa.table({"text": ["alpha beta gamma", "delta epsilon"]})
-    a = enc1(t).column("embedding").to_pylist()
-    b = enc2(t).column("embedding").to_pylist()
+    a = encode(t).column("embedding").to_pylist()
+    b = encode(t).column("embedding").to_pylist()
     assert a == b
     v = np.array(a[0])
     assert abs(np.linalg.norm(v) - 1.0) < 1e-5
@@ -149,30 +174,31 @@ def test_text_projection_skips_empty():
     assert out[1] == "name=y"
 
 
-def test_canonicalize_distributed_branch_matches_local(nodes_ds):
-    """driver_threshold=0 forces the DISTRIBUTED candidate path (shuffle
-    exchanges, no repartition(1)); it must produce the same accepted
-    pairs, remap and surviving nodes as the driver-local fast path."""
-    from aisafetyintervention_literatureextraction_ray.pipelines.canonicalization import (
-        canonicalize,
-    )
+def _edges():
+    return rd.from_pandas(pd.DataFrame({
+        "src_id": ["n02", "n20"], "pred": ["causes", "causes"],
+        "dst_id": ["n03", "n04"],
+        "subj": ["x", "x"], "obj": ["y", "y"],
+        "description": ["d1", "d2"], "confidence": [2, 3],
+        "n_provenance": [1, 1],
+    }))
 
-    def edges():
-        return rd.from_pandas(pd.DataFrame({
-            "src_id": ["n02", "n20"], "pred": ["causes", "causes"],
-            "dst_id": ["n03", "n04"],
-            "subj": ["x", "x"], "obj": ["y", "y"],
-            "description": ["d1", "d2"], "confidence": [2, 3],
-            "n_provenance": [1, 1],
-        }))
 
-    n_l, e_l, acc_l, remap_l = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=50_000)
-    n_d, e_d, acc_d, remap_d = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=0)
-    assert remap_l == remap_d
+def _canonicalize(nodes_ds, monkeypatch, node_limit):
+    """canonicalize() with its measured node gate forced by the limit."""
+    monkeypatch.setattr(canonicalization, "_LOCAL_NODE_LIMIT", node_limit)
+    return canonicalization.canonicalize(
+        nodes_ds, _edges(), mode="exact", k=5, top_n=None, threshold=0.25)
+
+
+def test_canonicalize_distributed_branch_matches_local(nodes_ds, monkeypatch):
+    """A node limit of 0 forces the DISTRIBUTED candidate path (stateless
+    tasks, shuffle exchanges); it must produce the same accepted pairs,
+    remap and surviving nodes as the one-task local placement."""
+    n_l, e_l, acc_l, remap_l = _canonicalize(nodes_ds, monkeypatch, 50_000)
+    n_d, e_d, acc_d, remap_d = _canonicalize(nodes_ds, monkeypatch, 0)
+    acc_d = acc_d.to_pandas()
+    assert remap_l == _as_dict(remap_d)
     assert (set(zip(acc_l["id_a"], acc_l["id_b"]))
             == set(zip(acc_d["id_a"], acc_d["id_b"])) == PLANTED)
     assert set(n_l.to_pandas()["node_id"]) == set(n_d.to_pandas()["node_id"])
@@ -183,11 +209,12 @@ def test_canonicalize_distributed_branch_matches_local(nodes_ds):
 
 
 def test_apply_merges_distributed_matches_broadcast(nodes_ds):
-    """The no-driver-closure / no-broadcast-remap path (distributed CC
-    labels + join-based rewire) produces the identical node and edge
-    tables as apply_merges on the same accepted pairs."""
-    from aisafetyintervention_literatureextraction_ray.pipelines.canonicalization import (
-        apply_merges_distributed,
+    """The bucketed merge (join-based loser drop and rewire, shuffle
+    re-reduce) produces the identical node and edge tables as the
+    one-task merge on the same distributed connected-components
+    labels."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        connected_components,
     )
 
     edges = rd.from_pandas(pd.DataFrame({
@@ -200,9 +227,10 @@ def test_apply_merges_distributed_matches_broadcast(nodes_ds):
     }))
     accepted = pd.DataFrame({"id_a": ["n01", "n03"], "id_b": ["n02", "n04"],
                              "distance": [0.1, 0.1]})
-    nodes_b, edges_b, _ = apply_merges(nodes_ds, edges, accepted)
-    nodes_d, edges_d, labels = apply_merges_distributed(
-        nodes_ds, edges, rd.from_pandas(accepted), num_buckets=4)
+    labels = connected_components(rd.from_pandas(accepted), driver_threshold=0,
+                                  num_buckets=4).materialize()
+    nodes_b, edges_b, _ = merge(labels, nodes_ds, edges, exchange="coalesce")
+    nodes_d, edges_d, _ = merge(labels, nodes_ds, edges, exchange="shuffle")
 
     nb = nodes_b.to_pandas().sort_values("node_id").reset_index(drop=True)
     nd = (nodes_d.to_pandas()[nb.columns]
@@ -220,29 +248,13 @@ def test_apply_merges_distributed_matches_broadcast(nodes_ds):
         "n01": "n01", "n02": "n01", "n03": "n03", "n04": "n03"}
 
 
-def test_canonicalize_distributed_closure_end_to_end(nodes_ds):
-    """closure='distributed' (dataset-valued accepted pairs, CC-label
-    closure, join rewire) matches the driver closure on the same
-    threshold run — the fully driver-free canonicalization path."""
-    from aisafetyintervention_literatureextraction_ray.pipelines.canonicalization import (
-        canonicalize,
-    )
-
-    def edges():
-        return rd.from_pandas(pd.DataFrame({
-            "src_id": ["n02", "n20"], "pred": ["causes", "causes"],
-            "dst_id": ["n03", "n04"],
-            "subj": ["x", "x"], "obj": ["y", "y"],
-            "description": ["d1", "d2"], "confidence": [2, 3],
-            "n_provenance": [1, 1],
-        }))
-
-    n_l, e_l, acc_l, _ = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=50_000)
-    n_d, e_d, acc_ds, labels = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=0, closure="distributed")
+def test_canonicalize_distributed_closure_end_to_end(nodes_ds, monkeypatch):
+    """Above the node limit (forced to 0) the accepted pairs stay a
+    dataset, the closure is connected components and the merge is
+    join-based; it matches the one-task closure on the same threshold
+    run — the fully driver-free canonicalization path."""
+    n_l, e_l, acc_l, _ = _canonicalize(nodes_ds, monkeypatch, 50_000)
+    n_d, e_d, acc_ds, labels = _canonicalize(nodes_ds, monkeypatch, 0)
 
     acc_d = acc_ds.to_pandas()
     assert (set(zip(acc_l["id_a"], acc_l["id_b"]))
@@ -255,36 +267,19 @@ def test_canonicalize_distributed_closure_end_to_end(nodes_ds):
         == ed[key + ["confidence", "n_provenance"]].to_numpy().tolist()
 
 
-def test_canonicalize_auto_closure_measured_gate(nodes_ds):
-    """closure='auto' (the default) must MEASURE the accepted-pair count
-    and pick the closure: under the limit it returns the driver
-    remap/DataFrame shape; with closure_pair_limit=0 it must route to
-    the distributed closure (dataset accepted pairs + CC labels) with
-    identical surviving nodes/edges — no opt-in flag anywhere."""
-    from aisafetyintervention_literatureextraction_ray.pipelines.canonicalization import (
-        canonicalize,
-    )
-
-    def edges():
-        return rd.from_pandas(pd.DataFrame({
-            "src_id": ["n02", "n20"], "pred": ["causes", "causes"],
-            "dst_id": ["n03", "n04"],
-            "subj": ["x", "x"], "obj": ["y", "y"],
-            "description": ["d1", "d2"], "confidence": [2, 3],
-            "n_provenance": [1, 1],
-        }))
-
-    # auto + small measured count -> driver closure (dict remap)
-    n_l, e_l, acc_l, remap_l = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=0, closure="auto")
+def test_canonicalize_auto_closure_measured_gate(nodes_ds, monkeypatch):
+    """The MEASURED node count picks the placement: under the limit
+    canonicalize returns the local remap/DataFrame shape; with a limit
+    of 0 it routes to the distributed closure (dataset accepted pairs +
+    CC labels) with identical surviving nodes/edges — no opt-in flag
+    anywhere."""
+    # small measured count -> the one-task closure (dict remap)
+    n_l, e_l, acc_l, remap_l = _canonicalize(nodes_ds, monkeypatch, 50_000)
     assert isinstance(remap_l, dict)
     assert set(zip(acc_l["id_a"], acc_l["id_b"])) == PLANTED
 
-    # auto + limit 0 -> distributed closure (dataset labels), same graph
-    n_d, e_d, acc_ds, labels = canonicalize(
-        nodes_ds, edges(), mode="exact", k=5, top_n=None, threshold=0.25,
-        driver_threshold=0, closure="auto", closure_pair_limit=0)
+    # limit 0 -> distributed closure (dataset labels), same graph
+    n_d, e_d, acc_ds, labels = _canonicalize(nodes_ds, monkeypatch, 0)
     assert not isinstance(labels, dict)
     acc_d = acc_ds.to_pandas()
     assert set(zip(acc_d["id_a"], acc_d["id_b"])) == PLANTED
@@ -294,3 +289,61 @@ def test_canonicalize_auto_closure_measured_gate(nodes_ds):
     ed = e_d.to_pandas().sort_values(key).reset_index(drop=True)
     assert el[key + ["confidence", "n_provenance"]].to_numpy().tolist() \
         == ed[key + ["confidence", "n_provenance"]].to_numpy().tolist()
+
+
+def test_canonicalize_nothing_to_merge_keeps_columns(monkeypatch):
+    """With no pair under the threshold the local placement still
+    returns the typed accepted-pair frame and an empty remap, and the
+    graph passes through unchanged."""
+    df = _nodes_df()
+    nodes = rd.from_pandas(df[df["node_id"] >= "n20"])
+    n2, e2, acc, remap = _canonicalize(nodes, monkeypatch, 50_000)
+    assert list(acc.columns) == ["id_a", "id_b", "distance"] and acc.empty
+    assert remap == {}
+    assert n2.count() == 4 and e2.count() == 2
+
+
+def _pairgen_loop(group: pa.Table, k: int, max_group: int) -> pd.DataFrame:
+    """The per-neighbour loop the vectorized pairgen replaced."""
+    ids = group.column("node_id").to_numpy(zero_copy_only=False)
+    n = group.num_rows
+    rows_a, rows_b, dists = [], [], []
+    if n >= 2:
+        X = np.array(group.column("embedding").to_pylist(), np.float32)
+        kk = min(k + 1, n)
+        for start in range(0, n, max_group):
+            chunk = X[start: start + max_group]
+            sims = chunk @ X.T
+            idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+            for i in range(chunk.shape[0]):
+                gi = start + i
+                for j in idx[i]:
+                    if j == gi:
+                        continue
+                    a, b = (gi, j) if ids[gi] < ids[j] else (j, gi)
+                    rows_a.append(ids[a])
+                    rows_b.append(ids[b])
+                    dists.append(1.0 - float(sims[i, j]))
+    return pd.DataFrame({"id_a": pd.Series(rows_a, dtype=object),
+                         "id_b": pd.Series(rows_b, dtype=object),
+                         "distance": np.asarray(dists, dtype=np.float64)})
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       n_dups=st.integers(0, 20), k=st.sampled_from([0, 1, 5, 40]),
+       max_group=st.sampled_from([4, 8192]))
+@settings(max_examples=150, deadline=None)
+def test_pairgen_matches_loop_reference(seed, n, n_dups, k, max_group):
+    """Random unit embeddings with duplicated vectors (exact-tie
+    similarities), any k and chunk size: the vectorized pairgen emits
+    the loop's frame, row for row."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 8)).astype(np.float32)
+    if n > 1:
+        X[rng.integers(0, n, n_dups)] = X[n - 1]
+    X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-9)
+    t = pa.table({"node_id": pa.array([f"n{i:02d}" for i in rng.permutation(n)],
+                                      pa.string()),
+                  "embedding": vectors_to_arrow(X)})
+    got = make_pairgen(k=k, max_group=max_group)(t).to_pandas()
+    pd.testing.assert_frame_equal(got, _pairgen_loop(t, k, max_group))

@@ -255,3 +255,44 @@ def test_top_component_energy_exact_at_fp_bound(tmp_path):
                                    "n_vecs": [n]}
     assert _canon(got) == _canon(
         _oracle_on(sf, "embedding_top_component_energy"))
+
+
+def test_promo_and_idle_queries_match_oracle_on_edge_rows(tmp_path):
+    """A window lineitem whose part does not exist, and a balance of
+    0.004 (positive, yet 0 cents): promo_revenue_share must leave the
+    orphan out of its total as the oracle's INNER join does, and
+    idle_rich_customers must count the tiny balance in its positive
+    stats as the oracle's raw ``c_acctbal > 0.0`` does."""
+    import datetime as dt
+
+    import pyarrow as pa
+
+    from aisafetyintervention_literatureextraction_ray import (
+        driver_queries as dq,
+    )
+
+    ts = pa.timestamp("us")
+    day = dt.datetime(1997, 6, 1)
+    sf = _tmp_sf(
+        tmp_path,
+        part=pa.table({"p_partkey": pa.array([1, 2], pa.int64()),
+                       "p_type": [dq._Q8_PTYPE, "STANDARD"]}),
+        lineitem=pa.table({
+            "l_partkey": pa.array([1, 2, 99], pa.int64()),
+            "l_shipdate": pa.array([day] * 3, ts),
+            "l_extendedprice": [100.0, 300.0, 1000.0],
+            "l_discount": [0.0, 0.0, 0.0]}),
+        customer=pa.table({
+            "c_custkey": pa.array([1, 2, 3, 4], pa.int64()),
+            "c_nationkey": pa.array([0, 0, 1, 1], pa.int32()),
+            "c_acctbal": [0.004, 30.0, 50.0, -5.0]}),
+        orders=pa.table({"o_custkey": pa.array([4], pa.int64()),
+                         "o_orderdate": pa.array([dt.datetime(2001, 1, 1)],
+                                                 ts)}),
+        nation=pa.table({"n_nationkey": pa.array([0, 1], pa.int32()),
+                         "n_name": ["ALGERIA", "ARGENTINA"]}))
+    for name in ("promo_revenue_share", "idle_rich_customers"):
+        got = _to_pandas(dq.QUERIES[name](sf))
+        exp = _oracle_on(sf, name)
+        assert sorted(got.columns) == sorted(exp.columns), name
+        assert _canon(got) == _canon(exp), (name, got, exp)

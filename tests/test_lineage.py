@@ -180,45 +180,160 @@ def test_run_graph_build_shuffle_path_matches_broadcast(run_dir):
         assert sorted(map(tuple, bb)) == sorted(map(tuple, ss)), t
 
 
-def test_run_graph_build_distributed_closure_matches_driver(run_dir):
-    """Forcing the measured closure gate to the distributed side
-    (closure_pair_limit=0, canon_driver_threshold=0) must produce the
-    same merged graph (nodes/edges/mentions) and merge count as the
-    default driver-closure route — VERDICT r3 #2: the default pipeline
-    reaches apply_merges_distributed purely from measurement."""
+def _graph_snapshot(run_dir) -> dict:
+    out = {}
+    for t, keys in (("nodes", ["node_id"]),
+                    ("edges", ["src_id", "pred", "dst_id"]),
+                    ("mentions", ["doc_id", "node_id"])):
+        out[t] = (pads.dataset(Path(run_dir) / "graph" / t).to_table()
+                  .to_pandas().sort_values(keys).reset_index(drop=True))
+    return out
+
+
+def _assert_same_graph(a: dict, b: dict) -> None:
+    for t in ("nodes", "edges", "mentions"):
+        assert sorted(a[t].columns) == sorted(b[t].columns)
+        cols = sorted(a[t].columns)
+        aa = a[t][cols].astype(str).to_numpy().tolist()
+        bb = b[t][cols].astype(str).to_numpy().tolist()
+        assert sorted(map(tuple, aa)) == sorted(map(tuple, bb)), t
+
+
+def test_run_graph_build_distributed_closure_matches_driver(run_dir,
+                                                            monkeypatch):
+    """Forcing the measured canonicalization gate to the distributed
+    side (a node limit of 0) must produce the same merged graph
+    (nodes/edges/mentions) and merge count as the default one-task
+    closure — the default pipeline reaches the distributed closure
+    purely from measurement."""
+    from aisafetyintervention_literatureextraction_ray.pipelines import (
+        canonicalization,
+    )
     from aisafetyintervention_literatureextraction_ray.pipelines.full import (
         run_graph_build,
     )
 
     run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
 
-    def snap():
-        out = {}
-        for t, keys in (("nodes", ["node_id"]),
-                        ("edges", ["src_id", "pred", "dst_id"]),
-                        ("mentions", ["doc_id", "node_id"])):
-            df = (pads.dataset(Path(run_dir) / "graph" / t).to_table()
-                  .to_pandas().sort_values(keys).reset_index(drop=True))
-            out[t] = df
-        return out
-
     kw = dict(canonicalize_mode="exact", threshold=0.6)
     r_drv = run_graph_build(run_dir, **kw)
-    driver = snap()
-    r_dst = run_graph_build(run_dir, canon_driver_threshold=0,
-                            closure_pair_limit=0, **kw)
-    dist = snap()
+    driver = _graph_snapshot(run_dir)
+    monkeypatch.setattr(canonicalization, "_LOCAL_NODE_LIMIT", 0)
+    r_dst = run_graph_build(run_dir, **kw)
+    dist = _graph_snapshot(run_dir)
+    assert (r_drv["canon_exchange"], r_dst["canon_exchange"]) == (
+        "coalesce", "shuffle")
     assert r_drv["n_merged"] > 0  # the gate must be exercised, not idle
     assert r_drv["n_merged"] == r_dst["n_merged"]
     assert r_drv["n_nodes"] == r_dst["n_nodes"]
     assert r_drv["n_edges"] == r_dst["n_edges"]
-    for t in ("nodes", "edges", "mentions"):
-        b, s = driver[t], dist[t]
-        assert sorted(b.columns) == sorted(s.columns)
-        cols = sorted(b.columns)
-        bb = b[cols].astype(str).to_numpy().tolist()
-        ss = s[cols].astype(str).to_numpy().tolist()
-        assert sorted(map(tuple, bb)) == sorted(map(tuple, ss)), t
+    _assert_same_graph(driver, dist)
+
+
+def test_run_graph_build_top_n_canonical_placements_agree(run_dir,
+                                                          monkeypatch):
+    """Reference-parity top-n canonicalization gives the same nodes,
+    edges, mentions and merge count on the default placement as on
+    the forced-distributed one (the build's triple limit and the node
+    limit both 0)."""
+    from aisafetyintervention_literatureextraction_ray.pipelines import (
+        canonicalization,
+    )
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_graph_build,
+    )
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    kw = dict(canonicalize_mode="exact", top_n=30)
+    r_loc = run_graph_build(run_dir, **kw)
+    local = _graph_snapshot(run_dir)
+    monkeypatch.setattr(canonicalization, "_LOCAL_NODE_LIMIT", 0)
+    r_dst = run_graph_build(run_dir, local_triple_limit=0, **kw)
+    dist = _graph_snapshot(run_dir)
+    assert (r_loc["exchange"], r_dst["exchange"]) == ("coalesce", "shuffle")
+    assert r_loc["n_merged"] > 0
+    assert r_loc["n_merged"] == r_dst["n_merged"]
+    _assert_same_graph(local, dist)
+
+
+def test_run_graph_build_merge_exchange_follows_build_gate(run_dir,
+                                                           monkeypatch):
+    """A build above its triple limit whose node table is small still
+    shuffles every keyed step after the canonicalization merge: the
+    merge takes the build gate's exchange, not the node gate's."""
+    from aisafetyintervention_literatureextraction_ray.functions import agg
+    from aisafetyintervention_literatureextraction_ray.pipelines import (
+        graph_build,
+    )
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_graph_build,
+    )
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    steps = []
+    real = agg.bucketed_apply
+
+    def spy(ds, keys, fn, **kw):
+        steps.append((tuple(keys), kw.get("exchange", "shuffle")))
+        return real(ds, keys, fn, **kw)
+
+    monkeypatch.setattr(agg, "bucketed_apply", spy)
+    monkeypatch.setattr(graph_build, "bucketed_apply", spy)
+    r = run_graph_build(run_dir, local_triple_limit=0,
+                        canonicalize_mode="exact", threshold=0.6)
+    assert r["exchange"] == "shuffle" and r["n_merged"] > 0
+    edge_steps = [s for s in steps if s[0] == tuple(graph_build.EDGE_KEY)]
+    assert len(edge_steps) == 2  # the build's edge reduce + the merge's
+    assert {ex for _, ex in steps} == {"shuffle"}, steps
+
+
+def test_local_canonicalization_no_driver_gather(run_dir, monkeypatch):
+    """On the local placement canonicalization runs as Ray tasks over
+    object refs: no table reaches the driver through ``ray.get`` and
+    nothing is ``ray.put`` while the labels and the merge are
+    computed."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    from aisafetyintervention_literatureextraction_ray.pipelines import full
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    active, gathered, puts = [], [], []
+    real_get, real_put = ray.get, ray.put
+
+    def watched(fn):
+        def run(*a, **kw):
+            active.append(fn.__name__)
+            try:
+                return fn(*a, **kw)
+            finally:
+                active.pop()
+        return run
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        if active:
+            gathered.extend(x for x in (out if isinstance(out, list)
+                                        else [out])
+                            if isinstance(x, (pa.Table, pd.DataFrame)))
+        return out
+
+    def put(value, *a, **kw):
+        if active:
+            puts.append(type(value))
+        return real_put(value, *a, **kw)
+
+    monkeypatch.setattr(full, "canonical_labels",
+                        watched(full.canonical_labels))
+    monkeypatch.setattr(full, "merge", watched(full.merge))
+    monkeypatch.setattr(ray, "get", get)
+    monkeypatch.setattr(ray, "put", put)
+    r = full.run_graph_build(run_dir, canonicalize_mode="exact",
+                             threshold=0.6)
+    assert (r["exchange"], r["canon_exchange"]) == ("coalesce", "coalesce")
+    assert r["n_merged"] > 0
+    assert not gathered and not puts, (gathered, puts)
 
 
 def _entity_free_part(pid):
