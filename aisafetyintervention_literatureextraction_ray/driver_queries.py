@@ -1086,20 +1086,17 @@ def _candidate_texts_ref(docs: rd.Dataset, cands: rd.Dataset,
 def minhash_neardup_pairs(sf_dir: str):
     """MinHash+LSH candidate generation + exact n-gram-Jaccard verify.
 
-    Candidates (estimated jaccard >= 0.8 from signatures) are verified
+    Candidates (estimated jaccard >= 0.8 from signatures, placed by the
+    one measured near-dup gate of ``stages/dedup.py``) are verified
     with the TRUE trigram Jaccard via a broadcast of ONLY the candidate
     ids' text (semi-join — see ``_candidate_texts_ref``); only j >= 0.99
     (the planted exact dups) survive, which makes the result
-    SQL-checkable.  At a scale where even candidates are numerous, the
-    same verify becomes two ``Dataset.join`` on doc_id (the pattern
-    ``pairs_from_signatures`` implements); the candidate shuffle is
-    unchanged.
+    SQL-checkable.
     """
     from .stages.dedup import minhash_dedup_pairs, ngram_jaccard
 
     ds = _docs_with_planted_dups(sf_dir)
-    cands = minhash_dedup_pairs(ds, jaccard_threshold=0.8,
-                                concurrency=(1, 4)).materialize()
+    cands = minhash_dedup_pairs(ds, jaccard_threshold=0.8).materialize()
     texts_ref = _candidate_texts_ref(ds, cands)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -1137,8 +1134,7 @@ def simhash_neardup_pairs(sf_dir: str):
     from .stages.dedup import simhash_dedup_pairs
 
     ds = _docs_with_planted_dups(sf_dir)
-    cands = simhash_dedup_pairs(ds, max_hamming=2,
-                                concurrency=(1, 4)).materialize()
+    cands = simhash_dedup_pairs(ds, max_hamming=2).materialize()
     texts_ref = _candidate_texts_ref(ds, cands)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -1202,8 +1198,7 @@ def ngram_neardup_pairs(sf_dir: str):
         })
 
     both = ds.union(ds.map_batches(clone, batch_format="pyarrow"))
-    cands = minhash_dedup_pairs(both, jaccard_threshold=0.35,
-                                concurrency=(1, 4)).materialize()
+    cands = minhash_dedup_pairs(both, jaccard_threshold=0.35).materialize()
     texts_ref = _candidate_texts_ref(both, cands)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:

@@ -66,6 +66,15 @@ def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
     return batch.append_column(col, pa.array(bucket, type=pa.int64()))
 
 
+def few_blocks(ds: rd.Dataset) -> rd.Dataset:
+    """At most ``default_num_buckets()`` blocks into an exchange.  Ray's
+    sort shuffle cuts every input block into one piece per input block,
+    but only ``num_buckets`` groups exist: more blocks multiply the
+    pieces without adding reduce parallelism (and a whole bucket has to
+    fit one task anyway)."""
+    return ds.repartition(default_num_buckets())
+
+
 def measured_exchange(n_rows_bound: int | None, *,
                       threshold: int = 2_000_000) -> str:
     """Exchange choice from a MEASURED upper bound on the partial key
@@ -152,7 +161,7 @@ def bucketed_apply(ds: rd.Dataset, keys: list[str],
     bucket (not per key group).  All rows sharing a key land in the same
     bucket, so ``fn`` can implement co-grouped semantics vectorized —
     this is the primitive behind the engine's partitioned hash join
-    (``stages/dedup.py pairs_from_signatures``).
+    (``bucketed_join``).
 
     ``exchange="coalesce"`` skips the groupby machinery and applies
     ``fn`` to everything as one block inside a worker task (NOT on the

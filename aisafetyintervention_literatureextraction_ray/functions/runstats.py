@@ -1,7 +1,7 @@
 """Loud truncation accounting for capped operators (VERDICT r3 #3).
 
-Group caps (``all_pairs``'s bucket cap, the MinHash/SimHash verifier
-``max_group``) keep quadratic candidate generation bounded on
+Group caps (``stages/dedup.py::bucket_pairs``'s band bucket cap, the
+SimHash ``max_group``) keep quadratic candidate generation bounded on
 boilerplate-heavy corpora, but a silently-capped run reads as full
 coverage.  Per the no-silent-caps rule, every truncation is reported:
 

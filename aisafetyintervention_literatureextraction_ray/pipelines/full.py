@@ -34,6 +34,7 @@ from ..schemas import (
     EDGES_SCHEMA,
     EXTRACTION_SCHEMA,
     MENTIONS_SCHEMA,
+    NEARDUP_SCHEMA,
     NODES_SCHEMA,
     TRIPLES_SCHEMA,
 )
@@ -284,30 +285,32 @@ def run_full(
 
 def run_doc_neardup(out_dir: str | Path, *, jaccard_threshold: float = 0.9,
                     num_bands: int = 8) -> dict:
-    """Document-level near-dup detection from the MinHash signatures the
-    extraction pass already computed: band -> bucket -> verify -> pairs
-    parquet (a first-class training-data-pipeline artifact)."""
-    from ..stages.dedup import pairs_from_signatures
+    """Document-level near-dup pairs ``(id_a, id_b, jaccard)`` from the
+    MinHash signatures the extraction pass already computed, written to
+    ``neardup_pairs/`` (typed-empty when there are none).
+
+    ``stages/dedup.py::run_dir_pairs`` places the LSH chain from the
+    signature row count in the parquet metadata: one task that reads
+    ``extractions/`` itself, or bucketed exchanges above the limit.  The
+    result and the manifest row record that gate (``sigs_in``,
+    ``sig_limit``, ``exchange``) and any band-bucket truncation, so a
+    capped run is distinguishable from full coverage."""
+    from ..functions.runstats import truncation_stats
+    from ..stages.dedup import run_dir_pairs
 
     out = Path(out_dir)
     manifest = Manifest(out)
     t0 = time.time()
-    sigs = rd.read_parquet(str(out / "extractions"),
-                           columns=["doc_id", "minhash_sig"])
-    pairs = pairs_from_signatures(sigs, jaccard_threshold=jaccard_threshold,
-                                  num_bands=num_bands)
+    pairs, gate = run_dir_pairs(str(out), jaccard_threshold=jaccard_threshold,
+                                num_bands=num_bands)
     dest = out / "neardup_pairs"
     with atomic_dir(dest) as tmp:
-        pairs.write_parquet(str(tmp))
+        _write(pairs, tmp, NEARDUP_SCHEMA)
     n_pairs = pads.dataset(dest).count_rows()
     wall = time.time() - t0
-    # no-silent-caps: any band-bucket truncation during this stage is
-    # recorded in the run metrics + manifest, so a capped run is
-    # distinguishable from full coverage in the lineage itself
-    from ..functions.runstats import truncation_stats
-
     trunc = truncation_stats(reset=True)
     manifest.mark("doc_neardup", 0, n_rows=n_pairs, checksum=f"{n_pairs}p",
                   wall_time_s=wall,
-                  extra={"truncations": trunc} if trunc else None)
-    return {"n_pairs": n_pairs, "wall_time_s": wall, "truncations": trunc}
+                  extra={**gate, **({"truncations": trunc} if trunc else {})})
+    return {"n_pairs": n_pairs, "wall_time_s": wall, "truncations": trunc,
+            **gate}

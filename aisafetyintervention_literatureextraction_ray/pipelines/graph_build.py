@@ -52,7 +52,7 @@ import ray.data as rd
 from ..functions.agg import (
     bucketed_apply,
     bucketed_join,
-    default_num_buckets,
+    few_blocks,
     measured_exchange,
 )
 from ..functions.explode import explode_nodes
@@ -208,21 +208,12 @@ def reduce_mentions(t: pa.Table) -> pa.Table:
 
 # ------------------------------------------------------ bucketed placement
 
-def _few_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """At most ``num_buckets`` blocks into an exchange.  Ray's sort
-    shuffle cuts every input block into one piece per input block, but
-    only ``num_buckets`` groups exist: more blocks multiply the pieces
-    without adding reduce parallelism (and a whole bucket has to fit
-    one task anyway)."""
-    return ds.repartition(default_num_buckets())
-
-
 def _keyed(ds: rd.Dataset, keys: list[str], kernel,
            exchange: str = "shuffle") -> rd.Dataset:
     """``kernel`` once per block (partial), then once per key bucket."""
     partial = ds.map_batches(kernel, batch_format="pyarrow")
     if exchange == "shuffle":
-        partial = _few_blocks(partial)
+        partial = few_blocks(partial)
     return bucketed_apply(partial, keys, kernel, batch_format="pyarrow",
                           exchange=exchange)
 
@@ -248,7 +239,7 @@ def _link(triples: rd.Dataset, index: rd.Dataset):
     s = pa.string()
     schema = pa.schema([TRIPLES_SCHEMA.field(c) for c in _TRIPLE_COLS]
                        + [("subj_norm", s), ("obj_norm", s)])
-    t = _few_blocks(triples.map_batches(_with_norms, batch_format="pyarrow"))
+    t = few_blocks(triples.map_batches(_with_norms, batch_format="pyarrow"))
     for key, col in _ENDPOINTS:
         t = bucketed_join(
             t, index.map_batches(_index_side, fn_args=(col,),

@@ -159,6 +159,15 @@ MENTIONS_SCHEMA = pa.schema(
     ]
 )
 
+# document near-dup pairs (neardup_pairs/), id_a < id_b
+NEARDUP_SCHEMA = pa.schema(
+    [
+        pa.field("id_a", pa.string()),
+        pa.field("id_b", pa.string()),
+        pa.field("jaccard", pa.float64()),
+    ]
+)
+
 GOLDEN_TRIPLES_SCHEMA = pa.schema(
     [
         pa.field("doc_id", pa.string()),

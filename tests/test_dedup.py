@@ -46,8 +46,7 @@ def test_exact_dedup(ds):
 
 
 def test_minhash_pairs(ds):
-    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.5,
-                                concurrency=(1, 2)).to_pandas()
+    pairs = minhash_dedup_pairs(ds, jaccard_threshold=0.5).to_pandas()
     got = set(map(tuple, pairs[["id_a", "id_b"]].itertuples(index=False)))
     assert ("dup_a", "dup_b") in got
     exact = pairs[(pairs.id_a == "dup_a") & (pairs.id_b == "dup_b")]
@@ -58,8 +57,7 @@ def test_minhash_pairs(ds):
 
 
 def test_simhash_pairs(ds):
-    pairs = simhash_dedup_pairs(ds, max_hamming=3,
-                                concurrency=(1, 2)).to_pandas()
+    pairs = simhash_dedup_pairs(ds, max_hamming=3).to_pandas()
     got = set(map(tuple, pairs[["id_a", "id_b"]].itertuples(index=False)))
     assert ("dup_a", "dup_b") in got
     ham = pairs[(pairs.id_a == "dup_a") & (pairs.id_b == "dup_b")]["hamming"]
@@ -68,7 +66,7 @@ def test_simhash_pairs(ds):
 
 
 def test_minhash_estimate_tracks_true_jaccard():
-    mh = MinHasher(num_perm=128, num_bands=16)
+    mh = MinHasher(num_perm=128)
     a, b = BASE, BASE.replace("lazy", "sleepy")
     sig_a, sig_b = mh.signature(a), mh.signature(b)
     est = float((sig_a == sig_b).mean())
@@ -89,14 +87,14 @@ def test_ngram_jaccard_bounds():
 
 
 def test_pairs_from_signatures_distributed_join():
-    """Planted dup is found via the band -> semi-join -> Dataset.join
-    verify path; empty and ragged signatures are dropped, not fatal."""
+    """Planted dup is found via the band -> bucket pairs -> score
+    chain; empty and ragged signatures are dropped, not fatal."""
     from aisafetyintervention_literatureextraction_ray.stages.dedup import (
         MinHasher,
         pairs_from_signatures,
     )
 
-    mh = MinHasher(num_perm=32, num_bands=8)
+    mh = MinHasher(num_perm=32)
     texts = {f"u{i:02d}": " ".join(f"w{i}_{j}" for j in range(40))
              for i in range(20)}
     texts["dup_a"] = BASE
@@ -110,7 +108,7 @@ def test_pairs_from_signatures_distributed_join():
     rows.append({"doc_id": "ragged", "minhash_sig": [1, 2, 3]})
     ds = rd.from_pandas(pd.DataFrame(rows))
     out = pairs_from_signatures(ds, jaccard_threshold=0.9,
-                                num_bands=8).to_pandas()
+                                num_bands=8, num_perm=32).to_pandas()
     got = set(map(tuple, out[["id_a", "id_b"]].itertuples(index=False)))
     assert ("dup_a", "dup_b") in got
     assert out.set_index(["id_a", "id_b"]).loc[("dup_a", "dup_b"),
@@ -138,12 +136,27 @@ def test_simhash_oversized_bucket_capped():
     n, cap = 300, 64
     texts = ["identical boilerplate text shared by every single row"] * n
     ds = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(n), "text": texts}))
-    pairs = simhash_dedup_pairs(ds, max_hamming=2, max_group=cap,
-                                concurrency=(1, 2)).to_pandas()
+    pairs = simhash_dedup_pairs(ds, max_hamming=2,
+                                max_group=cap).to_pandas()
     # only pairs among the `cap` lowest doc_ids survive the truncation
     assert len(pairs) == cap * (cap - 1) // 2
     assert int(pairs[["id_a", "id_b"]].to_numpy().max()) < cap
     assert (pairs["hamming"] == 0).all()
+
+
+def test_neardup_starts_no_map_actor(ds):
+    """MinHash and SimHash signatures are stateless tasks over a
+    per-process hasher: the near-dup functions start no actor pool."""
+    from ray._private.state import actors
+
+    def map_workers():
+        return sum("MapWorker" in a.get("ActorClassName", "")
+                   for a in actors().values())
+
+    before = map_workers()
+    assert minhash_dedup_pairs(ds, jaccard_threshold=0.5).count() > 0
+    assert simhash_dedup_pairs(ds, max_hamming=3).count() > 0
+    assert map_workers() == before
 
 
 def test_exact_dedup_exchange_is_physical_choice(ds):
@@ -158,16 +171,17 @@ def test_exact_dedup_exchange_is_physical_choice(ds):
     assert run(exchange="coalesce").equals(run(exchange="shuffle"))
 
 
-def test_pairs_from_signatures_join_branch_matches_broadcast():
-    """broadcast_limit is a physical exchange choice only: forcing the
-    bucketed_join semi-filter (limit=0) must produce exactly the pairs
-    of the broadcast is_in path on a planted-boilerplate corpus."""
+def test_pairs_from_signatures_join_branch_matches_broadcast(monkeypatch):
+    """The signature limit is a physical placement choice only: forcing
+    the bucketed placement (limit -1) must produce exactly the pairs of
+    the one-task placement on a planted-boilerplate corpus."""
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
     from aisafetyintervention_literatureextraction_ray.stages.dedup import (
         MinHasher,
         pairs_from_signatures,
     )
 
-    mh = MinHasher(num_perm=32, num_bands=8)
+    mh = MinHasher(num_perm=32)
     texts = {f"u{i:02d}": " ".join(f"w{i}_{j}" for j in range(40))
              for i in range(15)}
     for i in range(6):  # boilerplate clones that force many candidates
@@ -180,12 +194,13 @@ def test_pairs_from_signatures_join_branch_matches_broadcast():
          for i, s in zip(ids, sigs)]))
 
     def run(limit):
+        monkeypatch.setattr(dedup, "_LOCAL_SIG_LIMIT", limit)
         out = pairs_from_signatures(ds, jaccard_threshold=0.9, num_bands=8,
-                                    broadcast_limit=limit).to_pandas()
+                                    num_perm=32).to_pandas()
         return (out.sort_values(["id_a", "id_b"])
                 .reset_index(drop=True)[["id_a", "id_b", "jaccard"]])
 
-    bc, jn = run(250_000), run(0)
+    bc, jn = run(2_000_000), run(-1)
     assert len(bc) == 6 * 5 // 2  # all-pairs among the clones
     assert bc.equals(jn)
 
@@ -203,8 +218,7 @@ def test_truncation_is_reported_not_silent():
     n, cap = 200, 64
     texts = ["identical boilerplate text shared by every single row"] * n
     ds = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(n), "text": texts}))
-    simhash_dedup_pairs(ds, max_hamming=2, max_group=cap,
-                        concurrency=(1, 2)).to_pandas()
+    simhash_dedup_pairs(ds, max_hamming=2, max_group=cap).to_pandas()
     # the counter actor is async fire-and-forget; give it a beat
     import time
 

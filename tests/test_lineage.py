@@ -382,6 +382,99 @@ def test_run_graph_build_empty_corpus(run_dir, limit, exchange):
         assert (row["n_rows"], row["n_nodes"]) == (0, 0)
 
 
+def test_doc_neardup_no_pairs_writes_typed_empty(run_dir):
+    """A corpus without near-dups leaves a typed-empty neardup_pairs/,
+    not a directory without a schema."""
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_doc_neardup,
+    )
+    from aisafetyintervention_literatureextraction_ray.schemas import (
+        NEARDUP_SCHEMA,
+    )
+
+    run_partitioned_extraction(make_part, P, run_dir, concurrency=(1, 2))
+    assert run_doc_neardup(run_dir)["n_pairs"] == 0
+    ds = pads.dataset(Path(run_dir) / "neardup_pairs")
+    assert ds.count_rows() == 0
+    assert ds.schema.remove_metadata() == NEARDUP_SCHEMA
+
+
+@pytest.mark.parametrize("limit,exchange", [(2_000_000, "coalesce"),
+                                            (-1, "shuffle")])
+def test_doc_neardup_placements_record_gate(run_dir, monkeypatch, limit,
+                                            exchange):
+    """Both placements of the near-dup gate (a limit below any count,
+    -1, forces the bucketed one) find the same pairs, and the result and
+    the manifest row record the measured count, the limit and the
+    exchange."""
+    from aisafetyintervention_literatureextraction_ray.pipelines.full import (
+        run_doc_neardup,
+    )
+    from aisafetyintervention_literatureextraction_ray.schemas import (
+        NEARDUP_SCHEMA,
+    )
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
+
+    # 2 partitions x 3 docs of one text: 15 pairs of jaccard 1.0
+    run_partitioned_extraction(_entity_free_part, 2, run_dir,
+                               concurrency=(1, 2))
+    monkeypatch.setattr(dedup, "_LOCAL_SIG_LIMIT", limit)
+    r = run_doc_neardup(run_dir)
+    gate = {"sigs_in": 6, "sig_limit": limit, "exchange": exchange}
+    assert {k: r[k] for k in gate} == gate and r["n_pairs"] == 15
+    (row,) = Manifest(run_dir).completed("doc_neardup").values()
+    assert {k: row[k] for k in gate} == gate and row["n_rows"] == 15
+    t = pads.dataset(Path(run_dir) / "neardup_pairs").to_table()
+    assert t.schema.remove_metadata() == NEARDUP_SCHEMA
+    ids = sorted(f"plain_{p}_{i}" for p in range(2) for i in range(3))
+    assert sorted(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist(),
+                      t["jaccard"].to_pylist())) == [
+        (a, b, 1.0) for k, a in enumerate(ids) for b in ids[k + 1:]]
+
+
+def test_local_doc_neardup_no_driver_gather(run_dir, monkeypatch):
+    """On the local placement near-dup runs as one Ray task that reads
+    the signatures itself: outside the sink's own write, no table
+    reaches the driver through ``ray.get`` and nothing is ``ray.put``."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    from aisafetyintervention_literatureextraction_ray.pipelines import full
+
+    run_partitioned_extraction(_entity_free_part, 2, run_dir,
+                               concurrency=(1, 2))
+    writing, gathered, puts = [], [], []
+    real_get, real_put, real_write = ray.get, ray.put, full._write
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        if not writing:
+            gathered.extend(x for x in (out if isinstance(out, list)
+                                        else [out])
+                            if isinstance(x, (pa.Table, pd.DataFrame)))
+        return out
+
+    def put(value, *a, **kw):
+        if not writing:
+            puts.append(type(value))
+        return real_put(value, *a, **kw)
+
+    def write(*a, **kw):
+        writing.append(1)
+        try:
+            return real_write(*a, **kw)
+        finally:
+            writing.pop()
+
+    monkeypatch.setattr(ray, "get", get)
+    monkeypatch.setattr(ray, "put", put)
+    monkeypatch.setattr(full, "_write", write)
+    r = full.run_doc_neardup(run_dir)
+    assert (r["exchange"], r["n_pairs"]) == ("coalesce", 15)
+    assert not gathered and not puts, (gathered, puts)
+
+
 def test_graph_swap_is_atomic(run_dir, monkeypatch):
     """A build whose writer fails after the first sink leaves the
     previous graph/ in place, readable and byte-for-byte unchanged."""

@@ -153,7 +153,7 @@ def test_exact_dedup_partition_invariants(texts):
 @settings(max_examples=10, deadline=None)
 def test_pairs_from_signatures_finds_planted_dup(seed, n_dups):
     """Any identical-signature group is always recovered as pairs by
-    the banding -> semi-join -> verify path (j == 1.0)."""
+    the banding -> bucket pairs -> score chain (j == 1.0)."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -172,13 +172,140 @@ def test_pairs_from_signatures_finds_planted_dup(seed, n_dups):
             for i, s in zip(range(n), sigs)]
     out = pairs_from_signatures(rd.from_pandas(pd.DataFrame(rows)),
                                 jaccard_threshold=0.99,
-                                num_bands=8).to_pandas()
+                                num_bands=8, num_perm=32).to_pandas()
     got = set(map(tuple, out[["id_a", "id_b"]].itertuples(index=False)))
     expected = {(f"d{a:03d}", f"d{b:03d}")
                 for a in range(n_dups) for b in range(a + 1, n_dups)}
     assert expected <= got
     assert out.set_index(["id_a", "id_b"]).loc[list(expected)][
         "jaccard"].eq(1.0).all()
+
+
+def _banded_reference(rows, n_bands, cap, score, keep):
+    """Plain-Python LSH near-dup: all pairs of every colliding band of
+    every signature, each band bucket cut to its ``cap`` lowest ids,
+    then the pair score and its cut.  ``rows`` are ``(id, band values,
+    signature)``; returns ``({pair: score}, {"groups", "dropped"})``."""
+    buckets = {}
+    for i, bands, sig in rows:
+        for b in range(n_bands):
+            buckets.setdefault((b, bands[b]), set()).add(i)
+    pairs, cut = set(), {"groups": 0, "dropped": 0}
+    for members in buckets.values():
+        ids = sorted(members)
+        if len(ids) > cap:
+            cut["groups"] += 1
+            cut["dropped"] += len(ids) - cap
+            ids = ids[:cap]
+        pairs |= {(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]}
+    sigs = {i: sig for i, _, sig in rows}
+    scored = {pr: score(sigs[pr[0]], sigs[pr[1]]) for pr in pairs}
+    return {pr: v for pr, v in scored.items() if keep(v)}, cut
+
+
+def _placements(run, kind, want_cut):
+    """``run()`` on the one-task placement and on the bucketed one
+    (forced by a limit below any count) -> ``[(pairs, truncation)]``;
+    the truncation counter is read once it shows ``want_cut`` or after
+    5 s."""
+    import time
+
+    from aisafetyintervention_literatureextraction_ray.functions.runstats import (
+        truncation_stats,
+    )
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
+
+    out = []
+    for limit in (dedup._LOCAL_SIG_LIMIT, -1):
+        truncation_stats(reset=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dedup, "_LOCAL_SIG_LIMIT", limit)
+            got = run().to_pandas()
+        # the counter actor is fire-and-forget: give it time to land
+        for _ in range(50):
+            snap = truncation_stats().get(kind, {"groups": 0, "dropped": 0})
+            if snap == want_cut:
+                break
+            time.sleep(0.1)
+        out.append(({(a, b): v for a, b, v in got.itertuples(index=False)},
+                    snap))
+    truncation_stats(reset=True)
+    return out
+
+
+@given(st.integers(0, 2**31), st.integers(2, 5), st.integers(2, 5),
+       st.sampled_from([0.5, 0.9]))
+@settings(max_examples=6, deadline=None)
+def test_pairs_from_signatures_matches_reference(seed, n_equal, n_near,
+                                                 threshold):
+    """Both placements == the plain-Python banded reference: planted
+    equal and near-equal groups, a boilerplate bucket above a small
+    patched cap, and empty and ragged rows that drop."""
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
+
+    rng = np.random.default_rng(seed)
+    p, n_bands, cap = 32, 8, 4
+    sigs = [rng.integers(0, 2**32, p, dtype=np.uint64) for _ in range(30)]
+    for _ in range(n_equal):
+        sigs.append(sigs[0].copy())
+    for _ in range(n_near):  # a few slots changed: some bands collide
+        s = sigs[1].copy()
+        s[rng.choice(p, int(rng.integers(1, 8)), replace=False)] += 1
+        sigs.append(s)
+    sigs += [sigs[2].copy() for _ in range(cap + 3)]  # above the cap
+    ids = [f"d{i:03d}" for i in rng.permutation(len(sigs))]
+    rows = [{"doc_id": i, "minhash_sig": [int(x) for x in s]}
+            for i, s in zip(ids, sigs)]
+    rows += [{"doc_id": "empty", "minhash_sig": []},
+             {"doc_id": "ragged", "minhash_sig": [1, 2, 3]}]
+    ds = rd.from_pandas(pd.DataFrame(rows)).repartition(3).materialize()
+
+    r = p // n_bands
+    want = _banded_reference(
+        [(i, [tuple(s[b * r:(b + 1) * r]) for b in range(n_bands)], s)
+         for i, s in zip(ids, sigs)], n_bands, cap,
+        lambda a, b: float(np.mean(a == b)), lambda j: j >= threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dedup, "_BUCKET_CAP", cap)
+        got = _placements(lambda: dedup.pairs_from_signatures(
+            ds, jaccard_threshold=threshold, num_bands=n_bands, num_perm=p),
+            "pairs_from_signatures.band_bucket", want[1])
+    assert got == [want, want]
+
+
+@given(st.integers(0, 2**31), st.integers(2, 5), st.integers(1, 3))
+@settings(max_examples=6, deadline=None)
+def test_simhash_dedup_pairs_matches_reference(seed, n_equal, max_hamming):
+    """Both placements == the plain-Python banded reference over the
+    16-bit quarters: planted equal and one-word-off texts, an empty
+    text, and a boilerplate bucket above ``max_group``."""
+    from aisafetyintervention_literatureextraction_ray.stages.dedup import (
+        SimHasher,
+        popcount64,
+        simhash_dedup_pairs,
+    )
+
+    rng = np.random.default_rng(seed)
+    max_group = 4
+    words = [f"w{i}" for i in range(40)]
+    texts = [" ".join(rng.choice(words, 12)) for _ in range(25)]
+    texts += [texts[0]] * n_equal
+    texts += [texts[1].replace(texts[1].split()[0], "other", 1)
+              for _ in range(2)]
+    texts += ["the same boilerplate line"] * (max_group + 3) + [""]
+    ids = [int(i) for i in rng.permutation(len(texts))]
+    hashes = SimHasher().simhashes(texts)
+    want = _banded_reference(
+        [(i, [(int(h) >> (16 * b)) & 0xFFFF for b in range(4)], h)
+         for i, h in zip(ids, hashes)], 4, max_group,
+        lambda a, b: int(popcount64(np.array([a ^ b], np.uint64))[0]),
+        lambda d: d <= max_hamming)
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts})
+                        ).repartition(3).materialize()
+    got = _placements(lambda: simhash_dedup_pairs(
+        ds, max_hamming=max_hamming, max_group=max_group),
+        "simhash_pair_verifier.band_bucket", want[1])
+    assert got == [want, want]
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
