@@ -301,37 +301,39 @@ def _arr(col) -> pa.Array:
 
 
 def _blobs(sigs: np.ndarray) -> pa.FixedSizeBinaryArray:
-    """``(n, p)`` signatures -> one ``fixed_size_binary(8p)`` blob
-    (uint64 LE) per row."""
+    """``(n, p)`` unsigned signatures -> one ``fixed_size_binary`` blob
+    per row: ``p`` little-endian slots of the array's own width."""
     n, p = sigs.shape
+    sigs = np.ascontiguousarray(sigs)
     return pa.FixedSizeBinaryArray.from_buffers(
-        pa.binary(8 * p), n,
-        [None, pa.py_buffer(np.ascontiguousarray(sigs, np.uint64))])
+        pa.binary(sigs.itemsize * p), n, [None, pa.py_buffer(sigs)])
 
 
-def _sig_matrix(col) -> np.ndarray:
-    """A blob column -> its ``(n, p)`` uint64 signatures."""
+def _sig_matrix(col, num_perm: int) -> np.ndarray:
+    """A blob column -> its ``(n, num_perm)`` unsigned signatures, at
+    the slot width the blobs were written with."""
     col = _arr(col)
     w = col.type.byte_width
+    slot = np.dtype(f"<u{w // num_perm}")
     if not len(col):
-        return np.empty((0, w // 8), np.uint64)
+        return np.empty((0, num_perm), slot)
     data = np.frombuffer(col.buffers()[1], np.uint8)
     return (data[col.offset * w:(col.offset + len(col)) * w]
-            .view(np.uint64).reshape(len(col), w // 8))
+            .view(slot).reshape(len(col), num_perm))
 
 
 def minhash_sigs(t: pa.Table, *, id_col: str, sig_col: str,
-                 num_perm: int) -> pa.Table:
-    """List signature rows -> ``(id, sig)`` blob rows.  A row whose
-    signature is null, empty or not ``num_perm`` wide (legacy-schema
-    ingest emits ``[]``) drops."""
+                 num_perm: int, slot: type = np.uint64) -> pa.Table:
+    """List signature rows -> ``(id, sig)`` blob rows of ``slot``
+    values.  A row whose signature is null, empty or not ``num_perm``
+    wide (legacy-schema ingest emits ``[]``) drops."""
     sigs, ids = _arr(t[sig_col]), _arr(t[id_col])
     keep = pc.equal(pc.fill_null(pc.list_value_length(sigs), 0), num_perm)
     if not pc.all(keep).as_py():
         sigs, ids = sigs.filter(keep), ids.filter(keep)
     flat = pc.list_flatten(sigs).to_numpy(zero_copy_only=False)
     return pa.table({"id": ids, "sig": _blobs(
-        np.asarray(flat, np.uint64).reshape(-1, num_perm))})  # u32 promotes
+        np.asarray(flat, slot).reshape(-1, num_perm))})
 
 
 def _band_rows(ids, keys: np.ndarray) -> pa.Table:
@@ -346,17 +348,16 @@ def _band_rows(ids, keys: np.ndarray) -> pa.Table:
     })
 
 
-def band_keys(t: pa.Table, *, num_bands: int) -> pa.Table:
+def band_keys(t: pa.Table, *, num_bands: int, num_perm: int) -> pa.Table:
     """MinHash ``(id, sig)`` rows -> ``(id, band, band_hash)``: the
-    ``p // num_bands`` slots of each band mixed into one key.  Fewer
-    slots than bands give no rows."""
-    sigs = _sig_matrix(t["sig"])
-    n, p = sigs.shape
-    r = p // num_bands
+    ``num_perm // num_bands`` slots of each band mixed into one key.
+    Fewer slots than bands give no rows."""
+    sigs = _sig_matrix(t["sig"], num_perm)
+    n, r = len(sigs), num_perm // num_bands
     chunks = sigs[:, : num_bands * r].reshape(n, num_bands, r)
     bh = np.zeros((n, num_bands if r else 0), dtype=np.uint64)
-    for j in range(r):
-        bh = bh ^ (chunks[:, :, j] * _SHINGLE_MIX[j % 3])
+    for j in range(r):  # 32-bit slots widen here, a band at a time
+        bh = bh ^ (chunks[:, :, j].astype(np.uint64) * _SHINGLE_MIX[j % 3])
         bh = (bh << np.uint64(9)) | (bh >> np.uint64(55))
     return _band_rows(t["id"], bh)
 
@@ -378,8 +379,7 @@ def bucket_pairs(t: pa.Table, *, cap: int, kind: str) -> pa.Table:
     The cut is reported through ``functions/runstats`` as ``kind``,
     never silent."""
     ids = _arr(t["id"])
-    uniq = pc.unique(ids)
-    uniq = uniq.take(pc.sort_indices(uniq))
+    uniq = pc.unique(ids).sort()
     n = max(len(uniq), 1)
     code = pc.index_in(ids, value_set=uniq).to_numpy().astype(np.int64)
     band, key = t["band"].to_numpy(), t["band_hash"].to_numpy()
@@ -411,16 +411,16 @@ def bucket_pairs(t: pa.Table, *, cap: int, kind: str) -> pa.Table:
 
 def _scored(t: pa.Table, name: str, values: np.ndarray,
             keep: np.ndarray) -> pa.Table:
-    keep = pa.array(keep, pa.bool_())
-    return pa.table({"id_a": t["id_a"].filter(keep),
-                     "id_b": t["id_b"].filter(keep),
-                     name: pa.array(values).filter(keep)})
+    return pa.table({"id_a": t["id_a"], "id_b": t["id_b"],
+                     name: pa.array(values)}).filter(pa.array(keep))
 
 
-def jaccard_score(t: pa.Table, *, threshold: float) -> pa.Table:
+def jaccard_score(t: pa.Table, *, threshold: float,
+                  num_perm: int) -> pa.Table:
     """``(id_a, id_b, sig_a, sig_b)`` -> ``(id_a, id_b, jaccard)`` at or
     above ``threshold``, the estimate being the share of equal slots."""
-    jac = (_sig_matrix(t["sig_a"]) == _sig_matrix(t["sig_b"])).mean(axis=1)
+    jac = (_sig_matrix(t["sig_a"], num_perm)
+           == _sig_matrix(t["sig_b"], num_perm)).mean(axis=1)
     return _scored(t, "jaccard", jac, jac >= threshold)
 
 
@@ -431,8 +431,23 @@ def hamming_score(t: pa.Table, *, max_hamming: int) -> pa.Table:
     return _scored(t, "hamming", ham, ham <= max_hamming)
 
 
+def _pair_ids(t: pa.Table) -> pa.Array:
+    """Both sides' ids of ``(id_a, id_b)`` pairs, repeats kept."""
+    return pa.concat_arrays([_arr(t["id_a"]), _arr(t["id_b"])])
+
+
+# both placements raise when the candidates' signature rows outnumber the
+# distinct candidate ids: a repeated id has no one signature to score
+_REPEATED = "near-dup ids must be unique: a candidate id has two signatures"
+
+
 def _with_sigs(pairs: pa.Table, sigs: pa.Table) -> pa.Table:
-    """Pairs + the signature of each side (the in-task join)."""
+    """Pairs + the signature of each side (the in-task join), from the
+    signature rows of the candidate ids."""
+    cand = pc.unique(_pair_ids(pairs))
+    sigs = sigs.filter(pc.is_in(sigs["id"], value_set=cand))
+    if sigs.num_rows > len(cand):
+        raise ValueError(_REPEATED)
     for side in ("a", "b"):
         pos = pc.index_in(pairs[f"id_{side}"], value_set=_arr(sigs["id"]))
         pairs = pairs.append_column(f"sig_{side}", _arr(sigs["sig"]).take(pos))
@@ -461,16 +476,28 @@ class _Job:
 def _pairs_local(job: _Job, *blocks) -> pa.Table:
     """The whole chain in one task (not the driver: no signature enters
     its heap).  ``blocks`` are tables, or one parquet path the task
-    reads itself."""
+    reads itself a batch at a time, each turned into signature rows
+    before the next is read."""
     if blocks and isinstance(blocks[0], str):
-        blocks = [pads.dataset(blocks[0]).to_table(columns=list(job.columns))]
+        blocks = pads.dataset(blocks[0]).to_batches(columns=list(job.columns))
     sigs = [job.prep(b) if job.prep else b for b in blocks if b.num_rows]
-    del blocks  # a table read here is not needed past prep
     if not sigs:
         return job.out.empty_table()
     sigs = pa.concat_tables(sigs, promote_options="permissive")
     pairs = bucket_pairs(job.keys(sigs), cap=job.cap, kind=job.kind)
     return job.scored(_with_sigs(pairs, sigs))
+
+
+@ray.remote
+def _candidate_sigs(sigs: pa.Table, *ids: pa.Table) -> pa.Table:
+    """One signature block cut to the candidate ids (``ids`` = their
+    distinct blocks, passed by reference)."""
+    if not sigs.num_rows:
+        return sigs
+    cand = pa.chunked_array(
+        [c for t in ids if t.num_rows for c in t["id"].chunks],
+        sigs["id"].type)
+    return sigs.filter(pc.is_in(sigs["id"], value_set=_arr(cand)))
 
 
 def _joined(t: pa.Table, name: str, sig_type: pa.DataType) -> pa.Table:
@@ -483,17 +510,31 @@ def _joined(t: pa.Table, name: str, sig_type: pa.DataType) -> pa.Table:
 
 def _pairs_bucketed(job: _Job, sigs: rd.Dataset) -> rd.Dataset:
     """The same kernels as stateless tasks and bucketed exchanges: band
-    keys as a map, ``bucket_pairs`` per band bucket, a distinct over the
-    pairs, two partitioned joins for the signatures, then the score.
-    Each join's output is materialized: with the first join lazy under
-    the second, 100k generated signatures took 76 s against 6 s."""
+    keys as a map, ``bucket_pairs`` per band bucket and a distinct over
+    the pairs, all on skinny rows.  Then the candidate cut: the distinct
+    ids of the pairs go by reference to one task per signature block,
+    which keeps those ids' rows, so only candidates' signatures enter an
+    exchange (1% of them on the generated run dirs of ``_near_pairs``;
+    without the cut, a join over every signature took 63 of 74 s at
+    2M).  Two partitioned joins attach them to the pairs, and the score
+    follows.  Each exchange's output is materialized before the next
+    reads it: with the first join lazy under the second, 100k generated
+    signatures took 76 s against 6 s."""
     if job.prep:
         sigs = sigs.map_batches(job.prep, batch_format="pyarrow")
-    sigs = few_blocks(sigs).materialize()  # read by the map and both joins
+    sigs = few_blocks(sigs).materialize()  # read by the map and the cut
     pairs = hash_aggregate(bucketed_apply(
         sigs.map_batches(job.keys, batch_format="pyarrow"), _BAND_KEY,
         functools.partial(bucket_pairs, cap=job.cap, kind=job.kind),
-        batch_format="pyarrow"), _PAIR_KEY, [])
+        batch_format="pyarrow").materialize(), _PAIR_KEY, []).materialize()
+    cand = hash_aggregate(pairs.map_batches(
+        lambda t: pa.table({"id": _pair_ids(t)}), batch_format="pyarrow"),
+        ["id"], []).materialize()
+    refs = cand.to_arrow_refs()
+    sigs = rd.from_arrow_refs([_candidate_sigs.remote(b, *refs)
+                               for b in sigs.to_arrow_refs()])
+    if sigs.count() > cand.count():
+        raise ValueError(_REPEATED)
     id_type = job.out.field("id_a").type
     schema = pa.schema([("id_a", id_type), ("id_b", id_type)])
     for side in ("sig_a", "sig_b"):
@@ -518,19 +559,28 @@ def _near_pairs(job: _Job, sigs: rd.Dataset | str):
     the same kernels.  ``gate`` records the count, the limit and the
     exchange taken.
 
-    The limit is measured on generated run dirs (64-slot signatures, 1%
-    near-dups, 8 bands) with a 4-CPU local Ray.  The one task took
-    1.8-2.7 / 4.9-6.1 / 10.8 / 19.4 s at 100k / 500k / 1M / 2M rows, the
-    bucketed placement 18 / 171 s at 100k / 500k and did not finish 1M
-    in 12 minutes.  So there is no crossover, and the limit is set by
-    memory: the one-task chain in a fresh process (158 MB of it
-    imports) peaked at 424 / 1,067 / 1,499 / 2,714 MB RSS.  Counts
-    above 2M were not measured and take the bucketed placement."""
-    if isinstance(sigs, str):
-        n = pads.dataset(sigs).count_rows()
-    else:
-        sigs = sigs.materialize()
-        n = sigs.count()
+    The limit is measured on generated run dirs (64 uint32 slots per
+    signature, 1% planted near-dups, 8 bands; 4-CPU local Ray, 2 GiB
+    object store; ``run_doc_neardup`` walls, one run each):
+
+    ===========  ========  =========  ========  ================
+    rows         semi-join one task   bucketed  one-task peak RSS
+    ===========  ========  =========  ========  ================
+    100k         15.2 s    2.5 s      8.0 s     366 MB
+    500k         69.2 s    5.0 s      10.6 s    779 MB
+    1M           82.7 s    8.2 s      14.8 s    1,198 MB
+    2M           135.9 s   16.5 s     24.1 s    2,233 MB
+    4M           293.1 s   --         35.9 s    --
+    ===========  ========  =========  ========  ================
+
+    "semi-join" is the earlier ``broadcast_limit`` semi-join chain this
+    one replaced; every run gave its pairs.  The one task is faster at
+    every size run end to end, and its chain alone took 32.6 s at 4M,
+    so the limit is set by memory: the peak RSS is the chain's in a
+    fresh process, 158 MB of it imports, and was 4.3 GB at 4M.  Counts
+    above 2M take the bucketed placement."""
+    n = (pads.dataset(sigs).count_rows() if isinstance(sigs, str)
+         else sigs.count())
     exchange = measured_exchange(n, threshold=_LOCAL_SIG_LIMIT)
     gate = {"sigs_in": n, "sig_limit": _LOCAL_SIG_LIMIT, "exchange": exchange}
     if exchange == "shuffle":
@@ -542,26 +592,30 @@ def _near_pairs(job: _Job, sigs: rd.Dataset | str):
 
 
 def _id_type(ds: rd.Dataset, col: str) -> pa.DataType:
-    sch = ds.schema()
-    return pa.string() if sch is None else _col_type(ds, col)
+    return _col_type(ds, col) if ds.schema() else pa.string()
 
 
-def _signature_job(id_type: pa.DataType, *, jaccard_threshold: float,
-                   num_bands: int, num_perm: int,
+def _signature_job(id_type: pa.DataType, value_type: pa.DataType, *,
+                   jaccard_threshold: float, num_bands: int, num_perm: int,
                    prep_cols: tuple[str, str] | None = None) -> _Job:
-    """The MinHash job; ``prep_cols`` = ``(id_col, sig_col)`` of list
-    signature input rows."""
+    """The MinHash job over signatures of ``value_type`` slots;
+    ``prep_cols`` = ``(id_col, sig_col)`` of list signature input
+    rows.  32-bit values (the extraction pass stores its slots so) keep
+    4-byte blob slots, others take 8."""
+    slot = (np.uint32 if pa.types.is_integer(value_type)
+            and value_type.bit_width <= 32 else np.uint64)
     prep = prep_cols and functools.partial(
         minhash_sigs, id_col=prep_cols[0], sig_col=prep_cols[1],
-        num_perm=num_perm)
-    return _Job(keys=functools.partial(band_keys, num_bands=num_bands),
-                score=functools.partial(jaccard_score,
+        num_perm=num_perm, slot=slot)
+    return _Job(keys=functools.partial(band_keys, num_bands=num_bands,
+                                       num_perm=num_perm),
+                score=functools.partial(jaccard_score, num_perm=num_perm,
                                         threshold=jaccard_threshold),
                 cap=_BUCKET_CAP, kind="pairs_from_signatures.band_bucket",
                 out=pa.schema([("id_a", id_type), ("id_b", id_type),
                                ("jaccard", pa.float64())]),
-                sig_type=pa.binary(8 * num_perm), prep=prep,
-                columns=prep_cols or ())
+                sig_type=pa.binary(np.dtype(slot).itemsize * num_perm),
+                prep=prep, columns=prep_cols or ())
 
 
 def pairs_from_signatures(sig_ds: rd.Dataset, *, id_col: str = "doc_id",
@@ -577,10 +631,14 @@ def pairs_from_signatures(sig_ds: rd.Dataset, *, id_col: str = "doc_id",
     estimated Jaccard is at or above ``jaccard_threshold``.
 
     Rows whose signature is empty or not ``num_perm`` wide drop first.
-    ``_near_pairs`` places the chain: one task, or bucketed exchanges
-    above ``_LOCAL_SIG_LIMIT`` rows."""
+    Ids must be unique: an id in a candidate pair with two signature
+    rows raises on either placement (an id without a pair is not
+    checked).  ``_near_pairs`` places the chain: one task, or bucketed
+    exchanges above ``_LOCAL_SIG_LIMIT`` rows."""
     sig_ds = sig_ds.materialize()
+    sig_type = _col_type(sig_ds, sig_col) if sig_ds.schema() else None
     job = _signature_job(_id_type(sig_ds, id_col),
+                         getattr(sig_type, "value_type", pa.uint64()),
                          jaccard_threshold=jaccard_threshold,
                          num_bands=num_bands, num_perm=num_perm,
                          prep_cols=(id_col, sig_col))
@@ -593,9 +651,10 @@ def run_dir_pairs(run_dir: str, *, jaccard_threshold: float = 0.9,
     ``(doc_id, minhash_sig)`` -> ``(pairs, gate)``.  The row count comes
     from parquet metadata, and the one task reads the signatures
     itself."""
-    from ..schemas import NEARDUP_SCHEMA
+    from ..schemas import EXTRACTION_SCHEMA as schema
 
-    job = _signature_job(NEARDUP_SCHEMA.field("id_a").type,
+    job = _signature_job(schema.field("doc_id").type,
+                         schema.field("minhash_sig").type.value_type,
                          jaccard_threshold=jaccard_threshold,
                          num_bands=num_bands, num_perm=num_perm,
                          prep_cols=("doc_id", "minhash_sig"))
@@ -605,8 +664,7 @@ def run_dir_pairs(run_dir: str, *, jaccard_threshold: float = 0.9,
 def _minhash_rows(t: pa.Table, *, text_col: str, id_col: str,
                   k_shingle: int, num_perm: int) -> pa.Table:
     mh = process_cached("dedup.minhasher", (k_shingle, num_perm),
-                        lambda: MinHasher(k_shingle=k_shingle,
-                                          num_perm=num_perm))
+                        functools.partial(MinHasher, k_shingle, num_perm))
     return pa.table({"id": t[id_col], "sig": _blobs(
         mh.signatures(t[text_col].to_pylist()))})
 
@@ -617,13 +675,14 @@ def minhash_dedup_pairs(ds: rd.Dataset, *, text_col: str = "text",
                         k_shingle: int = 3) -> rd.Dataset:
     """Near-duplicate ``(id_a, id_b, jaccard)`` pairs by MinHash+LSH:
     signatures in stateless tasks (one ``MinHasher`` per worker
-    process), then the ``pairs_from_signatures`` chain."""
+    process), then the ``pairs_from_signatures`` chain (ids must be
+    unique, as there)."""
     sigs = ds.map_batches(
         _minhash_rows, fn_kwargs={"text_col": text_col, "id_col": id_col,
                                   "k_shingle": k_shingle,
                                   "num_perm": num_perm},
         batch_format="pyarrow", batch_size=1024).materialize()
-    job = _signature_job(_id_type(sigs, "id"),
+    job = _signature_job(_id_type(sigs, "id"), pa.uint64(),
                          jaccard_threshold=jaccard_threshold,
                          num_bands=num_bands, num_perm=num_perm)
     return _near_pairs(job, sigs)[0]
@@ -643,7 +702,8 @@ def simhash_dedup_pairs(ds: rd.Dataset, *, text_col: str = "text",
     """Near-dup ``(id_a, id_b, hamming)`` pairs with Hamming distance <=
     ``max_hamming``: 4-band blocking on the 16-bit quarters is lossless
     up to distance 3.  A band bucket above ``max_group`` ids keeps its
-    lowest ones (reported as ``simhash_pair_verifier.band_bucket``)."""
+    lowest ones (reported as ``simhash_pair_verifier.band_bucket``).
+    Ids must be unique, as in ``pairs_from_signatures``."""
     sigs = ds.map_batches(
         _simhash_rows, fn_kwargs={"text_col": text_col, "id_col": id_col},
         batch_format="pyarrow", batch_size=1024).materialize()
@@ -689,12 +749,6 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
        gather — then per-hash-bucket star emit, grouped on the exact
        text (hash collisions can never pair distinct texts).
     """
-    import ray
-
-    from ..functions.agg import bucketed_apply, bucketed_join, hash_aggregate
-
-    pc_ = pa.compute
-
     def with_hash(t: pa.Table) -> pa.Table:
         h = content_hash(t.select([text_col]).to_pandas(), text_col)
         # uint64 -> int64 bit view (values >= 2^63 must not overflow)
@@ -711,7 +765,7 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
         ["__h"], [("n", "sum")], rename={"n_sum": "n"},
         num_buckets=num_buckets, exchange="shuffle",
     ).map_batches(
-        lambda t: t.filter(pc_.greater_equal(t["n"], 2)).select(["__h"]),
+        lambda t: t.filter(pc.greater_equal(t["n"], 2)).select(["__h"]),
         batch_format="pyarrow",
     ).materialize()
 
@@ -734,7 +788,7 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
             .combine_chunks())
 
         def semi(t: pa.Table) -> pa.Table:
-            return t.filter(pc_.is_in(t["__h"], value_set=ray.get(hs_ref)))
+            return t.filter(pc.is_in(t["__h"], value_set=ray.get(hs_ref)))
 
         cand = hashed.map_batches(semi, batch_format="pyarrow")
     else:
@@ -786,9 +840,7 @@ def sorted_neighborhood_pairs(ds: rd.Dataset, *, group_col: str,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    from ..functions.agg import bucketed_join, grouped_running
-
-    import pyarrow.compute as pc
+    from ..functions.agg import grouped_running
 
     cols = list(dict.fromkeys([group_col, *order_cols, id_col]))
     ranked = grouped_running(
@@ -874,8 +926,6 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
     and verification joins whose volume is sum(n_a + n_b) over
     surviving candidates.
     """
-    import pyarrow.compute as pc
-
     from ..functions.agg import (bucketed_group_map, bucketed_join,
                                  hash_aggregate, pa_type_of)
 

@@ -12,6 +12,7 @@ from aisafetyintervention_literatureextraction_ray.stages.dedup import (
     exact_dedup,
     minhash_dedup_pairs,
     ngram_jaccard,
+    pairs_from_signatures,
     popcount64,
     simhash_dedup_pairs,
 )
@@ -203,6 +204,26 @@ def test_pairs_from_signatures_join_branch_matches_broadcast(monkeypatch):
     bc, jn = run(2_000_000), run(-1)
     assert len(bc) == 6 * 5 // 2  # all-pairs among the clones
     assert bc.equals(jn)
+
+
+@pytest.mark.parametrize("limit", [2_000_000, -1])
+def test_repeated_candidate_id_raises_on_both_placements(monkeypatch, limit):
+    """An id with two signature rows that lands in a candidate pair has
+    no single signature to score: both placements raise rather than
+    pick one (MinHash) or emit the pair twice (SimHash)."""
+    from aisafetyintervention_literatureextraction_ray.stages import dedup
+
+    monkeypatch.setattr(dedup, "_LOCAL_SIG_LIMIT", limit)
+    sig = list(range(32))
+    ds = rd.from_pandas(pd.DataFrame({
+        "doc_id": ["a", "b", "a"],
+        "minhash_sig": [sig, sig, [x + 1 for x in sig]]}))
+    with pytest.raises(Exception, match="must be unique"):
+        pairs_from_signatures(ds, num_perm=32).to_pandas()
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": [1, 2, 1],
+                                      "text": [BASE, BASE, "other words"]}))
+    with pytest.raises(Exception, match="must be unique"):
+        simhash_dedup_pairs(ds).to_pandas()
 
 
 def test_truncation_is_reported_not_silent():

@@ -240,7 +240,8 @@ def test_pairs_from_signatures_matches_reference(seed, n_equal, n_near,
                                                  threshold):
     """Both placements == the plain-Python banded reference: planted
     equal and near-equal groups, a boilerplate bucket above a small
-    patched cap, and empty and ragged rows that drop."""
+    patched cap, empty and ragged rows that drop, and an id repeated
+    with signatures that collide with no other id."""
     from aisafetyintervention_literatureextraction_ray.stages import dedup
 
     rng = np.random.default_rng(seed)
@@ -256,6 +257,9 @@ def test_pairs_from_signatures_matches_reference(seed, n_equal, n_near,
     ids = [f"d{i:03d}" for i in rng.permutation(len(sigs))]
     rows = [{"doc_id": i, "minhash_sig": [int(x) for x in s]}
             for i, s in zip(ids, sigs)]
+    lone = [rng.integers(0, 2**32, p, dtype=np.uint64) for _ in range(2)]
+    rows += [{"doc_id": "lone", "minhash_sig": [int(x) for x in s]}
+             for s in lone]
     rows += [{"doc_id": "empty", "minhash_sig": []},
              {"doc_id": "ragged", "minhash_sig": [1, 2, 3]}]
     ds = rd.from_pandas(pd.DataFrame(rows)).repartition(3).materialize()
@@ -263,7 +267,7 @@ def test_pairs_from_signatures_matches_reference(seed, n_equal, n_near,
     r = p // n_bands
     want = _banded_reference(
         [(i, [tuple(s[b * r:(b + 1) * r]) for b in range(n_bands)], s)
-         for i, s in zip(ids, sigs)], n_bands, cap,
+         for i, s in zip(ids + ["lone"] * 2, sigs + lone)], n_bands, cap,
         lambda a, b: float(np.mean(a == b)), lambda j: j >= threshold)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dedup, "_BUCKET_CAP", cap)
