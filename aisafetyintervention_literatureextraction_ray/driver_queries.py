@@ -456,8 +456,8 @@ def events_asof_orders(sf_dir: str):
                     on_left="ts", on_right="o_orderdate",
                     right_value_cols=["last_order_price"],
                     right_reduce={"last_order_price": "max"}).to_pandas()
-    # left ints stay exact int64 through the union exchange (the join
-    # converts via pandas nullable dtypes — stages/window.py)
+    # left columns keep their Arrow types: the join takes them by row
+    # index (stages/window.py), so no cast-back is needed
     return out[["event_id", "user_id", "event_type", "last_order_price"]]
 
 
@@ -518,8 +518,8 @@ def events_orders_range_join(sf_dir: str):
                          on_right="o_orderdate", value_col="o_totalprice",
                          window="7D", count_col="n_orders_7d",
                          sum_cents_col="sum_cents_7d").to_pandas()
-    # left ints stay exact int64 through the union exchange (nullable
-    # extension dtypes in stages/window.py — no cast-back needed)
+    # left columns keep their Arrow types: the join takes them by row
+    # index (stages/window.py), so no cast-back is needed
     return out[["event_id", "user_id", "n_orders_7d", "sum_cents_7d"]]
 
 
@@ -857,14 +857,13 @@ def knn_bruteforce(sf_dir: str):
                  dtype=np.float64)
     ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"]).filter(
         expr="vec_id != 0")
-    out = brute_force_topk(ds, Q, k=10, concurrency=(1, 4)).to_pandas()
+    out = brute_force_topk(ds, Q, k=10).to_pandas()
     return out[["vec_id", "rank"]].sort_values("rank").reset_index(drop=True)
 
 
 # the ONE shipped IVF configuration: ann_ivf_recall publishes the
 # recall of exactly this config, so both entries read it from here
-_IVF_CONFIG = {"k": 10, "n_centroids": 16, "nprobe": 4,
-               "concurrency": (1, 4)}
+_IVF_CONFIG = {"k": 10, "n_centroids": 16, "nprobe": 4}
 _IVF_SEED = 42
 _IVF_SAMPLE = 2048
 _IVF_ORACLE_DIR = "/tmp/graft_ivf_oracle/current"
@@ -885,8 +884,7 @@ def _ivf_cache_key(sf_dir: str) -> dict:
     emb = f"{sf_dir}/embeddings.parquet"
     return {"sf_dir": sf_dir, "version": 2, "seed": _IVF_SEED,
             "sample": _IVF_SAMPLE,
-            "config": {k: v for k, v in _IVF_CONFIG.items()
-                       if k != "concurrency"},
+            "config": _IVF_CONFIG,
             "emb_mtime": os.path.getmtime(emb) if os.path.exists(emb) else 0}
 
 
@@ -1013,8 +1011,7 @@ def ann_ivf_recall(sf_dir: str):
     ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
     ivf = ivf_topk(ds, Q, seed=_IVF_SEED, sample_size=_IVF_SAMPLE,
                    **_IVF_CONFIG).to_pandas()
-    bf = brute_force_topk(ds, Q, k=_IVF_CONFIG["k"],
-                          concurrency=_IVF_CONFIG["concurrency"]).to_pandas()
+    bf = brute_force_topk(ds, Q, k=_IVF_CONFIG["k"]).to_pandas()
     hits = total = 0
     for qi in sorted(bf["query_id"].unique()):
         truth = set(bf[bf["query_id"] == qi]["vec_id"])
@@ -5065,16 +5062,10 @@ def customer_order_counts(sf_dir: str):
         exchange="shuffle")
 
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    cust_schema = pa.schema([("c_custkey", pa.int64()),
-                             ("c_mktsegment", pa.string())])
-    per_schema = pa.schema([("o_custkey", pa.int64()),
-                            ("n_orders", pa.int64()),
-                            ("sum_cents", pa.int64())])
     joined = bucketed_join(cust, per_cust, left_key="c_custkey",
                            right_key="o_custkey",
                            right_value_cols=["n_orders", "sum_cents"],
-                           how="left", left_schema=cust_schema,
-                           right_schema=per_schema)
+                           how="left")
 
     def zfill(df: pd.DataFrame) -> pd.DataFrame:
         for c in ("n_orders", "sum_cents"):
@@ -5140,7 +5131,7 @@ def events_anomaly_hours(sf_dir: str):
         ds.map_batches(hourly_key, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["event_type", "hour"], [("one", "sum")],
-        rename={"one_sum": "cnt"}, exchange="coalesce").materialize()
+        rename={"one_sum": "cnt"}, exchange="coalesce")
 
     def sq(t: pa.Table) -> pa.Table:
         return pa.table({"event_type": t["event_type"],
@@ -5435,7 +5426,7 @@ def events_trend_slope(sf_dir: str):
         ds.map_batches(hourly_key, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["event_type", "hour"], [("one", "sum")],
-        rename={"one_sum": "y"}, exchange="coalesce").materialize()
+        rename={"one_sum": "y"}, exchange="coalesce")
 
     h0 = hourly.min("hour")  # scalar: the corpus' first hour
 
@@ -5526,7 +5517,7 @@ def source_lang_kl(sf_dir: str):
         ds.map_batches(one, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["source", "lang"], [("one", "sum")], rename={"one_sum": "n_c"},
-        exchange="shuffle").materialize()
+        exchange="shuffle")
 
     # corpus per-lang totals: bounded lang vocabulary -> tiny reduce,
     # broadcast as a plain dict into the per-cell scorer
@@ -5694,7 +5685,7 @@ def events_burst_score(sf_dir: str):
         ds.map_batches(hourly_key, batch_format="pyarrow",
                        zero_copy_batch=True),
         ["event_type", "hour"], [("one", "sum")],
-        rename={"one_sum": "y"}, exchange="coalesce").materialize()
+        rename={"one_sum": "y"}, exchange="coalesce")
 
     st = hash_aggregate(hourly, ["event_type"],
                         [("y", "count"), ("y", "sum")],
@@ -5901,17 +5892,9 @@ def region_year_revenue(sf_dir: str):
         exchange="shuffle")
 
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    pc_schema = pa.schema([("o_custkey", pa.int64()),
-                           ("year", pa.int64()),
-                           ("n_orders", pa.int64()),
-                           ("cents", pa.int64())])
-    cust_schema = pa.schema([("c_custkey", pa.int64()),
-                             ("c_nationkey", pa.int32())])
     joined = bucketed_join(per_cust_year, cust, left_key="o_custkey",
                            right_key="c_custkey",
-                           right_value_cols=["c_nationkey"],
-                           left_schema=pc_schema,
-                           right_schema=cust_schema)
+                           right_value_cols=["c_nationkey"])
 
     # nation -> region composed into ONE broadcast nationkey lookup
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -6793,7 +6776,7 @@ def parts_basket_rules(sf_dir: str):
     counts = hash_aggregate(
         bucketed_apply(li, ["l_orderkey"], pairs, exchange="shuffle"),
         ["id_a", "id_b"], [("one", "sum")], rename={"one_sum": "n_ab"},
-        exchange="shuffle").materialize()
+        exchange="shuffle")
     top = (counts
            .filter(expr="id_b >= 0")
            .sort(key=["n_ab", "id_a", "id_b"],
@@ -7034,21 +7017,12 @@ def kg_assortativity(sf_dir: str):
         u.map_batches(explode, batch_format="pyarrow"),
         ["c"], [("one", "sum")], rename={"one_sum": "deg"},
         exchange="shuffle")
-    u_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                          ("one", pa.int64())])
-    deg_schema = pa.schema([("c", pa.string()), ("deg", pa.int64())])
     ja = bucketed_join(u, deg.map_batches(
         lambda t: t.rename_columns(["c", "dx"]), batch_format="pyarrow"),
-        left_key="a", right_key="c", right_value_cols=["dx"],
-        left_schema=u_schema,
-        right_schema=pa.schema([("c", pa.string()), ("dx", pa.int64())]))
-    ja_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                           ("one", pa.int64()), ("dx", pa.int64())])
+        left_key="a", right_key="c", right_value_cols=["dx"])
     jb = bucketed_join(ja, deg.map_batches(
         lambda t: t.rename_columns(["c", "dy"]), batch_format="pyarrow"),
-        left_key="b", right_key="c", right_value_cols=["dy"],
-        left_schema=ja_schema,
-        right_schema=pa.schema([("c", pa.string()), ("dy", pa.int64())]))
+        left_key="b", right_key="c", right_value_cols=["dy"])
 
     def moments(t: pa.Table) -> pa.Table:
         dx = t["dx"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7127,16 +7101,12 @@ def kg_reciprocity(sf_dir: str):
                           zero_copy_batch=True),
         ["k", "rk"], [("k", "count")], rename={"k_count": "one"},
         exchange="shuffle")
-    ed_schema = pa.schema([("k", pa.string()), ("rk", pa.string()),
-                           ("one", pa.int64())])
     rev_side = ed.map_batches(
         lambda t: pa.table({"k2": t["k"], "flag": t["one"]}),
         batch_format="pyarrow")
     matched = bucketed_join(
         ed, rev_side, left_key="rk", right_key="k2",
-        right_value_cols=["flag"], left_schema=ed_schema,
-        right_schema=pa.schema([("k2", pa.string()),
-                                ("flag", pa.int64())]))
+        right_value_cols=["flag"])
     n_edges = int(ed.count())
     n_recip = int(matched.count())
     return pd.DataFrame({
@@ -7913,29 +7883,18 @@ def kg_scc_levels(sf_dir: str, broadcast_limit: int = 2_000_000):
         cond = edges.map_batches(project, batch_format="pyarrow",
                                  zero_copy_batch=True)
     else:
-        edge_schema = pa.schema([("src_id", pa.string()),
-                                 ("dst_id", pa.string())])
         ja = bucketed_join(
             edges, labels.map_batches(
                 lambda t: t.rename_columns(["node_id", "cs"]),
                 batch_format="pyarrow"),
             left_key="src_id", right_key="node_id",
-            right_value_cols=["cs"],
-            left_schema=edge_schema,
-            right_schema=pa.schema([("node_id", pa.string()),
-                                    ("cs", pa.string())]))
-        ja_schema = pa.schema([("src_id", pa.string()),
-                               ("dst_id", pa.string()),
-                               ("cs", pa.string())])
+            right_value_cols=["cs"])
         jb = bucketed_join(
             ja, labels.map_batches(
                 lambda t: t.rename_columns(["node_id", "cd"]),
                 batch_format="pyarrow"),
             left_key="dst_id", right_key="node_id",
-            right_value_cols=["cd"],
-            left_schema=ja_schema,
-            right_schema=pa.schema([("node_id", pa.string()),
-                                    ("cd", pa.string())]))
+            right_value_cols=["cd"])
         cond = jb.map_batches(
             lambda t: t.filter(pc.not_equal(t["cs"], t["cd"]))
             .select(["cs", "cd"]),
@@ -8069,12 +8028,8 @@ def nation_trade_matrix(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(li_partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    pschema = pa.schema([("o_orderkey", pa.int64()),
-                         ("s_nat", pa.int64()),
-                         ("n_items", pa.int64()),
-                         ("cents", pa.int64())])
     attached = _attach_order_cols(partials, o_nat, ["c_nationkey"],
-                                  broadcast_limit, pschema)
+                                  broadcast_limit)
 
     out = hash_aggregate(
         attached.map_batches(
@@ -8158,7 +8113,7 @@ def knn_label_accuracy(sf_dir: str):
                    dtype=np.float64)[order]
 
     ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    top = brute_force_topk(ds, Q, k=6, concurrency=(1, 4)).to_pandas()
+    top = brute_force_topk(ds, Q, k=6).to_pandas()
     top["qid"] = qids[top["query_id"].to_numpy()]
     top = top[top["vec_id"] != top["qid"]]
     top = (top.sort_values(["qid", "rank"])
@@ -8445,7 +8400,7 @@ def customer_rfm_segments(sf_dir: str):
                        zero_copy_batch=True),
         ["o_custkey"], [("r", "max"), ("f", "sum"), ("m", "sum")],
         rename={"r_max": "r", "f_sum": "f", "m_sum": "m"},
-        exchange="shuffle").materialize()
+        exchange="shuffle")
     if percust.count() == 0:
         return pd.DataFrame({"segment": pd.Series([], dtype="int64"),
                              "n_customers": pd.Series([], dtype="int64")})
@@ -8704,7 +8659,7 @@ def customers_above_nation_avg(sf_dir: str):
         return g[g["c_nationkey"] >= 0]
 
     pc_ds = bucketed_apply(both, ["c_custkey"], fold,
-                           exchange="shuffle").materialize()
+                           exchange="shuffle")
 
     nation_stats = hash_aggregate(
         pc_ds, ["c_nationkey"], [("cents", "count"), ("cents", "sum")],
@@ -9060,7 +9015,7 @@ def doc_naive_bayes(sf_dir: str, broadcast_limit: int = 250_000):
             lambda t: t.rename_columns(["doc_id", "cand", "term", "tf"]),
             batch_format="pyarrow", zero_copy_batch=True),
         ["term", "cand"], [("tf", "sum")], rename={"tf_sum": "c"},
-        exchange="shuffle").materialize()
+        exchange="shuffle")
 
     tot = hash_aggregate(c_ds, ["cand"], [("c", "sum")],
                          rename={"c_sum": "tot"},
@@ -9205,7 +9160,7 @@ def doc_naive_bayes(sf_dir: str, broadcast_limit: int = 250_000):
     # bucket), so no standalone keyed exchange is needed in between
     if combined is None:
         combined = bucketed_apply(both, ["term"], cogroup,
-                                  exchange="shuffle").materialize()
+                                  exchange="shuffle")
 
     # second (and last) co-group: the test-doc roster and the score
     # partials share ONE doc_id exchange; the per-bucket lattice
@@ -9860,8 +9815,6 @@ def kg_motif_census(sf_dir: str, driver_threshold: int = 2_000_000):
         ["src_id", "dst_id"], [("src_id", "count")],
         exchange="shuffle").select_columns(
         ["src_id", "dst_id"]).materialize()
-    id_type = pa.string()
-    de_schema = pa.schema([("src_id", id_type), ("dst_id", id_type)])
 
     # wedges a->b->c (c != a), keyed for the two closing joins
     w = bucketed_join(
@@ -9870,13 +9823,9 @@ def kg_motif_census(sf_dir: str, driver_threshold: int = 2_000_000):
         de.map_batches(lambda t: t.rename_columns(["b2", "c"]),
                        batch_format="pyarrow", zero_copy_batch=True),
         left_key="b", right_key="b2", right_value_cols=["c"],
-        left_schema=pa.schema([("a", id_type), ("b", id_type)]),
-        right_schema=pa.schema([("b2", id_type), ("c", id_type)]),
     ).map_batches(
         lambda t: t.filter(pc.invert(pc.equal(t["a"], t["c"]))),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    w_schema = pa.schema([("a", id_type), ("b", id_type),
-                          ("c", id_type)])
 
     def wedge_keys(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -10474,12 +10423,6 @@ def shipping_priority_topk(sf_dir: str, broadcast_limit: int = 250_000):
             t["o_orderdate"], pa.scalar(
                 _dt.datetime.fromisoformat(_Q3_DATE)))),
         batch_format="pyarrow", zero_copy_batch=True)
-    o_schema = pa.schema([("o_orderkey", pa.int64()),
-                          ("o_custkey", pa.int64()),
-                          ("o_orderdate", pa.timestamp("us")),
-                          ("o_orderpriority", pa.string())])
-    c_schema = pa.schema([("c_custkey", pa.int64()),
-                          ("m", pa.int8())])
     if cust.count() <= broadcast_limit:
         ct = pa.concat_tables(
             cust.iter_batches(batch_format="pyarrow",
@@ -10501,9 +10444,7 @@ def shipping_priority_topk(sf_dir: str, broadcast_limit: int = 250_000):
     else:
         o_building = bucketed_join(orders, cust, left_key="o_custkey",
                                    right_key="c_custkey",
-                                   right_value_cols=["m"],
-                                   left_schema=o_schema,
-                                   right_schema=c_schema)
+                                   right_value_cols=["m"])
 
     # second measured gate, on the QUALIFYING-ORDER side: segment +
     # cutoff filters leave a small fraction of orders, so when that
@@ -10706,16 +10647,10 @@ def kg_dominators(sf_dir: str, driver_threshold: int = 2_000_000):
         exchange="shuffle").select_columns(["c", "n"]).materialize()
     dg = hash_aggregate(cl, ["n"], [("c", "count")],
                         rename={"c_count": "cdeg"}, exchange="shuffle")
-    id_type = pa.string()
-    cl_schema = pa.schema([("c", id_type), ("n", id_type)])
-    dg_schema = pa.schema([("n", id_type), ("cdeg", pa.int64())])
     j = bucketed_join(cl, dg.map_batches(
         lambda t: t.rename_columns(["n2", "cdeg"]),
         batch_format="pyarrow", zero_copy_batch=True),
-        left_key="n", right_key="n2", right_value_cols=["cdeg"],
-        left_schema=cl_schema,
-        right_schema=pa.schema([("n2", id_type),
-                                ("cdeg", pa.int64())]))
+        left_key="n", right_key="n2", right_value_cols=["cdeg"])
 
     def nominate(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c", "cdeg", "n"],
@@ -10852,7 +10787,7 @@ def user_similarity_topk(sf_dir: str):
     prof = hash_aggregate(
         ds, ["user_id", "event_type"], [("event_type", "count")],
         rename={"event_type_count": "c"}, exchange="shuffle"
-    ).materialize()
+    )
     head = hash_aggregate(
         prof, ["user_id"], [("c", "sum")], rename={"c_sum": "total"},
         exchange="shuffle").sort(
@@ -11202,11 +11137,7 @@ def local_supplier_volume(sf_dir: str,
     else:
         o_cust = bucketed_join(
             orders, cust, left_key="o_custkey", right_key="c_custkey",
-            right_value_cols=["c_nationkey"],
-            left_schema=pa.schema([("o_orderkey", pa.int64()),
-                                   ("o_custkey", pa.int64())]),
-            right_schema=pa.schema([("c_custkey", pa.int64()),
-                                    ("c_nationkey", pa.int64())])) \
+            right_value_cols=["c_nationkey"]) \
             .map_batches(
             lambda t: t.select(["o_orderkey", "c_nationkey"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -11485,25 +11416,12 @@ def large_orders_topk(sf_dir: str, broadcast_limit: int = 250_000):
     wide = bucketed_join(
         big, orders, left_key="l_orderkey", right_key="o_orderkey",
         right_value_cols=["o_custkey", "o_orderdate",
-                          "totalprice_milli"],
-        left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("sum_qty", pa.int64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64()),
-                                ("o_orderdate", pa.timestamp("us")),
-                                ("totalprice_milli", pa.int64())]))
+                          "totalprice_milli"])
 
     named = bucketed_join(
         wide, _pq(sf_dir, "customer", ["c_custkey", "c_name"]),
         left_key="o_custkey", right_key="c_custkey",
-        right_value_cols=["c_name"],
-        left_schema=pa.schema([("l_orderkey", pa.int64()),
-                               ("sum_qty", pa.int64()),
-                               ("o_custkey", pa.int64()),
-                               ("o_orderdate", pa.timestamp("us")),
-                               ("totalprice_milli", pa.int64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_name", pa.string())]))
+        right_value_cols=["c_name"])
 
     def prune(t: pa.Table) -> pa.Table:
         idx = pc.sort_indices(t, sort_keys=[
@@ -11731,11 +11649,7 @@ def returned_item_losses(sf_dir: str, broadcast_limit: int = 250_000):
             li.map_batches(rev_partial, batch_format="pyarrow",
                            batch_size=65536, zero_copy_batch=True),
             orders, left_key="l_orderkey", right_key="o_orderkey",
-            right_value_cols=["o_custkey"],
-            left_schema=pa.schema([("l_orderkey", pa.int64()),
-                                   ("revenue_milli", pa.int64())]),
-            right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                    ("o_custkey", pa.int64())]))
+            right_value_cols=["o_custkey"])
         per_cust = hash_aggregate(joined, ["o_custkey"],
                                   [("revenue_milli", "sum")],
                                   rename={"revenue_milli_sum":
@@ -11746,12 +11660,7 @@ def returned_item_losses(sf_dir: str, broadcast_limit: int = 250_000):
         per_cust,
         _pq(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"]),
         left_key="o_custkey", right_key="c_custkey",
-        right_value_cols=["c_name", "c_nationkey"],
-        left_schema=pa.schema([("o_custkey", pa.int64()),
-                               ("revenue_milli", pa.int64())]),
-        right_schema=pa.schema([("c_custkey", pa.int64()),
-                                ("c_name", pa.string()),
-                                ("c_nationkey", pa.int64())]))
+        right_value_cols=["c_name", "c_nationkey"])
 
     def prune(t: pa.Table) -> pa.Table:
         idx = pc.sort_indices(t, sort_keys=[
@@ -11968,12 +11877,7 @@ def _orders_buyer_nation(sf_dir: str, broadcast_limit: int, *,
     else:
         out = bucketed_join(
             orders, cust, left_key="o_custkey", right_key="c_custkey",
-            right_value_cols=["c_nationkey"],
-            left_schema=pa.schema(
-                [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
-                + [(c, pa.int64()) for c in extra]),
-            right_schema=pa.schema([("c_custkey", pa.int64()),
-                                    ("c_nationkey", pa.int64())])) \
+            right_value_cols=["c_nationkey"]) \
             .map_batches(
             lambda t: t.select(["o_orderkey", "c_nationkey"] + extra),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -11981,8 +11885,8 @@ def _orders_buyer_nation(sf_dir: str, broadcast_limit: int, *,
 
 
 def _attach_order_cols(partials: rd.Dataset, o_side: rd.Dataset,
-                       value_cols: list[str], broadcast_limit: int,
-                       partial_schema: pa.Schema) -> rd.Dataset:
+                       value_cols: list[str],
+                       broadcast_limit: int) -> rd.Dataset:
     """Attach per-orderkey columns from a MATERIALIZED (small-side
     measured) orders projection onto skinny lineitem partials: a
     ``ray.put`` orderkey index when the projection fits
@@ -12015,13 +11919,9 @@ def _attach_order_cols(partials: rd.Dataset, o_side: rd.Dataset,
 
         return partials.map_batches(attach, batch_format="pyarrow",
                                     zero_copy_batch=True)
-    o_schema = pa.schema([("o_orderkey", pa.int64())]
-                         + [(c, pa.int64()) for c in value_cols])
     return bucketed_join(partials, o_side, left_key="o_orderkey",
                          right_key="o_orderkey",
-                         right_value_cols=value_cols,
-                         left_schema=partial_schema,
-                         right_schema=o_schema)
+                         right_value_cols=value_cols)
 
 
 _Q7_LO, _Q7_HI = "1996-01-01", "1998-01-01"
@@ -12102,11 +12002,8 @@ def nation_volume_shipping(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    pschema = pa.schema([("o_orderkey", pa.int64()),
-                         ("s_nat", pa.int64()), ("year", pa.int64()),
-                         ("milli", pa.int64())])
     attached = _attach_order_cols(partials, o_nat, ["c_nationkey"],
-                                  broadcast_limit, pschema)
+                                  broadcast_limit)
 
     def crossborder(t: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -12255,11 +12152,8 @@ def nation_market_share(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    pschema = pa.schema([("o_orderkey", pa.int64()),
-                         ("nation_milli", pa.int64()),
-                         ("total_milli", pa.int64())])
     attached = _attach_order_cols(partials, o_nat, ["year"],
-                                  broadcast_limit, pschema)
+                                  broadcast_limit)
     agg = hash_aggregate(
         attached.map_batches(
             lambda t: t.select(["year", "nation_milli",
@@ -12389,11 +12283,8 @@ def nation_profit(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    pschema = pa.schema([("o_orderkey", pa.int64()),
-                         ("s_nat", pa.int64()),
-                         ("profit_milli", pa.int64())])
     attached = _attach_order_cols(partials, orders, ["year"],
-                                  broadcast_limit, pschema)
+                                  broadcast_limit)
     agg = hash_aggregate(
         attached.map_batches(
             lambda t: t.select(["s_nat", "year", "profit_milli"]),
@@ -12842,7 +12733,7 @@ def small_qty_revenue_loss(sf_dir: str, broadcast_limit: int = 250_000):
                           zero_copy_batch=True),
         ["l_partkey"], [("n", "sum"), ("sum_qty_m", "sum")],
         rename={"n_sum": "n", "sum_qty_m_sum": "sum_qty_m"},
-        exchange="shuffle").materialize()
+        exchange="shuffle")
 
     if stats.count() <= broadcast_limit:
         st = pa.concat_tables(
@@ -12872,13 +12763,7 @@ def small_qty_revenue_loss(sf_dir: str, broadcast_limit: int = 250_000):
     else:
         joined = bucketed_join(
             lines, stats, left_key="l_partkey", right_key="l_partkey",
-            right_value_cols=["n", "sum_qty_m"],
-            left_schema=pa.schema([("l_partkey", pa.int64()),
-                                   ("qty_m", pa.int64()),
-                                   ("cents", pa.int64())]),
-            right_schema=pa.schema([("l_partkey", pa.int64()),
-                                    ("n", pa.int64()),
-                                    ("sum_qty_m", pa.int64())]))
+            right_value_cols=["n", "sum_qty_m"])
 
         def verify_j(t: pa.Table) -> pa.Table:
             qty = t["qty_m"].to_numpy(zero_copy_only=False)
@@ -13240,10 +13125,8 @@ def ship_delay_percentiles(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    pschema = pa.schema([("o_orderkey", pa.int64()),
-                         ("sdays", pa.int64()), ("cnt", pa.int64())])
     attached = _attach_order_cols(partials, orders, ["odays"],
-                                  broadcast_limit, pschema)
+                                  broadcast_limit)
 
     def delay(t: pa.Table) -> pa.Table:
         d = pc.subtract(t["sdays"], t["odays"])

@@ -1,78 +1,155 @@
-"""Fast keyed reduction primitives.
+"""Fast keyed reduction primitives on one task-based hash exchange.
 
 Ray Data's ``groupby(keys).aggregate(...)`` uses a sort-based shuffle
 with per-group Python dispatch; with many distinct keys it is orders of
 magnitude slower than Arrow's hash aggregation (measured locally: 77 s
-vs 0.1 s for 34k rows / 32k groups).  Every keyed reduce in this engine
-therefore uses the classic two-stage pattern instead:
+vs 0.1 s for 34k rows / 32k groups).  Its ``groupby(col).map_groups``
+also cuts every input block into one piece per input block, so the
+pieces grow with the square of the block count.  Every keyed primitive
+here therefore runs on :func:`hash_exchange` instead:
 
-1. **partial**: ``pyarrow.TableGroupBy`` per batch (C hash aggregate) —
-   collapses each block to one row per key, so the shuffle moves
-   partials, not rows (this is also the skew/salt mitigation of
-   SURVEY.md §4.2: a hot key costs one row per block);
-2. **exchange**: rows are hashed into ``num_buckets`` coarse buckets
-   (single int key — cheap for Ray's shuffle since the group count is
-   the bucket count, not the key count);
-3. **final**: per-bucket ``TableGroupBy`` again (C hash aggregate), or a
-   user reduce applied per key group inside the bucket.
+1. **split**: one Ray task per input block hashes the keys
+   (:func:`add_bucket_column`) and returns ``num_buckets`` Arrow pieces
+   through ``num_returns`` -- pieces grow with the block count, not its
+   square, and every piece keeps the block's schema;
+2. **reduce**: one Ray task per non-empty bucket receives its pieces by
+   reference, concatenates each side and calls one Arrow (or pandas)
+   kernel once per bucket (not per key group);
+3. **output**: ``rd.from_arrow_refs`` -- the exchange is eager, so a
+   chain of exchanges never re-executes a lazy upstream.
 
-``num_buckets`` is the shuffle parallelism knob: ~2-4x the cluster CPU
-count.  All bucket hashes are process-independent (pandas hash with the
-fixed default key).
+Keyed reduces put a ``pyarrow.TableGroupBy`` partial per block in front
+of the exchange, so it moves partials, not rows (a hot key costs one
+row per block -- the skew mitigation of SURVEY.md §4.2).
+``exchange="coalesce"`` is the one-bucket case of the same exchange.
+``num_buckets`` is the parallelism: ~2x the cluster CPU count.  All
+bucket hashes are process-independent (pandas hash with the fixed
+default key).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain, combinations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 # partial-aggregate function -> how partials combine in the final stage
 _COMBINE = {"sum": "sum", "count": "sum", "count_all": "sum",
             "min": "min", "max": "max", "one": "one"}
 
-# Arrow integer/bool types -> pandas nullable extension dtypes, used by
-# bucketed_join so null-padded union columns keep exact integer values
-# (a numpy conversion would widen int64+nulls to float64).
-_NULLABLE_DTYPES = {
-    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
-    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
-    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
-    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
-    pa.bool_(): pd.BooleanDtype(),
-}
-
 
 def default_num_buckets() -> int:
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     return max(8, cpus * 2)
 
 
 def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
                       col: str = "__bucket") -> pa.Table:
-    """Vectorized deterministic bucket id from the key columns."""
+    """Vectorized deterministic bucket id from the key columns.  Numeric
+    keys hash by their float64 value, so equal keys of different integer
+    types, or in blocks with and without nulls, share a bucket."""
     acc = None
     for k in keys:
-        s = batch.column(k).to_pandas()
+        c = batch.column(k)
+        if pa.types.is_integer(c.type) or pa.types.is_floating(c.type) \
+                or pa.types.is_boolean(c.type):
+            # + 0.0 folds -0.0 into 0.0
+            s = pd.Series(pc.cast(c, pa.float64(), safe=False)
+                          .to_numpy(zero_copy_only=False) + 0.0)
+        else:
+            s = c.to_pandas()
         h = pd.util.hash_pandas_object(s, index=False).to_numpy()
         acc = h if acc is None else (acc * np.uint64(1000003)) ^ h
     bucket = (acc % np.uint64(num_buckets)).astype(np.int64)
     return batch.append_column(col, pa.array(bucket, type=pa.int64()))
 
 
-def few_blocks(ds: rd.Dataset) -> rd.Dataset:
-    """At most ``default_num_buckets()`` blocks into an exchange.  Ray's
-    sort shuffle cuts every input block into one piece per input block,
-    but only ``num_buckets`` groups exist: more blocks multiply the
-    pieces without adding reduce parallelism (and a whole bucket has to
-    fit one task anyway)."""
-    return ds.repartition(default_num_buckets())
+def _arrow(block) -> pa.Table:
+    return block if isinstance(block, pa.Table) \
+        else BlockAccessor.for_block(block).to_arrow()
+
+
+@ray.remote
+def _split(block, keys: list[str], num_buckets: int):
+    """One block -> ``num_buckets`` pieces (zero-row ones keep the
+    schema) + the per-bucket row counts."""
+    block = _arrow(block)
+    if block.num_rows == 0:
+        return (*[block] * num_buckets, np.zeros(num_buckets, np.int64))
+    b = add_bucket_column(block.select(keys), keys,
+                          num_buckets)["__bucket"].to_numpy()
+    counts = np.bincount(b, minlength=num_buckets)
+    t = block.take(np.argsort(b, kind="stable"))
+    ends = np.cumsum(counts)
+    return (*[t.slice(e - c, c) for e, c in zip(ends, counts)], counts)
+
+
+@ray.remote
+def _reduce(kernel, widths: list[int], batch_format: str, *pieces):
+    sides, start = [], 0
+    for w in widths:
+        part = [_arrow(p) for p in pieces[start:start + w]]
+        start += w
+        # the rows' schema wins: Ray's projections can leave a zero-row
+        # block with its pre-projection columns
+        part = [p for p in part if p.num_rows] or part[:1]
+        sides.append(pa.concat_tables(part, promote_options="permissive")
+                     if part else pa.table({}))
+    if not any(t.num_columns for t in sides):
+        # row-wise filters can leave empty blocks with no schema at all
+        out = sides[0]
+    elif batch_format == "pandas":
+        out = kernel(*[BlockAccessor.for_block(t).to_pandas() for t in sides])
+    else:
+        out = kernel(*sides)
+    if batch_format == "pandas":
+        return out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    if isinstance(out, pd.DataFrame):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    # pandas schema metadata makes block schemas unhashable (Ray Data's
+    # "Failed to hash the schemas" warning in worker processes)
+    return out.replace_schema_metadata(None)
+
+
+def hash_exchange(sides: list[tuple[rd.Dataset, list[str]]],
+                  kernel: Callable, *, num_buckets: int | None = None,
+                  exchange: str = "shuffle",
+                  batch_format: str = "pyarrow") -> rd.Dataset:
+    """The one keyed exchange: hash every side's rows on that side's key
+    columns into ``num_buckets`` buckets and call ``kernel(*tables)``
+    once per bucket, one concatenated table (or DataFrame with
+    ``batch_format="pandas"``) per side.  Equal keys meet in one bucket
+    across sides.  Buckets empty on every side are skipped, unless all
+    are: then bucket 0 runs once on typed empty input.
+    ``exchange="coalesce"`` is the one-bucket case: the blocks go
+    straight to one reduce task.  Eager: returns a materialized
+    dataset."""
+    nb = 1 if exchange == "coalesce" else num_buckets or default_num_buckets()
+    blocks = [ds.to_arrow_refs() for ds, _ in sides]
+    if not any(blocks):
+        return rd.from_arrow_refs([])
+    if nb == 1:
+        buckets = [blocks]
+    else:
+        split = _split.options(num_returns=nb + 1)
+        parts = [[split.remote(b, keys, nb) for b in refs]
+                 for refs, (_, keys) in zip(blocks, sides)]
+        counts = sum(ray.get([p[-1] for side in parts for p in side]))
+        live = np.flatnonzero(counts) if counts.any() else [0]
+        buckets = [[[p[i] for p in side] for side in parts] for i in live]
+    kref = ray.put(kernel)
+    outs = [_reduce.remote(kref, [len(s) for s in bucket], batch_format,
+                           *chain(*bucket)) for bucket in buckets]
+    if batch_format == "pandas":
+        return rd.from_pandas_refs(outs)
+    return rd.from_arrow_refs(outs)
 
 
 def measured_exchange(n_rows_bound: int | None, *,
@@ -98,24 +175,14 @@ def hash_aggregate(ds: rd.Dataset, keys: list[str],
     output columns are named ``{column}_{fn}`` (pyarrow convention) or
     via ``rename``.  ``count`` counts non-null rows of the column.
 
-    ``exchange`` picks the final stage:
-
-    * ``"shuffle"`` (default — the scale-safe direction, VERDICT r4 #4):
-      hash-bucket exchange via Ray groupby on a single int key — works
-      for key sets of any size (e.g. exact URL dedup over the full
-      corpus).  New call sites inherit this.
-    * ``"coalesce"`` (explicit opt-in): partials (one row per key per
-      block) are concatenated into one block and combined there.
-      Correct AND much cheaper whenever the DISTINCT KEY SET provably
-      fits a block (canonical nodes / bounded windows / measured-small
-      inputs) — it avoids Ray's sort machinery entirely, which costs
-      ~15 s of pure scheduling on thousands of tiny blocks.  Call sites
-      must justify the bound (documented key-set bound or
-      :func:`measured_exchange` on a measured row count).
+    A ``TableGroupBy`` partial per block, then :func:`hash_exchange`
+    combines the partials per bucket.  ``exchange="coalesce"`` (explicit
+    opt-in) combines them in one task -- correct AND cheaper whenever
+    the DISTINCT KEY SET provably fits a block (canonical nodes /
+    bounded windows / measured-small inputs).  Call sites must justify
+    the bound (documented key-set bound or :func:`measured_exchange` on
+    a measured row count).
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-
     partial_names = [f"{c}_{f}" for c, f in aggs]
     final_aggs = [(n, _COMBINE[f]) for n, (c, f) in zip(partial_names, aggs)]
     final_names = [f"{n}_{_COMBINE[f]}" for n, (c, f) in zip(partial_names, aggs)]
@@ -125,30 +192,17 @@ def hash_aggregate(ds: rd.Dataset, keys: list[str],
         mapping = {k: rename.get(v, v) for k, v in mapping.items()}
         mapping.update({k: v for k, v in rename.items() if k in keys})
 
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(t, keys).aggregate(aggs)
+
     def combine(t: pa.Table) -> pa.Table:
         out = pa.TableGroupBy(t, keys).aggregate(final_aggs)
         return out.rename_columns([mapping.get(c, c) for c in out.column_names])
 
-    if exchange == "coalesce":
-        def partial(t: pa.Table) -> pa.Table:
-            return pa.TableGroupBy(t, keys).aggregate(aggs)
-
-        partials = ds.map_batches(partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-        return partials.repartition(1).map_batches(
-            combine, batch_format="pyarrow", batch_size=None)
-
-    def partial_b(t: pa.Table) -> pa.Table:
-        out = pa.TableGroupBy(t, keys).aggregate(aggs)
-        return add_bucket_column(out, keys, num_buckets)
-
-    def final_grouped(t: pa.Table) -> pa.Table:
-        return combine(t.drop_columns(["__bucket"]))
-
-    partials = ds.map_batches(partial_b, batch_format="pyarrow",
+    partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return partials.groupby("__bucket").map_groups(
-        final_grouped, batch_format="pyarrow")
+    return hash_exchange([(partials, keys)], combine,
+                         num_buckets=num_buckets, exchange=exchange)
 
 
 def bucketed_apply(ds: rd.Dataset, keys: list[str],
@@ -156,44 +210,15 @@ def bucketed_apply(ds: rd.Dataset, keys: list[str],
                    *, num_buckets: int | None = None,
                    batch_format: str = "pandas",
                    exchange: str = "shuffle") -> rd.Dataset:
-    """Hash rows into coarse buckets on ``keys``, shuffle via Ray's
-    groupby on the single int bucket key, and apply ``fn`` ONCE per
-    bucket (not per key group).  All rows sharing a key land in the same
-    bucket, so ``fn`` can implement co-grouped semantics vectorized —
-    this is the primitive behind the engine's partitioned hash join
-    (``bucketed_join``).
-
-    ``exchange="coalesce"`` skips the groupby machinery and applies
-    ``fn`` to everything as one block inside a worker task (NOT on the
-    driver) — for callers that have MEASURED the data to be small
-    (e.g. candidate-sized); the shuffle path is the default.
+    """Apply ``fn`` ONCE per hash bucket of ``keys`` (not per key
+    group).  All rows sharing a key land in the same bucket, so ``fn``
+    can implement co-grouped semantics vectorized.  ``exchange=
+    "coalesce"`` applies ``fn`` to everything in one worker task (NOT
+    on the driver) -- for callers that have MEASURED the data to be
+    small.
     """
-    if exchange == "coalesce":
-        def run_all(df):
-            return fn(df)
-
-        return ds.repartition(1).map_batches(
-            run_all, batch_format=batch_format, batch_size=None)
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        return add_bucket_column(t, keys, num_buckets)
-
-    def run(df):
-        if batch_format == "pandas":
-            if "__bucket" in df.columns:
-                df = df.drop(columns="__bucket")
-        elif "__bucket" in df.column_names:
-            df = df.drop_columns(["__bucket"])
-        return fn(df)
-
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(run, batch_format=batch_format)
-    )
+    return hash_exchange([(ds, keys)], fn, batch_format=batch_format,
+                         num_buckets=num_buckets, exchange=exchange)
 
 
 def salted_prefilter(ds: rd.Dataset, keys: list[str], order_col: str,
@@ -422,15 +447,13 @@ def pivot_counts(ds: rd.Dataset, keys: list[str], pivot_col: str,
                           num_buckets=num_buckets, exchange=exchange)
 
 
-def pa_type_of(t) -> pa.DataType:
-    """Dataset.schema() type -> Arrow type.
+def column_type(ds: rd.Dataset, col: str) -> pa.DataType:
+    """Arrow type of ``col`` in ``ds.schema()``, for typed empty results.
 
     Pandas-block datasets report numpy dtypes; object dtype is assumed
-    to be a STRING payload (the common case).  Object columns holding
-    lists/dicts cannot be inferred from a dtype — convert such inputs
-    to Arrow blocks upstream (``map_batches(..., batch_format=
-    "pyarrow")``) before joining, or the two join sides would disagree.
+    to be a STRING payload (the common case).
     """
+    t = dict(zip(ds.schema().names, ds.schema().types))[col]
     if isinstance(t, pa.DataType):
         return t
     # pandas-block schemas may report either np.dtype('O') or the bare
@@ -441,82 +464,53 @@ def pa_type_of(t) -> pa.DataType:
     return pa.from_numpy_dtype(dt)
 
 
+def _index_join(left: pa.Table, right: pa.Table, *, left_key: str,
+               right_key: str, right_value_cols: list[str],
+               how: str = "inner") -> pa.Table:
+    """Equi-join two tables through their row indices: join only the key
+    columns with a row-index column, sort the matches by (left row,
+    right row), then ``take`` every payload column from its side -- so
+    list, struct and int64 payloads keep their exact Arrow types (Acero
+    alone rejects list payloads; pandas widens null-padded ints).  The
+    right key is cast to the left key's type; null keys match nothing.
+    ``how`` is ``"inner"`` or ``"left"`` (unmatched right values null)."""
+    if not left.num_columns:  # a side with no block carries no schema
+        return left
+    rk = right.column(right_key) if right.num_columns else pa.array([])
+    lt = pa.table({"k": left.column(left_key),
+                   "__l": np.arange(left.num_rows, dtype=np.int64)})
+    rt = pa.table({"k": rk.cast(left.schema.field(left_key).type),
+                   "__r": np.arange(right.num_rows, dtype=np.int64)})
+    idx = lt.join(rt, "k", join_type="left outer" if how == "left"
+                  else "inner").sort_by([("__l", "ascending"),
+                                         ("__r", "ascending")])
+    # a right value column replaces a left one of the same name: Ray's
+    # select_columns leaves zero-row blocks unprojected, so an all-empty
+    # left side can still carry the previous join's value column
+    out = left.drop_columns([c for c in right_value_cols
+                             if c in left.column_names]).take(idx["__l"])
+    for c in right_value_cols:
+        col = right.column(c) if c in right.column_names else pa.array([])
+        out = out.append_column(c, col.take(idx["__r"]))
+    return out
+
+
 def bucketed_join(left: rd.Dataset, right: rd.Dataset, *,
                   left_key: str, right_key: str,
                   right_value_cols: list[str], how: str = "inner",
                   num_buckets: int | None = None,
-                  exchange: str = "shuffle",
-                  left_schema: pa.Schema | None = None,
-                  right_schema: pa.Schema | None = None) -> rd.Dataset:
-    """Partitioned single-key equi-join on the coarse-bucket exchange.
+                  exchange: str = "shuffle") -> rd.Dataset:
+    """Partitioned single-key equi-join, eager and schema-free: each side
+    is hashed on its own key by :func:`hash_exchange` (no union, no
+    null-padding, no schema lookup) and every bucket runs
+    :func:`_index_join`.  Output = left columns + ``right_value_cols``,
+    with every column's Arrow type kept; never driver-side."""
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return _index_join(lt, rt, left_key=left_key, right_key=right_key,
+                          right_value_cols=right_value_cols, how=how)
 
-    Both sides are projected onto one union schema (typed nulls for the
-    other side's columns, types from ``Dataset.schema()``), hashed on
-    the key into ``num_buckets`` buckets, and merged per bucket with a
-    vectorized ``pd.merge`` — no Acero payload-type limits, no per-join
-    actor pools, never driver-side.  Output = left columns +
-    ``right_value_cols``.  The scale path for joins whose build side no
-    longer fits a broadcast (e.g. unbounded-vocabulary endpoint
-    resolution in the KG build).
-
-    Pass ``left_schema``/``right_schema`` when the side is a LAZY
-    pipeline: ``Dataset.schema()`` executes upstream stages to produce
-    a first block, which for shuffle-output datasets means running the
-    whole exchange once just to learn the schema.
-    """
-    lschema = left_schema if left_schema is not None else left.schema()
-    rschema = right_schema if right_schema is not None else right.schema()
-    if hasattr(lschema, "base_schema"):  # Ray Schema wrapper
-        lschema = lschema.base_schema
-    if hasattr(rschema, "base_schema"):
-        rschema = rschema.base_schema
-
-    left_cols = list(lschema.names)
-    ltypes = {n: pa_type_of(t) for n, t in zip(lschema.names, lschema.types)}
-    rtypes = {n: pa_type_of(t) for n, t in zip(rschema.names, rschema.types)}
-
-    def left_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(left_key)}
-        for c in left_cols:
-            cols[f"l_{c}"] = t.column(c)
-        for c in right_value_cols:
-            cols[c] = pa.nulls(t.num_rows, rtypes[c])
-        cols["__side"] = pa.array(np.zeros(t.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    def right_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(right_key).cast(ltypes[left_key])}
-        for c in left_cols:
-            cols[f"l_{c}"] = pa.nulls(t.num_rows, ltypes[c])
-        for c in right_value_cols:
-            cols[c] = t.column(c)
-        cols["__side"] = pa.array(np.ones(t.num_rows, dtype=np.int8))
-        return pa.table(cols)
-
-    both = left.map_batches(left_side, batch_format="pyarrow").union(
-        right.map_batches(right_side, batch_format="pyarrow"))
-
-    # The union null-pads each side's columns, so a plain to_pandas
-    # would widen integer columns to float64 (ids above 2^53 would lose
-    # exactness and dtypes silently change).  Convert through pandas
-    # NULLABLE extension dtypes instead: nulls survive without widening
-    # and from_pandas restores the original Arrow integer types.
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas(types_mapper=_NULLABLE_DTYPES.get)
-        lhs = df[df["__side"] == 0].drop(columns=["__side"]
-                                         + right_value_cols)
-        rhs = df[df["__side"] == 1][["__key"] + right_value_cols]
-        out = lhs.merge(rhs, on="__key", how=how).drop(columns="__key")
-        out = out.rename(columns={f"l_{c}": c for c in left_cols})
-        # drop the pandas schema-footer metadata: it makes block schemas
-        # unhashable, which triggers Ray Data's "Failed to hash the
-        # schemas" warning in WORKER processes (where the driver-side
-        # logging filter of __init__ can't reach, ADVICE r2)
-        return pa.Table.from_pandas(
-            out, preserve_index=False).replace_schema_metadata(None)
-
-    return bucketed_apply(both, ["__key"], merge, num_buckets=num_buckets,
-                          batch_format="pyarrow", exchange=exchange)
+    return hash_exchange([(left, [left_key]), (right, [right_key])], kernel,
+                         num_buckets=num_buckets, exchange=exchange)
 
 
 def bucketed_group_map(ds: rd.Dataset, keys: list[str],
@@ -525,29 +519,20 @@ def bucketed_group_map(ds: rd.Dataset, keys: list[str],
                        batch_format: str = "pandas",
                        exchange: str = "coalesce",
                        min_group_size: int = 1) -> rd.Dataset:
-    """``groupby(keys).map_groups(fn)`` semantics without Ray's per-key
-    sort shuffle.
-
-    ``exchange="coalesce"`` (default): concatenate into one block and
-    group there — correct and far faster whenever the grouped data fits
-    a block (see ``hash_aggregate``).  ``exchange="shuffle"``: hash the
-    keys into ``num_buckets`` coarse buckets, shuffle those (cheap: the
-    Ray group count is the bucket count), group per bucket — the path
-    for data too large for one block.  Either way the per-key grouping
-    is a C hash-group with one Python call per key group.
+    """``groupby(keys).map_groups(fn)`` semantics on :func:`hash_exchange`:
+    ``fn`` runs once per key group inside each bucket (a C hash-group,
+    one Python call per key group).  ``exchange="coalesce"`` (default)
+    groups everything in one task -- correct and far faster whenever the
+    grouped data fits a block; ``"shuffle"`` spreads the keys over
+    ``num_buckets`` buckets.
 
     ``min_group_size=2`` drops singleton key groups VECTORIZED before
     any per-group Python runs — the dominant case for LSH-bucket
     candidate generation, where almost every bucket holds one row and
     the UDF would return empty anyway.
     """
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-
     if batch_format == "pandas":
         def group_rows(df: pd.DataFrame) -> pd.DataFrame:
-            if "__bucket" in df.columns:
-                df = df.drop(columns="__bucket")
             if min_group_size >= 2 and not df.empty:
                 df = df[df.duplicated(subset=keys, keep=False)]
             if df.empty:
@@ -556,8 +541,6 @@ def bucketed_group_map(ds: rd.Dataset, keys: list[str],
             return pd.concat(parts, ignore_index=True)
     else:
         def group_rows(t: pa.Table):
-            if "__bucket" in t.column_names:
-                t = t.drop_columns(["__bucket"])
             if t.num_rows == 0:
                 return fn(t)
             idx = pa.compute.sort_indices(
@@ -581,30 +564,54 @@ def bucketed_group_map(ds: rd.Dataset, keys: list[str],
             return pa.concat_tables([o for o in outs if o.num_rows > 0]) \
                 if any(o.num_rows for o in outs) else outs[0]
 
-    if exchange == "coalesce":
-        return ds.repartition(1).map_batches(
-            group_rows, batch_format=batch_format, batch_size=None)
+    return hash_exchange([(ds, keys)], group_rows, batch_format=batch_format,
+                         num_buckets=num_buckets, exchange=exchange)
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        return add_bucket_column(t, keys, num_buckets)
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(group_rows, batch_format=batch_format)
-    )
+def _grouping_sets(ds: rd.Dataset, keys: list[str], value_col: str,
+                   subsets: list[list[str]],
+                   num_buckets: int | None) -> rd.Dataset:
+    """``GROUP BY GROUPING SETS`` in ONE data shuffle (the OLAP
+    cube-lattice optimization): the finest ``GROUP BY keys`` is the only
+    aggregate that touches the input; every coarser set re-aggregates
+    the (key-cardinality-bounded) finest partials with its dropped keys
+    nulled, so breadth costs subsets-many SMALL exchanges, never another
+    scan of the data.  Output: ``keys + [n_rows, v_sum]``."""
+    finest = hash_aggregate(
+        ds.select_columns(keys + [value_col]), keys,
+        [(value_col, "count"), (value_col, "sum")],
+        rename={f"{value_col}_count": "n_rows",
+                f"{value_col}_sum": "v_sum"},
+        num_buckets=num_buckets)
+
+    def level(kept: list[str]):
+        def f(t: pa.Table) -> pa.Table:
+            cols = {k: t.column(k) if k in kept
+                    else pa.nulls(t.num_rows, t.schema.field(k).type)
+                    for k in keys}
+            cols["n_rows"] = t.column("n_rows").cast(pa.int64())
+            cols["v_sum"] = t.column("v_sum").cast(pa.int64())
+            return pa.table(cols)
+        return f
+
+    out = finest.map_batches(level(keys), batch_format="pyarrow")
+    for sub in subsets:
+        coarse = hash_aggregate(
+            finest.map_batches(level(sub), batch_format="pyarrow"), keys,
+            [("n_rows", "sum"), ("v_sum", "sum")],
+            rename={"n_rows_sum": "n_rows", "v_sum_sum": "v_sum"},
+            num_buckets=num_buckets)
+        out = out.union(coarse.map_batches(level(keys),
+                                           batch_format="pyarrow"))
+    return out
 
 
 def rollup_aggregate(ds: rd.Dataset, keys: list[str], value_col: str,
                      *, num_buckets: int | None = None) -> rd.Dataset:
-    """Multi-level ROLLUP in ONE data shuffle (the OLAP cube-lattice
-    optimization): the finest level ``GROUP BY keys`` is the only
-    aggregate that touches the input; every coarser level —
-    ``keys[:n-1]`` ... ``()`` — re-aggregates the (key-cardinality-
-    bounded) finest partials, so a 100 TB input pays exactly one
-    exchange no matter how many rollup levels it reports.  Rolled-up
-    key columns carry typed NULLs, matching SQL ``GROUP BY ROLLUP``
-    markers.  Output: ``keys + [n_rows, v_sum]``.
+    """SQL ``GROUP BY ROLLUP``: ``keys``, ``keys[:n-1]`` ... ``()`` in
+    :func:`_grouping_sets`' one-shuffle plan.  Rolled-up key columns
+    carry typed NULLs, matching SQL's rollup markers.  Output:
+    ``keys + [n_rows, v_sum]``.
 
     Caller contract: key columns are NON-NULL (real null keys would
     collide with the rollup markers — same ambiguity SQL resolves with
@@ -613,118 +620,24 @@ def rollup_aggregate(ds: rd.Dataset, keys: list[str], value_col: str,
     """
     if not keys:
         raise ValueError("rollup needs at least one key")
-    finest = hash_aggregate(
-        ds.select_columns(keys + [value_col]), keys,
-        [(value_col, "count"), (value_col, "sum")],
-        rename={f"{value_col}_count": "n_rows",
-                f"{value_col}_sum": "v_sum"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    sch = finest.schema()
-    sch = getattr(sch, "base_schema", sch)
-    ktypes = {n: pa_type_of(t) for n, t in zip(sch.names, sch.types)}
-
-    def pad(dropped: list[str]):
-        def f(t: pa.Table) -> pa.Table:
-            cols = {}
-            for k in keys:
-                cols[k] = (pa.nulls(t.num_rows, ktypes[k])
-                           if k in dropped else t.column(k))
-            cols["n_rows"] = t.column("n_rows").cast(pa.int64())
-            cols["v_sum"] = t.column("v_sum").cast(pa.int64())
-            return pa.table(cols)
-        return f
-
-    out = finest.map_batches(pad([]), batch_format="pyarrow",
-                             zero_copy_batch=True)
-    for lvl in range(len(keys) - 1, -1, -1):
-        sub = keys[:lvl]
-        if sub:
-            coarse = hash_aggregate(
-                finest.select_columns(sub + ["n_rows", "v_sum"]), sub,
-                [("n_rows", "sum"), ("v_sum", "sum")],
-                rename={"n_rows_sum": "n_rows", "v_sum_sum": "v_sum"},
-                num_buckets=num_buckets, exchange="shuffle")
-        else:
-            coarse = hash_aggregate(
-                finest.map_batches(
-                    lambda t: t.append_column(
-                        "__all", pa.array(np.zeros(t.num_rows, np.int8))),
-                    batch_format="pyarrow", zero_copy_batch=True),
-                ["__all"], [("n_rows", "sum"), ("v_sum", "sum")],
-                rename={"n_rows_sum": "n_rows", "v_sum_sum": "v_sum"},
-                num_buckets=num_buckets, exchange="shuffle")
-            coarse = coarse.map_batches(
-                lambda t: t.drop_columns(["__all"]),
-                batch_format="pyarrow", zero_copy_batch=True)
-        out = out.union(coarse.map_batches(
-            pad(keys[lvl:]), batch_format="pyarrow",
-            zero_copy_batch=True))
-    return out
+    return _grouping_sets(ds, keys, value_col,
+                          [keys[:n] for n in range(len(keys) - 1, -1, -1)],
+                          num_buckets)
 
 
 def cube_aggregate(ds: rd.Dataset, keys: list[str], value_col: str,
                    *, num_buckets: int | None = None) -> rd.Dataset:
-    """SQL ``GROUP BY CUBE`` — all ``2^k`` grouping subsets — in the
-    ``rollup_aggregate`` one-shuffle plan: the finest ``GROUP BY keys``
-    aggregate is the only pass over the input; every other subset
-    re-aggregates the (key-cardinality-bounded) finest partials, so
-    cube breadth costs subsets-many SMALL exchanges, never another
-    scan of the data.  Dropped key columns carry typed NULLs (SQL's
-    CUBE markers).  Output: ``keys + [n_rows, v_sum]``.  Same caller
-    contract as ``rollup_aggregate``: non-null keys and value.
+    """SQL ``GROUP BY CUBE`` — all ``2^k`` grouping subsets — in
+    :func:`_grouping_sets`' one-shuffle plan.  Dropped key columns carry
+    typed NULLs (SQL's CUBE markers).  Output: ``keys + [n_rows,
+    v_sum]``.  Same caller contract as ``rollup_aggregate``: non-null
+    keys and value.
     """
-    from itertools import combinations
-
     if not keys:
         raise ValueError("cube needs at least one key")
-    finest = hash_aggregate(
-        ds.select_columns(keys + [value_col]), keys,
-        [(value_col, "count"), (value_col, "sum")],
-        rename={f"{value_col}_count": "n_rows",
-                f"{value_col}_sum": "v_sum"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    sch = finest.schema()
-    sch = getattr(sch, "base_schema", sch)
-    ktypes = {n: pa_type_of(t) for n, t in zip(sch.names, sch.types)}
-
-    def pad(dropped: list[str]):
-        def f(t: pa.Table) -> pa.Table:
-            cols = {}
-            for k in keys:
-                cols[k] = (pa.nulls(t.num_rows, ktypes[k])
-                           if k in dropped else t.column(k))
-            cols["n_rows"] = t.column("n_rows").cast(pa.int64())
-            cols["v_sum"] = t.column("v_sum").cast(pa.int64())
-            return pa.table(cols)
-        return f
-
-    out = finest.map_batches(pad([]), batch_format="pyarrow",
-                             zero_copy_batch=True)
-    subsets = [list(c) for r in range(len(keys))
-               for c in combinations(keys, r)]
-    for sub in subsets:
-        if sub:
-            coarse = hash_aggregate(
-                finest.select_columns(sub + ["n_rows", "v_sum"]), sub,
-                [("n_rows", "sum"), ("v_sum", "sum")],
-                rename={"n_rows_sum": "n_rows", "v_sum_sum": "v_sum"},
-                num_buckets=num_buckets, exchange="shuffle")
-        else:
-            coarse = hash_aggregate(
-                finest.map_batches(
-                    lambda t: t.append_column(
-                        "__all", pa.array(np.zeros(t.num_rows, np.int8))),
-                    batch_format="pyarrow", zero_copy_batch=True),
-                ["__all"], [("n_rows", "sum"), ("v_sum", "sum")],
-                rename={"n_rows_sum": "n_rows", "v_sum_sum": "v_sum"},
-                num_buckets=num_buckets, exchange="shuffle")
-            coarse = coarse.map_batches(
-                lambda t: t.drop_columns(["__all"]),
-                batch_format="pyarrow", zero_copy_batch=True)
-        out = out.union(coarse.map_batches(
-            pad([k for k in keys if k not in sub]),
-            batch_format="pyarrow", zero_copy_batch=True))
-    return out
+    return _grouping_sets(ds, keys, value_col,
+                          [list(c) for r in range(len(keys))
+                           for c in combinations(keys, r)], num_buckets)
 
 
 def snapshot_diff(old: rd.Dataset, new: rd.Dataset, *, key_col: str,

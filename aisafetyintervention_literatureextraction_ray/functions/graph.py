@@ -24,10 +24,9 @@ algorithm writes its message and update kernels once, as numpy over
 int64 columns.  The driver path applies them to the whole code arrays
 with ``np.add.at`` / ``np.minimum.at``; the distributed path applies
 them per batch inside one ``bucketed_join`` (state into the edges) ->
-union(identity rows) -> ``hash_aggregate`` -> ``repartition`` round,
-re-bounding the state to the edge block count every round (Ray's
-shuffle emits about one block per input block, so an unbounded union
-would double the block count per round).  Fixed-round mode runs
+union(identity rows) -> ``hash_aggregate`` round; the exchange emits at
+most one block per bucket, so the state's block count stays bounded
+across rounds.  Fixed-round mode runs
 ``n_rounds``; fixed-point mode stops at the first round that changes
 nothing — detected with the blocking-independent multiset signature
 ``_labels_sig`` and confirmed by the exact old-vs-new join only on a
@@ -57,7 +56,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from .agg import (bucketed_apply, bucketed_group_map, bucketed_join,
-                  default_num_buckets, hash_aggregate, pa_type_of)
+                  column_type, hash_aggregate)
 
 #: driver-path state value of a node that has none yet (min combine)
 _ABSENT = np.iinfo(np.int64).max
@@ -120,14 +119,6 @@ def _changed_count(new_labels: rd.Dataset, old_labels: rd.Dataset,
     ).count()
 
 
-def _input_id_type(edges: rd.Dataset, col: str) -> pa.DataType:
-    """Column type from the INPUT schema — aggregated edge sets can come
-    back empty with ``schema() is None``; pandas-block inputs report
-    numpy dtypes (object -> string)."""
-    sch = edges.schema()
-    return pa_type_of(dict(zip(sch.names, sch.types))[col])
-
-
 def _cat(*cols) -> pa.Array:
     return pa.chunked_array(list(cols)).combine_chunks()
 
@@ -168,17 +159,14 @@ class GraphHandle:
                  as_str: bool = False, weight: str | None = None,
                  reduce: str = "sum", num_buckets: int | None = None,
                  driver_threshold: int = 2_000_000):
-        self.id_type = _input_id_type(edges, src)
-        self.key_type = pa.string() if as_str else self.id_type
+        # from the INPUT schema: aggregated edge sets can come back
+        # empty with ``schema() is None``
+        self.id_type = column_type(edges, src)
         self.view, self.num_buckets = view, num_buckets
         self.cols = ("a", "b") if view == "undirected" else ("s", "d")
         ca, cb = self.cols
-        fields = [(ca, self.key_type), (cb, pa.string() if as_str else
-                                         _input_id_type(edges, dst))]
-        if weight is not None:
-            fields.append(("w", pa.int64() if reduce == "sum"
-                           else _input_id_type(edges, weight)))
-        self.schema = pa.schema(fields)
+        # arc attribute columns: the weight, then ``tot`` once attached
+        self.attrs = [] if weight is None else ["w"]
 
         def shape(t: pa.Table) -> pa.Table:
             x, y = t.column(src), t.column(dst)
@@ -206,7 +194,7 @@ class GraphHandle:
                 t, [ca, cb],
                 [("w", reduce)] if weight is not None else [(ca, "count")],
                 rename={f"w_{reduce}": "w"}, num_buckets=num_buckets,
-                exchange="shuffle").select_columns(self.schema.names)
+                exchange="shuffle").select_columns([ca, cb, *self.attrs])
         # materialized ONCE: the gate needs the count and both paths then
         # consume the rows, so a lazy view would re-run its whole
         # upstream lineage (measured 2x wall on dedup_components)
@@ -301,7 +289,7 @@ class GraphHandle:
         """Attach ``tot`` to every edge: its source's out-degree, or
         out-weight on a weighted view — joined once (it is round
         invariant), so every round only moves the state column."""
-        s, weighted = self.cols[0], "w" in self.schema.names
+        s, weighted = self.cols[0], "w" in self.attrs
         if self.driver:
             sc, _, ids = self.codes
             tot = np.zeros(len(ids), np.int64)
@@ -316,11 +304,8 @@ class GraphHandle:
             num_buckets=self.num_buckets, exchange="shuffle")
         self.table = bucketed_join(
             self.table, deg, left_key=s, right_key=s,
-            right_value_cols=["tot"], num_buckets=self.num_buckets,
-            left_schema=self.schema,
-            right_schema=pa.schema([(s, self.key_type),
-                                    ("tot", pa.int64())])).materialize()
-        self.schema = self.schema.append(pa.field("tot", pa.int64()))
+            right_value_cols=["tot"], num_buckets=self.num_buckets)
+        self.attrs.append("tot")
 
     def seed_mask(self, seeds: list):
         """``(mask, n_present)`` for a seed list: a code-indexed bool
@@ -356,7 +341,6 @@ class GraphHandle:
         id) and node constant ``base`` on every node in ``mask`` (all
         nodes when None); other nodes get value ``fill`` and constant 0,
         or are ABSENT when ``fill`` is None (min-combine frontiers)."""
-        self.vtype = self.key_type if value is None else pa.int64()
         if self.driver:
             on = np.ones(self.n_nodes, bool) if mask is None else mask
             self.k = np.where(on, base, 0).astype(np.int64)
@@ -382,7 +366,6 @@ class GraphHandle:
     def init_from(self, values: rd.Dataset, id_col: str, value_col: str):
         """Initial state read from a ``(id_col, value_col)`` int64
         Dataset; graph nodes it does not list start at 0."""
-        self.vtype = pa.int64()
         if self.driver:
             fdf = values.to_pandas()
             pos = pd.Index(self.codes[2]).get_indexer(
@@ -396,10 +379,7 @@ class GraphHandle:
             self.nodes, values.select_columns([id_col, value_col]),
             left_key="node_id", right_key=id_col,
             right_value_cols=[value_col], how="left",
-            num_buckets=self.num_buckets,
-            left_schema=pa.schema([("node_id", self.key_type)]),
-            right_schema=pa.schema([(id_col, self.id_type),
-                                    (value_col, pa.int64())]))
+            num_buckets=self.num_buckets)
         return self._start(j.map_batches(lambda t: pa.table({
             "node_id": t["node_id"],
             "v": pc.coalesce(pc.cast(t[value_col], pa.int64()),
@@ -438,7 +418,7 @@ class GraphHandle:
                 id_name: pa.array(self.codes[2][reached]).cast(
                     self.id_type),
                 **{n: pa.array(v[reached]) for n, v in states.items()}}))
-        out, schema = None, pa.schema([(id_name, self.key_type)])
+        out = None
         for name, st in states.items():
             t = st.map_batches(
                 lambda b, _n=name: pa.table({id_name: b["node_id"],
@@ -446,11 +426,7 @@ class GraphHandle:
                 batch_format="pyarrow", zero_copy_batch=True)
             out = t if out is None else bucketed_join(
                 out, t, left_key=id_name, right_key=id_name,
-                right_value_cols=[name], num_buckets=self.num_buckets,
-                left_schema=schema,
-                right_schema=pa.schema([(id_name, self.key_type),
-                                        (name, pa.int64())]))
-            schema = schema.append(pa.field(name, pa.int64()))
+                right_value_cols=[name], num_buckets=self.num_buckets)
         return out
 
     # --------------------------------------------------------- superstep
@@ -515,14 +491,7 @@ class GraphHandle:
                                n_rounds, until_fixed, reverse):
         arcs, nb = self.arcs, self.num_buckets
         s, d = ("d", "s") if reverse else ("s", "d")
-        attrs = ([] if self.view in ("undirected", "pairs")
-                 else self.schema.names[2:])
-        arc_schema = pa.schema(
-            [("s", self.key_type), ("d", self.key_type)]
-            + [self.schema.field(c) for c in attrs])
-        st_schema = pa.schema([("node_id", self.key_type),
-                               ("v", self.vtype)])
-        nblocks = max(arcs.num_blocks(), nb or default_num_buckets())
+        attrs = [] if self.view in ("undirected", "pairs") else self.attrs
 
         def emit(t: pa.Table) -> pa.Table:
             v, n = t["v"], t.num_rows
@@ -547,8 +516,7 @@ class GraphHandle:
         for _ in range(n_rounds):
             joined = bucketed_join(
                 arcs, state, left_key=s, right_key="node_id",
-                right_value_cols=["v"], num_buckets=nb,
-                left_schema=arc_schema, right_schema=st_schema)
+                right_value_cols=["v"], num_buckets=nb)
             cand = joined.map_batches(
                 emit, batch_format="pyarrow", zero_copy_batch=True,
             ).union(self.zero_rows if combine == "sum" else
@@ -560,8 +528,7 @@ class GraphHandle:
                 rename={f"v_{combine}": "v", "n_sum": "n", "k_max": "k"},
                 num_buckets=nb, exchange="shuffle",
             ).map_batches(apply, batch_format="pyarrow",
-                          zero_copy_batch=True,
-                          ).repartition(nblocks).materialize()
+                          zero_copy_batch=True).materialize()
             if until_fixed:
                 sig = _labels_sig(new, "v")
                 if sig == prev_sig and _changed_count(
@@ -989,26 +956,20 @@ def _triangles_distributed(und: rd.Dataset, num_buckets: int | None):
     its low-degree neighbors), which keeps the wedge self-join from
     exploding quadratically on skewed degree distributions.  A
     pair-key join against the oriented edge set closes each wedge.
-    All exchanges are skinny bucketed shuffles with explicit static
-    schemas (the chained-join rule in functions/agg.py)."""
+    All exchanges are skinny bucketed shuffles."""
     sep, st, i64 = "\x1f", pa.string(), pa.int64()
     deg = degree_table(und, src="a", dst="b",
                        num_buckets=num_buckets).map_batches(
         lambda t: pa.table({"node_id": t["node_id"], "deg": pc.cast(
             pc.add(t["out_degree"], t["in_degree"]), i64)}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    deg_schema = pa.schema([("node_id", st), ("deg", i64)])
     j1 = bucketed_join(und, deg, left_key="a", right_key="node_id",
-                       right_value_cols=["deg"], num_buckets=num_buckets,
-                       left_schema=pa.schema([("a", st), ("b", st)]),
-                       right_schema=deg_schema)
+                       right_value_cols=["deg"], num_buckets=num_buckets)
     j2 = bucketed_join(
         j1.map_batches(lambda t: t.rename_columns(["a", "b", "deg_a"]),
                        batch_format="pyarrow", zero_copy_batch=True),
         deg, left_key="b", right_key="node_id",
-        right_value_cols=["deg"], num_buckets=num_buckets,
-        left_schema=pa.schema([("a", st), ("b", st), ("deg_a", i64)]),
-        right_schema=deg_schema)
+        right_value_cols=["deg"], num_buckets=num_buckets)
 
     def orient(t: pa.Table) -> pa.Table:
         a, b = t.column("a"), t.column("b")
@@ -1028,11 +989,7 @@ def _triangles_distributed(und: rd.Dataset, num_buckets: int | None):
             lambda t: t.rename_columns(["w_src", "w_dst", "w_deg"]),
             batch_format="pyarrow", zero_copy_batch=True),
         left_key="o_src", right_key="w_src",
-        right_value_cols=["w_dst", "w_deg"], num_buckets=num_buckets,
-        left_schema=pa.schema([("o_src", st), ("o_dst", st),
-                               ("deg_dst", i64)]),
-        right_schema=pa.schema([("w_src", st), ("w_dst", st),
-                                ("w_deg", i64)]))
+        right_value_cols=["w_dst", "w_deg"], num_buckets=num_buckets)
 
     def ordered_pairs(t: pa.Table) -> pa.Table:
         d1, d2 = t.column("deg_dst"), t.column("w_deg")
@@ -1055,10 +1012,7 @@ def _triangles_distributed(und: rd.Dataset, num_buckets: int | None):
             "m": pa.array(np.ones(t.num_rows, dtype=np.int8))}),
             batch_format="pyarrow", zero_copy_batch=True),
         left_key="key", right_key="key", right_value_cols=["m"],
-        num_buckets=num_buckets,
-        left_schema=pa.schema([("key", st), ("u", st), ("v", st),
-                               ("w", st)]),
-        right_schema=pa.schema([("key", st), ("m", pa.int8())]))
+        num_buckets=num_buckets)
     return closed, deg
 
 
@@ -1147,12 +1101,9 @@ def clustering_coefficients(edges: rd.Dataset, *, src: str = "src",
     tri = hash_aggregate(credits.union(zeros), ["node_id"],
                          [("tri", "sum")], rename={"tri_sum": "triangles"},
                          num_buckets=num_buckets)
-    st = pa.string()
     out = bucketed_join(
         tri, deg, left_key="node_id", right_key="node_id",
-        right_value_cols=["deg"], num_buckets=num_buckets,
-        left_schema=pa.schema([("node_id", st), ("triangles", pa.int64())]),
-        right_schema=pa.schema([("node_id", st), ("deg", pa.int64())]))
+        right_value_cols=["deg"], num_buckets=num_buckets)
     return out.map_batches(
         lambda t: _clustering_table(t["node_id"], t["deg"],
                                     t["triangles"], h.id_type),
@@ -1325,16 +1276,6 @@ def kcore(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             f"kcore did not stabilize within {max_rounds} peel rounds; "
             f"raise max_rounds")
 
-    # EVERY schema below is passed explicitly and statically: probing
-    # .schema() on a lazy side re-executes it (the documented
-    # chained-join rule in functions/agg.py), and even a MATERIALIZED
-    # select_columns-of-join output can report the pre-projection
-    # schema when late buckets are empty (observed on Ray 2.49:
-    # cur.schema() -> [a, b, degree] while every non-empty block holds
-    # only [a, b]).
-    pair_schema = pa.schema([("a", h.id_type), ("b", h.id_type)])
-    keep_schema = pa.schema([("node_id", h.id_type),
-                             ("degree", pa.int64())])
     cur, prev_n = h.table, h.n_edges
     for _ in range(max_rounds):
         deg = hash_aggregate(
@@ -1354,7 +1295,6 @@ def kcore(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             nxt = bucketed_join(
                 nxt, keep, left_key=side, right_key="node_id",
                 right_value_cols=["degree"], num_buckets=num_buckets,
-                left_schema=pair_schema, right_schema=keep_schema,
             ).select_columns(["a", "b"])
         nxt = nxt.materialize()
         n_nxt = nxt.count()
@@ -1478,17 +1418,14 @@ def _neighbor_pairs(edges, src, dst, *, score, min_common,
                                           min_common, cols)
 
     adj = h.arcs  # (s, d): center, neighbor
-    st, i64 = h.key_type, pa.int64()
+    i64 = pa.int64()
     deg = hash_aggregate(
         adj.select_columns(["s"]), ["s"], [("s", "count")],
         rename={"s_count": "deg"},
-        num_buckets=num_buckets, exchange="shuffle").materialize()
-    deg_schema = pa.schema([("s", st), ("deg", i64)])
+        num_buckets=num_buckets, exchange="shuffle")
     with_deg = bucketed_join(
         adj, deg, left_key="s", right_key="s", right_value_cols=["deg"],
-        num_buckets=num_buckets,
-        left_schema=pa.schema([("s", st), ("d", st)]),
-        right_schema=deg_schema).materialize()
+        num_buckets=num_buckets)
     # drop hub CENTERS before the quadratic expansion (their rows as
     # NEIGHBORS survive — only their role as wedge center is skipped)
     kept = with_deg.map_batches(
@@ -1525,18 +1462,14 @@ def _neighbor_pairs(edges, src, dst, *, score, min_common,
         batch_format="pyarrow")
     if score == "aa_fp":
         return scored
-    out, schema = scored.materialize(), pa.schema(
-        [("id_a", st), ("id_b", st), ("common", i64)])
+    out = scored
     for side in ("a", "b"):
         out = bucketed_join(
             out, deg.map_batches(
                 lambda t, _c=f"deg_{side}": t.rename_columns(["s", _c]),
                 batch_format="pyarrow", zero_copy_batch=True),
             left_key=f"id_{side}", right_key="s",
-            right_value_cols=[f"deg_{side}"], num_buckets=num_buckets,
-            left_schema=schema,
-            right_schema=pa.schema([("s", st), (f"deg_{side}", i64)]))
-        schema = schema.append(pa.field(f"deg_{side}", i64))
+            right_value_cols=[f"deg_{side}"], num_buckets=num_buckets)
 
     def jaccard(t: pa.Table) -> pa.Table:
         common = _np(t.column("common"))
@@ -1653,7 +1586,6 @@ def hash_walks(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
         return _hash_walks_driver(h.df, seeds, walk_len, h.id_type)
 
     st = pa.string()
-    frontier_schema = pa.schema([("seed", st), ("cur", st)])
     frontier = rd.from_arrow(pa.table({"seed": pa.array(seeds, st),
                                        "cur": pa.array(seeds, st)}))
     out_tables = [pa.table({
@@ -1663,10 +1595,7 @@ def hash_walks(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     for t_step in range(1, walk_len + 1):
         cand = bucketed_join(frontier, adj, left_key="cur",
                              right_key="s", right_value_cols=["d"],
-                             num_buckets=num_buckets,
-                             left_schema=frontier_schema,
-                             right_schema=pa.schema([("s", st),
-                                                     ("d", st)]))
+                             num_buckets=num_buckets)
 
         def pick(t: pa.Table, _t=t_step) -> pa.Table:
             m = [hashlib.md5(f"{c}|{_t}|{n}".encode()).hexdigest()
@@ -1786,7 +1715,6 @@ def label_propagation(edges: rd.Dataset, *, src: str = "src",
         lambda t: pa.table({"node_id": t["node_id"],
                             "label": t["node_id"]}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    nblocks = max(adj.num_blocks(), num_buckets or default_num_buckets())
 
     def argmax_label(df: pd.DataFrame) -> pd.DataFrame:
         # max count first, then smallest label — vectorized per bucket
@@ -1798,18 +1726,14 @@ def label_propagation(edges: rd.Dataset, *, src: str = "src",
     for _ in range(n_rounds):
         joined = bucketed_join(
             adj, labels, left_key="d", right_key="node_id",
-            right_value_cols=["label"], num_buckets=num_buckets,
-            left_schema=pa.schema([("s", h.id_type), ("d", h.id_type)]),
-            right_schema=pa.schema([("node_id", h.id_type),
-                                    ("label", h.id_type)]))
+            right_value_cols=["label"], num_buckets=num_buckets)
         votes = hash_aggregate(
             joined.select_columns(["s", "label"]), ["s", "label"],
             [("s", "count")], rename={"s_count": "cnt", "s": "node_id"},
             num_buckets=num_buckets, exchange="shuffle")
         labels = bucketed_apply(
             votes, ["node_id"], argmax_label,
-            num_buckets=num_buckets, exchange="shuffle",
-        ).repartition(nblocks).materialize()
+            num_buckets=num_buckets, exchange="shuffle")
     return labels
 
 
@@ -1898,25 +1822,15 @@ def _scc_driver(h: GraphHandle, max_rounds: int) -> rd.Dataset:
 
 def _scc_distributed(h: GraphHandle, *, max_rounds: int,
                      max_iters: int) -> rd.Dataset:
-    nb, nid_type = h.num_buckets, h.id_type
-    nblocks = max(h.table.num_blocks(), nb or default_num_buckets())
+    nb = h.num_buckets
     active, act_edges = h.nodes, h.table
     results: list[rd.Dataset] = []
-    # schemas are invariant across pruning rounds and stated ONCE — an
-    # empty pruned act_edges materializes with null-typed columns
-    # (empty pandas merge output), which would poison the next join's
-    # key cast if we re-derived from it
-    e_schema = pa.schema([("s", nid_type), ("d", nid_type)])
-    lbl_schema = pa.schema([("node_id", nid_type),
-                            ("component_id", nid_type)])
-    act_schema = pa.schema([("node_id", nid_type)])
 
     def min_prop(join_key: str, emit_key: str) -> rd.Dataset:
         labels = active.map_batches(
             lambda t: pa.table({"node_id": t["node_id"],
                                 "component_id": t["node_id"]}),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(nblocks).materialize()
+            batch_format="pyarrow", zero_copy_batch=True).materialize()
         if act_edges.count() == 0:
             # isolated actives: the self labels ARE the fixed point
             return labels
@@ -1925,8 +1839,7 @@ def _scc_distributed(h: GraphHandle, *, max_rounds: int,
             prop = bucketed_join(
                 act_edges, labels, left_key=join_key,
                 right_key="node_id", right_value_cols=["component_id"],
-                num_buckets=nb, left_schema=e_schema,
-                right_schema=lbl_schema)
+                num_buckets=nb)
             cand = prop.map_batches(
                 lambda t: pa.table({"node_id": t[emit_key],
                                     "component_id": t["component_id"]}),
@@ -1935,8 +1848,7 @@ def _scc_distributed(h: GraphHandle, *, max_rounds: int,
             new_labels = hash_aggregate(
                 cand, ["node_id"], [("component_id", "min")],
                 rename={"component_id_min": "component_id"},
-                num_buckets=nb, exchange="shuffle",
-            ).repartition(nblocks).materialize()
+                num_buckets=nb, exchange="shuffle")
             new_sig = _labels_sig(new_labels)
             if new_sig == prev_sig and _changed_count(
                     new_labels, labels, nb) == 0:
@@ -1955,10 +1867,7 @@ def _scc_distributed(h: GraphHandle, *, max_rounds: int,
                 lambda t: t.rename_columns(["node_id", "bwd"]),
                 batch_format="pyarrow", zero_copy_batch=True),
             left_key="node_id", right_key="node_id",
-            right_value_cols=["bwd"], num_buckets=nb,
-            left_schema=lbl_schema,
-            right_schema=pa.schema([("node_id", nid_type),
-                                    ("bwd", nid_type)])).materialize()
+            right_value_cols=["bwd"], num_buckets=nb)
 
         def split(done: bool):
             def rows(t: pa.Table) -> pa.Table:
@@ -1979,9 +1888,7 @@ def _scc_distributed(h: GraphHandle, *, max_rounds: int,
         for side in ("s", "d"):
             act_edges = bucketed_join(
                 act_edges, active, left_key=side, right_key="node_id",
-                right_value_cols=[], num_buckets=nb,
-                left_schema=e_schema, right_schema=act_schema)
-        act_edges = act_edges.materialize()
+                right_value_cols=[], num_buckets=nb)
     if active.count() != 0:
         raise RuntimeError(
             f"strongly_connected_components did not finish within "
@@ -2023,7 +1930,7 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
     """
     h = GraphHandle(mentions, doc_col, node_col, num_buckets=num_buckets,
                     driver_threshold=driver_threshold)
-    nid_type = _input_id_type(mentions, node_col)
+    nid_type = column_type(mentions, node_col)
     empty = h.empty(id_a=nid_type, id_b=nid_type, c_ab=pa.int64(),
                     pmi=pa.float64())
     if h.n_edges == 0:
@@ -2036,7 +1943,7 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
                             [("s", "count")], num_buckets=num_buckets).count()
     ca = hash_aggregate(m.select_columns(["d"]), ["d"], [("d", "count")],
                         rename={"d_count": "c"},
-                        num_buckets=num_buckets).materialize()
+                        num_buckets=num_buckets)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         outs_a, outs_b = [], []
@@ -2057,18 +1964,13 @@ def cooccurrence_pmi(mentions: rd.Dataset, *, doc_col: str = "doc_id",
         bucketed_apply(m, ["s"], pairs, num_buckets=num_buckets),
         ["id_a", "id_b"], [("id_a", "count")],
         rename={"id_a_count": "c_ab"}, num_buckets=num_buckets)
-    schema = pa.schema([("id_a", nid_type), ("id_b", nid_type),
-                        ("c_ab", pa.int64())])
     j = cab
     for side, col in (("a", "c_a"), ("b", "c_b")):
         j = bucketed_join(j, ca.map_batches(
             lambda t, _c=col: t.rename_columns(["d", _c]),
             batch_format="pyarrow", zero_copy_batch=True),
             left_key=f"id_{side}", right_key="d",
-            right_value_cols=[col], num_buckets=num_buckets,
-            left_schema=schema, right_schema=pa.schema(
-                [("d", nid_type), (col, pa.int64())]))
-        schema = schema.append(pa.field(col, pa.int64()))
+            right_value_cols=[col], num_buckets=num_buckets)
 
     def score(t: pa.Table) -> pa.Table:
         pmi = _pmi(n_docs, _np(t["c_ab"]), _np(t["c_a"]), _np(t["c_b"]))
@@ -2161,8 +2063,7 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     static symmetric edge list with the undecided-key table (inner
     joins double as the residual filter), then one keyed min for the
     neighborhood minima, two mark joins, and one left-join anti filter
-    — all bucketed exchanges with hoisted schemas (empty late rounds
-    must not re-derive types from empty blocks).  On the driver path
+    — all bucketed exchanges.  On the driver path
     (the handle's gate) the identical recurrence runs in dicts.
     """
     import hashlib
@@ -2177,11 +2078,7 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     if h.driver:
         return _luby_driver(h.df, n_rounds, id_type=h.id_type)
 
-    id_type, e, und = h.id_type, h.table, h.nodes
-    e_schema = pa.schema([("s", id_type), ("d", id_type)])
-    und_schema = pa.schema([("node_id", id_type)])
-    k_schema = pa.schema([("node_id", id_type), ("k", pa.string())])
-    mn_schema = pa.schema([("node_id", id_type), ("mk", pa.string())])
+    e, und = h.table, h.nodes
     mis_rounds: list[rd.Dataset] = []
     for r in range(1, n_rounds + 1):
         if und.count() == 0:
@@ -2197,29 +2094,24 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
                              zero_copy_batch=True).materialize()
         # inner joins against the undecided-key table double as the
         # residual-subgraph filter
-        er, schema = e, e_schema
+        er = e
         for side, col in (("s", "kx"), ("d", "ky")):
             er = bucketed_join(
                 er, kt.map_batches(
                     lambda t, _c=col: t.rename_columns(["node_id", _c]),
                     batch_format="pyarrow", zero_copy_batch=True),
                 left_key=side, right_key="node_id", right_value_cols=[col],
-                num_buckets=num_buckets, left_schema=schema,
-                right_schema=pa.schema([("node_id", id_type),
-                                        (col, pa.string())]))
-            schema = schema.append(pa.field(col, pa.string()))
-        er = er.materialize()
+                num_buckets=num_buckets)
         mn = hash_aggregate(
             kt.union(er.map_batches(
                 lambda t: pa.table({"node_id": t.column("s"),
                                     "k": t.column("ky")}),
                 batch_format="pyarrow", zero_copy_batch=True)),
             ["node_id"], [("k", "min")], rename={"k_min": "mk"},
-            num_buckets=num_buckets, exchange="shuffle").materialize()
+            num_buckets=num_buckets, exchange="shuffle")
         mis = bucketed_join(
             kt, mn, left_key="node_id", right_key="node_id",
             right_value_cols=["mk"], num_buckets=num_buckets,
-            left_schema=k_schema, right_schema=mn_schema,
         ).map_batches(
             lambda t: pa.table({"node_id": t.column("node_id").filter(
                 pc.equal(t.column("k"), t.column("mk")))}),
@@ -2227,7 +2119,6 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
         rem = bucketed_join(
             er, mn, left_key="s", right_key="node_id",
             right_value_cols=["mk"], num_buckets=num_buckets,
-            left_schema=schema, right_schema=mn_schema,
         ).map_batches(
             lambda t: pa.table({"node_id": t.column("d").filter(
                 pc.equal(t.column("kx"), t.column("mk")))}),
@@ -2242,9 +2133,7 @@ def luby_mis(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
         und = bucketed_join(
             und, decided, left_key="node_id", right_key="node_id",
             right_value_cols=["f"], how="left",
-            num_buckets=num_buckets, left_schema=und_schema,
-            right_schema=pa.schema([("node_id", id_type),
-                                    ("f", pa.int8())]),
+            num_buckets=num_buckets,
         ).map_batches(
             lambda t: pa.table({"node_id": t.column("node_id").filter(
                 pc.is_null(t.column("f")))}),
@@ -2384,15 +2273,12 @@ def _path_counts_distributed(h: GraphHandle, seed_arr: pa.Array,
                              n_rounds: int) -> rd.Dataset:
     """Bounded-round distributed Jacobi iteration; the state dataset
     holds ONLY reached (pivot, node) pairs — no infinity sentinels."""
-    id_type, nb = h.id_type, h.num_buckets
+    nb = h.num_buckets
     n = len(seed_arr)
     base = pa.table({"node_id": seed_arr, "pivot": seed_arr,
                      "dist": _ints(np.zeros(n)),
                      "sigma": _ints(np.ones(n))})
-    e_schema = pa.schema([("s", id_type), ("d", id_type)])
-    st_schema = pa.schema([("node_id", id_type), ("pivot", id_type),
-                           ("dist", pa.int64()), ("sigma", pa.int64())])
-    state = rd.from_arrow(base).materialize()
+    state = rd.from_arrow(base)
 
     def reduce_states(df: pd.DataFrame) -> pd.DataFrame:
         md = df.groupby(["pivot", "node_id"], sort=False)["dist"] \
@@ -2405,8 +2291,7 @@ def _path_counts_distributed(h: GraphHandle, seed_arr: pa.Array,
     for _ in range(n_rounds):
         joined = bucketed_join(
             h.table, state, left_key="s", right_key="node_id",
-            right_value_cols=["pivot", "dist", "sigma"], num_buckets=nb,
-            left_schema=e_schema, right_schema=st_schema)
+            right_value_cols=["pivot", "dist", "sigma"], num_buckets=nb)
         cands = joined.map_batches(lambda t: pa.table({
             "node_id": t.column("d"), "pivot": t.column("pivot"),
             "dist": pc.add(t.column("dist"), pa.scalar(1, pa.int64())),
@@ -2414,8 +2299,7 @@ def _path_counts_distributed(h: GraphHandle, seed_arr: pa.Array,
             batch_format="pyarrow", zero_copy_batch=True,
         ).union(rd.from_arrow(base))
         state = bucketed_apply(cands, ["pivot", "node_id"], reduce_states,
-                               num_buckets=nb,
-                               exchange="shuffle").materialize()
+                               num_buckets=nb, exchange="shuffle")
     return state.map_batches(
         lambda t: t.select(["pivot", "node_id", "dist", "sigma"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -2449,8 +2333,8 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
     Scale shape per round: one edge-key map, one keyed min over the
     exploded (endpoint, key) rows, two mark joins against the
     per-node minima, and two left-join anti filters to drop edges
-    touching matched nodes — all skinny bucketed exchanges with
-    hoisted static schemas.  On the driver path (the handle's gate)
+    touching matched nodes — all skinny bucketed exchanges.  On the
+    driver path (the handle's gate)
     the identical recurrence runs in dicts."""
     import hashlib
 
@@ -2465,10 +2349,7 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
     if h.driver:
         return _matching_driver(h.df, n_rounds, id_type=h.id_type)
 
-    id_type, st = h.id_type, pa.string()
-    e_schema = pa.schema([("a", id_type), ("b", id_type)])
-    mn_schema = pa.schema([("node_id", id_type), ("mk", st)])
-    mv_schema = pa.schema([("node_id", id_type), ("f", pa.int8())])
+    st = pa.string()
     cur = h.table
     matched_rounds: list[rd.Dataset] = []
     for r in range(1, n_rounds + 1):
@@ -2490,8 +2371,8 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
                 "k": _cat(t.column("k"), t.column("k"))}),
                 batch_format="pyarrow", zero_copy_batch=True),
             ["node_id"], [("k", "min")], rename={"k_min": "mk"},
-            num_buckets=num_buckets, exchange="shuffle").materialize()
-        j, schema = ek, e_schema.append(pa.field("k", st))
+            num_buckets=num_buckets, exchange="shuffle")
+        j = ek
         for side in ("a", "b"):
             j = bucketed_join(
                 j, mn.map_batches(
@@ -2499,10 +2380,7 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
                         ["node_id", _c]),
                     batch_format="pyarrow", zero_copy_batch=True),
                 left_key=side, right_key="node_id",
-                right_value_cols=[f"mk{side}"], num_buckets=num_buckets,
-                left_schema=schema, right_schema=pa.schema(
-                    [("node_id", id_type), (f"mk{side}", st)]))
-            schema = schema.append(pa.field(f"mk{side}", st))
+                right_value_cols=[f"mk{side}"], num_buckets=num_buckets)
 
         def winners(t: pa.Table) -> pa.Table:
             won = pc.and_(pc.equal(t.column("k"), t.column("mka")),
@@ -2535,8 +2413,7 @@ def greedy_matching(edges: rd.Dataset, *, src: str = "src",
             cur = bucketed_join(
                 cur, mv, left_key=side, right_key="node_id",
                 right_value_cols=["f"], how="left",
-                num_buckets=num_buckets, left_schema=e_schema,
-                right_schema=mv_schema).map_batches(
+                num_buckets=num_buckets).map_batches(
                 lambda t: pa.table({
                     "a": t.column("a").filter(pc.is_null(t.column("f"))),
                     "b": t.column("b").filter(pc.is_null(t.column("f")))}),
@@ -2633,10 +2510,6 @@ def dag_levels(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             lev = nxt
         raise cycle
 
-    e_schema = pa.schema([("s", h.id_type), ("d", h.id_type)])
-    lev_schema = pa.schema([("node_id", h.id_type), ("lev", pa.int64())])
-    nblocks = max(h.table.num_blocks(),
-                  num_buckets or default_num_buckets())
     levels = h.nodes.map_batches(
         lambda t: t.append_column("lev", _ints(np.zeros(t.num_rows))),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
@@ -2644,8 +2517,7 @@ def dag_levels(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
     for _ in range(max_rounds):
         joined = bucketed_join(
             h.table, levels, left_key="s", right_key="node_id",
-            right_value_cols=["lev"], num_buckets=num_buckets,
-            left_schema=e_schema, right_schema=lev_schema)
+            right_value_cols=["lev"], num_buckets=num_buckets)
         cand = joined.map_batches(lambda t: pa.table({
             "node_id": t["d"],
             "lev": pc.add(pc.cast(t["lev"], pa.int64()),
@@ -2653,8 +2525,7 @@ def dag_levels(edges: rd.Dataset, *, src: str = "src", dst: str = "dst",
             batch_format="pyarrow").union(levels)
         levels = hash_aggregate(
             cand, ["node_id"], [("lev", "max")], rename={"lev_max": "lev"},
-            num_buckets=num_buckets, exchange="shuffle",
-        ).repartition(nblocks).materialize()
+            num_buckets=num_buckets, exchange="shuffle")
         cur_sum = int(levels.sum("lev") or 0)
         if cur_sum == prev_sum:
             return levels.map_batches(
@@ -2721,11 +2592,7 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
     if h.driver:
         return _msf_driver(ew, id_type=h.id_type)
 
-    id_type, st = h.id_type, pa.string()
-    ew_schema = pa.schema([("a", id_type), ("b", id_type), ("w", st)])
-    lb_schema = pa.schema([("node_id", id_type),
-                           ("component_id", id_type)])
-    mc_schema = pa.schema([("comp", id_type), ("mw", st)])
+    id_type = h.id_type
     # init: every endpoint its own component
     labels = h.nodes.map_batches(
         lambda t: pa.table({"node_id": t["node_id"],
@@ -2735,7 +2602,7 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
     residual = ew
     for _ in range(max_rounds):
         # attach both endpoint labels (la, lb); drop intra-component
-        j, schema = residual, ew_schema
+        j = residual
         for side in ("a", "b"):
             j = bucketed_join(
                 j, labels.map_batches(
@@ -2743,10 +2610,7 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
                         ["node_id", _c]),
                     batch_format="pyarrow", zero_copy_batch=True),
                 left_key=side, right_key="node_id",
-                right_value_cols=[f"l{side}"], num_buckets=num_buckets,
-                left_schema=schema, right_schema=pa.schema(
-                    [("node_id", id_type), (f"l{side}", id_type)]))
-            schema = schema.append(pa.field(f"l{side}", id_type))
+                right_value_cols=[f"l{side}"], num_buckets=num_buckets)
         cross = j.map_batches(
             lambda t: t.filter(pc.invert(pc.equal(t.column("la"),
                                                   t.column("lb")))),
@@ -2764,7 +2628,7 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
                 "w": _cat(t.column("w"), t.column("w"))}),
                 batch_format="pyarrow", zero_copy_batch=True),
             ["comp"], [("w", "min")], rename={"w_min": "mw"},
-            num_buckets=num_buckets, exchange="shuffle").materialize()
+            num_buckets=num_buckets, exchange="shuffle")
         k = cross
         for side in ("a", "b"):
             k = bucketed_join(
@@ -2773,11 +2637,7 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
                         ["comp", _c]),
                     batch_format="pyarrow", zero_copy_batch=True),
                 left_key=f"l{side}", right_key="comp",
-                right_value_cols=[f"mw{side}"], num_buckets=num_buckets,
-                left_schema=schema,
-                right_schema=pa.schema([("comp", id_type),
-                                        (f"mw{side}", st)]))
-            schema = schema.append(pa.field(f"mw{side}", st))
+                right_value_cols=[f"mw{side}"], num_buckets=num_buckets)
         chosen = k.map_batches(
             lambda t: t.filter(pc.or_(
                 pc.equal(t.column("w"), t.column("mwa")),
@@ -2800,9 +2660,6 @@ def minimum_spanning_forest(edges: rd.Dataset, *, src: str = "src",
             labels, contract, left_key="component_id",
             right_key="node_id", right_value_cols=["new_comp"],
             how="left", num_buckets=num_buckets,
-            left_schema=lb_schema,
-            right_schema=pa.schema([("node_id", id_type),
-                                    ("new_comp", id_type)]),
         ).map_batches(lambda t: pa.table({
             "node_id": t.column("node_id"),
             "component_id": pc.coalesce(t.column("new_comp").cast(id_type),

@@ -37,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .agg import bucketed_join, hash_aggregate
+from .agg import bucketed_join, column_type, hash_aggregate
 from .text import ngram_key_partial
 
 _FP = 1_000_000_000  # 1e-9 fixed-point grid for per-bigram log-probs
@@ -61,10 +61,7 @@ def bigram_lm_scores(ds: rd.Dataset, *, id_col: str = "doc_id",
                                     n=2, keep_counts=True),
         batch_format="pyarrow", batch_size=1024,
         zero_copy_batch=True).materialize()
-    g_schema = grams.schema()
-    g_schema = getattr(g_schema, "base_schema", g_schema)
-    id_type = g_schema.field(id_col).type if g_schema is not None \
-        else pa.string()
+    id_type = column_type(grams, id_col) if grams.schema() else pa.string()
 
     def empty() -> rd.Dataset:
         return rd.from_arrow(pa.table({
@@ -79,7 +76,7 @@ def bigram_lm_scores(ds: rd.Dataset, *, id_col: str = "doc_id",
     cb = hash_aggregate(grams.select_columns(["gram", "occ"]),
                         ["gram"], [("occ", "sum")],
                         rename={"occ_sum": "cb"},
-                        num_buckets=num_buckets).materialize()
+                        num_buckets=num_buckets)
 
     def _w1(gram) -> pa.Array:
         # tokens are whitespace-split so they cannot contain the ' '
@@ -96,7 +93,7 @@ def bigram_lm_scores(ds: rd.Dataset, *, id_col: str = "doc_id",
         grams.map_batches(prefix, batch_format="pyarrow",
                           zero_copy_batch=True),
         ["w1"], [("occ", "sum")], rename={"occ_sum": "cu"},
-        num_buckets=num_buckets).materialize()
+        num_buckets=num_buckets)
 
     def both_tokens(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t["gram"], " ")
@@ -114,24 +111,17 @@ def bigram_lm_scores(ds: rd.Dataset, *, id_col: str = "doc_id",
     v_size = vocab.count()
 
     # score: join each per-doc bigram row with its two counts ---
-    cb_schema = pa.schema([("gram", pa.string()), ("cb", pa.int64())])
     j1 = bucketed_join(grams, cb, left_key="gram", right_key="gram",
-                       right_value_cols=["cb"], num_buckets=num_buckets,
-                       left_schema=g_schema, right_schema=cb_schema)
+                       right_value_cols=["cb"], num_buckets=num_buckets)
 
     def add_w1(t: pa.Table) -> pa.Table:
         return t.append_column("w1", _w1(t["gram"]))
 
-    j1_schema = pa.schema([(id_col, id_type), ("gram", pa.string()),
-                           ("occ", pa.int64()), ("cb", pa.int64()),
-                           ("w1", pa.string())])
-    cu_schema = pa.schema([("w1", pa.string()), ("cu", pa.int64())])
     j2 = bucketed_join(
         j1.map_batches(add_w1, batch_format="pyarrow",
                        zero_copy_batch=True),
         cu, left_key="w1", right_key="w1", right_value_cols=["cu"],
-        num_buckets=num_buckets, left_schema=j1_schema,
-        right_schema=cu_schema)
+        num_buckets=num_buckets)
 
     def contrib(t: pa.Table) -> pa.Table:
         cb_ = t["cb"].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -80,12 +80,10 @@ def bm25_topk(ds: rd.Dataset, terms: list[str], *, k: int = 10,
         # typed empty with the INPUT's id type (ADVICE r3): a string-id
         # corpus must get a string-typed empty result, same as the
         # non-empty path carries the id type through
-        from .agg import pa_type_of
+        from .agg import column_type
 
-        sch = ds.schema()
-        id_type = pa_type_of(dict(zip(sch.names, sch.types))[id_col])
         return rd.from_arrow(pa.table({
-            id_col: pa.array([], type=id_type),
+            id_col: pa.array([], type=column_type(ds, id_col)),
             "bm25": pa.array([], type=pa.float64())}))
     avgdl = float(stats["sum_dl"]) / float(stats["n"])
     idfs = [float(np.log(1.0 + (n - float(stats[f"df{i}"]) + 0.5)
@@ -158,13 +156,11 @@ def tfidf_top_terms(ds: rd.Dataset, *, id_col: str = "doc_id",
 
     tf = ds.map_batches(per_doc_tf, batch_format="pyarrow",
                         batch_size=1024, zero_copy_batch=True).materialize()
-    tf_schema = tf.schema()
-    tf_schema = getattr(tf_schema, "base_schema", tf_schema)
     if tf.count() == 0:
-        id_type = ds.schema()
-        id_type = getattr(id_type, "base_schema", id_type).field(id_col).type
+        from .agg import column_type
+
         return rd.from_arrow(pa.table({
-            id_col: pa.array([], type=id_type),
+            id_col: pa.array([], type=column_type(ds, id_col)),
             "term": pa.array([], type=pa.string()),
             "tf": pa.array([], type=pa.int64()),
             "df": pa.array([], type=pa.int64()),
@@ -172,18 +168,16 @@ def tfidf_top_terms(ds: rd.Dataset, *, id_col: str = "doc_id",
 
     df = hash_aggregate(tf.select_columns(["term", "tf"]), ["term"],
                         [("tf", "count")], rename={"tf_count": "df"},
-                        num_buckets=num_buckets).materialize()
+                        num_buckets=num_buckets)
     n_docs = hash_aggregate(tf.select_columns([id_col, "tf"]), [id_col],
                             [("tf", "count")],
                             num_buckets=num_buckets).count()
 
     from .agg import bucketed_join
 
-    df_schema = pa.schema([("term", pa.string()), ("df", pa.int64())])
     joined = bucketed_join(tf, df, left_key="term", right_key="term",
                            right_value_cols=["df"],
-                           num_buckets=num_buckets,
-                           left_schema=tf_schema, right_schema=df_schema)
+                           num_buckets=num_buckets)
 
     def score(t: pa.Table) -> pa.Table:
         tf_ = t["tf"].to_numpy(zero_copy_only=False).astype(np.float64)

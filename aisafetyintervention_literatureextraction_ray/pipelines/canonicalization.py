@@ -194,25 +194,24 @@ def candidate_pairs(nodes: rd.Dataset, *, mode: str = "exact", k: int = 40,
 
 
 def _merge_bucketed(labels, nodes, edges, mentions):
-    def join(ds: rd.Dataset, col: str, schema: pa.Schema) -> rd.Dataset:
+    def join(ds: rd.Dataset, col: str) -> rd.Dataset:
         return bucketed_join(
             ds, labels, left_key=col, right_key="node_id",
-            right_value_cols=["component_id"], how="left",
-            left_schema=schema, right_schema=_LABELS_SCHEMA)
+            right_value_cols=["component_id"], how="left")
 
     def cast(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
         return ds.map_batches(cast_batch, fn_args=(schema,),
                               batch_format="pyarrow")
 
-    nodes = join(cast(nodes, NODES_SCHEMA), "node_id", NODES_SCHEMA
-                 ).map_batches(_drop_losers, batch_format="pyarrow")
+    nodes = join(cast(nodes, NODES_SCHEMA), "node_id").map_batches(
+        _drop_losers, batch_format="pyarrow")
     edges = cast(edges, EDGES_SCHEMA)
     for col in ("src_id", "dst_id"):
-        edges = join(edges, col, EDGES_SCHEMA).map_batches(
+        edges = join(edges, col).map_batches(
             _relabel, fn_args=(col,), batch_format="pyarrow")
     if mentions is not None:
-        mentions = _keyed(join(cast(mentions, MENTIONS_SCHEMA), "node_id",
-                               MENTIONS_SCHEMA).map_batches(
+        mentions = _keyed(join(cast(mentions, MENTIONS_SCHEMA),
+                               "node_id").map_batches(
             _relabel, fn_args=("node_id",), batch_format="pyarrow"),
             MENTION_KEY, reduce_mentions)
     return nodes, _keyed(edges, EDGE_KEY, reduce_edges), mentions

@@ -52,7 +52,6 @@ import ray.data as rd
 from ..functions.agg import (
     bucketed_apply,
     bucketed_join,
-    few_blocks,
     measured_exchange,
 )
 from ..functions.explode import explode_nodes
@@ -62,7 +61,6 @@ from ..schemas import (
     EDGES_SCHEMA,
     MENTIONS_SCHEMA,
     NODES_SCHEMA,
-    TRIPLES_SCHEMA,
     cast_batch,
 )
 
@@ -211,10 +209,8 @@ def reduce_mentions(t: pa.Table) -> pa.Table:
 def _keyed(ds: rd.Dataset, keys: list[str], kernel,
            exchange: str = "shuffle") -> rd.Dataset:
     """``kernel`` once per block (partial), then once per key bucket."""
-    partial = ds.map_batches(kernel, batch_format="pyarrow")
-    if exchange == "shuffle":
-        partial = few_blocks(partial)
-    return bucketed_apply(partial, keys, kernel, batch_format="pyarrow",
+    return bucketed_apply(ds.map_batches(kernel, batch_format="pyarrow"),
+                          keys, kernel, batch_format="pyarrow",
                           exchange=exchange)
 
 
@@ -236,17 +232,12 @@ def build_alias_index(nodes: rd.Dataset) -> dict[str, str]:
 def _link(triples: rd.Dataset, index: rd.Dataset):
     """Bucketed J1 + A3 + mentions: two partitioned joins against the
     index dataset, then the edge and mention reduces per bucket."""
-    s = pa.string()
-    schema = pa.schema([TRIPLES_SCHEMA.field(c) for c in _TRIPLE_COLS]
-                       + [("subj_norm", s), ("obj_norm", s)])
-    t = few_blocks(triples.map_batches(_with_norms, batch_format="pyarrow"))
+    t = triples.map_batches(_with_norms, batch_format="pyarrow")
     for key, col in _ENDPOINTS:
         t = bucketed_join(
             t, index.map_batches(_index_side, fn_args=(col,),
                                  batch_format="pyarrow"),
-            left_key=key, right_key="key", right_value_cols=[col],
-            left_schema=schema, right_schema=pa.schema([("key", s), (col, s)]))
-        schema = schema.append(pa.field(col, s))
+            left_key=key, right_key="key", right_value_cols=[col])
     resolved = t.map_batches(_edge_rows, batch_format="pyarrow").materialize()
     return (_keyed(resolved, EDGE_KEY, reduce_edges),
             _keyed(resolved, MENTION_KEY, reduce_mentions))
@@ -393,16 +384,7 @@ def nodes_from_mentions(mentions: rd.Dataset, *,
         num_buckets=num_buckets, exchange="shuffle")
     joined = bucketed_join(
         props, prov, left_key="node_id", right_key="node_id",
-        right_value_cols=["n_provenance"], num_buckets=num_buckets,
-        left_schema=pa.schema([
-            ("node_id", pa.string()), ("type", pa.string()),
-            ("name_norm", pa.string()), ("name", pa.string()),
-            ("description", pa.string()),
-            ("concept_category", pa.string()),
-            ("intervention_lifecycle", pa.int8()),
-            ("intervention_maturity", pa.int8())]),
-        right_schema=pa.schema([("node_id", pa.string()),
-                                ("n_provenance", pa.int64())]))
+        right_value_cols=["n_provenance"], num_buckets=num_buckets)
     return joined.map_batches(
         lambda b: cast_batch(b, _NODES_FLAT_SCHEMA),
         batch_format="pyarrow")
@@ -427,17 +409,11 @@ def incremental_nodes(old_nodes: rd.Dataset, old_mentions: rd.Dataset,
     distinct derives the affected key set K, one left-join anti filter
     drops removed-doc rows, one semi join scopes the re-reduce to K,
     and one left-join anti filter carries unaffected node rows — all
-    bucketed skinny exchanges with hoisted schemas.  ``removed_docs``
+    bucketed skinny exchanges.  ``removed_docs``
     is a DATASET of ``(doc_id)`` (never a driver-side set), so delta
     size is unbounded.
     """
     from ..functions.agg import bucketed_join, hash_aggregate
-
-    m_schema = old_mentions.schema()
-    m_schema = getattr(m_schema, "base_schema", m_schema)
-    from ..functions.agg import pa_type_of
-    m_schema = pa.schema([(n, pa_type_of(t)) for n, t in
-                          zip(m_schema.names, m_schema.types)])
 
     def flag_rows(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -446,16 +422,12 @@ def incremental_nodes(old_nodes: rd.Dataset, old_mentions: rd.Dataset,
 
     rflag = removed_docs.map_batches(flag_rows, batch_format="pyarrow",
                                      zero_copy_batch=True)
-    rflag_schema = pa.schema([("doc_id", pa.string()), ("f", pa.int8())])
 
     # affected keys: nodes mentioned by a removed doc or by a delta doc
     rem_keys = bucketed_join(
         old_mentions.select_columns(["node_id", "doc_id"]), rflag,
         left_key="doc_id", right_key="doc_id", right_value_cols=["f"],
         num_buckets=num_buckets,
-        left_schema=pa.schema([("node_id", pa.string()),
-                               ("doc_id", pa.string())]),
-        right_schema=rflag_schema,
     ).select_columns(["node_id"])
     k_set = hash_aggregate(
         rem_keys.union(added_mentions.select_columns(["node_id"])),
@@ -465,13 +437,11 @@ def incremental_nodes(old_nodes: rd.Dataset, old_mentions: rd.Dataset,
         lambda t: t.append_column(
             "kf", pa.array(np.ones(t.num_rows, np.int8))),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    k_schema = pa.schema([("node_id", pa.string()), ("kf", pa.int8())])
 
     # new-snapshot mention rows: old minus removed docs, plus the delta
     kept = bucketed_join(
         old_mentions, rflag, left_key="doc_id", right_key="doc_id",
         right_value_cols=["f"], how="left", num_buckets=num_buckets,
-        left_schema=m_schema, right_schema=rflag_schema,
     ).map_batches(
         lambda t: t.filter(pa.compute.is_null(t["f"])).drop_columns(
             ["f"]),
@@ -479,8 +449,7 @@ def incremental_nodes(old_nodes: rd.Dataset, old_mentions: rd.Dataset,
     scoped = bucketed_join(
         kept.union(added_mentions), k_set, left_key="node_id",
         right_key="node_id", right_value_cols=["kf"],
-        num_buckets=num_buckets, left_schema=m_schema,
-        right_schema=k_schema,
+        num_buckets=num_buckets,
     ).map_batches(lambda t: t.drop_columns(["kf"]),
                   batch_format="pyarrow", zero_copy_batch=True)
     rebuilt = nodes_from_mentions(scoped, num_buckets=num_buckets)
@@ -488,7 +457,6 @@ def incremental_nodes(old_nodes: rd.Dataset, old_mentions: rd.Dataset,
     untouched = bucketed_join(
         old_nodes, k_set, left_key="node_id", right_key="node_id",
         right_value_cols=["kf"], how="left", num_buckets=num_buckets,
-        left_schema=_NODES_FLAT_SCHEMA, right_schema=k_schema,
     ).map_batches(
         lambda t: t.filter(pa.compute.is_null(t["kf"])).drop_columns(
             ["kf"]),

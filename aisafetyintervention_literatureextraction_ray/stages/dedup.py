@@ -35,7 +35,7 @@ import ray.data as rd
 from ..functions.agg import (
     bucketed_apply,
     bucketed_join,
-    few_blocks,
+    column_type,
     hash_aggregate,
     measured_exchange,
 )
@@ -464,7 +464,6 @@ class _Job:
     cap: int
     kind: str
     out: pa.Schema
-    sig_type: pa.DataType
     prep: Callable[[pa.Table], pa.Table] | None = None
     columns: tuple[str, ...] = ()
 
@@ -500,14 +499,6 @@ def _candidate_sigs(sigs: pa.Table, *ids: pa.Table) -> pa.Table:
     return sigs.filter(pc.is_in(sigs["id"], value_set=_arr(cand)))
 
 
-def _joined(t: pa.Table, name: str, sig_type: pa.DataType) -> pa.Table:
-    """A join's output with ``sig`` renamed ``name`` and every signature
-    column back at ``sig_type`` (the pandas merge returns binary)."""
-    t = t.rename_columns([name if c == "sig" else c for c in t.column_names])
-    return pa.table({c: t[c].cast(sig_type) if c.startswith("sig_") else t[c]
-                     for c in t.column_names})
-
-
 def _pairs_bucketed(job: _Job, sigs: rd.Dataset) -> rd.Dataset:
     """The same kernels as stateless tasks and bucketed exchanges: band
     keys as a map, ``bucket_pairs`` per band bucket and a distinct over
@@ -517,34 +508,27 @@ def _pairs_bucketed(job: _Job, sigs: rd.Dataset) -> rd.Dataset:
     exchange (1% of them on the generated run dirs of ``_near_pairs``;
     without the cut, a join over every signature took 63 of 74 s at
     2M).  Two partitioned joins attach them to the pairs, and the score
-    follows.  Each exchange's output is materialized before the next
-    reads it: with the first join lazy under the second, 100k generated
-    signatures took 76 s against 6 s."""
+    follows."""
     if job.prep:
         sigs = sigs.map_batches(job.prep, batch_format="pyarrow")
-    sigs = few_blocks(sigs).materialize()  # read by the map and the cut
+    sigs = sigs.materialize()  # read by the map and the cut
     pairs = hash_aggregate(bucketed_apply(
         sigs.map_batches(job.keys, batch_format="pyarrow"), _BAND_KEY,
         functools.partial(bucket_pairs, cap=job.cap, kind=job.kind),
-        batch_format="pyarrow").materialize(), _PAIR_KEY, []).materialize()
+        batch_format="pyarrow"), _PAIR_KEY, [])
     cand = hash_aggregate(pairs.map_batches(
         lambda t: pa.table({"id": _pair_ids(t)}), batch_format="pyarrow"),
-        ["id"], []).materialize()
+        ["id"], [])
     refs = cand.to_arrow_refs()
     sigs = rd.from_arrow_refs([_candidate_sigs.remote(b, *refs)
                                for b in sigs.to_arrow_refs()])
     if sigs.count() > cand.count():
         raise ValueError(_REPEATED)
-    id_type = job.out.field("id_a").type
-    schema = pa.schema([("id_a", id_type), ("id_b", id_type)])
     for side in ("sig_a", "sig_b"):
         pairs = bucketed_join(
-            pairs, sigs, left_key=f"id{side[3:]}", right_key="id",
-            right_value_cols=["sig"], left_schema=schema,
-            right_schema=pa.schema([("id", id_type), ("sig", job.sig_type)]),
-        ).map_batches(_joined, fn_args=(side, job.sig_type),
-                      batch_format="pyarrow").materialize()
-        schema = schema.append(pa.field(side, job.sig_type))
+            pairs, sigs.rename_columns({"sig": side}),
+            left_key=f"id{side[3:]}", right_key="id",
+            right_value_cols=[side])
     return pairs.map_batches(job.scored, batch_format="pyarrow")
 
 
@@ -592,7 +576,7 @@ def _near_pairs(job: _Job, sigs: rd.Dataset | str):
 
 
 def _id_type(ds: rd.Dataset, col: str) -> pa.DataType:
-    return _col_type(ds, col) if ds.schema() else pa.string()
+    return column_type(ds, col) if ds.schema() else pa.string()
 
 
 def _signature_job(id_type: pa.DataType, value_type: pa.DataType, *,
@@ -614,7 +598,6 @@ def _signature_job(id_type: pa.DataType, value_type: pa.DataType, *,
                 cap=_BUCKET_CAP, kind="pairs_from_signatures.band_bucket",
                 out=pa.schema([("id_a", id_type), ("id_b", id_type),
                                ("jaccard", pa.float64())]),
-                sig_type=pa.binary(np.dtype(slot).itemsize * num_perm),
                 prep=prep, columns=prep_cols or ())
 
 
@@ -636,7 +619,7 @@ def pairs_from_signatures(sig_ds: rd.Dataset, *, id_col: str = "doc_id",
     checked).  ``_near_pairs`` places the chain: one task, or bucketed
     exchanges above ``_LOCAL_SIG_LIMIT`` rows."""
     sig_ds = sig_ds.materialize()
-    sig_type = _col_type(sig_ds, sig_col) if sig_ds.schema() else None
+    sig_type = column_type(sig_ds, sig_col) if sig_ds.schema() else None
     job = _signature_job(_id_type(sig_ds, id_col),
                          getattr(sig_type, "value_type", pa.uint64()),
                          jaccard_threshold=jaccard_threshold,
@@ -712,8 +695,7 @@ def simhash_dedup_pairs(ds: rd.Dataset, *, text_col: str = "text",
                score=functools.partial(hamming_score, max_hamming=max_hamming),
                cap=max_group, kind="simhash_pair_verifier.band_bucket",
                out=pa.schema([("id_a", id_type), ("id_b", id_type),
-                              ("hamming", pa.int64())]),
-               sig_type=pa.uint64())
+                              ("hamming", pa.int64())]))
     return _near_pairs(job, sigs)[0]
 
 
@@ -775,10 +757,7 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
     if n_dup == 0:
         # clean corpus: no pairs — typed empty output (iter_batches of
         # an empty dataset yields nothing, so concat below would raise)
-        from ..functions.agg import pa_type_of
-
-        id_type = pa_type_of(dict(zip(ds.schema().names,
-                                      ds.schema().types))[id_col])
+        id_type = column_type(ds, id_col)
         empty = pa.table({"id_a": pa.array([], type=id_type),
                           "id_b": pa.array([], type=id_type)})
         return rd.from_arrow(empty)
@@ -846,7 +825,7 @@ def sorted_neighborhood_pairs(ds: rd.Dataset, *, group_col: str,
     ranked = grouped_running(
         ds.select_columns(cols),
         [group_col], order_cols, seq_col="__seq",
-        num_buckets=num_buckets).materialize()
+        num_buckets=num_buckets)
 
     def jk(t: pa.Table, seq: pa.Array) -> pa.Array:
         return pc.binary_join_element_wise(
@@ -871,24 +850,10 @@ def sorted_neighborhood_pairs(ds: rd.Dataset, *, group_col: str,
                                zero_copy_batch=True)
     probe = ranked.map_batches(probe_side, batch_format="pyarrow",
                                zero_copy_batch=True)
-    id_type = _col_type(ds, id_col)
     joined = bucketed_join(
         probe, build, left_key="__jk", right_key="__jk",
-        right_value_cols=["id_b"], num_buckets=num_buckets,
-        left_schema=pa.schema([("__jk", pa.string()),
-                               ("id_a", id_type),
-                               ("gap", pa.int64())]),
-        right_schema=pa.schema([("__jk", pa.string()),
-                                ("id_b", id_type)]))
+        right_value_cols=["id_b"], num_buckets=num_buckets)
     return joined.select_columns(["id_a", "id_b", "gap"])
-
-
-def _col_type(ds: rd.Dataset, col: str) -> pa.DataType:
-    from ..functions.agg import pa_type_of
-
-    sch = ds.schema()
-    sch = getattr(sch, "base_schema", sch)
-    return pa_type_of(dict(zip(sch.names, sch.types))[col])
 
 
 def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
@@ -927,15 +892,13 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
     surviving candidates.
     """
     from ..functions.agg import (bucketed_group_map, bucketed_join,
-                                 hash_aggregate, pa_type_of)
+                                 hash_aggregate)
 
     num, den = threshold
     if not (0 < num <= den):
         raise ValueError("threshold must be a fraction in (0, 1]")
 
-    sch = docs.schema()
-    sch = getattr(sch, "base_schema", sch)
-    id_type = pa_type_of(dict(zip(sch.names, sch.types))[id_col])
+    id_type = column_type(docs, id_col)
 
     def tok_rows(t: pa.Table) -> pa.Table:
         text = pc.coalesce(t[text_col], pa.scalar("", pa.string()))
@@ -961,7 +924,6 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
         [id_col, "tok"], [("tok", "count")],
         num_buckets=num_buckets, exchange="shuffle",
     ).select_columns([id_col, "tok"]).materialize()
-    toks_schema = pa.schema([(id_col, id_type), ("tok", pa.string())])
 
     # MEASURED driver fast path (the 2M policy shared with the graph
     # family): the output pair set is algebraically defined (exact
@@ -984,16 +946,10 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
                         num_buckets=num_buckets, exchange="shuffle")
     with_df = bucketed_join(
         toks, df, left_key="tok", right_key="tok",
-        right_value_cols=["df"], num_buckets=num_buckets,
-        left_schema=toks_schema,
-        right_schema=pa.schema([("tok", pa.string()),
-                                ("df", pa.int64())]))
+        right_value_cols=["df"], num_buckets=num_buckets)
     with_n = bucketed_join(
         with_df, nn, left_key=id_col, right_key=id_col,
-        right_value_cols=["n"], num_buckets=num_buckets,
-        left_schema=pa.schema([(id_col, id_type), ("tok", pa.string()),
-                               ("df", pa.int64())]),
-        right_schema=pa.schema([(id_col, id_type), ("n", pa.int64())]))
+        right_value_cols=["n"], num_buckets=num_buckets)
 
     def prefix_cut(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
@@ -1034,10 +990,6 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
 
     pairs = cand.map_batches(with_pk, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
-    pairs_schema = pa.schema([
-        ("id_a", id_type), ("id_b", id_type),
-        ("n_a", pa.int64()), ("n_b", pa.int64()),
-        ("pk", pa.string())])
 
     def side_rows(side: str):
         def f(t: pa.Table) -> pa.Table:
@@ -1050,10 +1002,7 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
                                    zero_copy_batch=True)
         joined = bucketed_join(
             skinny, toks, left_key="sid", right_key=id_col,
-            right_value_cols=["tok"], num_buckets=num_buckets,
-            left_schema=pa.schema([("pk", pa.string()),
-                                   ("sid", id_type)]),
-            right_schema=toks_schema)
+            right_value_cols=["tok"], num_buckets=num_buckets)
         return joined.map_batches(
             lambda t: pa.table({"pk": t["pk"], "tok": t["tok"]}),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -1072,10 +1021,7 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
 
     final = bucketed_join(
         pairs, inter, left_key="pk", right_key="pk",
-        right_value_cols=["inter_n"], num_buckets=num_buckets,
-        left_schema=pairs_schema,
-        right_schema=pa.schema([("pk", pa.string()),
-                                ("inter_n", pa.int64())]))
+        right_value_cols=["inter_n"], num_buckets=num_buckets)
 
     def verify(t: pa.Table) -> pa.Table:
         it = t["inter_n"].cast(pa.int64())

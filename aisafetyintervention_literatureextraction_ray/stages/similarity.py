@@ -5,8 +5,8 @@ Two paths, per the design brief:
 * ``brute_force_topk`` — the baseline: the (small) query matrix is
   broadcast once with ``ray.put``; every batch computes a numpy matmul
   against it and emits its LOCAL top-k per query; a final per-query
-  group-by reduces local top-ks to the global top-k.  The data side
-  streams; nothing is materialized.
+  ``grouped_topk`` reduces local top-ks to the global top-k.  The data
+  side streams as plain tasks; nothing is materialized.
 * ``ivf_topk`` — the scale path: a coarse quantizer (seeded k-means on a
   driver-side sample) assigns every vector to a centroid list
   (``nprobe`` buckets per query); only matching buckets are scanned.
@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..functions.agg import column_type, grouped_topk
 from .encode import embeddings_to_numpy
 
 
@@ -31,58 +32,48 @@ def _normalize(M: np.ndarray) -> np.ndarray:
     return np.divide(M, n, out=np.zeros_like(M), where=n > 0)
 
 
-class _LocalTopK:
-    """Per-batch local top-k against the broadcast query matrix."""
-
-    def __init__(self, q_ref, k: int, id_col: str, emb_col: str) -> None:
-        q = ray.get(q_ref)
-        self.Q = _normalize(np.asarray(q, dtype=np.float64))  # (nq, d)
-        self.k, self.id_col, self.emb_col = k, id_col, emb_col
-
-    def __call__(self, batch: pa.Table) -> pd.DataFrame:
-        X = embeddings_to_numpy(batch.column(self.emb_col)).astype(np.float64)
-        Xn = _normalize(X)
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        sims = self.Q @ Xn.T  # (nq, nb)
-        k = min(self.k, sims.shape[1])
-        if k == 0:
-            return pd.DataFrame({"query_id": [], self.id_col: [], "cosine": []})
-        idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        nq = sims.shape[0]
-        qid = np.repeat(np.arange(nq), k)
-        flat = idx.reshape(-1)
-        return pd.DataFrame({
-            "query_id": qid.astype(np.int64),
-            self.id_col: ids[flat],
-            "cosine": sims[np.repeat(np.arange(nq), k), flat],
-        })
+def _local_topk(Q: np.ndarray, X: np.ndarray, ids: pa.Array,
+                qids, k: int, id_col: str) -> pa.Table:
+    """The one local top-k kernel: for each normalized query row of
+    ``Q`` (query ids ``qids``), the ``k`` best cosines over the
+    normalized rows ``X`` (ids ``ids``, type kept)."""
+    sims = Q @ X.T  # (nq, nb)
+    kk = min(k, sims.shape[1])
+    idx = (np.argpartition(-sims, kk - 1, axis=1)[:, :kk] if kk
+           else np.zeros((len(Q), 0), np.int64))
+    return pa.table({
+        "query_id": np.repeat(np.asarray(qids, np.int64), kk),
+        id_col: ids.take(idx.reshape(-1)),
+        "cosine": np.take_along_axis(sims, idx, axis=1).reshape(-1)})
 
 
-def _final_topk(k: int, id_col: str):
-    def reduce(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["cosine", id_col], ascending=[False, True],
-                              kind="stable").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-    return reduce
+def _batch_vectors(batch: pa.Table, id_col: str, emb_col: str):
+    X = embeddings_to_numpy(batch.column(emb_col)).astype(np.float64)
+    return _normalize(X), batch.column(id_col).combine_chunks()
+
+
+def _final_topk(local: rd.Dataset, k: int, id_col: str) -> rd.Dataset:
+    return grouped_topk(local, ["query_id"], "cosine", k, ascending=False,
+                        tiebreak=id_col, rank_col="rank")
 
 
 def brute_force_topk(ds: rd.Dataset, queries: np.ndarray, k: int = 10, *,
-                     id_col: str = "vec_id", emb_col: str = "embedding",
-                     concurrency: int | tuple[int, int] = (1, 8)) -> rd.Dataset:
+                     id_col: str = "vec_id",
+                     emb_col: str = "embedding") -> rd.Dataset:
     """Exact cosine top-k of every query against the dataset.
 
     Output: (query_id, id_col, cosine, rank); deterministic tie-break on
     (cosine desc, id asc).
     """
-    q_ref = ray.put(np.asarray(queries, dtype=np.float64))
-    local = ds.map_batches(
-        _LocalTopK,
-        fn_constructor_args=(q_ref, k, id_col, emb_col),
-        batch_format="pyarrow", batch_size=4096, concurrency=concurrency,
-    )
-    return local.groupby("query_id").map_groups(
-        _final_topk(k, id_col), batch_format="pandas")
+    q_ref = ray.put(_normalize(np.asarray(queries, dtype=np.float64)))
+
+    def local_topk(batch: pa.Table) -> pa.Table:
+        Q = ray.get(q_ref)
+        X, ids = _batch_vectors(batch, id_col, emb_col)
+        return _local_topk(Q, X, ids, np.arange(len(Q)), k, id_col)
+
+    return _final_topk(ds.map_batches(local_topk, batch_format="pyarrow",
+                                      batch_size=4096), k, id_col)
 
 
 # ------------------------------------------------------------------ IVF
@@ -152,8 +143,7 @@ def ivf_topk(ds: rd.Dataset, queries: np.ndarray, k: int = 10, *,
              n_centroids: int = 16, nprobe: int = 4, seed: int = 42,
              sample_size: int = 2048, id_col: str = "vec_id",
              emb_col: str = "embedding",
-             centroids: np.ndarray | None = None,
-             concurrency: int | tuple[int, int] = (1, 8)) -> rd.Dataset:
+             centroids: np.ndarray | None = None) -> rd.Dataset:
     """Approximate top-k: scan only the ``nprobe`` nearest centroid
     buckets per query.  Same output schema as ``brute_force_topk``.
     Pass ``centroids`` to reuse a quantizer trained by ``ivf_train``."""
@@ -169,41 +159,19 @@ def ivf_topk(ds: rd.Dataset, queries: np.ndarray, k: int = 10, *,
             probe_map.setdefault(int(c), []).append(qi)
     c_ref, q_ref, pm_ref = ray.put(C), ray.put(Q), ray.put(probe_map)
 
-    class ProbeTopK:
-        def __init__(self) -> None:
-            self.C = ray.get(c_ref)
-            self.Q = ray.get(q_ref)
-            self.pm = ray.get(pm_ref)
+    def probe_topk(batch: pa.Table) -> pa.Table:
+        C, Q, pm = ray.get(c_ref), ray.get(q_ref), ray.get(pm_ref)
+        X, ids = _batch_vectors(batch, id_col, emb_col)
+        assign = np.argmax(X @ C.T, axis=1)
+        # the zero-query part keeps the output typed when no probed
+        # centroid owns a row of this batch
+        return pa.concat_tables([_local_topk(Q[:0], X, ids, [], k, id_col)] + [
+            _local_topk(Q[qids], X[assign == c],
+                        ids.filter(pa.array(assign == c)), qids, k, id_col)
+            for c, qids in pm.items()])
 
-        def __call__(self, batch: pa.Table) -> pd.DataFrame:
-            X = embeddings_to_numpy(batch.column(emb_col)).astype(np.float64)
-            Xn = _normalize(X)
-            ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            assign = np.argmax(Xn @ self.C.T, axis=1)
-            frames = []
-            for c, qids in self.pm.items():
-                mask = assign == c
-                if not mask.any():
-                    continue
-                sims = self.Q[qids] @ Xn[mask].T
-                kk = min(k, sims.shape[1])
-                idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-                sub_ids = ids[mask]
-                for row, qi in enumerate(qids):
-                    sel = idx[row]
-                    frames.append(pd.DataFrame({
-                        "query_id": np.full(len(sel), qi, dtype=np.int64),
-                        id_col: sub_ids[sel],
-                        "cosine": sims[row, sel],
-                    }))
-            if not frames:
-                return pd.DataFrame({"query_id": [], id_col: [], "cosine": []})
-            return pd.concat(frames, ignore_index=True)
-
-    local = ds.map_batches(ProbeTopK, batch_format="pyarrow",
-                           batch_size=4096, concurrency=concurrency)
-    return local.groupby("query_id").map_groups(
-        _final_topk(k, id_col), batch_format="pandas")
+    return _final_topk(ds.map_batches(probe_topk, batch_format="pyarrow",
+                                      batch_size=4096), k, id_col)
 
 
 def semantic_dedup_pairs(ds: rd.Dataset, *, id_col: str = "vec_id",
@@ -427,7 +395,7 @@ def kmeans_fixed_point(ds: rd.Dataset, *, id_col: str = "vec_id",
     seed_rows = (ds.select_columns([id_col, emb_col])
                  .sort(id_col).limit(k).take_all())
     if not seed_rows:
-        id_type = _pa_col_type(ds, id_col)
+        id_type = column_type(ds, id_col)
         return rd.from_arrow(pa.table({
             id_col: pa.array([], type=id_type),
             "cluster": pa.array([], type=pa.int64())}))
@@ -523,7 +491,7 @@ def product_quantization(ds: rd.Dataset, *, id_col: str = "vec_id",
 
     seed_rows = (ds.select_columns([id_col, emb_col])
                  .sort(id_col).limit(k).take_all())
-    id_type = _pa_col_type(ds, id_col)
+    id_type = column_type(ds, id_col)
     code_cols = [f"code_{j}" for j in range(n_sub)]
     if not seed_rows:
         return rd.from_arrow(pa.table({
@@ -610,9 +578,3 @@ def product_quantization(ds: rd.Dataset, *, id_col: str = "vec_id",
                             zero_copy_batch=True)
 
 
-def _pa_col_type(ds: rd.Dataset, col: str) -> pa.DataType:
-    from ..functions.agg import pa_type_of
-
-    sch = ds.schema()
-    sch = getattr(sch, "base_schema", sch)
-    return pa_type_of(dict(zip(sch.names, sch.types))[col])

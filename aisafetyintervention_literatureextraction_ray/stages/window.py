@@ -9,12 +9,13 @@ timestamp order; ties share a window.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from ..functions.agg import bucketed_group_map, hash_aggregate
+from ..functions.agg import bucketed_group_map, hash_aggregate, hash_exchange
 
 
 def tumbling_window(events: rd.Dataset, key_col: str, ts_col: str,
@@ -85,13 +86,14 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, *,
     with the largest ``on_right <= on_left`` within its ``by`` key
     (``pd.merge_asof`` semantics; DuckDB ``ASOF LEFT JOIN`` equivalent).
 
-    Distributed as a co-grouped exchange: both sides are projected onto
-    one union schema (typed nulls for the other side's columns), hashed
-    on the ``by`` key into coarse buckets (``bucketed_apply``) and each
-    bucket runs a vectorized ``pd.merge_asof`` — the partitioning
-    assumption is only that one KEY's rows fit a bucket's share of the
-    heap, the standard keyed-shuffle contract.  Output = left columns +
-    ``right_value_cols`` (null where no right row precedes).
+    Distributed on :func:`hash_exchange`: each side is hashed on its own
+    ``by`` key and each bucket runs one ``pd.merge_asof`` over the key,
+    time and row-index columns only; the payload columns are then
+    ``take``-n by row index, so every Arrow type is kept.  The
+    partitioning assumption is only that one KEY's rows fit a bucket's
+    share of the heap, the standard keyed-shuffle contract.  Output =
+    left columns + ``right_value_cols`` (null where no right row
+    precedes; null keys and times match nothing).
 
     ``right_reduce={col: fn}`` deduplicates the right side per
     ``(by, on)`` INSIDE the bucket (C groupby) before the merge.
@@ -101,64 +103,38 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, *,
     key set reduces nothing and pays a full extra shuffle (measured
     4.9 s of a 5 s query at sf0.1).
     """
-    import pyarrow as pa
-
-    from ..functions.agg import bucketed_apply
-
-    from ..functions.agg import pa_type_of
-
-    lschema, rschema = left.schema(), right.schema()
-    left_cols = [c for c in lschema.names]
-    ltypes = {n: pa_type_of(t) for n, t in zip(lschema.names, lschema.types)}
-    rtypes = {n: pa_type_of(t) for n, t in zip(rschema.names, rschema.types)}
-
-    def left_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(by_left), "__ts": t.column(on_left)}
-        for c in left_cols:
-            cols[f"l_{c}"] = t.column(c)
-        for c in right_value_cols:
-            cols[c] = pa.nulls(t.num_rows, rtypes[c])
-        cols["__side"] = pa.array([0] * t.num_rows, type=pa.int8())
-        return pa.table(cols)
-
-    def right_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(by_right).cast(ltypes[by_left]),
-                "__ts": t.column(on_right).cast(ltypes[on_left])}
-        for c in left_cols:
-            cols[f"l_{c}"] = pa.nulls(t.num_rows, ltypes[c])
-        for c in right_value_cols:
-            cols[c] = t.column(c)
-        cols["__side"] = pa.array([1] * t.num_rows, type=pa.int8())
-        return pa.table(cols)
-
-    both = left.map_batches(left_side, batch_format="pyarrow").union(
-        right.map_batches(right_side, batch_format="pyarrow"))
-
-    # The union null-pads each side's columns; converting through pandas
-    # NULLABLE extension dtypes (not numpy) keeps int64 ids exact — a
-    # plain to_pandas would widen them to float64 and ids above 2^53
-    # would silently lose exactness (ADVICE r2, finished r4).
-    from ..functions.agg import _NULLABLE_DTYPES
-
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas(types_mapper=_NULLABLE_DTYPES.get)
-        lhs = (df[df["__side"] == 0]
-               .drop(columns=["__side"] + right_value_cols)
-               .sort_values("__ts", kind="stable"))
-        rhs = df[df["__side"] == 1][["__key", "__ts"] + right_value_cols]
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not lt.num_columns:  # a side with no block carries no schema
+            return lt
+        if not rt.num_columns:
+            rt = pa.table({c: pa.nulls(0) for c in
+                           {by_right, on_right, *right_value_cols}})
+        r = pa.table({
+            "k": rt.column(by_right).cast(lt.schema.field(by_left).type),
+            "t": rt.column(on_right).cast(lt.schema.field(on_left).type),
+            **{c: rt.column(c) for c in right_value_cols}})
         if right_reduce:
-            rhs = rhs.groupby(["__key", "__ts"], as_index=False,
-                              sort=False).agg(right_reduce)
-        rhs = rhs.sort_values("__ts", kind="stable")
-        out = pd.merge_asof(lhs, rhs, on="__ts", by="__key",
-                            direction="backward")
-        out = out.drop(columns=["__key", "__ts"])
-        out = out.rename(columns={f"l_{c}": c for c in left_cols})
-        return pa.Table.from_pandas(
-            out, preserve_index=False).replace_schema_metadata(None)
+            r = r.group_by(["k", "t"]).aggregate(list(right_reduce.items()))
+            names = {f"{c}_{f}": c for c, f in right_reduce.items()}
+            r = r.rename_columns([names.get(c, c) for c in r.column_names])
+        sides = []
+        for t, k, ts, name in ((lt, by_left, on_left, "__l"),
+                               (r, "k", "t", "__r")):
+            sel = pa.table({"k": t.column(k), "t": t.column(ts),
+                            name: np.arange(t.num_rows, dtype=np.int64)})
+            sel = sel.filter(pc.and_(pc.is_valid(sel["k"]),
+                                     pc.is_valid(sel["t"])))
+            sides.append(sel.to_pandas().sort_values("t", kind="stable"))
+        m = pd.merge_asof(*sides, on="t", by="k", direction="backward")
+        ridx = np.full(lt.num_rows, -1, dtype=np.int64)
+        ridx[m["__l"].to_numpy()] = m["__r"].fillna(-1).to_numpy(np.int64)
+        idx = pa.array(ridx, mask=ridx < 0)
+        for c in right_value_cols:
+            lt = lt.append_column(c, r.column(c).take(idx))
+        return lt
 
-    return bucketed_apply(both, ["__key"], merge, exchange=exchange,
-                          batch_format="pyarrow")
+    return hash_exchange([(left, [by_left]), (right, [by_right])], kernel,
+                         exchange=exchange)
 
 
 def range_join_agg(left: rd.Dataset, right: rd.Dataset, *,
@@ -173,116 +149,71 @@ def range_join_agg(left: rd.Dataset, right: rd.Dataset, *,
     ``on_left - window < on_right <= on_left``.
 
     The operator Ray Data lacks (SURVEY.md 'custom operators': range
-    join), composed from the engine's co-grouped bucketed exchange: both
-    sides union-project onto one schema, hash on the ``by`` key, and
-    each bucket resolves every left row's window VECTORIZED with two
-    ``np.searchsorted`` calls over the time-sorted right side (windows
-    overlap, so sums come from exact int64 cent cumsums — prefix-sum
-    differences in integer arithmetic are order-exact, unlike float).
-    Output = left columns + count + cent sum (int64; divide by 100 for
-    currency).
+    join), on :func:`hash_exchange`: each side is hashed on its own
+    ``by`` key, and each bucket resolves every left row's window
+    VECTORIZED with two ``np.searchsorted`` calls over the time-sorted
+    right side (windows overlap, so sums come from exact int64 cent
+    cumsums — prefix-sum differences in integer arithmetic are
+    order-exact, unlike float).  Output = left columns (types kept) +
+    count + cent sum (int64; divide by 100 for currency).  Null keys
+    and times match nothing.
     """
-    import numpy as np
-    import pyarrow as pa
+    window = pd.Timedelta(window).to_timedelta64()
 
-    from ..functions.agg import bucketed_apply, pa_type_of
-
-    window = pd.Timedelta(window)
-    lschema = left.schema()
-    left_cols = list(lschema.names)
-    ltypes = {n: pa_type_of(t) for n, t in zip(lschema.names, lschema.types)}
-
-    def left_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(by_left), "__ts": t.column(on_left)}
-        for c in left_cols:
-            cols[f"l_{c}"] = t.column(c)
-        cols["__val"] = pa.nulls(t.num_rows, pa.float64())
-        cols["__side"] = pa.array([0] * t.num_rows, type=pa.int8())
-        return pa.table(cols)
-
-    def right_side(t: pa.Table) -> pa.Table:
-        cols = {"__key": t.column(by_right).cast(ltypes[by_left]),
-                "__ts": t.column(on_right).cast(ltypes[on_left])}
-        for c in left_cols:
-            cols[f"l_{c}"] = pa.nulls(t.num_rows, ltypes[c])
-        cols["__val"] = t.column(value_col).cast(pa.float64())
-        cols["__side"] = pa.array([1] * t.num_rows, type=pa.int8())
-        return pa.table(cols)
-
-    both = left.map_batches(left_side, batch_format="pyarrow").union(
-        right.map_batches(right_side, batch_format="pyarrow"))
-
-    # nullable extension dtypes keep int64 ids exact through the
-    # null-padded union (see asof_join); keys densify back to numpy for
-    # the searchsorted kernel — exactly when null-free (the normal
-    # case), else the old float64+NaN behavior (null keys match nothing)
-    from ..functions.agg import _NULLABLE_DTYPES
-
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas(types_mapper=_NULLABLE_DTYPES.get)
-        kdt = getattr(df["__key"].dtype, "numpy_dtype", None)
-        if kdt is not None and df["__key"].isna().any():
-            kdt = np.dtype("float64")
-
-        def karr(s: pd.Series) -> np.ndarray:
-            if kdt is None:
-                return s.to_numpy()
-            if kdt == np.dtype("float64"):
-                return s.to_numpy(dtype="float64", na_value=np.nan)
-            return s.to_numpy(dtype=kdt)
-
-        lhs = df[df["__side"] == 0].drop(columns=["__side", "__val"])
-        rhs = (df[df["__side"] == 1][["__key", "__ts", "__val"]]
-               .sort_values(["__key", "__ts"], kind="stable"))
-        out = lhs.rename(columns={f"l_{c}": c for c in left_cols})
-        n = len(out)
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        n = lt.num_rows
+        if not lt.num_columns:  # a side with no block carries no schema
+            return lt
         counts = np.zeros(n, dtype=np.int64)
         cents = np.zeros(n, dtype=np.int64)
-        if n and len(rhs):
-            # per-key slices of the time-sorted right side
-            rkeys = karr(rhs["__key"])
-            rts = rhs["__ts"].to_numpy()
+        if n and rt.num_rows:
+            r = pa.table({
+                "k": rt.column(by_right).cast(lt.schema.field(by_left).type),
+                "t": rt.column(on_right).cast(lt.schema.field(on_left).type),
+                "v": rt.column(value_col).cast(pa.float64())})
+            r = r.filter(pc.and_(pc.is_valid(r["k"]), pc.is_valid(r["t"])))
+            # one dictionary over both sides' keys: dense int codes
+            key = pa.chunked_array(lt.column(by_left).chunks
+                                   + r["k"].chunks, r["k"].type)
+            code = pc.fill_null(pc.dictionary_encode(key).combine_chunks()
+                                .indices, -1).to_numpy()
+            lkeys, rkeys = code[:n], code[n:]
+            lts = lt.column(on_left).to_numpy()
             # exact integer cents: float sums would depend on order
-            rcents = np.round(rhs["__val"].to_numpy(dtype=np.float64)
+            rcents = np.round(r["v"].to_numpy(zero_copy_only=False)
                               * 100).astype(np.int64)
-            csum = np.concatenate([[0], np.cumsum(rcents)])
-            rchange = np.flatnonzero(rkeys[1:] != rkeys[:-1]) + 1
-            rbounds = np.concatenate([[0], rchange, [len(rkeys)]])
-            rslice = {rkeys[rbounds[i]]: (rbounds[i], rbounds[i + 1])
-                      for i in range(len(rbounds) - 1)}
+            rorder = np.lexsort((r["t"].to_numpy(), rkeys))
+            rkeys, rts = rkeys[rorder], r["t"].to_numpy()[rorder]
+            csum = np.concatenate([[0], np.cumsum(rcents[rorder])])
+            # per-key slices of the time-sorted right side
+            rstart = np.searchsorted(rkeys, np.arange(len(key)), "left")
+            rend = np.searchsorted(rkeys, np.arange(len(key)), "right")
             # sort the left side by (key, ts) so each key is ONE
             # contiguous slice: total work is O((L + R) log) with one
             # loop iteration per key, never a full-column mask per key
-            lkeys = karr(lhs["__key"])
-            lts = lhs["__ts"].to_numpy()
             lorder = np.lexsort((lts, lkeys))
             lk_s, lt_s = lkeys[lorder], lts[lorder]
             lchange = np.flatnonzero(lk_s[1:] != lk_s[:-1]) + 1
-            lbounds = np.concatenate([[0], lchange, [len(lk_s)]])
+            lbounds = np.concatenate([[0], lchange, [n]])
             c_s = np.zeros(n, dtype=np.int64)
             m_s = np.zeros(n, dtype=np.int64)
-            for i in range(len(lbounds) - 1):
-                a, b = lbounds[i], lbounds[i + 1]
-                se = rslice.get(lk_s[a])
-                if se is None:
+            for a, b in zip(lbounds[:-1], lbounds[1:]):
+                k = lk_s[a]
+                s, e = (rstart[k], rend[k]) if k >= 0 else (0, 0)
+                if s == e:
                     continue
-                s, e = se
                 ts = lt_s[a:b]
-                lo = np.searchsorted(rts[s:e], ts - window.to_timedelta64(),
-                                     side="right") + s
+                lo = np.searchsorted(rts[s:e], ts - window, side="right") + s
                 hi = np.searchsorted(rts[s:e], ts, side="right") + s
                 c_s[a:b] = hi - lo
                 m_s[a:b] = csum[hi] - csum[lo]
             counts[lorder] = c_s
             cents[lorder] = m_s
-        out[count_col] = counts
-        out[sum_cents_col] = cents
-        out = out.drop(columns=["__key", "__ts"])
-        return pa.Table.from_pandas(
-            out, preserve_index=False).replace_schema_metadata(None)
+        return lt.append_column(count_col, pa.array(counts)).append_column(
+            sum_cents_col, pa.array(cents))
 
-    return bucketed_apply(both, ["__key"], merge, exchange=exchange,
-                          batch_format="pyarrow")
+    return hash_exchange([(left, [by_left]), (right, [by_right])], kernel,
+                         exchange=exchange)
 
 
 def sessionize(events: rd.Dataset, *, key_col: str = "user_id",
@@ -347,20 +278,13 @@ def cohort_retention(events: rd.Dataset, *, key_col: str = "user_id",
     ud = hash_aggregate(
         ed, [key_col, "day"], [("day", "count")],
         num_buckets=num_buckets, exchange="shuffle",
-    ).select_columns([key_col, "day"]).materialize()
+    ).select_columns([key_col, "day"])
     ch = hash_aggregate(
         ud, [key_col], [("day", "min")], rename={"day_min": "cday"},
         num_buckets=num_buckets, exchange="shuffle")
-    sch = ud.schema()
-    sch = getattr(sch, "base_schema", sch)
-    key_type = dict(zip(sch.names, sch.types))[key_col]
     joined = bucketed_join(
         ud, ch, left_key=key_col, right_key=key_col,
-        right_value_cols=["cday"], num_buckets=num_buckets,
-        left_schema=pa.schema([(key_col, key_type),
-                               ("day", pa.int64())]),
-        right_schema=pa.schema([(key_col, key_type),
-                                ("cday", pa.int64())]))
+        right_value_cols=["cday"], num_buckets=num_buckets)
 
     def cells(t: pa.Table) -> pa.Table:
         return pa.table({

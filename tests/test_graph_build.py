@@ -177,6 +177,86 @@ def test_bucketed_join_left_keeps_unmatched():
     assert set(inner["k"]) == {"a", "c"}
 
 
+def _join_inputs(case: str):
+    """Left/right tables for the ``bucketed_join`` property test: keys
+    repeat on both sides, payloads are int64 above 2^53, lists and
+    structs; ``case`` picks the key type or the degenerate side."""
+    import numpy as np
+
+    rng = np.random.default_rng(sum(map(ord, case)))
+    big = 2**53 + 1
+    lk = rng.integers(0, 12, 60)
+    rk = rng.integers(0, 16, 40)
+    if case == "big_ids":
+        lk, rk = lk + 2**62, rk + 2**62
+    left = pa.table({
+        "k": pa.array(lk, pa.int64()),
+        "lv": pa.array(big + 2 * np.arange(60), pa.int64()),
+        "lst": pa.array([list(range(i % 4)) for i in range(60)],
+                        pa.list_(pa.int64())),
+        "st": pa.array([{"a": big + i, "b": str(i)} for i in range(60)])})
+    right = pa.table({
+        "rk": pa.array(rk, pa.int32() if case == "int32_key" else pa.int64()),
+        "rv": pa.array(big + 2 * np.arange(40) + 1, pa.int64()),
+        "rl": pa.array([[str(j)] * (j % 3) for j in range(40)],
+                       pa.list_(pa.string())),
+        "rs": pa.array([{"x": j, "y": [j, big]} for j in range(40)])})
+    if case == "empty_right":
+        right = right.slice(0, 0)
+    return left, right
+
+
+@pytest.mark.parametrize("exchange", ["shuffle", "coalesce"])
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("case", ["repeated", "big_ids", "int32_key",
+                                  "empty_right", "filtered_left",
+                                  "filtered_right"])
+def test_bucketed_join_matches_arrow_reference(case, how, exchange):
+    """``bucketed_join`` against a row-by-row reference on the Arrow
+    inputs: same rows (repeated keys give every combination, a left
+    join keeps unmatched rows with null right values) and exactly the
+    inputs' Arrow types -- list, struct and int64 above 2^53 included,
+    with a right key of another integer type cast to the left key's."""
+    from aisafetyintervention_literatureextraction_ray.functions.agg import (
+        bucketed_join,
+    )
+
+    left, right = _join_inputs(case)
+    cols = ["rv", "rl", "rs"]
+
+    def blocks(t: pa.Table, drop: bool) -> rd.Dataset:
+        ds = rd.from_arrow([t.slice(i, 16) for i in range(0, max(
+            t.num_rows, 1), 16)])
+        if drop:  # every row filtered out; blocks keep their schema
+            ds = ds.map_batches(lambda b: b.slice(0, 0),
+                                batch_format="pyarrow")
+        return ds
+
+    import ray
+
+    out = pa.concat_tables(ray.get(bucketed_join(
+        blocks(left, case == "filtered_left"),
+        blocks(right, case == "filtered_right"), left_key="k",
+        right_key="rk", right_value_cols=cols, how=how,
+        exchange=exchange).to_arrow_refs()))
+
+    lrows = [] if case == "filtered_left" else left.to_pylist()
+    rrows = [] if case == "filtered_right" else right.to_pylist()
+    want = []
+    for lr in lrows:
+        hits = [rr for rr in rrows if rr["rk"] == lr["k"]]
+        for rr in hits or ([{c: None for c in cols}] if how == "left"
+                           else []):
+            want.append({**lr, **{c: rr[c] for c in cols}})
+
+    def canon(rows):
+        return sorted(repr(sorted(r.items())) for r in rows)
+
+    assert canon(out.to_pylist()) == canon(want)
+    assert out.schema == pa.schema(list(left.schema)
+                                   + [right.schema.field(c) for c in cols])
+
+
 def test_incremental_nodes_equals_full_rebuild():
     """Key-scoped incremental maintenance == full rebuild: add docs,
     remove docs, leave an untouched node group, and check row-for-row

@@ -42,7 +42,7 @@ def _np_topk(X, Q, k):
 def test_brute_force_matches_numpy(data):
     X, ds = data
     Q = X[:4]
-    out = brute_force_topk(ds, Q, k=7, concurrency=(1, 2)).to_pandas()
+    out = brute_force_topk(ds, Q, k=7).to_pandas()
     expected = _np_topk(X, Q, 7)
     for q in range(4):
         got = set(out[out.query_id == q]["vec_id"])
@@ -57,16 +57,14 @@ def test_brute_force_matches_numpy(data):
 def test_ivf_recall(data):
     X, ds = data
     Q = X[:4]
-    bf = brute_force_topk(ds, Q, k=5, concurrency=(1, 2)).to_pandas()
+    bf = brute_force_topk(ds, Q, k=5).to_pandas()
     # full probe => exact
-    ivf_full = ivf_topk(ds, Q, k=5, n_centroids=8, nprobe=8,
-                        concurrency=(1, 2)).to_pandas()
+    ivf_full = ivf_topk(ds, Q, k=5, n_centroids=8, nprobe=8).to_pandas()
     key = ["query_id", "vec_id"]
     assert set(map(tuple, ivf_full[key].itertuples(index=False))) == \
         set(map(tuple, bf[key].itertuples(index=False)))
     # partial probe: reasonable recall on random data
-    ivf_p = ivf_topk(ds, Q, k=5, n_centroids=8, nprobe=4,
-                     concurrency=(1, 2)).to_pandas()
+    ivf_p = ivf_topk(ds, Q, k=5, n_centroids=8, nprobe=4).to_pandas()
     inter = set(map(tuple, ivf_p[key].itertuples(index=False))) & \
         set(map(tuple, bf[key].itertuples(index=False)))
     assert len(inter) / len(bf) >= 0.5

@@ -786,8 +786,8 @@ def test_grouped_histogram_quantiles_bound_and_exact_degenerate():
 
 
 def test_asof_and_bucketed_join_ids_above_2_53_exact():
-    """int64 ids above 2^53 must survive the null-padded union exchange
-    bit-exactly (nullable extension dtypes, never float64 widening)."""
+    """int64 ids above 2^53 must survive the joins bit-exactly (payloads
+    taken by row index, never float64 widening)."""
     import pandas as pd
 
     from aisafetyintervention_literatureextraction_ray.functions.agg import bucketed_join
