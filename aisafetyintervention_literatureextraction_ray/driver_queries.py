@@ -236,27 +236,23 @@ def kg_triples(sf_dir: str):
     """,
 )
 def orders_by_segment(sf_dir: str):
-    """Both-sides-large equi-join via ``Dataset.join`` (hash-partitioned
-    shuffle join — the scale path of SURVEY.md §2.4 J1 when the build
-    side no longer fits a broadcast)."""
-    orders = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(cust, "inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
+    """Both-sides-large equi-join (the scale path of SURVEY.md §2.4 J1)
+    as one custkey :func:`bucketed_join`, then one keyed reduce over the
+    bounded segment key set."""
+    from .functions.agg import bucketed_join, hash_aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = pa.table({"mktsegment": t["c_mktsegment"],
-                      "price": t["o_totalprice"]})
-        return pa.TableGroupBy(t, "mktsegment").aggregate(
-            [("price", "sum"), ("price", "count")])
-
-    out = (
-        joined.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("mktsegment")
-        .aggregate(Sum("price_count", alias_name="n_orders"),
-                   Sum("price_sum", alias_name="sum_totalprice"))
-        .to_pandas()
-    )
+    joined = bucketed_join(
+        _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
+        left_key="o_custkey", right_key="c_custkey",
+        right_value_cols=["c_mktsegment"])
+    out = hash_aggregate(
+        joined, ["c_mktsegment"],
+        [("o_totalprice", "count"), ("o_totalprice", "sum")],
+        rename={"c_mktsegment": "mktsegment",
+                "o_totalprice_count": "n_orders",
+                "o_totalprice_sum": "sum_totalprice"},
+        exchange="coalesce").to_pandas()  # <= |segments| keys
     out["sum_totalprice"] = out["sum_totalprice"].round(2)
     return out[["mktsegment", "n_orders", "sum_totalprice"]]
 
@@ -7832,7 +7828,7 @@ def events_independence(sf_dir: str):
     ORDER BY scc_id
     """,
 )
-def kg_scc_levels(sf_dir: str, broadcast_limit: int = 2_000_000):
+def kg_scc_levels(sf_dir: str):
     """Condensation-DAG stratification of the directed KG: collapse
     each strongly connected component (the feedback loops) to one
     node, then assign every component its longest-path LEVEL in the
@@ -7860,45 +7856,22 @@ def kg_scc_levels(sf_dir: str, broadcast_limit: int = 2_000_000):
                              "n_nodes": pd.Series([], dtype="int64"),
                              "level": pd.Series([], dtype="int64")})
 
-    # label-projection exchange choice, MEASURED (the 2M policy): a
-    # label table under the gate ships once via ray.put and both
-    # endpoint projections happen inside ONE edge scan; above it, two
-    # partitioned label joins
-    if labels.count() <= broadcast_limit:
-        lt = labels.to_pandas()
-        lref = ray.put((pd.Index(lt["node_id"].to_numpy()),
-                        lt["scc_id"].to_numpy()))
-
-        def project(t: pa.Table) -> pa.Table:
-            idx, lab = ray.get(lref)
-            ps = idx.get_indexer(t["src_id"].to_numpy())
-            pd_ = idx.get_indexer(t["dst_id"].to_numpy())
-            ok = (ps >= 0) & (pd_ >= 0)
-            cs = lab[np.clip(ps, 0, None)][ok]
-            cd = lab[np.clip(pd_, 0, None)][ok]
-            keep = cs != cd
-            return pa.table({"cs": pa.array(cs[keep], pa.string()),
-                             "cd": pa.array(cd[keep], pa.string())})
-
-        cond = edges.map_batches(project, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    else:
-        ja = bucketed_join(
-            edges, labels.map_batches(
-                lambda t: t.rename_columns(["node_id", "cs"]),
-                batch_format="pyarrow"),
-            left_key="src_id", right_key="node_id",
-            right_value_cols=["cs"])
-        jb = bucketed_join(
-            ja, labels.map_batches(
-                lambda t: t.rename_columns(["node_id", "cd"]),
-                batch_format="pyarrow"),
-            left_key="dst_id", right_key="node_id",
-            right_value_cols=["cd"])
-        cond = jb.map_batches(
-            lambda t: t.filter(pc.not_equal(t["cs"], t["cd"]))
-            .select(["cs", "cd"]),
-            batch_format="pyarrow")
+    ja = bucketed_join(
+        edges, labels.map_batches(
+            lambda t: t.rename_columns(["node_id", "cs"]),
+            batch_format="pyarrow"),
+        left_key="src_id", right_key="node_id",
+        right_value_cols=["cs"])
+    jb = bucketed_join(
+        ja, labels.map_batches(
+            lambda t: t.rename_columns(["node_id", "cd"]),
+            batch_format="pyarrow"),
+        left_key="dst_id", right_key="node_id",
+        right_value_cols=["cd"])
+    cond = jb.map_batches(
+        lambda t: t.filter(pc.not_equal(t["cs"], t["cd"]))
+        .select(["cs", "cd"]),
+        batch_format="pyarrow")
     lv = dag_levels(cond, src="cs", dst="cd").to_pandas()
     out = sizes.merge(lv.rename(columns={"node_id": "scc_id"}),
                       on="scc_id", how="left")
@@ -7982,28 +7955,24 @@ def part_supplier_risk(sf_dir: str):
     ORDER BY cust_nation, supp_nation
     """,
 )
-def nation_trade_matrix(sf_dir: str, broadcast_limit: int = 250_000):
+def nation_trade_matrix(sf_dir: str):
     """TPC-H-Q7-style six-table trade matrix: line-item revenue per
     (customer nation, supplier nation) pair — the multi-hop join
     chain every warehouse benchmark lives on.  Rebuilt on the
     session-7 measured-gate machinery (the `nation_volume_shipping`
     plan without the year/window dimensions): supplier -> nation is
     the always-broadcast dense gather; the buyer nation resolves via
-    :func:`_orders_buyer_nation` (ray.put custkey index under the
-    measured ``broadcast_limit``, else one partitioned custkey join)
-    and attaches to skinny in-batch lineitem partials through
-    :func:`_attach_order_cols` (same gate on the orderkey side); ONE
-    keyed reduce on the bounded |nations|^2 key set finishes.  At
-    sf0.1 both gates choose broadcast and the whole query is a single
-    lineitem pass plus a 625-row reduce — the previous three-exchange
-    form measured 7.1 s in the session-EE bench; this one ~1.3 s.
-    Money is exact integer cents throughout."""
-    from .functions.agg import hash_aggregate
+    :func:`_orders_buyer_nation` (one custkey :func:`bucketed_join`)
+    and attaches to skinny in-batch lineitem partials through one
+    orderkey :func:`bucketed_join`; ONE keyed reduce on the bounded
+    |nations|^2 key set finishes.  Money is exact integer cents
+    throughout."""
+    from .functions.agg import bucketed_join, hash_aggregate
 
     s2n = _supp_nation_gather(sf_dir)
     nname = _nation_names(sf_dir)
     bc = ray.put(s2n)
-    o_nat = _orders_buyer_nation(sf_dir, broadcast_limit)
+    o_nat = _orders_buyer_nation(sf_dir)
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_suppkey", "l_extendedprice"])
@@ -8028,8 +7997,9 @@ def nation_trade_matrix(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(li_partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    attached = _attach_order_cols(partials, o_nat, ["c_nationkey"],
-                                  broadcast_limit)
+    attached = bucketed_join(
+        partials, o_nat, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["c_nationkey"])
 
     out = hash_aggregate(
         attached.map_batches(
@@ -8945,7 +8915,7 @@ def doc_readability(sf_dir: str):
     GROUP BY actual ORDER BY actual
     """,
 )
-def doc_naive_bayes(sf_dir: str, broadcast_limit: int = 250_000):
+def doc_naive_bayes(sf_dir: str):
     """Multinomial Naive Bayes source classifier, trained and evaluated
     in one distributed pipeline — the standard sanity model for "is
     this corpus separable by provenance" before spending GPU time.
@@ -8964,7 +8934,7 @@ def doc_naive_bayes(sf_dir: str, broadcast_limit: int = 250_000):
     tree, window-ranked."""
     import hashlib
 
-    from .functions.agg import bucketed_apply, hash_aggregate
+    from .functions.agg import bucketed_apply, bucketed_join, hash_aggregate
 
     docs = _pq(sf_dir, "documents", ["doc_id", "source", "text"])
 
@@ -9056,111 +9026,46 @@ def doc_naive_bayes(sf_dir: str, broadcast_limit: int = 250_000):
         "lt": [int(np.floor(np.log(float(tot_by[s] + n_vocab)) * 1e9))
                for s in cands]})
 
-    # ONE term-bucketed co-group pass does the (term -> cand) score
-    # join AND the in-vocab token count, with per-bucket partial
-    # combining so the second exchange carries (doc, cand) partials —
-    # never the docs x terms x cands join rows (the
-    # carry-payload-through-one-group-map policy; a separate
-    # bucketed_join + keyed sum measured ~3x slower here).  Unseen
-    # (term, cand) pairs contribute floor(ln(0+1)*1e9) = 0, so the
-    # in-bucket merge stays INNER and sparse.
+    # the (term -> cand) score join is ONE term-keyed bucketed_join of
+    # the test term frequencies against the trained model; each output
+    # block folds to (doc, cand) score partials plus in-vocab
+    # token-count partials (a term's every match lands in one block),
+    # which the doc_id co-group below completes.  Unseen (term, cand)
+    # pairs contribute floor(ln(0+1)*1e9) = 0, so the join stays INNER
+    # and sparse.
     _ND = "\x00nd"  # sentinel cand: in-vocab token-count partials
 
-    def as_union_left(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "term": t["term"], "doc_id": t["doc_id"],
-            "tf": t["tf"],
-            "cand": pa.array([""] * n, pa.string()),
-            "c": pa.array(np.zeros(n, dtype=np.int64)),
-            "side": pa.array(np.zeros(n, dtype=np.int8))})
+    def with_lnc(t: pa.Table) -> pa.Table:
+        lnc = np.floor(np.log(t["c"].to_numpy(zero_copy_only=False)
+                              .astype(np.float64) + 1.0) * 1e9)
+        return pa.table({"term": t["term"], "cand": t["cand"],
+                         "lnc": pa.array(lnc.astype(np.int64))})
 
-    def as_union_right(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "term": t["term"],
-            "doc_id": pa.array(np.zeros(n, dtype=np.int64)),
-            "tf": pa.array(np.zeros(n, dtype=np.int64)),
-            "cand": t["cand"], "c": t["c"],
-            "side": pa.array(np.ones(n, dtype=np.int8))})
+    def score_partial(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({"doc_id": pa.array([], pa.int64()),
+                             "cand": pa.array([], pa.string()),
+                             "s": pa.array([], pa.int64())})
+        contrib = pa.TableGroupBy(pa.table({
+            "doc_id": t["doc_id"], "cand": t["cand"],
+            "s": pc.multiply(t["tf"], t["lnc"])}), ["doc_id", "cand"]) \
+            .aggregate([("s", "sum")])
+        iv = pa.TableGroupBy(t.select(["doc_id", "term", "tf"]),
+                             ["doc_id", "term"]).aggregate([("tf", "max")])
+        nd = pa.TableGroupBy(iv, ["doc_id"]).aggregate([("tf_max", "sum")])
+        return pa.concat_tables([
+            pa.table({"doc_id": contrib["doc_id"], "cand": contrib["cand"],
+                      "s": contrib["s_sum"]}),
+            pa.table({"doc_id": nd["doc_id"],
+                      "cand": pa.array([_ND] * nd.num_rows, pa.string()),
+                      "s": nd["tf_max_sum"]})])
 
-    # measured MODEL-broadcast gate: the trained (term, cand, c) table
-    # is vocabulary-bounded; when it fits the broadcast budget the
-    # whole score join runs map-side inside ONE test_tf scan (same
-    # per-batch partial shape the term co-group emits — the downstream
-    # doc_id co-group completes the sums either way) and the
-    # term-keyed union exchange never forms
-    if c_ds.count() <= broadcast_limit:
-        mdl = c_ds.to_pandas()
-        mdl["lnc"] = np.floor(np.log(
-            mdl["c"].to_numpy(np.float64) + 1.0) * 1e9).astype(
-            np.int64)
-        mref = ray.put(mdl[["term", "cand", "lnc"]])
-
-        def score_partial(t: pa.Table) -> pa.Table:
-            mdl_df = ray.get(mref)
-            df = t.to_pandas()  # doc_id, term, tf (globally unique)
-            m = df.merge(mdl_df, on="term")
-            if m.empty:
-                return pa.table({
-                    "doc_id": pa.array([], pa.int64()),
-                    "cand": pa.array([], pa.string()),
-                    "s": pa.array([], pa.int64())})
-            m["s"] = (m["tf"].to_numpy(np.int64)
-                      * m["lnc"].to_numpy(np.int64))
-            contrib = m.groupby(["doc_id", "cand"], sort=False)["s"]                 .sum().reset_index()
-            iv = m.drop_duplicates(subset=["doc_id", "term"])
-            nd = iv.groupby("doc_id", sort=False)["tf"].sum()                 .reset_index()
-            nd["cand"] = _ND
-            nd = nd.rename(columns={"tf": "s"})
-            out = pd.concat([contrib, nd[["doc_id", "cand", "s"]]],
-                            ignore_index=True)
-            return pa.Table.from_pandas(
-                out, preserve_index=False).replace_schema_metadata(
-                None)
-
-        combined = test_tf.map_batches(
-            score_partial, batch_format="pyarrow",
-            zero_copy_batch=True).materialize()
-    else:
-        combined = None
-
-    both = test_tf.map_batches(as_union_left, batch_format="pyarrow",
-                               zero_copy_batch=True).union(
-        c_ds.map_batches(as_union_right, batch_format="pyarrow",
-                         zero_copy_batch=True))
-
-    def cogroup(df: pd.DataFrame) -> pd.DataFrame:
-        left = df[df["side"] == 0]
-        right = df[df["side"] == 1]
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "cand": pd.Series([], dtype=object),
-                              "s": pd.Series([], dtype="int64")})
-        if left.empty or right.empty:
-            return empty
-        m = left[["doc_id", "term", "tf"]].merge(
-            right[["term", "cand", "c"]], on="term")
-        if m.empty:
-            return empty
-        lnc = np.floor(np.log(
-            m["c"].to_numpy(dtype=np.float64) + 1.0) * 1e9).astype(
-                np.int64)
-        m["s"] = m["tf"].to_numpy(dtype=np.int64) * lnc
-        contrib = (m.groupby(["doc_id", "cand"], sort=False)["s"].sum()
-                   .reset_index())
-        iv = m.drop_duplicates(subset=["doc_id", "term"])
-        nd = iv.groupby("doc_id", sort=False)["tf"].sum().reset_index()
-        nd["cand"] = _ND
-        nd = nd.rename(columns={"tf": "s"})
-        return pd.concat([contrib, nd[["doc_id", "cand", "s"]]],
-                         ignore_index=True)
-
-    # per-term-bucket PARTIALS; the (doc, cand) sums complete inside
-    # the next doc_id-bucketed co-group (every doc lands in exactly one
-    # bucket), so no standalone keyed exchange is needed in between
-    if combined is None:
-        combined = bucketed_apply(both, ["term"], cogroup,
-                                  exchange="shuffle")
+    combined = bucketed_join(
+        test_tf, c_ds.map_batches(with_lnc, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+        left_key="term", right_key="term",
+        right_value_cols=["cand", "lnc"]).map_batches(
+        score_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     # second (and last) co-group: the test-doc roster and the score
     # partials share ONE doc_id exchange; the per-bucket lattice
@@ -10365,17 +10270,17 @@ _Q3_DATE = "1998-06-01"
     LIMIT 10
     """,
 )
-def shipping_priority_topk(sf_dir: str, broadcast_limit: int = 250_000):
+def shipping_priority_topk(sf_dir: str):
     """TPC-H Q3 (shipping priority): unshipped revenue of BUILDING
     customers' pre-cutoff orders, top-10.  The Ray plan prunes every
     read (3 columns of lineitem survive the scan filter), pre-reduces
     lineitem to one (orderkey, revenue) partial per batch BEFORE any
-    exchange, resolves the customer segment through a MEASURED gate —
-    the segment-filtered custkey set ships via ``ray.put`` and the
-    orders scan semi-filters map-side when it fits
-    ``broadcast_limit``, else one partitioned custkey join — and
-    lands the orders-revenue match as a TAGGED-UNION orderkey
-    co-group (one exchange, no second join).  Revenue snaps to
+    exchange, keeps the BUILDING customers' orders through one custkey
+    semi-join (a :func:`bucketed_join` with no value columns), sums
+    revenue per order in one keyed reduce and attaches the qualifying
+    orders' date and priority through one orderkey
+    :func:`bucketed_join`; each output block keeps its local top-10
+    before the driver's final cut.  Revenue snaps to
     ``floor(extprice * (1 - disc) * 1000)`` int64 per row — the
     identical IEEE op tree in numpy and DuckDB — so the top-10 cut is
     exact with (revenue DESC, date, key) tie-breaks."""
@@ -10403,19 +10308,18 @@ def shipping_priority_topk(sf_dir: str, broadcast_limit: int = 250_000):
             [("revenue_milli", "sum")]).rename_columns(
             ["l_orderkey", "revenue_milli"])
 
-    rev = li.map_batches(rev_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
+    rev = hash_aggregate(
+        li.map_batches(rev_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["l_orderkey"], [("revenue_milli", "sum")],
+        rename={"revenue_milli_sum": "revenue_milli"},
+        exchange="shuffle")
 
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
         .map_batches(
-        lambda t: pa.table({
-            "c_custkey": t["c_custkey"].filter(
-                pc.equal(t["c_mktsegment"], "BUILDING")),
-            "m": pa.array(np.ones(int(pc.sum(pc.equal(
-                t["c_mktsegment"], "BUILDING").cast(pa.int64()))
-                .as_py() or 0), np.int8))}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-
+        lambda t: t.filter(pc.equal(t["c_mktsegment"], "BUILDING"))
+        .select(["c_custkey"]),
+        batch_format="pyarrow", zero_copy_batch=True)
     orders = _pq(sf_dir, "orders",
                  ["o_orderkey", "o_custkey", "o_orderdate",
                   "o_orderpriority"]).map_batches(
@@ -10423,150 +10327,35 @@ def shipping_priority_topk(sf_dir: str, broadcast_limit: int = 250_000):
             t["o_orderdate"], pa.scalar(
                 _dt.datetime.fromisoformat(_Q3_DATE)))),
         batch_format="pyarrow", zero_copy_batch=True)
-    if cust.count() <= broadcast_limit:
-        ct = pa.concat_tables(
-            cust.iter_batches(batch_format="pyarrow",
-                              batch_size=65536)
-        ) if cust.count() else pa.table(
-            {"c_custkey": pa.array([], pa.int64()),
-             "m": pa.array([], pa.int8())})
-        cref = ray.put(pd.Index(ct["c_custkey"].to_numpy()))
+    o_building = bucketed_join(orders, cust, left_key="o_custkey",
+                               right_key="c_custkey", right_value_cols=[])
+    matched = bucketed_join(
+        rev, o_building, left_key="l_orderkey", right_key="o_orderkey",
+        right_value_cols=["o_orderdate", "o_orderpriority"])
 
-        def semi(t: pa.Table) -> pa.Table:
-            idx = ray.get(cref)
-            ok = idx.get_indexer(t["o_custkey"].to_numpy()) >= 0
-            t = t.filter(pa.array(ok))
-            return t.append_column(
-                "m", pa.array(np.ones(t.num_rows, np.int8)))
-
-        o_building = orders.map_batches(semi, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-    else:
-        o_building = bucketed_join(orders, cust, left_key="o_custkey",
-                                   right_key="c_custkey",
-                                   right_value_cols=["m"])
-
-    # second measured gate, on the QUALIFYING-ORDER side: segment +
-    # cutoff filters leave a small fraction of orders, so when that
-    # set fits the broadcast budget the whole match is a map-side
-    # semi-filter of the revenue partials + ONE small keyed reduce —
-    # the 750k-row tagged union never forms
-    o_building = o_building.materialize()
-    n_ob = o_building.count()
-    if n_ob <= broadcast_limit:
-        ot = pa.concat_tables(
-            o_building.select_columns(
-                ["o_orderkey", "o_orderdate", "o_orderpriority"])
-            .iter_batches(batch_format="pyarrow", batch_size=65536)
-        ) if n_ob else pa.table({
-            "o_orderkey": pa.array([], pa.int64()),
-            "o_orderdate": pa.array([], pa.timestamp("us")),
-            "o_orderpriority": pa.array([], pa.string())})
-        oref = ray.put(pd.Index(ot["o_orderkey"].to_numpy()))
-
-        def rev_member(t: pa.Table) -> pa.Table:
-            idx = ray.get(oref)
-            ok = idx.get_indexer(t["l_orderkey"].to_numpy()) >= 0
-            return t.filter(pa.array(ok))
-
-        per_order = hash_aggregate(
-            rev.map_batches(rev_member, batch_format="pyarrow",
-                            zero_copy_batch=True),
-            ["l_orderkey"], [("revenue_milli", "sum")],
-            rename={"revenue_milli_sum": "revenue_milli"},
-            exchange="shuffle").to_pandas()
-        if len(per_order) == 0:
-            return pd.DataFrame({
-                "o_orderkey": pd.Series([], dtype="int64"),
-                "revenue_milli": pd.Series([], dtype="int64"),
-                "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                "o_orderpriority": pd.Series([], dtype=object)})
-        meta = ot.to_pandas().set_index("o_orderkey")
-        per_order["o_orderdate"] = meta["o_orderdate"].reindex(
-            per_order["l_orderkey"]).to_numpy()
-        per_order["o_orderpriority"] = meta["o_orderpriority"] \
-            .reindex(per_order["l_orderkey"]).to_numpy()
-        out = per_order.rename(columns={"l_orderkey": "o_orderkey"}) \
-            .sort_values(["revenue_milli", "o_orderdate",
-                          "o_orderkey"],
-                         ascending=[False, True, True]).head(10)
-        for c in ("o_orderkey", "revenue_milli"):
-            out[c] = out[c].astype("int64")
-        return out.reset_index(drop=True)[
-            ["o_orderkey", "revenue_milli", "o_orderdate",
-             "o_orderpriority"]]
-
-    # tagged-union orderkey MATCH on the fast two-stage hash_aggregate
-    # path (a bucketed co-group measured ~4x slower here): each
-    # orderkey has exactly one qualifying orders row, so max() recovers
-    # its date/priority from sentinel-padded union rows, sum() folds
-    # the revenue partials, and two presence markers turn the keyed
-    # reduce into the inner join
-    def o_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        date_us = t["o_orderdate"].cast(pa.int64())
-        return pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "date_us": date_us,
-            "pri": t["o_orderpriority"],
-            "revenue_milli": pa.array(np.zeros(n, np.int64)),
-            "n_o": pa.array(np.ones(n, np.int64)),
-            "n_r": pa.array(np.zeros(n, np.int64))})
-
-    def r_rows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "o_orderkey": t["l_orderkey"],
-            "date_us": pa.array(
-                np.full(n, np.iinfo(np.int64).min, np.int64)),
-            "pri": pa.array([""] * n, pa.string()),
-            "revenue_milli": t["revenue_milli"],
-            "n_o": pa.array(np.zeros(n, np.int64)),
-            "n_r": pa.array(np.ones(n, np.int64))})
-
-    both = o_building.map_batches(o_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True).union(
-        rev.map_batches(r_rows, batch_format="pyarrow",
-                        zero_copy_batch=True))
-    agg = hash_aggregate(
-        both, ["o_orderkey"],
-        [("date_us", "max"), ("pri", "max"), ("revenue_milli", "sum"),
-         ("n_o", "sum"), ("n_r", "sum")],
-        rename={"date_us_max": "date_us", "pri_max": "pri",
-                "revenue_milli_sum": "revenue_milli",
-                "n_o_sum": "n_o", "n_r_sum": "n_r"},
-        exchange="shuffle")
-
-    def matched(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater(t["n_o"], 0), pc.greater(t["n_r"], 0))
-        t = t.filter(keep)
-        t = pa.table({
-            "o_orderkey": t["o_orderkey"],
-            "revenue_milli": t["revenue_milli"],
-            "o_orderdate": t["date_us"].cast(pa.timestamp("us")),
-            "o_orderpriority": t["pri"]})
-        # local top-10 prune: the global cut only needs each block's
-        # winners, so the final sort sees O(blocks) rows, not the match
+    def top10(t: pa.Table) -> pa.Table:
         idx = pc.sort_indices(t, sort_keys=[
             ("revenue_milli", "descending"),
             ("o_orderdate", "ascending"),
-            ("o_orderkey", "ascending")])[:10]
+            ("l_orderkey", "ascending")])[:10]
         return t.take(idx)
 
-    out = (agg.map_batches(matched, batch_format="pyarrow",
-                           zero_copy_batch=True)
-           .sort(["revenue_milli", "o_orderdate", "o_orderkey"],
-                 descending=[True, False, False])
-           .limit(10).to_pandas())
+    out = matched.map_batches(top10, batch_format="pyarrow",
+                              zero_copy_batch=True).to_pandas()
     if len(out) == 0:  # empty Ray to_pandas drops column names
         return pd.DataFrame({
             "o_orderkey": pd.Series([], dtype="int64"),
             "revenue_milli": pd.Series([], dtype="int64"),
             "o_orderdate": pd.Series([], dtype="datetime64[us]"),
             "o_orderpriority": pd.Series([], dtype=object)})
+    out = out.rename(columns={"l_orderkey": "o_orderkey"}).sort_values(
+        ["revenue_milli", "o_orderdate", "o_orderkey"],
+        ascending=[False, True, True]).head(10)
     for c in ("o_orderkey", "revenue_milli"):
         out[c] = out[c].astype("int64")
-    return out.reset_index(drop=True)
+    return out.reset_index(drop=True)[
+        ["o_orderkey", "revenue_milli", "o_orderdate",
+         "o_orderpriority"]]
 
 
 # ---------------------------------------------------- dominating nominees
@@ -11031,25 +10820,18 @@ _Q5_LO, _Q5_HI = "1997-01-01", "1998-01-01"
     ORDER BY revenue_milli DESC, nation_name ASC
     """,
 )
-def local_supplier_volume(sf_dir: str,
-                          broadcast_limit: int = 250_000):
+def local_supplier_volume(sf_dir: str):
     """TPC-H Q5 (local supplier volume): revenue a region's customers
     generated through SAME-NATION suppliers in one year — the classic
     six-table join.  supplier->nation is always a dense int-array
     broadcast gather inside the lineitem scan (suppliers are bounded
-    at 10k x SF — the textbook broadcast side); the remaining joins
-    pick their exchange from MEASURED row counts:
-
-    * region-filtered customers <= ``broadcast_limit``: custkey ->
-      nationkey ships via ``ray.put`` and the orders scan resolves the
-      buyer nation map-side; else one bucketed custkey join.
-    * window orders <= limit: orderkey -> buyer-nation ships the same
-      way and the WHOLE query is a single lineitem pass (the local
-      s_nat == c_nat test runs inside the scan) plus one
-      nations-sized reduce — zero wide exchanges.
-    * else: lineitem pre-reduces to per-orderkey revenue partials
-      PIVOTED across the region's <= 25 nations (bounded width), and
-      one marker-union keyed reduce replaces the orderkey join.
+    at 10k x SF — the textbook broadcast side).  The window's orders
+    take the buyer nation from the region-filtered customers through
+    one custkey :func:`bucketed_join`; lineitem pre-reduces in-batch to
+    (orderkey, supplier nation, revenue) partials of the region's
+    suppliers, which attach the buyer nation through one orderkey
+    :func:`bucketed_join`; the local s_nat == c_nat test is a
+    vectorized filter and one nations-sized reduce finishes.
 
     Revenue snaps to floor(extprice * (1 - disc) * 1000) int64 — the
     identical IEEE op tree in numpy and DuckDB."""
@@ -11068,39 +10850,14 @@ def local_supplier_volume(sf_dir: str,
         if rmap[rk] == _Q5_REGION)
     nname = dict(zip(nation["n_nationkey"].to_pylist(),
                      nation["n_name"].to_pylist()))
-    k = len(asia)
-    asia_np = np.asarray(asia, np.int64)
+    bc = ray.put((_supp_nation_gather(sf_dir), np.asarray(asia, np.int64)))
 
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    sk = supp["s_suppkey"].to_numpy()
-    sn = supp["s_nationkey"].to_numpy()
-    # dense suppkey -> nationkey gather table (keys are 0..N-1 in the
-    # synthetic corpus; sized by max key so sparse ids degrade to
-    # memory, never to wrong answers — unseen keys map to -1)
-    s2n = np.full(int(sk.max()) + 1 if len(sk) else 1, -1, np.int64)
-    s2n[sk] = sn
-    bc = ray.put((s2n, asia_np))
-
-    def finish(out: pd.DataFrame) -> pd.DataFrame:
-        if len(out) == 0:
-            return pd.DataFrame({
-                "nation_name": pd.Series([], dtype=object),
-                "revenue_milli": pd.Series([], dtype="int64")})
-        out["nation_name"] = out["s_nat"].map(nname)
-        out["revenue_milli"] = out["revenue_milli"].astype("int64")
-        return out.sort_values(
-            ["revenue_milli", "nation_name"],
-            ascending=[False, True]).reset_index(drop=True)[
-            ["nation_name", "revenue_milli"]]
-
-    # ---- buyer-nation per window order (measured exchange choice)
     asia_arr = pa.array(asia, pa.int64())
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
         .map_batches(
         lambda t: t.filter(pc.is_in(t["c_nationkey"],
                                     value_set=asia_arr)),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        batch_format="pyarrow", zero_copy_batch=True)
 
     lo = _dt.datetime.fromisoformat(_Q5_LO)
     hi = _dt.datetime.fromisoformat(_Q5_HI)
@@ -11112,174 +10869,53 @@ def local_supplier_volume(sf_dir: str,
             pc.less(t["o_orderdate"], pa.scalar(hi))))
         .select(["o_orderkey", "o_custkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-
-    if cust.count() <= broadcast_limit:
-        ct = pa.concat_tables(
-            cust.iter_batches(batch_format="pyarrow", batch_size=65536)
-        ) if cust.count() else pa.table(
-            {"c_custkey": pa.array([], pa.int64()),
-             "c_nationkey": pa.array([], pa.int64())})
-        cref = ray.put((pd.Index(ct["c_custkey"].to_numpy()),
-                        ct["c_nationkey"].to_numpy()))
-
-        def attach_nat(t: pa.Table) -> pa.Table:
-            idx, vals = ray.get(cref)
-            pos = idx.get_indexer(t["o_custkey"].to_numpy())
-            ok = pos >= 0
-            nat = np.where(ok, vals[np.clip(pos, 0, None)], -1)
-            return pa.table({
-                "o_orderkey": t["o_orderkey"],
-                "c_nationkey": pa.array(nat.astype(np.int64))}) \
-                .filter(pa.array(ok))
-
-        o_cust = orders.map_batches(attach_nat, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    else:
-        o_cust = bucketed_join(
-            orders, cust, left_key="o_custkey", right_key="c_custkey",
-            right_value_cols=["c_nationkey"]) \
-            .map_batches(
-            lambda t: t.select(["o_orderkey", "c_nationkey"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-    o_cust = o_cust.materialize()
-    n_window = o_cust.count()
+    o_cust = bucketed_join(
+        orders, cust, left_key="o_custkey", right_key="c_custkey",
+        right_value_cols=["c_nationkey"])
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_suppkey", "l_extendedprice",
               "l_discount"])
 
-    if n_window <= broadcast_limit:
-        # single-pass plan: orderkey -> buyer nation ships once; the
-        # local constraint resolves inside the scan, the only exchange
-        # is the <= 25-row nation reduce
-        ot = pa.concat_tables(
-            o_cust.iter_batches(batch_format="pyarrow",
-                                batch_size=65536)
-        ) if n_window else pa.table(
-            {"o_orderkey": pa.array([], pa.int64()),
-             "c_nationkey": pa.array([], pa.int64())})
-        oref = ray.put((pd.Index(ot["o_orderkey"].to_numpy()),
-                        ot["c_nationkey"].to_numpy()))
-
-        def line_local(t: pa.Table) -> pa.Table:
-            s2n_a, asia_a = ray.get(bc)
-            idx, cnat = ray.get(oref)
-            skv = t["l_suppkey"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            nat = s2n_a[skv]
-            ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            pos = idx.get_indexer(ok)
-            hit = pos >= 0
-            buyer = np.where(hit, cnat[np.clip(pos, 0, None)], -2)
-            keep = hit & (buyer == nat) & np.isin(nat, asia_a)
-            if not keep.any():
-                return pa.table({
-                    "s_nat": pa.array([], pa.int64()),
-                    "revenue_milli": pa.array([], pa.int64())})
-            ext = t["l_extendedprice"].to_numpy(
-                zero_copy_only=False)[keep]
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
-            milli = np.floor(ext * (1.0 - disc) * 1000.0) \
-                .astype(np.int64)
-            tt = pa.table({"s_nat": pa.array(nat[keep]),
-                           "revenue_milli": pa.array(milli)})
-            return pa.TableGroupBy(tt, ["s_nat"]).aggregate(
-                [("revenue_milli", "sum")]).rename_columns(
-                ["s_nat", "revenue_milli"])
-
-        agg = hash_aggregate(
-            li.map_batches(line_local, batch_format="pyarrow",
-                           batch_size=65536, zero_copy_batch=True),
-            ["s_nat"], [("revenue_milli", "sum")],
-            rename={"revenue_milli_sum": "revenue_milli"},
-            exchange="shuffle")
-        return finish(agg.to_pandas())
-
-    # ---- distributed plan: revenue pivoted across the region's <= 25
-    # nations (bounded schema width) so ONE marker-union keyed reduce
-    # replaces the orderkey join
-    rev_cols = [f"rev_{i}" for i in range(k)]
-
-    def line_pivot(t: pa.Table) -> pa.Table:
+    def line_partial(t: pa.Table) -> pa.Table:
         s2n_a, asia_a = ray.get(bc)
         skv = t["l_suppkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         nat = s2n_a[skv]
         keep = np.isin(nat, asia_a)
-        n = int(keep.sum())
-        if n == 0:
-            cols = {"o_orderkey": pa.array([], pa.int64()),
-                    "c_nat": pa.array([], pa.int64()),
-                    "n_o": pa.array([], pa.int64())}
-            cols.update({c: pa.array([], pa.int64())
-                         for c in rev_cols})
-            return pa.table(cols)
         ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)[keep]
         disc = t["l_discount"].to_numpy(zero_copy_only=False)[keep]
-        ok = t["l_orderkey"].to_numpy(zero_copy_only=False)[keep]
         milli = np.floor(ext * (1.0 - disc) * 1000.0).astype(np.int64)
-        pos = np.searchsorted(asia_a, nat[keep])
-        rev = np.zeros((n, k), np.int64)
-        rev[np.arange(n), pos] = milli
-        cols = {"o_orderkey": pa.array(ok)}
-        cols.update({rev_cols[i]: pa.array(rev[:, i])
-                     for i in range(k)})
-        tt = pa.table(cols)
-        g = pa.TableGroupBy(tt, ["o_orderkey"]).aggregate(
-            [(c, "sum") for c in rev_cols]).rename_columns(
-            ["o_orderkey"] + rev_cols)
-        n2 = g.num_rows
-        return g.append_column(
-            "c_nat", pa.array(np.full(n2, -1, np.int64))) \
-            .append_column("n_o", pa.array(np.zeros(n2, np.int64)))
-
-    def o_marks(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = {"o_orderkey": t["o_orderkey"]}
-        cols.update({c: pa.array(np.zeros(n, np.int64))
-                     for c in rev_cols})
-        cols["c_nat"] = t["c_nationkey"]
-        cols["n_o"] = pa.array(np.ones(n, np.int64))
-        return pa.table(cols)
-
-    both = li.map_batches(line_pivot, batch_format="pyarrow",
-                          batch_size=65536, zero_copy_batch=True) \
-        .union(o_cust.map_batches(o_marks, batch_format="pyarrow",
-                                  zero_copy_batch=True))
-    per_key = hash_aggregate(
-        both, ["o_orderkey"],
-        [(c, "sum") for c in rev_cols] + [("c_nat", "max"),
-                                          ("n_o", "sum")],
-        rename={**{f"{c}_sum": c for c in rev_cols},
-                "c_nat_max": "c_nat", "n_o_sum": "n_o"},
-        exchange="shuffle")
-
-    def pick_local(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater(t["n_o"], 0),
-                       pc.greater_equal(t["c_nat"], 0)).to_numpy(
-            zero_copy_only=False)
-        if not keep.any():
-            return pa.table({"s_nat": pa.array([], pa.int64()),
-                             "revenue_milli": pa.array([], pa.int64())})
-        cn = t["c_nat"].to_numpy(zero_copy_only=False)[keep]
-        idx = np.searchsorted(asia_np, cn)
-        rev = np.stack([t[c].to_numpy(zero_copy_only=False)[keep]
-                        for c in rev_cols], axis=1)
-        sel = rev[np.arange(len(cn)), idx]
-        nz = sel != 0
-        tt = pa.table({"s_nat": pa.array(cn[nz]),
-                       "revenue_milli": pa.array(sel[nz])})
-        return pa.TableGroupBy(tt, ["s_nat"]).aggregate(
+        tt = pa.table({"o_orderkey": t["l_orderkey"].filter(keep),
+                       "s_nat": pa.array(nat[keep]),
+                       "revenue_milli": pa.array(milli)})
+        return pa.TableGroupBy(tt, ["o_orderkey", "s_nat"]).aggregate(
             [("revenue_milli", "sum")]).rename_columns(
-            ["s_nat", "revenue_milli"])
+            ["o_orderkey", "s_nat", "revenue_milli"])
 
-    agg = hash_aggregate(
-        per_key.map_batches(pick_local, batch_format="pyarrow",
-                            zero_copy_batch=True),
+    attached = bucketed_join(
+        li.map_batches(line_partial, batch_format="pyarrow",
+                       batch_size=65536, zero_copy_batch=True),
+        o_cust, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["c_nationkey"])
+    out = hash_aggregate(
+        attached.map_batches(
+            lambda t: t.filter(pc.equal(t["s_nat"], t["c_nationkey"]))
+            .select(["s_nat", "revenue_milli"]),
+            batch_format="pyarrow", zero_copy_batch=True),
         ["s_nat"], [("revenue_milli", "sum")],
         rename={"revenue_milli_sum": "revenue_milli"},
-        exchange="shuffle")
-    return finish(agg.to_pandas())
+        exchange="shuffle").to_pandas()
+    if len(out) == 0:
+        return pd.DataFrame({
+            "nation_name": pd.Series([], dtype=object),
+            "revenue_milli": pd.Series([], dtype="int64")})
+    out["nation_name"] = out["s_nat"].map(nname)
+    out["revenue_milli"] = out["revenue_milli"].astype("int64")
+    return out.sort_values(
+        ["revenue_milli", "nation_name"],
+        ascending=[False, True]).reset_index(drop=True)[
+        ["nation_name", "revenue_milli"]]
 
 
 # ---------------------------------------------------- TPC-H Q18 big orders
@@ -11306,17 +10942,14 @@ _Q18_QTY = 300
     LIMIT 100
     """,
 )
-def large_orders_topk(sf_dir: str, broadcast_limit: int = 250_000):
+def large_orders_topk(sf_dir: str):
     """TPC-H Q18 (large-volume customers): orders whose total line
     quantity exceeds a threshold, with buyer names, top-100 by order
     value.  The groupby-HAVING semi-join shrinks FIRST: lineitem
     pre-reduces to one (orderkey, qty) int64 partial per batch and the
     keyed sum + threshold filter leaves only the big-order tail
-    (~0.3% of orders).  The tail's size is then MEASURED: at or below
-    ``broadcast_limit`` rows it ships via ``ray.put`` and the orders
-    and customer scans resolve map-side (two semi-filtered scans, zero
-    further exchanges, driver merge bounded by the gate); above the
-    limit both dimension attaches run as bucketed exchanges.
+    (~0.3% of orders).  The orders and customer columns then attach
+    through two :func:`bucketed_join`\ s.
     Quantities are whole-valued doubles — floor + int64 makes both the
     HAVING cut and the reported sums exact; the top-100 cut pre-prunes
     per block before one small global sort."""
@@ -11350,8 +10983,7 @@ def large_orders_topk(sf_dir: str, broadcast_limit: int = 250_000):
         "totalprice_milli": pd.Series([], dtype="int64"),
         "sum_qty": pd.Series([], dtype="int64")})
 
-    n_big = big.count()
-    if n_big == 0:
+    if big.count() == 0:
         return empty
 
     def order_proj(t: pa.Table) -> pa.Table:
@@ -11367,51 +10999,6 @@ def large_orders_topk(sf_dir: str, broadcast_limit: int = 250_000):
                  ["o_orderkey", "o_custkey", "o_orderdate",
                   "o_totalprice"]).map_batches(
         order_proj, batch_format="pyarrow", zero_copy_batch=True)
-
-    if n_big <= broadcast_limit:
-        # map-side plan: the measured-small tail semi-filters both
-        # dimension scans; final assembly is a gate-bounded driver
-        # merge — no exchange after the HAVING reduce
-        bt = pa.concat_tables(
-            big.iter_batches(batch_format="pyarrow", batch_size=65536))
-        bref = ray.put(pd.Index(bt["l_orderkey"].to_numpy()))
-
-        def o_semi(t: pa.Table) -> pa.Table:
-            pos = ray.get(bref).get_indexer(t["o_orderkey"].to_numpy())
-            return t.filter(pa.array(pos >= 0))
-
-        o_hit = pa.concat_tables(
-            orders.map_batches(o_semi, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow", batch_size=65536))
-        ck = np.unique(o_hit["o_custkey"].to_numpy())
-        ckref = ray.put(pd.Index(ck))
-
-        def c_semi(t: pa.Table) -> pa.Table:
-            pos = ray.get(ckref).get_indexer(t["c_custkey"].to_numpy())
-            return t.filter(pa.array(pos >= 0))
-
-        c_hit = pa.concat_tables(
-            _pq(sf_dir, "customer", ["c_custkey", "c_name"])
-            .map_batches(c_semi, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .iter_batches(batch_format="pyarrow", batch_size=65536))
-        out = (o_hit.to_pandas()
-               .merge(bt.to_pandas(),
-                      left_on="o_orderkey", right_on="l_orderkey")
-               .merge(c_hit.to_pandas(),
-                      left_on="o_custkey", right_on="c_custkey"))
-        if len(out) == 0:
-            return empty
-        out = out.sort_values(
-            ["totalprice_milli", "o_orderdate", "o_orderkey"],
-            ascending=[False, True, True]).head(100)
-        for c in ("c_custkey", "o_orderkey", "totalprice_milli",
-                  "sum_qty"):
-            out[c] = out[c].astype("int64")
-        return out.reset_index(drop=True)[
-            ["c_name", "c_custkey", "o_orderkey", "o_orderdate",
-             "totalprice_milli", "sum_qty"]]
 
     wide = bucketed_join(
         big, orders, left_key="l_orderkey", right_key="o_orderkey",
@@ -11563,15 +11150,12 @@ _Q10_LO, _Q10_HI = "1997-07-01", "1997-10-01"
     LIMIT 20
     """,
 )
-def returned_item_losses(sf_dir: str, broadcast_limit: int = 250_000):
+def returned_item_losses(sf_dir: str):
     """TPC-H Q10 (returned-item reporting): the quarter's top-20
     customers by revenue lost to returns, with nation names.  The
-    window's orders are MEASURED first: a quarter that fits
-    ``broadcast_limit`` ships orderkey -> custkey via ``ray.put`` so
-    the returned-lineitem scan folds straight to per-customer revenue
-    partials (one small keyed exchange total); a bigger window falls
-    back to a bucketed orderkey join.  Either way the customer
-    dimension attaches AFTER the custkey reduce — the probe side is
+    returned lines fold to per-order revenue partials and attach the
+    window's orders through one orderkey :func:`bucketed_join`; the
+    customer dimension attaches AFTER the custkey reduce — the probe side is
     the aggregated tail, never raw lineitem — and revenue snaps to
     floor(extprice * (1 - disc) * 1000) int64 on both sides.  Nation
     names ride the same ``ray.put`` broadcast-gather as
@@ -11591,70 +11175,34 @@ def returned_item_losses(sf_dir: str, broadcast_limit: int = 250_000):
             pc.greater_equal(t["o_orderdate"], pa.scalar(lo)),
             pc.less(t["o_orderdate"], pa.scalar(hi))))
         .select(["o_orderkey", "o_custkey"]),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    n_window = orders.count()
+        batch_format="pyarrow", zero_copy_batch=True)
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_returnflag", "l_extendedprice",
               "l_discount"])
 
-    if n_window <= broadcast_limit and n_window > 0:
-        ot = pa.concat_tables(
-            orders.iter_batches(batch_format="pyarrow",
-                                batch_size=65536))
-        oref = ray.put((pd.Index(ot["o_orderkey"].to_numpy()),
-                        ot["o_custkey"].to_numpy()))
+    def rev_partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["l_returnflag"], "R"))
+        ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)
+        disc = t["l_discount"].to_numpy(zero_copy_only=False)
+        milli = np.floor(ext * (1.0 - disc) * 1000.0) \
+            .astype(np.int64)
+        tt = pa.table({"l_orderkey": t["l_orderkey"],
+                       "revenue_milli": pa.array(milli)})
+        return pa.TableGroupBy(tt, ["l_orderkey"]).aggregate(
+            [("revenue_milli", "sum")]).rename_columns(
+            ["l_orderkey", "revenue_milli"])
 
-        def cust_partial(t: pa.Table) -> pa.Table:
-            idx, cust = ray.get(oref)
-            t = t.filter(pc.equal(t["l_returnflag"], "R"))
-            pos = idx.get_indexer(t["l_orderkey"].to_numpy())
-            hit = pos >= 0
-            if not hit.any():
-                return pa.table({
-                    "o_custkey": pa.array([], pa.int64()),
-                    "revenue_milli": pa.array([], pa.int64())})
-            ext = t["l_extendedprice"].to_numpy(
-                zero_copy_only=False)[hit]
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)[hit]
-            milli = np.floor(ext * (1.0 - disc) * 1000.0) \
-                .astype(np.int64)
-            ck = cust[pos[hit]]
-            tt = pa.table({"o_custkey": pa.array(ck),
-                           "revenue_milli": pa.array(milli)})
-            return pa.TableGroupBy(tt, ["o_custkey"]).aggregate(
-                [("revenue_milli", "sum")]).rename_columns(
-                ["o_custkey", "revenue_milli"])
-
-        per_cust = hash_aggregate(
-            li.map_batches(cust_partial, batch_format="pyarrow",
-                           batch_size=65536, zero_copy_batch=True),
-            ["o_custkey"], [("revenue_milli", "sum")],
-            rename={"revenue_milli_sum": "revenue_milli"},
-            exchange="shuffle")
-    else:
-        def rev_partial(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t["l_returnflag"], "R"))
-            ext = t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = t["l_discount"].to_numpy(zero_copy_only=False)
-            milli = np.floor(ext * (1.0 - disc) * 1000.0) \
-                .astype(np.int64)
-            tt = pa.table({"l_orderkey": t["l_orderkey"],
-                           "revenue_milli": pa.array(milli)})
-            return pa.TableGroupBy(tt, ["l_orderkey"]).aggregate(
-                [("revenue_milli", "sum")]).rename_columns(
-                ["l_orderkey", "revenue_milli"])
-
-        joined = bucketed_join(
-            li.map_batches(rev_partial, batch_format="pyarrow",
-                           batch_size=65536, zero_copy_batch=True),
-            orders, left_key="l_orderkey", right_key="o_orderkey",
-            right_value_cols=["o_custkey"])
-        per_cust = hash_aggregate(joined, ["o_custkey"],
-                                  [("revenue_milli", "sum")],
-                                  rename={"revenue_milli_sum":
-                                          "revenue_milli"},
-                                  exchange="shuffle")
+    joined = bucketed_join(
+        li.map_batches(rev_partial, batch_format="pyarrow",
+                       batch_size=65536, zero_copy_batch=True),
+        orders, left_key="l_orderkey", right_key="o_orderkey",
+        right_value_cols=["o_custkey"])
+    per_cust = hash_aggregate(joined, ["o_custkey"],
+                              [("revenue_milli", "sum")],
+                              rename={"revenue_milli_sum":
+                                      "revenue_milli"},
+                              exchange="shuffle")
 
     named = bucketed_join(
         per_cust,
@@ -11782,9 +11330,9 @@ def er_blocking_stats(sf_dir: str):
 # as dense int-array gathers via ray.put (bounded at 10k-200k x SF —
 # the textbook broadcast side); fact-to-fact hops (lineitem->orders,
 # orders->customer) pre-reduce the fact side to skinny per-key
-# partials FIRST and pick broadcast vs bucketed exchange from a
-# MEASURED row count (the Q5/Q10 gate, reference merge.py:75-79's
-# driver-resident join inverted into a distributed one).  Money snaps
+# partials FIRST and attach through ``bucketed_join`` (reference
+# merge.py:75-79's driver-resident join inverted into a distributed
+# one; the join picks broadcast vs hash exchange itself).  Money snaps
 # to exact integers (floor-milli / round-cents) so every sum is
 # order-independent and oracle-exact.
 
@@ -11811,15 +11359,13 @@ def _nation_names(sf_dir: str) -> dict[int, str]:
                     nation["n_name"].to_pylist()))
 
 
-def _orders_buyer_nation(sf_dir: str, broadcast_limit: int, *,
-                         with_year: bool = False,
+def _orders_buyer_nation(sf_dir: str, *, with_year: bool = False,
                          nation_keys: np.ndarray | None = None) -> rd.Dataset:
-    """Materialized ``(o_orderkey, c_nationkey[, year])`` — the
-    orders->customer fact-to-fact hop with a MEASURED exchange choice:
-    customers (optionally nation-filtered) ship as a ``ray.put``
-    custkey index when they fit ``broadcast_limit``, else one
-    partitioned custkey join.  ``year`` is EXTRACT(year FROM
-    o_orderdate) computed vectorized before the date column drops."""
+    """``(o_orderkey, c_nationkey[, year])`` — the
+    orders->customer fact-to-fact hop as one :func:`bucketed_join` on
+    the custkey against the (optionally nation-filtered) customers.
+    ``year`` is EXTRACT(year FROM o_orderdate) computed vectorized
+    before the date column drops."""
     from .functions.agg import bucketed_join
 
     keyset = (pa.array(nation_keys.tolist(), pa.int64())
@@ -11836,7 +11382,7 @@ def _orders_buyer_nation(sf_dir: str, broadcast_limit: int, *,
 
     cust = _pq(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
         .map_batches(cust_proj, batch_format="pyarrow",
-                     zero_copy_batch=True).materialize()
+                     zero_copy_batch=True)
 
     ocols = ["o_orderkey", "o_custkey"] + (
         ["o_orderdate"] if with_year else [])
@@ -11852,76 +11398,12 @@ def _orders_buyer_nation(sf_dir: str, broadcast_limit: int, *,
                                     zero_copy_batch=True)
 
     extra = ["year"] if with_year else []
-    if cust.count() <= broadcast_limit:
-        ct = pa.concat_tables(
-            cust.iter_batches(batch_format="pyarrow", batch_size=65536)
-        ) if cust.count() else pa.table(
-            {"c_custkey": pa.array([], pa.int64()),
-             "c_nationkey": pa.array([], pa.int64())})
-        cref = ray.put((pd.Index(ct["c_custkey"].to_numpy()),
-                        ct["c_nationkey"].to_numpy().astype(np.int64)))
-
-        def attach(t: pa.Table) -> pa.Table:
-            idx, vals = ray.get(cref)
-            pos = idx.get_indexer(t["o_custkey"].to_numpy())
-            ok = pos >= 0
-            nat = np.where(ok, vals[np.clip(pos, 0, None)], -1)
-            cols = {"o_orderkey": t["o_orderkey"],
-                    "c_nationkey": pa.array(nat.astype(np.int64))}
-            for c in extra:
-                cols[c] = t[c]
-            return pa.table(cols).filter(pa.array(ok))
-
-        out = orders.map_batches(attach, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    else:
-        out = bucketed_join(
-            orders, cust, left_key="o_custkey", right_key="c_custkey",
-            right_value_cols=["c_nationkey"]) \
-            .map_batches(
-            lambda t: t.select(["o_orderkey", "c_nationkey"] + extra),
-            batch_format="pyarrow", zero_copy_batch=True)
-    return out.materialize()
-
-
-def _attach_order_cols(partials: rd.Dataset, o_side: rd.Dataset,
-                       value_cols: list[str],
-                       broadcast_limit: int) -> rd.Dataset:
-    """Attach per-orderkey columns from a MATERIALIZED (small-side
-    measured) orders projection onto skinny lineitem partials: a
-    ``ray.put`` orderkey index when the projection fits
-    ``broadcast_limit``, else one partitioned orderkey join.  Misses
-    (orderkey absent from the projection, e.g. window-filtered) drop —
-    inner-join semantics on both paths."""
-    from .functions.agg import bucketed_join
-
-    n = o_side.count()
-    if n <= broadcast_limit:
-        ot = pa.concat_tables(
-            o_side.iter_batches(batch_format="pyarrow",
-                                batch_size=65536)
-        ) if n else pa.table(
-            {"o_orderkey": pa.array([], pa.int64()),
-             **{c: pa.array([], pa.int64()) for c in value_cols}})
-        oref = ray.put((pd.Index(ot["o_orderkey"].to_numpy()),
-                        {c: ot[c].to_numpy().astype(np.int64)
-                         for c in value_cols}))
-
-        def attach(t: pa.Table) -> pa.Table:
-            idx, vals = ray.get(oref)
-            pos = idx.get_indexer(t["o_orderkey"].to_numpy())
-            ok = pos >= 0
-            safe = np.clip(pos, 0, None)
-            cols = {c: t[c] for c in t.column_names}
-            for c in value_cols:
-                cols[c] = pa.array(vals[c][safe])
-            return pa.table(cols).filter(pa.array(ok))
-
-        return partials.map_batches(attach, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    return bucketed_join(partials, o_side, left_key="o_orderkey",
-                         right_key="o_orderkey",
-                         right_value_cols=value_cols)
+    return bucketed_join(
+        orders, cust, left_key="o_custkey", right_key="c_custkey",
+        right_value_cols=["c_nationkey"]) \
+        .map_batches(
+        lambda t: t.select(["o_orderkey", "c_nationkey"] + extra),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 _Q7_LO, _Q7_HI = "1996-01-01", "1998-01-01"
@@ -11948,25 +11430,25 @@ _Q7_LO, _Q7_HI = "1996-01-01", "1998-01-01"
     ORDER BY supp_nation, cust_nation, year
     """,
 )
-def nation_volume_shipping(sf_dir: str, broadcast_limit: int = 250_000):
+def nation_volume_shipping(sf_dir: str):
     """TPC-H Q7 (volume shipping): cross-border revenue flows between
     every (supplier nation, customer nation) pair per shipment year —
     the international-trade matrix of the six-table schema.  Plan:
     supplier->nation is the always-broadcast dense gather; lineitem
     pre-reduces IN-BATCH to skinny (orderkey, supp_nation, year,
     milli) partials inside the window scan; the buyer nation attaches
-    through the measured orderkey gate (:func:`_attach_order_cols`);
-    one keyed reduce on the bounded (25 x 25 x years) result key set
-    finishes.  The s_nat <> c_nat constraint is a vectorized filter
-    applied the moment both sides are in one batch."""
+    through one orderkey :func:`bucketed_join`; one keyed reduce on
+    the bounded (25 x 25 x years) result key set finishes.  The
+    s_nat <> c_nat constraint is a vectorized filter applied the moment
+    both sides are in one batch."""
     import datetime as _dt
 
-    from .functions.agg import hash_aggregate
+    from .functions.agg import bucketed_join, hash_aggregate
 
     s2n = _supp_nation_gather(sf_dir)
     nname = _nation_names(sf_dir)
     bc = ray.put(s2n)
-    o_nat = _orders_buyer_nation(sf_dir, broadcast_limit)
+    o_nat = _orders_buyer_nation(sf_dir)
 
     lo = _dt.datetime.fromisoformat(_Q7_LO)
     hi = _dt.datetime.fromisoformat(_Q7_HI)
@@ -12002,8 +11484,9 @@ def nation_volume_shipping(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    attached = _attach_order_cols(partials, o_nat, ["c_nationkey"],
-                                  broadcast_limit)
+    attached = bucketed_join(
+        partials, o_nat, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["c_nationkey"])
 
     def crossborder(t: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -12072,7 +11555,7 @@ _Q8_PTYPE = "PROMO"
     FROM agg ORDER BY year
     """,
 )
-def nation_market_share(sf_dir: str, broadcast_limit: int = 250_000):
+def nation_market_share(sf_dir: str):
     """TPC-H Q8 (national market share): of all {_Q8_PTYPE}-type part
     revenue bought by {_Q8_REGION} customers, the share supplied by
     the region's lexicographically-first nation, per order year.
@@ -12080,11 +11563,11 @@ def nation_market_share(sf_dir: str, broadcast_limit: int = 250_000):
     supplier nation ride the dense broadcast gathers inside ONE
     lineitem scan that pre-reduces to (orderkey, nation_milli,
     total_milli); order year + buyer-region filter attach through the
-    measured orderkey gate; the final reduce is years-wide.  Share is
-    exact integer ppm (floor division on both sides)."""
+    orderkey :func:`bucketed_join`; the final reduce is years-wide.
+    Share is exact integer ppm (floor division on both sides)."""
     import pyarrow.parquet as pq
 
-    from .functions.agg import hash_aggregate
+    from .functions.agg import bucketed_join, hash_aggregate
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
@@ -12110,8 +11593,7 @@ def nation_market_share(sf_dir: str, broadcast_limit: int = 250_000):
     s2n = _supp_nation_gather(sf_dir)
     bc = ray.put((s2n, flag, target_nat))
 
-    o_nat = _orders_buyer_nation(sf_dir, broadcast_limit,
-                                 with_year=True,
+    o_nat = _orders_buyer_nation(sf_dir, with_year=True,
                                  nation_keys=region_keys)
 
     li = _pq(sf_dir, "lineitem",
@@ -12152,8 +11634,9 @@ def nation_market_share(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    attached = _attach_order_cols(partials, o_nat, ["year"],
-                                  broadcast_limit)
+    attached = bucketed_join(
+        partials, o_nat, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["year"])
     agg = hash_aggregate(
         attached.map_batches(
             lambda t: t.select(["year", "nation_milli",
@@ -12204,7 +11687,7 @@ _Q9_WORD = "red "
     ORDER BY nation_name, year
     """,
 )
-def nation_profit(sf_dir: str, broadcast_limit: int = 250_000):
+def nation_profit(sf_dir: str):
     """TPC-H Q9 (product-type profit): per supplier nation and order
     year, net revenue minus catalog cost (retail price x quantity —
     the schema's stand-in for ps_supplycost) over '{_Q9_WORD}'-named
@@ -12212,11 +11695,11 @@ def nation_profit(sf_dir: str, broadcast_limit: int = 250_000):
     gather (retail milli as a dense int64 array, -1 = not selected);
     supplier nation rides the second; the lineitem scan pre-reduces to
     (orderkey, s_nat, profit_milli) and the order year attaches via
-    the measured orderkey gate.  Profit can be negative — int64
+    one orderkey :func:`bucketed_join`.  Profit can be negative — int64
     everywhere, no unsigned traps."""
     import pyarrow.parquet as pq
 
-    from .functions.agg import hash_aggregate
+    from .functions.agg import bucketed_join, hash_aggregate
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_name",
@@ -12240,7 +11723,7 @@ def nation_profit(sf_dir: str, broadcast_limit: int = 250_000):
         lambda t: pa.table({"o_orderkey": t["o_orderkey"],
                             "year": pc.year(t["o_orderdate"]).cast(
                                 pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        batch_format="pyarrow", zero_copy_batch=True)
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
@@ -12283,8 +11766,9 @@ def nation_profit(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    attached = _attach_order_cols(partials, orders, ["year"],
-                                  broadcast_limit)
+    attached = bucketed_join(
+        partials, orders, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["year"])
     agg = hash_aggregate(
         attached.map_batches(
             lambda t: t.select(["s_nat", "year", "profit_milli"]),
@@ -12675,16 +12159,15 @@ _Q17_BRAND, _Q17_MAXSIZE = "Brand#23", 25
     WHERE 5 * st.n * li.qty_m < st.sum_qty_m
     """,
 )
-def small_qty_revenue_loss(sf_dir: str, broadcast_limit: int = 250_000):
+def small_qty_revenue_loss(sf_dir: str):
     """TPC-H Q17 (small-quantity-order revenue): revenue lost to
     orders below 20% of a part's average order quantity — the
     correlated-subquery pattern.  Pass 1 reduces the brand-filtered
     lines to per-part (n, sum_qty) stats; pass 2 re-scans the same
     filtered lines and evaluates the correlated predicate as the
     EXACT integer cross-multiplication ``5 * n * qty < sum_qty`` (no
-    division, no floats).  The per-part stats attach via a MEASURED
-    gate: a ``ray.put`` partkey index when the qualifying part set
-    fits ``broadcast_limit``, else one partitioned partkey join."""
+    division, no floats).  The per-part stats attach through one
+    partkey :func:`bucketed_join`."""
     import pyarrow.parquet as pq
 
     from .functions.agg import bucketed_join, hash_aggregate
@@ -12735,49 +12218,22 @@ def small_qty_revenue_loss(sf_dir: str, broadcast_limit: int = 250_000):
         rename={"n_sum": "n", "sum_qty_m_sum": "sum_qty_m"},
         exchange="shuffle")
 
-    if stats.count() <= broadcast_limit:
-        st = pa.concat_tables(
-            stats.iter_batches(batch_format="pyarrow",
-                               batch_size=65536)
-        ) if stats.count() else pa.table(
-            {"l_partkey": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "sum_qty_m": pa.array([], pa.int64())})
-        sref = ray.put((pd.Index(st["l_partkey"].to_numpy()),
-                        st["n"].to_numpy(), st["sum_qty_m"].to_numpy()))
+    joined = bucketed_join(
+        lines, stats, left_key="l_partkey", right_key="l_partkey",
+        right_value_cols=["n", "sum_qty_m"])
 
-        def verify(t: pa.Table) -> pa.Table:
-            idx, n_a, sum_a = ray.get(sref)
-            pos = idx.get_indexer(t["l_partkey"].to_numpy())
-            ok = pos >= 0
-            safe = np.clip(pos, 0, None)
-            qty = t["qty_m"].to_numpy()
-            small = ok & (5 * n_a[safe] * qty < sum_a[safe])
-            cents = t["cents"].to_numpy()[small]
-            return pa.table({
-                "total_cents": pa.array([int(cents.sum())]),
-                "n_lines": pa.array([int(small.sum())])})
+    def verify(t: pa.Table) -> pa.Table:
+        qty = t["qty_m"].to_numpy(zero_copy_only=False)
+        n_a = t["n"].to_numpy(zero_copy_only=False)
+        sum_a = t["sum_qty_m"].to_numpy(zero_copy_only=False)
+        small = 5 * n_a * qty < sum_a
+        cents = t["cents"].to_numpy(zero_copy_only=False)[small]
+        return pa.table({
+            "total_cents": pa.array([int(cents.sum())]),
+            "n_lines": pa.array([int(small.sum())])})
 
-        parts = lines.map_batches(verify, batch_format="pyarrow",
-                                  zero_copy_batch=True).to_pandas()
-    else:
-        joined = bucketed_join(
-            lines, stats, left_key="l_partkey", right_key="l_partkey",
-            right_value_cols=["n", "sum_qty_m"])
-
-        def verify_j(t: pa.Table) -> pa.Table:
-            qty = t["qty_m"].to_numpy(zero_copy_only=False)
-            n_a = t["n"].to_numpy(zero_copy_only=False)
-            sum_a = t["sum_qty_m"].to_numpy(zero_copy_only=False)
-            small = 5 * n_a * qty < sum_a
-            cents = t["cents"].to_numpy(zero_copy_only=False)[small]
-            return pa.table({
-                "total_cents": pa.array([int(cents.sum())]),
-                "n_lines": pa.array([int(small.sum())])})
-
-        parts = joined.map_batches(verify_j, batch_format="pyarrow",
-                                   zero_copy_batch=True).to_pandas()
-
+    parts = joined.map_batches(verify, batch_format="pyarrow",
+                               zero_copy_batch=True).to_pandas()
     total = int(parts["total_cents"].sum()) if len(parts) else 0
     n_l = int(parts["n_lines"].sum()) if len(parts) else 0
     return pd.DataFrame({"total_cents": [total],
@@ -13086,7 +12542,7 @@ def kg_msf(sf_dir: str):
     FROM cum
     """,
 )
-def ship_delay_percentiles(sf_dir: str, broadcast_limit: int = 250_000):
+def ship_delay_percentiles(sf_dir: str):
     """EXACT global percentiles of order-to-ship delay (days) — the
     counting-sort percentile pattern for bounded integer domains: at
     ANY data scale the delay domain stays a few thousand distinct
@@ -13094,11 +12550,11 @@ def ship_delay_percentiles(sf_dir: str, broadcast_limit: int = 250_000):
     plus a driver-side cumsum over the bounded count table — no global
     sort, no sampling, no t-digest approximation.  The
     lineitem->orders hop pre-groups lines to (orderkey, ship_day,
-    count) partials and attaches the order date through the measured
-    orderkey gate.  Percentile rule = inverted discrete CDF (smallest
-    delay with cum*100 >= p*n), mirrored exactly by the window-sum
-    oracle."""
-    from .functions.agg import hash_aggregate
+    count) partials and attaches the order date through one orderkey
+    :func:`bucketed_join`.  Percentile rule = inverted discrete CDF
+    (smallest delay with cum*100 >= p*n), mirrored exactly by the
+    window-sum oracle."""
+    from .functions.agg import bucketed_join, hash_aggregate
 
     US_PER_DAY = 86_400_000_000
 
@@ -13109,7 +12565,7 @@ def ship_delay_percentiles(sf_dir: str, broadcast_limit: int = 250_000):
             "odays": pc.floor(pc.divide(
                 t["o_orderdate"].cast(pa.int64()),
                 US_PER_DAY)).cast(pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        batch_format="pyarrow", zero_copy_batch=True)
 
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
@@ -13125,8 +12581,9 @@ def ship_delay_percentiles(sf_dir: str, broadcast_limit: int = 250_000):
 
     partials = li.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536, zero_copy_batch=True)
-    attached = _attach_order_cols(partials, orders, ["odays"],
-                                  broadcast_limit)
+    attached = bucketed_join(
+        partials, orders, left_key="o_orderkey", right_key="o_orderkey",
+        right_value_cols=["odays"])
 
     def delay(t: pa.Table) -> pa.Table:
         d = pc.subtract(t["sdays"], t["odays"])

@@ -25,6 +25,14 @@ row per block -- the skew mitigation of SURVEY.md §4.2).
 ``num_buckets`` is the parallelism: ~2x the cluster CPU count.  All
 bucket hashes are process-independent (pandas hash with the fixed
 default key).
+
+:func:`bucketed_join` is the one equi-join, with one placement
+decision: a right side of at most ``_BROADCAST_ROWS`` rows (block
+metadata of the materialized side; measured at 100k, walls in its
+docstring) is broadcast -- each left block joins every right block in
+one :func:`_reduce` task, all by reference -- and a larger one goes
+through :func:`hash_exchange`.  Both run the same ``_index_join``
+kernel; no caller forks its own small-side join.
 """
 
 from __future__ import annotations
@@ -495,22 +503,46 @@ def _index_join(left: pa.Table, right: pa.Table, *, left_key: str,
     return out
 
 
+# right-side rows at or below which bucketed_join broadcasts; measured
+# in bucketed_join's docstring
+_BROADCAST_ROWS = 100_000
+
+
 def bucketed_join(left: rd.Dataset, right: rd.Dataset, *,
                   left_key: str, right_key: str,
                   right_value_cols: list[str], how: str = "inner",
-                  num_buckets: int | None = None,
-                  exchange: str = "shuffle") -> rd.Dataset:
-    """Partitioned single-key equi-join, eager and schema-free: each side
-    is hashed on its own key by :func:`hash_exchange` (no union, no
-    null-padding, no schema lookup) and every bucket runs
-    :func:`_index_join`.  Output = left columns + ``right_value_cols``,
-    with every column's Arrow type kept; never driver-side."""
+                  num_buckets: int | None = None) -> rd.Dataset:
+    """Partitioned single-key equi-join, eager and schema-free.  Output =
+    left columns + ``right_value_cols``, with every column's Arrow type
+    kept; never driver-side.  Every task runs :func:`_index_join` in
+    :func:`_reduce`, on one of two placements chosen by the
+    materialized right side's row count (block metadata):
+
+    - **broadcast** (at most ``_BROADCAST_ROWS``): one task per left
+      block joins it against every right block, all passed by
+      reference -- no exchange, no driver gather, no ``ray.put``;
+    - **exchange** (above it): :func:`hash_exchange` hashes each side on
+      its own key and joins bucket by bucket.
+
+    ``_BROADCAST_ROWS`` is measured: a 2M-row left side in 32 blocks
+    against a right side of 10k / 100k / 1M / 4M rows (int64 key and
+    value, both materialized, 4-CPU local Ray, median of 4 runs) took
+    0.23 / 0.36 / 1.71 / 6.82 s broadcast and 0.35 / 0.34 / 0.44 /
+    0.73 s exchanged -- every left task reads the whole right side, so
+    the broadcast only wins while that side is small; the walls cross
+    at about 100k rows."""
     def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
         return _index_join(lt, rt, left_key=left_key, right_key=right_key,
                           right_value_cols=right_value_cols, how=how)
 
-    return hash_exchange([(left, [left_key]), (right, [right_key])], kernel,
-                         num_buckets=num_buckets, exchange=exchange)
+    right = right.materialize()
+    if right.count() > _BROADCAST_ROWS:
+        return hash_exchange([(left, [left_key]), (right, [right_key])],
+                             kernel, num_buckets=num_buckets)
+    rrefs = right.to_arrow_refs()
+    return rd.from_arrow_refs([
+        _reduce.remote(kernel, [1, len(rrefs)], "pyarrow", lref, *rrefs)
+        for lref in left.to_arrow_refs()])
 
 
 def bucketed_group_map(ds: rd.Dataset, keys: list[str],

@@ -324,7 +324,6 @@ def grouped_histogram_quantiles(ds, key: str, value_col: str,
 # ---------------------------------------------------------------- heavy hitters
 def heavy_hitter_terms(ds: rd.Dataset, *, text_col: str = "text",
                        counters: int = 199,
-                       broadcast_limit: int = 250_000,
                        num_buckets: int | None = None) -> rd.Dataset:
     """EXACT frequent terms without a full-vocabulary shuffle — the
     Misra-Gries candidate-generation + exact-recount pattern.
@@ -342,15 +341,12 @@ def heavy_hitter_terms(ds: rd.Dataset, *, text_col: str = "text",
     over the block HISTOGRAMS restricted to that candidate set: the
     only rows that ever cross an exchange are per-block distinct-term
     partials, and the final keyed sum reduces candidates only.  The
-    candidate semi-filter is measured — at or below ``broadcast_limit``
-    candidates the set ships once via ``ray.put`` and blocks filter
-    locally; above it the restriction is a partitioned bucketed join.
+    candidate restriction is one semi-join (``bucketed_join`` with no
+    value columns).
 
     Tokenization matches ``term_count_partial`` (lowercase, split on
     ``[^a-z]+``), so plain exact-count SQL replays the result.
     """
-    import ray
-
     from .agg import bucketed_join, hash_aggregate
     from .text import term_count_partial
 
@@ -385,22 +381,10 @@ def heavy_hitter_terms(ds: rd.Dataset, *, text_col: str = "text",
         # (and pa.concat_tables below would reject an empty iterator)
         return rd.from_arrow(pa.table({"term": pa.array([], pa.string()),
                                        "n": pa.array([], pa.int64())}))
-    if cands.count() <= broadcast_limit:
-        cand_ref = ray.put(pa.concat_tables(
-            cands.iter_batches(batch_format="pyarrow",
-                               batch_size=65536))["term"].combine_chunks())
-
-        def semi(t: pa.Table) -> pa.Table:
-            keep = pc.is_in(t["term"], value_set=ray.get(cand_ref))
-            return t.filter(keep).select(["term", "n"])
-
-        narrowed = partials.map_batches(semi, batch_format="pyarrow",
-                                        zero_copy_batch=True)
-    else:
-        narrowed = bucketed_join(
-            partials.select_columns(["term", "n"]), cands,
-            left_key="term", right_key="term", right_value_cols=[],
-            num_buckets=num_buckets)
+    narrowed = bucketed_join(
+        partials.select_columns(["term", "n"]), cands,
+        left_key="term", right_key="term", right_value_cols=[],
+        num_buckets=num_buckets)
 
     counts = hash_aggregate(narrowed, ["term"], [("n", "sum")],
                             rename={"n_sum": "n"}, num_buckets=num_buckets)

@@ -6,7 +6,7 @@ sorted order with an optional first-n cap (reference
 the extraction model whole (``extract.py:62-67``).  Here that becomes a
 streaming Ray Data source:
 
-    sorted glob -> ``read_binary_files`` -> actor-pool ``PdfToDoc``
+    sorted glob -> ``read_binary_files`` -> ``pdf_to_docs`` tasks
     -> DOCS_SCHEMA (one text span with the extracted text + one media
     span holding the original file reference)
 
@@ -15,7 +15,7 @@ PDF codec ships in this sandbox, so it recovers the text of the
 minimal single-stream PDFs ``write_stub_pdf`` produces (and of any PDF
 whose text sits uncompressed between ``stream``/``endstream`` markers).
 Swap ``_extract_text_real`` for pdfminer/pypdf in production — the Ray
-plumbing (file listing, binary read, actor pool, schema, span layout)
+plumbing (file listing, binary read, map tasks, schema, span layout)
 is the real, tested surface.
 """
 
@@ -26,6 +26,7 @@ from pathlib import Path
 import pyarrow as pa
 import ray.data as rd
 
+from ..functions.worker_state import task_concurrency
 from ..schemas import DOCS_SCHEMA
 
 _STREAM_START = b"stream\n"
@@ -66,37 +67,33 @@ def _extract_text_real(data: bytes) -> str:  # pragma: no cover
     raise NotImplementedError("install pdfminer.six and wire it here")
 
 
-class PdfToDoc:
-    """Actor-pool stage: (bytes, path) -> one DOCS_SCHEMA row per file.
+def pdf_to_docs(batch: pa.Table, extract_text=None) -> pa.Table:
+    """``map_batches`` task: (bytes, path) -> one DOCS_SCHEMA row per file.
 
     Span layout mirrors the interleaved-document contract: the extracted
     prose is a text span at offset 0 and the original binary travels as
     a media span (``media_ref = file://<path>``) at offset 1, so
     downstream multimodal stages can re-fetch the source bytes.
     """
-
-    def __init__(self, extract_text=None) -> None:
-        self._extract = extract_text or _extract_text_stub
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = []
-        for data, path in zip(batch.column("bytes").to_pylist(),
-                              batch.column("path").to_pylist()):
-            stem = Path(path).stem
-            rows.append({
-                "doc_id": stem,
-                "spans": [
-                    {"kind": "text", "text": self._extract(data or b""),
-                     "media_ref": "", "offset": 0},
-                    {"kind": "pdf", "text": "",
-                     "media_ref": f"file://{path}", "offset": 1},
-                ],
-                "title": stem,
-                "authors": ["unknown"],
-                "date_published": "unknown",
-                "url": "",
-            })
-        return pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
+    extract = extract_text or _extract_text_stub
+    rows = []
+    for data, path in zip(batch.column("bytes").to_pylist(),
+                          batch.column("path").to_pylist()):
+        stem = Path(path).stem
+        rows.append({
+            "doc_id": stem,
+            "spans": [
+                {"kind": "text", "text": extract(data or b""),
+                 "media_ref": "", "offset": 0},
+                {"kind": "pdf", "text": "",
+                 "media_ref": f"file://{path}", "offset": 1},
+            ],
+            "title": stem,
+            "authors": ["unknown"],
+            "date_published": "unknown",
+            "url": "",
+        })
+    return pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
 
 
 def read_pdf_dir(path: str | Path, *, first_n: int | None = None,
@@ -106,8 +103,9 @@ def read_pdf_dir(path: str | Path, *, first_n: int | None = None,
 
     ``first_n`` mirrors the reference's cap (``extract.py:33-35``); the
     sorted listing is the deterministic-input-order contract (O1,
-    ``extract.py:62-67``).  Files are read and converted in a streaming
-    actor pool — nothing materializes the corpus.
+    ``extract.py:62-67``).  Files are read and converted in streaming
+    stateless tasks (at most ``concurrency`` at once; a ``(lo, hi)``
+    tuple caps them at ``hi``) — nothing materializes the corpus.
     """
     paths = sorted(str(p) for p in Path(path).glob("*.pdf"))
     if first_n is not None:
@@ -116,5 +114,6 @@ def read_pdf_dir(path: str | Path, *, first_n: int | None = None,
         return rd.from_arrow(DOCS_SCHEMA.empty_table())
     ds = rd.read_binary_files(paths, include_paths=True)
     return ds.map_batches(
-        PdfToDoc, fn_constructor_kwargs={"extract_text": extract_text},
-        batch_format="pyarrow", batch_size=32, concurrency=concurrency)
+        pdf_to_docs, fn_kwargs={"extract_text": extract_text},
+        batch_format="pyarrow", batch_size=32,
+        concurrency=task_concurrency(concurrency))

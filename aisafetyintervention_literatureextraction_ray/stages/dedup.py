@@ -557,7 +557,7 @@ def _near_pairs(job: _Job, sigs: rd.Dataset | str):
     4M           293.1 s   --         35.9 s    --
     ===========  ========  =========  ========  ================
 
-    "semi-join" is the earlier ``broadcast_limit`` semi-join chain this
+    "semi-join" is the earlier broadcast semi-join chain this
     one replaced; every run gave its pairs.  The one task is faster at
     every size run end to end, and its chain alone took 32.6 s at 4M,
     so the limit is set by memory: the peak RSS is the chain's in a
@@ -709,8 +709,7 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
 
 def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
                     text_col: str = "text",
-                    num_buckets: int | None = None,
-                    broadcast_limit: int = 250_000) -> rd.Dataset:
+                    num_buckets: int | None = None) -> rd.Dataset:
     """Exact-duplicate STAR edges ``(id_a=min id of the content group,
     id_b=other id)`` — the closure-ready form of exact dedup pairs.
 
@@ -724,11 +723,9 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
 
     1. skinny pass: content-hash counts (``hash_aggregate`` partials —
        one row per hash per block) -> the duplicated-hash set;
-    2. semi-join filter on the MEASURED dup-hash count — below
-       ``broadcast_limit`` the hash set ships once via ``ray.put`` and
-       filters map-side (``pc.is_in``); above it a partitioned hash
-       join (``bucketed_join``) does the same without any driver
-       gather — then per-hash-bucket star emit, grouped on the exact
+    2. semi-join of the docs on the duplicated-hash set (a
+       ``bucketed_join`` with no value columns; it broadcasts a small
+       set) — then per-hash-bucket star emit, grouped on the exact
        text (hash collisions can never pair distinct texts).
     """
     def with_hash(t: pa.Table) -> pa.Table:
@@ -753,32 +750,15 @@ def exact_dup_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
 
     hashed = ds.map_batches(with_hash, batch_format="pyarrow",
                             batch_size=4096, zero_copy_batch=True)
-    n_dup = dup_h.count()
-    if n_dup == 0:
+    if dup_h.count() == 0:
         # clean corpus: no pairs — typed empty output (iter_batches of
         # an empty dataset yields nothing, so concat below would raise)
         id_type = column_type(ds, id_col)
         empty = pa.table({"id_a": pa.array([], type=id_type),
                           "id_b": pa.array([], type=id_type)})
         return rd.from_arrow(empty)
-    if n_dup <= broadcast_limit:
-        hs_ref = ray.put(pa.concat_tables(
-            dup_h.iter_batches(batch_format="pyarrow"))["__h"]
-            .combine_chunks())
-
-        def semi(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["__h"], value_set=ray.get(hs_ref)))
-
-        cand = hashed.map_batches(semi, batch_format="pyarrow")
-    else:
-        marked = dup_h.map_batches(
-            lambda t: t.append_column(
-                "__dup", pa.array(np.ones(t.num_rows, dtype=np.int8))),
-            batch_format="pyarrow")
-        cand = bucketed_join(hashed, marked, left_key="__h",
-                             right_key="__h", right_value_cols=["__dup"],
-                             num_buckets=num_buckets).map_batches(
-            lambda t: t.drop_columns(["__dup"]), batch_format="pyarrow")
+    cand = bucketed_join(hashed, dup_h, left_key="__h", right_key="__h",
+                         right_value_cols=[], num_buckets=num_buckets)
 
     def star(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:

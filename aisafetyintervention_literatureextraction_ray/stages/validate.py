@@ -7,7 +7,8 @@ checks the PaperSchema bounds (edge_confidence 1-5 ``core.py:21``,
 intervention_lifecycle 1-6 / maturity 1-4 ``core.py:11-12``, edge
 endpoints resolving to declared nodes) per batch, passes valid rows
 through, and writes invalid rows to a quarantine directory from within
-the task (file name = content hash, so retries are idempotent).
+the stateless map task (file name = content hash, so retries are
+idempotent).
 """
 
 from __future__ import annotations
@@ -49,37 +50,28 @@ def _row_valid(nodes, chains) -> bool:
     return True
 
 
-class ExtractionValidator:
-    """``map_batches`` stage: valid rows out, invalid rows quarantined.
-
-    Use with ``batch_format="pyarrow"``; pass ``quarantine_dir=None`` to
-    drop invalid rows silently (counted in the ``n_quarantined`` column
-    of the summary the caller can aggregate).
-    """
-
-    def __init__(self, quarantine_dir: str | None) -> None:
-        self.qdir = Path(quarantine_dir) if quarantine_dir else None
-        if self.qdir:
-            self.qdir.mkdir(parents=True, exist_ok=True)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        nodes = batch.column("nodes").to_pylist()
-        chains = batch.column("logical_chains").to_pylist()
-        mask = [_row_valid(n, c) for n, c in zip(nodes, chains)]
-        if all(mask):
-            return batch
-        bad = batch.filter(pa.array([not m for m in mask]))
-        if self.qdir is not None and bad.num_rows:
-            key = stable_id(*sorted(bad.column("doc_id").to_pylist()))
-            pq.write_table(bad, self.qdir / f"quarantine-{key}.parquet")
-        return batch.filter(pa.array(mask))
+def quarantine_invalid(batch: pa.Table, quarantine_dir: str | None) -> pa.Table:
+    """``map_batches`` task (``batch_format="pyarrow"``): valid rows out,
+    invalid rows written to ``quarantine_dir`` (``None`` drops them
+    silently)."""
+    nodes = batch.column("nodes").to_pylist()
+    chains = batch.column("logical_chains").to_pylist()
+    mask = [_row_valid(n, c) for n, c in zip(nodes, chains)]
+    if all(mask):
+        return batch
+    bad = batch.filter(pa.array([not m for m in mask]))
+    if quarantine_dir and bad.num_rows:
+        qdir = Path(quarantine_dir)
+        qdir.mkdir(parents=True, exist_ok=True)
+        # content-keyed name (the sorted bad doc ids): concurrent tasks
+        # never collide and a retried task rewrites the same file
+        key = stable_id(*sorted(bad.column("doc_id").to_pylist()))
+        pq.write_table(bad, qdir / f"quarantine-{key}.parquet")
+    return batch.filter(pa.array(mask))
 
 
 def validate_extractions(ds, quarantine_dir: str | None = None,
                          batch_size: int = 1024):
     return ds.map_batches(
-        ExtractionValidator,
-        fn_constructor_args=(quarantine_dir,),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=(1, 4),
-    )
+        quarantine_invalid, fn_kwargs={"quarantine_dir": quarantine_dir},
+        batch_format="pyarrow", batch_size=batch_size)

@@ -126,17 +126,21 @@ def test_bench_list_subset_of_registry():
                                   "small_qty_revenue_loss",
                                   "nation_trade_matrix",
                                   "shipping_priority_topk"])
-def test_measured_gate_distributed_path_matches_broadcast(name):
-    """The session-6/7 join queries pick broadcast vs bucketed exchange
-    from a MEASURED row count; force the distributed branch
-    (broadcast_limit=0) and require bit-equal output."""
+def test_measured_gate_distributed_path_matches_broadcast(name,
+                                                          monkeypatch):
+    """The session-6/7 join queries run on ``bucketed_join``, which
+    picks broadcast vs hash exchange from the MEASURED right-side row
+    count; force each placement through ``_BROADCAST_ROWS`` and require
+    bit-equal output."""
     from aisafetyintervention_literatureextraction_ray import (
         driver_queries as dq,
     )
+    from aisafetyintervention_literatureextraction_ray.functions import agg
 
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
     fast = dq.QUERIES[name](SF_DIR).reset_index(drop=True)
-    slow = getattr(dq, name)(SF_DIR, broadcast_limit=0) \
-        .reset_index(drop=True)
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", -1)
+    slow = dq.QUERIES[name](SF_DIR).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
 
 
@@ -153,31 +157,38 @@ def test_motif_census_driver_gate_matches_distributed():
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_naive_bayes_model_broadcast_matches_cogroup():
-    """doc_naive_bayes's measured model-broadcast gate must agree with
-    the term-co-group fallback path."""
+def test_naive_bayes_model_broadcast_matches_cogroup(monkeypatch):
+    """doc_naive_bayes's term-keyed model join must agree on both
+    ``bucketed_join`` placements (model broadcast vs hash exchange)."""
     from aisafetyintervention_literatureextraction_ray import (
         driver_queries as dq,
     )
+    from aisafetyintervention_literatureextraction_ray.functions import agg
 
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
     fast = dq.QUERIES["doc_naive_bayes"](SF_DIR).reset_index(drop=True)
-    slow = dq.doc_naive_bayes(SF_DIR, broadcast_limit=0) \
-        .reset_index(drop=True)
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", -1)
+    slow = dq.doc_naive_bayes(SF_DIR).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
 
 
 @pytest.mark.parametrize("name,kw", [
     ("kg_dominators", {"driver_threshold": 0}),
-    ("kg_scc_levels", {"broadcast_limit": 0}),
+    ("kg_scc_levels", {}),
 ])
-def test_graph_gate_fallthrough_matches_fast_path(name, kw):
-    """The kg_dominators driver gate and kg_scc_levels broadcast gate
-    must agree with their distributed fall-through forms."""
+def test_graph_gate_fallthrough_matches_fast_path(name, kw, monkeypatch):
+    """The kg_dominators driver gate must agree with its distributed
+    fall-through form, and kg_scc_levels' label joins must agree on
+    both ``bucketed_join`` placements (broadcast vs hash exchange,
+    forced through ``_BROADCAST_ROWS``)."""
     from aisafetyintervention_literatureextraction_ray import (
         driver_queries as dq,
     )
+    from aisafetyintervention_literatureextraction_ray.functions import agg
 
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
     fast = dq.QUERIES[name](SF_DIR).reset_index(drop=True)
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", -1)
     slow = getattr(dq, name)(SF_DIR, **kw).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
 

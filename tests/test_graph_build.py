@@ -206,20 +206,24 @@ def _join_inputs(case: str):
     return left, right
 
 
-@pytest.mark.parametrize("exchange", ["shuffle", "coalesce"])
+@pytest.mark.parametrize("placement", ["shuffle", "coalesce", "broadcast"])
 @pytest.mark.parametrize("how", ["inner", "left"])
 @pytest.mark.parametrize("case", ["repeated", "big_ids", "int32_key",
                                   "empty_right", "filtered_left",
                                   "filtered_right"])
-def test_bucketed_join_matches_arrow_reference(case, how, exchange):
+def test_bucketed_join_matches_arrow_reference(case, how, placement,
+                                               monkeypatch):
     """``bucketed_join`` against a row-by-row reference on the Arrow
     inputs: same rows (repeated keys give every combination, a left
     join keeps unmatched rows with null right values) and exactly the
     inputs' Arrow types -- list, struct and int64 above 2^53 included,
-    with a right key of another integer type cast to the left key's."""
-    from aisafetyintervention_literatureextraction_ray.functions.agg import (
-        bucketed_join,
-    )
+    with a right key of another integer type cast to the left key's.
+    ``shuffle`` and ``broadcast`` force the join's two placements
+    through ``_BROADCAST_ROWS``; ``coalesce`` runs its kernel on the
+    one-bucket exchange."""
+    import functools
+
+    from aisafetyintervention_literatureextraction_ray.functions import agg
 
     left, right = _join_inputs(case)
     cols = ["rv", "rl", "rs"]
@@ -234,11 +238,19 @@ def test_bucketed_join_matches_arrow_reference(case, how, exchange):
 
     import ray
 
-    out = pa.concat_tables(ray.get(bucketed_join(
-        blocks(left, case == "filtered_left"),
-        blocks(right, case == "filtered_right"), left_key="k",
-        right_key="rk", right_value_cols=cols, how=how,
-        exchange=exchange).to_arrow_refs()))
+    lds = blocks(left, case == "filtered_left")
+    rds = blocks(right, case == "filtered_right")
+    if placement == "coalesce":
+        joined = agg.hash_exchange(
+            [(lds, ["k"]), (rds, ["rk"])], functools.partial(
+                agg._index_join, left_key="k", right_key="rk",
+                right_value_cols=cols, how=how), exchange="coalesce")
+    else:
+        monkeypatch.setattr(agg, "_BROADCAST_ROWS",
+                            10**9 if placement == "broadcast" else -1)
+        joined = agg.bucketed_join(lds, rds, left_key="k", right_key="rk",
+                                   right_value_cols=cols, how=how)
+    out = pa.concat_tables(ray.get(joined.to_arrow_refs()))
 
     lrows = [] if case == "filtered_left" else left.to_pylist()
     rrows = [] if case == "filtered_right" else right.to_pylist()
@@ -255,6 +267,44 @@ def test_bucketed_join_matches_arrow_reference(case, how, exchange):
     assert canon(out.to_pylist()) == canon(want)
     assert out.schema == pa.schema(list(left.schema)
                                    + [right.schema.field(c) for c in cols])
+
+
+def test_broadcast_join_no_driver_gather(monkeypatch):
+    """The broadcast placement joins each left block against the right
+    blocks by reference in Ray tasks: no table reaches the driver
+    through ``ray.get`` and nothing is ``ray.put``."""
+    import pandas as pd
+    import ray
+
+    from aisafetyintervention_literatureextraction_ray.functions import agg
+
+    left, right = _join_inputs("repeated")
+    lds = rd.from_arrow([left.slice(i, 16) for i in range(0, 60, 16)])
+    rds = rd.from_arrow([right.slice(i, 16) for i in range(0, 40, 16)])
+    want = agg._index_join(left, right, left_key="k", right_key="rk",
+                           right_value_cols=["rv"]).num_rows
+    gathered, puts = [], []
+    real_get, real_put = ray.get, ray.put
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        gathered.extend(x for x in (out if isinstance(out, list) else [out])
+                        if isinstance(x, (pa.Table, pd.DataFrame)))
+        return out
+
+    def put(value, *a, **kw):
+        puts.append(type(value))
+        return real_put(value, *a, **kw)
+
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
+    monkeypatch.setattr(ray, "get", get)
+    monkeypatch.setattr(ray, "put", put)
+    refs = agg.bucketed_join(lds, rds, left_key="k", right_key="rk",
+                             right_value_cols=["rv"]).to_arrow_refs()
+    assert not gathered and not puts, (gathered, puts)
+    monkeypatch.undo()
+    assert len(refs) == 4
+    assert sum(t.num_rows for t in ray.get(refs)) == want > 0
 
 
 def test_incremental_nodes_equals_full_rebuild():

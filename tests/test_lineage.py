@@ -126,6 +126,31 @@ def test_build_starts_no_map_actor(run_dir):
     assert _map_worker_actors() == before
 
 
+def test_validate_and_pdf_ingest_start_no_map_actor(tmp_path):
+    """PDF ingestion and extraction validation run as stateless map
+    tasks: neither starts an actor pool."""
+    from aisafetyintervention_literatureextraction_ray.pipelines.extraction import (
+        extract_pipeline,
+    )
+    from aisafetyintervention_literatureextraction_ray.sources.pdf import (
+        read_pdf_dir,
+        write_stub_pdf,
+    )
+    from aisafetyintervention_literatureextraction_ray.stages.validate import (
+        validate_extractions,
+    )
+
+    for i in range(3):
+        write_stub_pdf(tmp_path / f"paper_{i}.pdf",
+                       f"filler text {i}. reward hacking is mitigated by rlhf.")
+    before = _map_worker_actors()
+    docs = read_pdf_dir(tmp_path, concurrency=(1, 2)).materialize()
+    good = validate_extractions(extract_pipeline(docs, concurrency=1),
+                                quarantine_dir=str(tmp_path / "q")).count()
+    assert docs.count() == good == 3
+    assert _map_worker_actors() == before
+
+
 def test_raw_response_persisted_per_partition(run_dir):
     """S4: every extraction partition carries the raw pre-parse JSON
     artifact, and it round-trips to the parsed columns."""

@@ -622,12 +622,14 @@ def test_bm25_topk_ranking_sanity():
     assert scores.get(3, 0.0) == 0.0 or 3 not in scores
 
 
-def test_exact_dup_pairs_star_and_branches():
+def test_exact_dup_pairs_star_and_branches(monkeypatch):
     """Star edges per content group (n-1, hub = min id), no edges for
-    unique texts; broadcast and join semi-filter branches agree."""
+    unique texts; the semi-join's broadcast and exchange placements
+    (forced through ``_BROADCAST_ROWS``) agree."""
     import pandas as pd
     import ray.data as rd
 
+    from aisafetyintervention_literatureextraction_ray.functions import agg
     from aisafetyintervention_literatureextraction_ray.stages.dedup import (
         exact_dup_pairs,
     )
@@ -640,9 +642,11 @@ def test_exact_dup_pairs_star_and_branches():
                    ignore_index=True)
     ds = rd.from_pandas(df).repartition(3)
     want = {(1, 2), (1, 3), (6, 7)}
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
     bc = exact_dup_pairs(ds).to_pandas()
     assert set(zip(bc["id_a"], bc["id_b"])) == want
-    jn = exact_dup_pairs(ds, broadcast_limit=0).to_pandas()
+    monkeypatch.setattr(agg, "_BROADCAST_ROWS", -1)
+    jn = exact_dup_pairs(ds).to_pandas()
     assert set(zip(jn["id_a"], jn["id_b"])) == want
 
 

@@ -270,14 +270,15 @@ def _hh_corpus():
     return rd.from_arrow(pa.table({"text": rows}))
 
 
-def test_heavy_hitters_exact_threshold_broadcast_and_join_paths():
+def test_heavy_hitters_exact_threshold_broadcast_and_join_paths(monkeypatch):
+    from aisafetyintervention_literatureextraction_ray.functions import agg
     from aisafetyintervention_literatureextraction_ray.functions.sketch import (
         heavy_hitter_terms,
     )
 
-    for limit in (250_000, 0):  # measured broadcast path / forced join
-        out = heavy_hitter_terms(_hh_corpus(), counters=4,
-                                 broadcast_limit=limit).to_pandas()
+    for rows in (10**9, -1):  # the semi-join broadcast / hash exchange
+        monkeypatch.setattr(agg, "_BROADCAST_ROWS", rows)
+        out = heavy_hitter_terms(_hh_corpus(), counters=4).to_pandas()
         assert list(out.itertuples(index=False)) != []
         got = {r.term: r.n for r in out.itertuples()}
         assert got == {"hot": 40}
