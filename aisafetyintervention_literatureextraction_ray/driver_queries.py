@@ -7211,9 +7211,9 @@ def kg_feature_propagation(sf_dir: str):
     the feature-smoothing primitive of graph ML preprocessing.  The
     seed feature is deterministic on both engines (node-id length in
     1e6 fixed point); each round is one partitioned adjacency join +
-    keyed sum + truncating degree division, all int64, so the
-    distributed result is bit-identical to the numpy driver path and
-    to the unrolled integer-CTE oracle."""
+    keyed sum + truncating degree division, all int64, so both
+    placements are bit-identical to the unrolled integer-CTE
+    oracle."""
     from .functions.graph import feature_propagation
 
     edges = _kg_simple_edges(sf_dir)
@@ -9661,124 +9661,26 @@ def events_runs_test(sf_dir: str):
     ORDER BY motif
     """,
 )
-def kg_motif_census(sf_dir: str, driver_threshold: int = 2_000_000):
+def kg_motif_census(sf_dir: str):
     """Directed 3-node motif census over the resolved KG: cyclic
     triangles (a->b->c->a — circular evidence, the pattern a causal
     claim graph should NOT accumulate) vs feed-forward triangles
     (a->b->c with the a->c shortcut — the hierarchy/refinement
-    pattern).  Two partitioned wedge joins over the DISTINCT directed
-    simple edge set and exact integer counts; a cycle is found once
-    per rotation so its count divides by 3, a feed-forward triangle
-    has exactly one base wedge so it counts once — the SQL 3-way
-    self-join replays both numbers exactly."""
-    from .functions.agg import bucketed_join, hash_aggregate
+    pattern).  ``functions/graph.py::motif_census`` counts closed
+    wedges over the DISTINCT directed simple edge set with exact
+    integers; a cycle is found once per rotation so its count divides
+    by 3, a feed-forward triangle has exactly one base wedge so it
+    counts once — the SQL 3-way self-join replays both numbers
+    exactly."""
+    from .functions.graph import motif_census
 
-    raw = _kg_simple_edges(sf_dir).materialize()
-
-    # doubly-measured driver gate (the triangle_count policy): edge
-    # count under 2M AND exact wedge bound (sum of indeg*outdeg)
-    # under 2M -> the census is two vectorized numpy passes; either
-    # bound failing falls through to the partitioned wedge joins
-    if driver_threshold and raw.count() <= driver_threshold:
-        df = raw.to_pandas().query("src_id != dst_id") \
-            .drop_duplicates()
-        codes, nodes = pd.factorize(
-            pd.concat([df["src_id"], df["dst_id"]],
-                      ignore_index=True), sort=True)
-        n = len(df)
-        s = codes[:n].astype(np.int64)
-        d = codes[n:].astype(np.int64)
-        nn = len(nodes)
-        outdeg = np.bincount(s, minlength=nn)
-        indeg = np.bincount(d, minlength=nn)
-        if int((indeg * outdeg).sum()) <= driver_threshold:
-            eset = np.sort(s * nn + d)
-            ed = pd.DataFrame({"s": s, "d": d})
-            w = ed.merge(ed, left_on="d", right_on="s",
-                         suffixes=("_1", "_2"))
-            a = w["s_1"].to_numpy()
-            c = w["d_2"].to_numpy()
-            keep = a != c
-            a, c = a[keep], c[keep]
-
-            def has(x):
-                p = np.searchsorted(eset, x)
-                return (p < len(eset)) & (eset[np.clip(
-                    p, 0, len(eset) - 1)] == x)
-
-            cycles = int(has(c * nn + a).sum()) // 3
-            ff = int(has(a * nn + c).sum())
-            return pd.DataFrame({
-                "motif": ["cycle", "feedforward"],
-                "n": pd.Series([cycles, ff], dtype="int64")})
-
-    de = hash_aggregate(
-        raw.map_batches(
-            lambda t: t.filter(pc.invert(pc.equal(t["src_id"],
-                                                  t["dst_id"]))),
-            batch_format="pyarrow", zero_copy_batch=True),
-        ["src_id", "dst_id"], [("src_id", "count")],
-        exchange="shuffle").select_columns(
-        ["src_id", "dst_id"]).materialize()
-
-    # wedges a->b->c (c != a), keyed for the two closing joins
-    w = bucketed_join(
-        de.map_batches(lambda t: t.rename_columns(["a", "b"]),
-                       batch_format="pyarrow", zero_copy_batch=True),
-        de.map_batches(lambda t: t.rename_columns(["b2", "c"]),
-                       batch_format="pyarrow", zero_copy_batch=True),
-        left_key="b", right_key="b2", right_value_cols=["c"],
-    ).map_batches(
-        lambda t: t.filter(pc.invert(pc.equal(t["a"], t["c"]))),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    def wedge_keys(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "motif": pa.array(["cycle"] * n + ["feedforward"] * n,
-                              pa.string()),
-            "k": pa.chunked_array([
-                pc.binary_join_element_wise(t["c"], t["a"], "\x1f"),
-                pc.binary_join_element_wise(t["a"], t["c"], "\x1f"),
-            ]).combine_chunks(),
-            "nw": pa.array(np.ones(2 * n, np.int64)),
-            "ne": pa.array(np.zeros(2 * n, np.int64))})
-
-    def edge_keys(t: pa.Table) -> pa.Table:
-        n = len(t)
-        k = pc.binary_join_element_wise(t["src_id"], t["dst_id"],
-                                        "\x1f")
-        return pa.table({
-            "motif": pa.array(["cycle"] * n + ["feedforward"] * n,
-                              pa.string()),
-            "k": pa.chunked_array([k, k]).combine_chunks(),
-            "nw": pa.array(np.zeros(2 * n, np.int64)),
-            "ne": pa.array(np.ones(2 * n, np.int64))})
-
-    # BOTH closing checks ride one keyed exchange: wedge rows and edge
-    # rows union under (motif, closing-pair) with presence markers;
-    # a key's wedges count iff it carries an edge marker
-    agg = hash_aggregate(
-        w.map_batches(wedge_keys, batch_format="pyarrow",
-                      zero_copy_batch=True).union(
-            de.map_batches(edge_keys, batch_format="pyarrow",
-                           zero_copy_batch=True)),
-        ["motif", "k"], [("nw", "sum"), ("ne", "sum")],
-        rename={"nw_sum": "nw", "ne_sum": "ne"}, exchange="shuffle")
-    parts = agg.map_batches(
-        lambda t: pa.TableGroupBy(pa.table({
-            "motif": t["motif"],
-            "n": pc.multiply(t["nw"], pc.min_element_wise(
-                t["ne"], pa.scalar(1, pa.int64())))}), ["motif"]
-        ).aggregate([("n", "sum")]).rename_columns(["motif", "n"]),
-        batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    by = (parts.groupby("motif")["n"].sum().to_dict()
-          if len(parts) else {})
-    n_cycle = int(by.get("cycle", 0)) // 3
-    n_ff = int(by.get("feedforward", 0))
+    out = motif_census(_kg_simple_edges(sf_dir), src="src_id",
+                       dst="dst_id").to_pandas()
+    by = dict(zip(out["motif"], out["n"])) if len(out) else {}
     return pd.DataFrame({
         "motif": ["cycle", "feedforward"],
-        "n": pd.Series([n_cycle, n_ff], dtype="int64")})
+        "n": pd.Series([int(by.get("cycle", 0)) // 3,
+                        int(by.get("feedforward", 0))], dtype="int64")})
 
 
 # ---------------------------------------------------- DAU/WAU stickiness
@@ -10380,85 +10282,26 @@ def shipping_priority_topk(sf_dir: str):
     GROUP BY n ORDER BY node_id
     """,
 )
-def kg_dominators(sf_dir: str, driver_threshold: int = 2_000_000):
+def kg_dominators(sf_dir: str):
     """Nomination dominating set over the resolved KG: every node
     nominates the highest-closed-degree member of its CLOSED
     neighborhood (ties to the smaller id), and the nominated nodes —
     which by construction dominate the whole graph in one round — are
     the hub entities a curation pass should review first, weighted by
-    how many nodes chose them.  One symmetric-closure map, one keyed
-    degree count, one degree-attach join and one per-node argmax —
-    all skinny bucketed exchanges; deterministic total order makes the
-    SQL window replay exact."""
-    from .functions.agg import bucketed_group_map, bucketed_join, \
-        hash_aggregate
+    how many nodes chose them (``functions/graph.py::dominators``);
+    the deterministic total order makes the SQL window replay
+    exact."""
+    from .functions.graph import dominators
 
-    raw = _kg_simple_edges(sf_dir).materialize()
-
-    # measured driver gate (the connected_components 2M skinny-row
-    # policy): below it the whole nominate is one vectorized pandas
-    # pass — the distributed form below is 5 exchanges over a graph
-    # that, at bench scale, is ~20k edges of pure scheduling overhead
-    if driver_threshold and raw.count() <= driver_threshold:
-        df = raw.to_pandas()
-        df = df[df["src_id"] != df["dst_id"]]
-        a, b = df["src_id"].to_numpy(), df["dst_id"].to_numpy()
-        cl_df = pd.DataFrame({
-            "c": np.concatenate([a, b, a, b]),
-            "n": np.concatenate([b, a, a, b])}).drop_duplicates()
-        cdeg = cl_df["n"].value_counts()
-        cl_df["cdeg"] = cl_df["n"].map(cdeg).astype("int64")
-        g = cl_df.sort_values(["c", "cdeg", "n"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
-        top = g.groupby("c", sort=False).head(1)
-        out = top["n"].value_counts().rename_axis("node_id") \
-            .reset_index(name="n_nominations")
-        if len(out) == 0:
-            return pd.DataFrame({
-                "node_id": pd.Series([], dtype=object),
-                "n_nominations": pd.Series([], dtype="int64")})
-        out["n_nominations"] = out["n_nominations"].astype("int64")
-        return out.sort_values("node_id").reset_index(drop=True)
-
-    def closed(t: pa.Table) -> pa.Table:
-        a, b = t["src_id"], t["dst_id"]
-        keep = pc.invert(pc.equal(a, b))
-        a, b = a.filter(keep), b.filter(keep)
-        return pa.table({
-            "c": pa.chunked_array([a, b, a, b]).combine_chunks(),
-            "n": pa.chunked_array([b, a, a, b]).combine_chunks()})
-
-    cl = hash_aggregate(
-        raw.map_batches(closed, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        ["c", "n"], [("c", "count")],
-        exchange="shuffle").select_columns(["c", "n"]).materialize()
-    dg = hash_aggregate(cl, ["n"], [("c", "count")],
-                        rename={"c_count": "cdeg"}, exchange="shuffle")
-    j = bucketed_join(cl, dg.map_batches(
-        lambda t: t.rename_columns(["n2", "cdeg"]),
-        batch_format="pyarrow", zero_copy_batch=True),
-        left_key="n", right_key="n2", right_value_cols=["cdeg"])
-
-    def nominate(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["c", "cdeg", "n"],
-                          ascending=[True, False, True],
-                          kind="mergesort")
-        top = g.groupby("c", sort=False).head(1)
-        return pd.DataFrame({"n": top["n"].to_numpy()})
-
-    noms = bucketed_group_map(j, ["c"], nominate, exchange="shuffle")
-    out = hash_aggregate(noms, ["n"], [("n", "count")],
-                         rename={"n_count": "n_nominations"},
-                         exchange="shuffle").to_pandas()
+    out = dominators(_kg_simple_edges(sf_dir), src="src_id",
+                     dst="dst_id").to_pandas()
     if len(out) == 0:  # empty Ray to_pandas drops column names
         return pd.DataFrame({
             "node_id": pd.Series([], dtype=object),
             "n_nominations": pd.Series([], dtype="int64")})
-    out = out.rename(columns={"n": "node_id"})
     out["n_nominations"] = out["n_nominations"].astype("int64")
-    return out.sort_values("node_id").reset_index(drop=True)
+    return out[["node_id", "n_nominations"]].sort_values(
+        "node_id").reset_index(drop=True)
 
 
 # -------------------------------------------------- SRP (hyperplane) LSH

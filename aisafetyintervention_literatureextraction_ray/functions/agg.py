@@ -21,7 +21,10 @@ here therefore runs on :func:`hash_exchange` instead:
 Keyed reduces put a ``pyarrow.TableGroupBy`` partial per block in front
 of the exchange, so it moves partials, not rows (a hot key costs one
 row per block -- the skew mitigation of SURVEY.md §4.2).
-``exchange="coalesce"`` is the one-bucket case of the same exchange.
+``exchange="coalesce"`` is the one-bucket case of the same exchange,
+and an in-memory ``pa.Table`` input is that case run in-process: the
+kernel is called directly (the one-task placement of
+``functions/graph.py`` runs every body this way).
 ``num_buckets`` is the parallelism: ~2x the cluster CPU count.  All
 bucket hashes are process-independent (pandas hash with the fixed
 default key).
@@ -99,8 +102,8 @@ def _split(block, keys: list[str], num_buckets: int):
     return (*[t.slice(e - c, c) for e, c in zip(ends, counts)], counts)
 
 
-@ray.remote
-def _reduce(kernel, widths: list[int], batch_format: str, *pieces):
+def _kernel_call(kernel, widths: list[int], batch_format: str, *pieces):
+    """Concatenate each side's pieces and call ``kernel`` once on them."""
     sides, start = [], 0
     for w in widths:
         part = [_arrow(p) for p in pieces[start:start + w]]
@@ -126,6 +129,9 @@ def _reduce(kernel, widths: list[int], batch_format: str, *pieces):
     return out.replace_schema_metadata(None)
 
 
+_reduce = ray.remote(_kernel_call)
+
+
 def hash_exchange(sides: list[tuple[rd.Dataset, list[str]]],
                   kernel: Callable, *, num_buckets: int | None = None,
                   exchange: str = "shuffle",
@@ -138,9 +144,16 @@ def hash_exchange(sides: list[tuple[rd.Dataset, list[str]]],
     are: then bucket 0 runs once on typed empty input.
     ``exchange="coalesce"`` is the one-bucket case: the blocks go
     straight to one reduce task.  Eager: returns a materialized
-    dataset."""
+    dataset.  In-memory ``pa.Table`` sides are the same one-bucket case
+    run in-process: the kernel's table comes back directly (what the
+    one-task placements of ``functions/graph.py`` run on)."""
+    if all(isinstance(ds, pa.Table) for ds, _ in sides):
+        return _kernel_call(kernel, [1] * len(sides), batch_format,
+                            *(t for t, _ in sides))
     nb = 1 if exchange == "coalesce" else num_buckets or default_num_buckets()
-    blocks = [ds.to_arrow_refs() for ds, _ in sides]
+    # materialize first: ``to_arrow_refs`` on a lazy Dataset runs its
+    # plan twice, a ``limit(1)`` schema probe and then the whole plan
+    blocks = [ds.materialize().to_arrow_refs() for ds, _ in sides]
     if not any(blocks):
         return rd.from_arrow_refs([])
     if nb == 1:
@@ -163,10 +176,9 @@ def hash_exchange(sides: list[tuple[rd.Dataset, list[str]]],
 def measured_exchange(n_rows_bound: int | None, *,
                       threshold: int = 2_000_000) -> str:
     """Exchange choice from a MEASURED upper bound on the partial key
-    set (same 2-million-skinny-rows policy as the connected-components
-    / pagerank driver gates): ``"coalesce"`` when the whole distinct
-    key set provably fits one block, ``"shuffle"`` otherwise (or when
-    no bound is known)."""
+    set: ``"coalesce"`` when the whole distinct key set provably fits
+    one block (at or below ``threshold``), ``"shuffle"`` otherwise (or
+    when no bound is known)."""
     if n_rows_bound is not None and n_rows_bound <= threshold:
         return "coalesce"
     return "shuffle"
@@ -207,8 +219,8 @@ def hash_aggregate(ds: rd.Dataset, keys: list[str],
         out = pa.TableGroupBy(t, keys).aggregate(final_aggs)
         return out.rename_columns([mapping.get(c, c) for c in out.column_names])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    partials = partial(ds) if isinstance(ds, pa.Table) else \
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     return hash_exchange([(partials, keys)], combine,
                          num_buckets=num_buckets, exchange=exchange)
 
@@ -535,6 +547,8 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, *,
         return _index_join(lt, rt, left_key=left_key, right_key=right_key,
                           right_value_cols=right_value_cols, how=how)
 
+    if isinstance(left, pa.Table):  # the one-bucket case, in-process
+        return kernel(left, right)
     right = right.materialize()
     if right.count() > _BROADCAST_ROWS:
         return hash_exchange([(left, [left_key]), (right, [right_key])],
@@ -542,7 +556,7 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, *,
     rrefs = right.to_arrow_refs()
     return rd.from_arrow_refs([
         _reduce.remote(kernel, [1, len(rrefs)], "pyarrow", lref, *rrefs)
-        for lref in left.to_arrow_refs()])
+        for lref in left.materialize().to_arrow_refs()])
 
 
 def bucketed_group_map(ds: rd.Dataset, keys: list[str],

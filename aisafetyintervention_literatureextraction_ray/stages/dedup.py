@@ -840,8 +840,7 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
                          text_col: str = "text",
                          threshold: tuple[int, int] = (1, 2),
                          scale: int = 1_000_000,
-                         num_buckets: int | None = None,
-                         driver_threshold: int = 2_000_000) -> rd.Dataset:
+                         num_buckets: int | None = None) -> rd.Dataset:
     """``(id_a, id_b, inter_n, union_n, jac_fp)`` — EXACT token-set
     Jaccard similarity join via prefix filtering (PPJoin-lite, the
     Bayardo/Chaudhuri all-pairs algorithm): every pair with
@@ -871,6 +870,7 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
     and verification joins whose volume is sum(n_a + n_b) over
     surviving candidates.
     """
+    from ..functions import graph
     from ..functions.agg import (bucketed_group_map, bucketed_join,
                                  hash_aggregate)
 
@@ -905,18 +905,18 @@ def prefix_jaccard_pairs(docs: rd.Dataset, *, id_col: str = "doc_id",
         num_buckets=num_buckets, exchange="shuffle",
     ).select_columns([id_col, "tok"]).materialize()
 
-    # MEASURED driver fast path (the 2M policy shared with the graph
-    # family): the output pair set is algebraically defined (exact
-    # Jaccard >= t), so the vectorized pandas form below produces the
-    # identical rows with none of the ~10 exchange rounds' scheduling
-    # cost; the distributed path stays the >2M-token route and is
-    # forced in tests with driver_threshold=0
-    if driver_threshold and toks.count() <= driver_threshold:
-        fast = _prefix_jaccard_driver(toks.to_pandas(), id_col=id_col,
-                                      num=num, den=den, scale=scale,
-                                      id_type=id_type)
-        if fast is not None:  # None: bitset would exceed the memory cap
-            return fast
+    # the graph family's measured gate: the distinct (doc, token) rows
+    # are a bipartite edge list, so at or below its edge limit one task
+    # runs the vectorized form below over their block refs.  The output
+    # pair set is algebraically defined (exact Jaccard >= t), so it
+    # gives the identical rows with none of the ~10 exchange rounds'
+    # scheduling cost
+    if toks.count() <= graph._LOCAL_EDGE_LIMIT:
+        out, ok = _prefix_jaccard_local.remote(
+            toks.to_arrow_refs(), id_col=id_col, num=num, den=den,
+            scale=scale, id_type=id_type)
+        if ray.get(ok):  # False: the bitset would exceed its memory cap
+            return rd.from_arrow_refs([out])
 
     nn = hash_aggregate(toks, [id_col], [("tok", "count")],
                         rename={"tok_count": "n"},
@@ -1033,25 +1033,27 @@ def _popcount_swar(x: np.ndarray) -> np.ndarray:
     return ((x * h) >> np.uint64(56)).astype(np.int64)
 
 
-def _prefix_jaccard_driver(df: pd.DataFrame, *, id_col: str, num: int,
-                           den: int, scale: int,
-                           id_type: pa.DataType) -> rd.Dataset | None:
-    """Vectorized numpy form over the (already distinct,
-    driver-gathered) skinny (id, token) rows — same prefix filter and
+@ray.remote(num_returns=2)
+def _prefix_jaccard_local(refs: list, *, id_col: str, num: int, den: int,
+                          scale: int, id_type: pa.DataType):
+    """Vectorized numpy form, in one task, over the block refs of the
+    (already distinct) skinny (id, token) rows — same prefix filter and
     length filter, exact verification via per-doc token BITSETS with a
     chunked SWAR popcount (a clone-heavy corpus at t~1 admits ~n^2
     true pairs per clone family; pandas-merge verification was
     measured 315 s at sf0.1 where this form is ~3 s)."""
 
-    def empty() -> rd.Dataset:
-        return rd.from_arrow(pa.table({
+    def empty() -> tuple[pa.Table, bool]:
+        return pa.table({
             "id_a": pa.array([], id_type), "id_b": pa.array([], id_type),
             "inter_n": pa.array([], pa.int64()),
             "union_n": pa.array([], pa.int64()),
-            "jac_fp": pa.array([], pa.int64())}))
+            "jac_fp": pa.array([], pa.int64())}), True
 
-    if df.empty:
+    tables = [t for t in ray.get(refs) if t.num_rows]
+    if not tables:
         return empty()
+    df = pa.concat_tables(tables).select([id_col, "tok"]).to_pandas()
     ic0, ids_uniq = pd.factorize(df[id_col], sort=True)
     # sort=True: token-code order == lexicographic token order, so the
     # global prefix order (df ASC, tok ASC) is (dfreq[code], code) on
@@ -1100,7 +1102,7 @@ def _prefix_jaccard_driver(df: pd.DataFrame, *, id_col: str, num: int,
     # exact verification: per-doc token bitsets + chunked SWAR popcount
     words = (vocab + 63) // 64
     if n_docs * words > 64_000_000:  # 512 MB bitset cap: fall back to
-        return None                  # the distributed path (caller)
+        return None, False           # the bucketed path (caller)
     B = np.zeros((n_docs, words), np.uint64)
     np.bitwise_or.at(B, (ic0, tc0 >> 6),
                      np.uint64(1) << (tc0 & 63).astype(np.uint64))
@@ -1111,9 +1113,9 @@ def _prefix_jaccard_driver(df: pd.DataFrame, *, id_col: str, num: int,
         inter[sl] = _popcount_swar(B[a[sl]] & B[b[sl]]).sum(axis=1)
     union = n[a] + n[b] - inter
     ok = inter * den >= num * union
-    return rd.from_arrow(pa.table({
+    return pa.table({
         "id_a": pa.array(np.asarray(ids_uniq)[a[ok]]).cast(id_type),
         "id_b": pa.array(np.asarray(ids_uniq)[b[ok]]).cast(id_type),
         "inter_n": pa.array(inter[ok]),
         "union_n": pa.array(union[ok]),
-        "jac_fp": pa.array((inter[ok] * scale) // union[ok])}))
+        "jac_fp": pa.array((inter[ok] * scale) // union[ok])}), True

@@ -208,7 +208,7 @@ def test_canonicalize_distributed_branch_matches_local(nodes_ds, monkeypatch):
         == ed[["src_id", "pred", "dst_id", "confidence"]].to_numpy().tolist()
 
 
-def test_apply_merges_distributed_matches_broadcast(nodes_ds):
+def test_apply_merges_distributed_matches_broadcast(nodes_ds, placement):
     """The bucketed merge (join-based loser drop and rewire, shuffle
     re-reduce) produces the identical node and edge tables as the
     one-task merge on the same distributed connected-components
@@ -227,7 +227,8 @@ def test_apply_merges_distributed_matches_broadcast(nodes_ds):
     }))
     accepted = pd.DataFrame({"id_a": ["n01", "n03"], "id_b": ["n02", "n04"],
                              "distance": [0.1, 0.1]})
-    labels = connected_components(rd.from_pandas(accepted), driver_threshold=0,
+    placement(0)
+    labels = connected_components(rd.from_pandas(accepted),
                                   num_buckets=4).materialize()
     nodes_b, edges_b, _ = merge(labels, nodes_ds, edges, exchange="coalesce")
     nodes_d, edges_d, _ = merge(labels, nodes_ds, edges, exchange="shuffle")

@@ -313,11 +313,11 @@ def _jaccard_reference(texts, num, den):
     return out
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_prefix_jaccard_matches_bruteforce(driver_threshold):
-    """Both paths == brute-force all-pairs Jaccard at t=0.6 on a mixed
-    corpus (clones, near-clones, disjoint, empty text): the prefix
-    filter loses NO qualifying pair."""
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=True)
+def test_prefix_jaccard_matches_bruteforce(placement):
+    """Both placements == brute-force all-pairs Jaccard at t=0.6 on a
+    mixed corpus (clones, near-clones, disjoint, empty text): the
+    prefix filter loses NO qualifying pair."""
     import random
 
     from aisafetyintervention_literatureextraction_ray.stages.dedup import (
@@ -341,9 +341,7 @@ def test_prefix_jaccard_matches_bruteforce(driver_threshold):
         "doc_id": pa.array(sorted(texts), pa.int64()),
         "text": pa.array([texts[k] for k in sorted(texts)])}
     )).repartition(4)
-    got = prefix_jaccard_pairs(ds, threshold=(3, 5),
-                               driver_threshold=driver_threshold
-                               ).to_pandas()
+    got = prefix_jaccard_pairs(ds, threshold=(3, 5)).to_pandas()
     got_map = {(r.id_a, r.id_b): (r.inter_n, r.union_n, r.jac_fp)
                for r in got.itertuples()}
     assert got_map == ref

@@ -8,7 +8,8 @@ import duckdb
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
 
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = ("region nation customer supplier part orders lineitem events "
@@ -144,16 +145,16 @@ def test_measured_gate_distributed_path_matches_broadcast(name,
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_motif_census_driver_gate_matches_distributed():
-    """kg_motif_census's doubly-measured driver gate must agree with
-    the partitioned wedge-join path on the same KG."""
+def test_motif_census_driver_gate_matches_distributed(placement):
+    """kg_motif_census's one task must agree with its bucketed body
+    (the partitioned wedge joins) on the same KG."""
     from aisafetyintervention_literatureextraction_ray import (
         driver_queries as dq,
     )
 
     fast = dq.QUERIES["kg_motif_census"](SF_DIR).reset_index(drop=True)
-    slow = dq.kg_motif_census(SF_DIR, driver_threshold=0) \
-        .reset_index(drop=True)
+    placement(0)
+    slow = dq.kg_motif_census(SF_DIR).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
 
 
@@ -173,14 +174,15 @@ def test_naive_bayes_model_broadcast_matches_cogroup(monkeypatch):
 
 
 @pytest.mark.parametrize("name,kw", [
-    ("kg_dominators", {"driver_threshold": 0}),
+    ("kg_dominators", {"edge_limit": 0}),
     ("kg_scc_levels", {}),
 ])
-def test_graph_gate_fallthrough_matches_fast_path(name, kw, monkeypatch):
-    """The kg_dominators driver gate must agree with its distributed
-    fall-through form, and kg_scc_levels' label joins must agree on
-    both ``bucketed_join`` placements (broadcast vs hash exchange,
-    forced through ``_BROADCAST_ROWS``)."""
+def test_graph_gate_fallthrough_matches_fast_path(name, kw, monkeypatch,
+                                                  placement):
+    """kg_dominators' one task must agree with its bucketed body, and
+    kg_scc_levels' label joins must agree on both ``bucketed_join``
+    placements (broadcast vs hash exchange, forced through
+    ``_BROADCAST_ROWS``)."""
     from aisafetyintervention_literatureextraction_ray import (
         driver_queries as dq,
     )
@@ -189,7 +191,9 @@ def test_graph_gate_fallthrough_matches_fast_path(name, kw, monkeypatch):
     monkeypatch.setattr(agg, "_BROADCAST_ROWS", 10**9)
     fast = dq.QUERIES[name](SF_DIR).reset_index(drop=True)
     monkeypatch.setattr(agg, "_BROADCAST_ROWS", -1)
-    slow = getattr(dq, name)(SF_DIR, **kw).reset_index(drop=True)
+    if "edge_limit" in kw:
+        placement(kw["edge_limit"])
+    slow = getattr(dq, name)(SF_DIR).reset_index(drop=True)
     pd.testing.assert_frame_equal(fast, slow)
 
 

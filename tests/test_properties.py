@@ -376,13 +376,13 @@ def test_pack_documents_matches_pandas_reference(rows, capacity):
     assert got["offset_in_pack"].tolist() == (start % capacity).tolist()
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (7, 30, 120, 0),           # forced DISTRIBUTED path
     (7, 30, 120, 2_000_000),   # measured driver fast path, same input
     (11, 12, 15, 0),
-])
+], indirect=["placement"])
 def test_pagerank_matches_integer_reference(seed, n_nodes, n_edges,
-                                            driver_threshold):
+                                            placement):
     """Fixed-point PageRank (BOTH the distributed and the gated driver
     path) == the same integer recurrence run sequentially — BIT-exact,
     because every op is integer (this is the property the oracle SQL
@@ -413,8 +413,7 @@ def test_pagerank_matches_integer_reference(seed, n_nodes, n_edges,
             s[v] += r[u] // outdeg[u]
         r = {v: base + (85 * s[v]) // 100 for v in nodes}
 
-    got = pagerank(ds, n_iters=5,
-                   driver_threshold=driver_threshold).to_pandas()
+    got = pagerank(ds, n_iters=5).to_pandas()
     assert dict(zip(got["node_id"], got["rank_fp"])) == r
     # ranks are a (sub-)distribution: dangling mass leaks, never grows
     assert got["rank_fp"].sum() <= scale
@@ -456,14 +455,14 @@ def test_degree_table_counts_distinct_parallel_edges_once():
     assert got.loc["c", "in_degree"] == 2
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (3, 20, 80, 0),         # forced DISTRIBUTED path
     (3, 20, 80, 500_000),   # measured driver fast path, same input
     (9, 15, 40, 0),
     (1, 6, 4, 500_000),
-])
+], indirect=["placement"])
 def test_triangle_count_matches_bruteforce(seed, n_nodes, n_edges,
-                                           driver_threshold):
+                                           placement):
     """Degree-oriented distributed triangle count == brute-force
     enumeration over all node triples (direction, parallel edges and
     self-loops ignored)."""
@@ -487,7 +486,7 @@ def test_triangle_count_matches_bruteforce(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    assert triangle_count(ds, driver_threshold=driver_threshold) == ref
+    assert triangle_count(ds) == ref
 
 
 def test_triangle_count_empty_and_hub():
@@ -594,8 +593,8 @@ def test_ngram_source_overlap_matches_pandas_reference():
         check_dtype=False)
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_personalized_pagerank_matches_reference(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_personalized_pagerank_matches_reference(placement):
     """Seeded (personalized) PageRank == the sequential integer
     recurrence with restart mass on the seed set, on BOTH paths; nodes
     unreachable from the seeds rank exactly 0."""
@@ -631,29 +630,29 @@ def test_personalized_pagerank_matches_reference(driver_threshold):
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = pagerank(ds, n_iters=5, seeds=seeds,
-                   driver_threshold=driver_threshold).to_pandas()
+    got = pagerank(ds, n_iters=5, seeds=seeds).to_pandas()
     assert dict(zip(got["node_id"], got["rank_fp"])) == r
     gm = dict(zip(got["node_id"], got["rank_fp"]))
     assert gm["isl1"] == 0 and gm["isl2"] == 0
     assert gm["n0"] > 0
 
     with pytest.raises(ValueError):
-        pagerank(ds, seeds=["not-a-node"],
-                 driver_threshold=driver_threshold).to_pandas()
+        pagerank(ds, seeds=["not-a-node"]).to_pandas()
 
 
-def test_triangle_count_wedge_limit_falls_back_to_distributed():
-    """If the exact oriented-wedge count exceeds the driver limit, the
-    measured gate refuses the driver path and the distributed path
-    still returns the right count."""
+def test_triangle_count_wedge_limit_falls_back_to_distributed(monkeypatch):
+    """If the exact oriented-wedge count exceeds the wedge limit, the
+    one task refuses the graph and the bucketed body still returns the
+    right count."""
     import itertools
     import random
 
+    from aisafetyintervention_literatureextraction_ray.functions import graph
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         triangle_count,
     )
 
+    monkeypatch.setattr(graph, "_LOCAL_WEDGE_LIMIT", 1)
     rng = random.Random(3)
     raw = [(f"v{rng.randrange(20)}", f"v{rng.randrange(20)}")
            for _ in range(80)]
@@ -666,18 +665,17 @@ def test_triangle_count_wedge_limit_falls_back_to_distributed():
               if y in adj[x] and z in adj[x] and z in adj[y])
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    assert triangle_count(ds, driver_threshold=500_000,
-                          driver_wedge_limit=1) == ref
+    assert triangle_count(ds) == ref
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (5, 25, 60, 0),         # forced DISTRIBUTED path
     (5, 25, 60, 500_000),   # measured driver fast path, same input
     (13, 10, 12, 0),        # sparse: unreachable nodes exist
     (13, 10, 12, 500_000),
-])
+], indirect=["placement"])
 def test_bfs_hops_matches_reference(seed, n_nodes, n_edges,
-                                    driver_threshold):
+                                    placement):
     """Multi-source BFS (BOTH paths) == a sequential BFS over the
     undirected simple graph; unreachable nodes are absent."""
     import random
@@ -708,41 +706,39 @@ def test_bfs_hops_matches_reference(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = bfs_hops(ds, seeds=seeds,
-                   driver_threshold=driver_threshold).to_pandas()
+    got = bfs_hops(ds, seeds=seeds).to_pandas()
     assert dict(zip(got["node_id"], got["hops"])) == want
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_bfs_hops_empty_and_bad_seeds(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_bfs_hops_empty_and_bad_seeds(placement):
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         bfs_hops,
     )
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = bfs_hops(empty, seeds=["x"], driver_threshold=driver_threshold)
+    out = bfs_hops(empty, seeds=["x"])
     assert out.schema().names == ["node_id", "hops"]
     assert out.count() == 0
 
     ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"]}))
     with pytest.raises(ValueError):
-        bfs_hops(ds, seeds=[], driver_threshold=driver_threshold)
+        bfs_hops(ds, seeds=[])
     with pytest.raises(ValueError):
-        bfs_hops(ds, seeds=["zz-not-a-node"],
-                 driver_threshold=driver_threshold).to_pandas()
+        bfs_hops(ds, seeds=["zz-not-a-node"]).to_pandas()
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,k,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,k,placement", [
     (2, 25, 70, 2, 0),         # forced DISTRIBUTED path
     (2, 25, 70, 2, 500_000),   # measured driver fast path, same input
     (8, 15, 30, 3, 0),
     (8, 15, 30, 3, 500_000),
     (4, 30, 29, 2, 0),         # tree-ish: long peel chains
     (4, 30, 29, 2, 500_000),
-])
+], indirect=["placement"])
 def test_kcore_matches_peel_reference(seed, n_nodes, n_edges, k,
-                                      driver_threshold):
+                                      placement):
     """k-core (BOTH paths) == the sequential peel over the undirected
     simple graph (self-loops and parallel edges dropped); the reported
     degree is the within-core degree."""
@@ -769,22 +765,22 @@ def test_kcore_matches_peel_reference(seed, n_nodes, n_edges, k,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = kcore(ds, k=k, driver_threshold=driver_threshold).to_pandas()
+    got = kcore(ds, k=k).to_pandas()
     # empty Ray datasets drop column names in to_pandas()
     got_map = ({} if len(got) == 0
                else dict(zip(got["node_id"], got["degree"])))
     assert got_map == want
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_kcore_empty_and_vanishing(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_kcore_empty_and_vanishing(placement):
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         kcore,
     )
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = kcore(empty, k=2, driver_threshold=driver_threshold)
+    out = kcore(empty, k=2)
     assert out.schema().names == ["node_id", "degree"]
     assert out.count() == 0
 
@@ -793,25 +789,25 @@ def test_kcore_empty_and_vanishing(driver_threshold):
         "src": [f"p{i}" for i in range(6)],
         "dst": [f"p{i + 1}" for i in range(6)],
     }))
-    assert kcore(path, k=2, driver_threshold=driver_threshold).count() == 0
+    assert kcore(path, k=2).count() == 0
 
     # ...and self-loops never save a node from peeling
     loops = rd.from_arrow(pa.table({"src": ["x", "x"], "dst": ["x", "y"]}))
-    assert kcore(loops, k=2, driver_threshold=driver_threshold).count() == 0
+    assert kcore(loops, k=2).count() == 0
 
     with pytest.raises(ValueError):
-        kcore(path, k=0, driver_threshold=driver_threshold)
+        kcore(path, k=0)
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,min_common,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,min_common,placement", [
     (7, 20, 60, 1, 0),         # forced DISTRIBUTED path
     (7, 20, 60, 1, 500_000),   # measured driver fast path, same input
     (3, 15, 40, 2, 0),
     (3, 15, 40, 2, 500_000),
-])
+], indirect=["placement"])
 def test_neighbor_overlap_matches_bruteforce(seed, n_nodes, n_edges,
                                              min_common,
-                                             driver_threshold):
+                                             placement):
     """Common-neighbor counts and fixed-point Jaccard (BOTH paths) ==
     brute-force set intersection over all node pairs."""
     import itertools
@@ -838,16 +834,15 @@ def test_neighbor_overlap_matches_bruteforce(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = neighbor_overlap(ds, min_common=min_common,
-                           driver_threshold=driver_threshold).to_pandas()
+    got = neighbor_overlap(ds, min_common=min_common).to_pandas()
     got_map = ({} if len(got) == 0 else
                {(r.id_a, r.id_b): (r.common, r.jaccard_fp)
                 for r in got.itertuples()})
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_neighbor_overlap_hub_cap_and_empty(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_neighbor_overlap_hub_cap_and_empty(placement):
     """A hub center above max_center_degree contributes NO wedges (its
     pair scores vanish when it was the only shared neighbor), while
     full-graph degrees still feed jaccard_fp; empty input gives a
@@ -858,7 +853,7 @@ def test_neighbor_overlap_hub_cap_and_empty(driver_threshold):
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = neighbor_overlap(empty, driver_threshold=driver_threshold)
+    out = neighbor_overlap(empty)
     assert out.schema().names == ["id_a", "id_b", "common", "jaccard_fp"]
     assert out.count() == 0
 
@@ -867,9 +862,7 @@ def test_neighbor_overlap_hub_cap_and_empty(driver_threshold):
         "src": ["h"] * 5 + ["l0"],
         "dst": [f"l{i}" for i in range(5)] + ["l1"],
     }))
-    capped = neighbor_overlap(ds, max_center_degree=3,
-                              driver_threshold=driver_threshold
-                              ).to_pandas()
+    capped = neighbor_overlap(ds, max_center_degree=3).to_pandas()
     got = {(r.id_a, r.id_b): (r.common, r.jaccard_fp)
            for r in capped.itertuples()}
     # hub (degree 5 > 3) is never a wedge center: the leaf pairs it
@@ -879,27 +872,26 @@ def test_neighbor_overlap_hub_cap_and_empty(driver_threshold):
     assert got == {("h", "l1"): (1, 1_000_000 // 6),
                    ("h", "l0"): (1, 1_000_000 // 6)}
 
-    uncapped = neighbor_overlap(ds, driver_threshold=driver_threshold
-                                ).to_pandas()
+    uncapped = neighbor_overlap(ds).to_pandas()
     assert len(uncapped) == 12  # C(5,2) leaf pairs + (h,l0) + (h,l1)
 
     with pytest.raises(ValueError):
-        neighbor_overlap(ds, min_common=0,
-                         driver_threshold=driver_threshold)
+        neighbor_overlap(ds, min_common=0)
 
 
-def test_neighbor_overlap_wedge_limit_falls_back_to_distributed():
-    """If the exact wedge total exceeds the driver limit, the measured
-    gate refuses the driver path and the distributed path still
-    returns identical results."""
+def test_neighbor_overlap_wedge_limit_falls_back_to_distributed(monkeypatch):
+    """If the exact wedge total exceeds the wedge limit, the one task
+    refuses the graph and the bucketed body still returns identical
+    results."""
+    from aisafetyintervention_literatureextraction_ray.functions import graph
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         neighbor_overlap,
     )
 
+    monkeypatch.setattr(graph, "_LOCAL_WEDGE_LIMIT", 1)
     ds = rd.from_arrow(pa.table({
         "src": ["h"] * 6, "dst": [f"l{i}" for i in range(6)]}))
-    got = neighbor_overlap(ds, driver_threshold=500_000,
-                           driver_wedge_limit=1).to_pandas()
+    got = neighbor_overlap(ds).to_pandas()
     assert len(got) == 15  # C(6,2), computed on the distributed path
     assert (got["common"] == 1).all()
 
@@ -924,14 +916,14 @@ def _hits_reference(dir_edges, n_iters, scale=10**12):
     return {v: (hub[v], auth[v]) for v in nodes}
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,n_iters,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,n_iters,placement", [
     (13, 20, 60, 8, 0),          # forced DISTRIBUTED path
     (13, 20, 60, 8, 2_000_000),  # measured driver fast path, same input
     (4, 10, 25, 3, 0),
     (4, 10, 25, 3, 2_000_000),
-])
+], indirect=["placement"])
 def test_hits_matches_reference(seed, n_nodes, n_edges, n_iters,
-                                driver_threshold):
+                                placement):
     """Both paths == a dict-based exact-int HITS reference (self-loops
     and duplicate edges dropped on both sides)."""
     import random
@@ -946,15 +938,14 @@ def test_hits_matches_reference(seed, n_nodes, n_edges, n_iters,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = hits(ds, n_iters=n_iters,
-               driver_threshold=driver_threshold).to_pandas()
+    got = hits(ds, n_iters=n_iters).to_pandas()
     got_map = {r.node_id: (r.hub_fp, r.auth_fp)
                for r in got.itertuples()}
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_hits_star_graph(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_hits_star_graph(placement):
     """Star h -> l0..l3: the center is the only hub (auth 0), leaves
     are pure authorities; empty input gives a typed empty; n_iters < 1
     raises."""
@@ -964,8 +955,7 @@ def test_hits_star_graph(driver_threshold):
     ds = rd.from_arrow(pa.table({
         "src": ["h"] * 4 + ["h"],  # duplicate edge collapses
         "dst": [f"l{i}" for i in range(4)] + ["l0"]}))
-    got = hits(ds, n_iters=8, driver_threshold=driver_threshold
-               ).to_pandas()
+    got = hits(ds, n_iters=8).to_pandas()
     m = {r.node_id: (r.hub_fp, r.auth_fp) for r in got.itertuples()}
     # h emits to 4 leaves: every leaf auth = scale (max-normalized),
     # h's hub = 4*scale normalized back to scale; cross scores are 0
@@ -975,12 +965,12 @@ def test_hits_star_graph(driver_threshold):
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = hits(empty, driver_threshold=driver_threshold)
+    out = hits(empty)
     assert out.schema().names == ["node_id", "hub_fp", "auth_fp"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        hits(ds, n_iters=0, driver_threshold=driver_threshold)
+        hits(ds, n_iters=0)
 
 
 # -------------------------------------------------------- label propagation
@@ -1002,14 +992,14 @@ def _lpa_reference(und_edges, n_rounds):
     return labels
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,n_rounds,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,n_rounds,placement", [
     (5, 20, 50, 4, 0),         # forced DISTRIBUTED path
     (5, 20, 50, 4, 2_000_000),  # measured driver fast path, same input
     (9, 12, 25, 2, 0),
     (9, 12, 25, 2, 2_000_000),
-])
+], indirect=["placement"])
 def test_label_propagation_matches_reference(seed, n_nodes, n_edges,
-                                             n_rounds, driver_threshold):
+                                             n_rounds, placement):
     """Both paths == a dict-based synchronous LPA reference."""
     import random
 
@@ -1025,13 +1015,12 @@ def test_label_propagation_matches_reference(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = label_propagation(ds, n_rounds=n_rounds,
-                            driver_threshold=driver_threshold).to_pandas()
+    got = label_propagation(ds, n_rounds=n_rounds).to_pandas()
     assert dict(zip(got["node_id"], got["label"])) == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_label_propagation_two_communities(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_label_propagation_two_communities(placement):
     """Two triangles joined by one bridge keep two distinct labels
     (where connected_components would report one blob); empty input
     gives a typed empty; n_rounds < 1 raises."""
@@ -1044,8 +1033,7 @@ def test_label_propagation_two_communities(driver_threshold):
     ds = rd.from_arrow(pa.table({
         "src": [a for a, _ in tri1 + tri2] + ["a3"],
         "dst": [b for _, b in tri1 + tri2] + ["b1"]}))
-    got = label_propagation(ds, n_rounds=4,
-                            driver_threshold=driver_threshold).to_pandas()
+    got = label_propagation(ds, n_rounds=4).to_pandas()
     lab = dict(zip(got["node_id"], got["label"]))
     assert len(got) == 6
     ref = _lpa_reference({tuple(sorted(p)) for p in
@@ -1056,24 +1044,23 @@ def test_label_propagation_two_communities(driver_threshold):
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = label_propagation(empty, driver_threshold=driver_threshold)
+    out = label_propagation(empty)
     assert out.schema().names == ["node_id", "label"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        label_propagation(ds, n_rounds=0,
-                          driver_threshold=driver_threshold)
+        label_propagation(ds, n_rounds=0)
 
 
 # ------------------------------------------------------------- Adamic-Adar
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (7, 20, 60, 0),         # forced DISTRIBUTED path
     (7, 20, 60, 500_000),   # measured driver fast path, same input
     (11, 15, 40, 0),
     (11, 15, 40, 500_000),
-])
+], indirect=["placement"])
 def test_adamic_adar_matches_bruteforce(seed, n_nodes, n_edges,
-                                        driver_threshold):
+                                        placement):
     """Adamic-Adar fixed-point sums (BOTH paths) == brute-force
     per-shared-neighbor floor(1e12/ln(deg)) accumulation."""
     import itertools
@@ -1102,15 +1089,15 @@ def test_adamic_adar_matches_bruteforce(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = adamic_adar(ds, driver_threshold=driver_threshold).to_pandas()
+    got = adamic_adar(ds).to_pandas()
     got_map = ({} if len(got) == 0 else
                {(r.id_a, r.id_b): (r.common, r.aa_fp)
                 for r in got.itertuples()})
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_adamic_adar_hub_cap_and_empty(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_adamic_adar_hub_cap_and_empty(placement):
     """Hub centers above max_center_degree contribute no wedges; weights
     always use the FULL degree; empty input gives a typed empty."""
     import math
@@ -1121,7 +1108,7 @@ def test_adamic_adar_hub_cap_and_empty(driver_threshold):
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = adamic_adar(empty, driver_threshold=driver_threshold)
+    out = adamic_adar(empty)
     assert out.schema().names == ["id_a", "id_b", "common", "aa_fp"]
     assert out.count() == 0
 
@@ -1130,8 +1117,7 @@ def test_adamic_adar_hub_cap_and_empty(driver_threshold):
         "src": ["h"] * 5 + ["l0"],
         "dst": [f"l{i}" for i in range(5)] + ["l1"],
     }))
-    capped = adamic_adar(ds, max_center_degree=3,
-                         driver_threshold=driver_threshold).to_pandas()
+    capped = adamic_adar(ds, max_center_degree=3).to_pandas()
     got = {(r.id_a, r.id_b): (r.common, r.aa_fp)
            for r in capped.itertuples()}
     w2 = math.floor(1e12 / math.log(2))  # centers l0/l1 have degree 2
@@ -1139,22 +1125,23 @@ def test_adamic_adar_hub_cap_and_empty(driver_threshold):
     assert got == {("h", "l1"): (1, w2), ("h", "l0"): (1, w2)}
 
     with pytest.raises(ValueError):
-        adamic_adar(ds, min_common=0, driver_threshold=driver_threshold)
+        adamic_adar(ds, min_common=0)
 
 
-def test_adamic_adar_wedge_limit_falls_back_to_distributed():
-    """Above the exact pre-computed wedge limit the driver path refuses
-    and the distributed path returns identical results."""
+def test_adamic_adar_wedge_limit_falls_back_to_distributed(monkeypatch):
+    """Above the exact pre-computed wedge limit the one task refuses
+    and the bucketed body returns identical results."""
     import math
 
+    from aisafetyintervention_literatureextraction_ray.functions import graph
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         adamic_adar,
     )
 
+    monkeypatch.setattr(graph, "_LOCAL_WEDGE_LIMIT", 1)
     ds = rd.from_arrow(pa.table({
         "src": ["h"] * 6, "dst": [f"l{i}" for i in range(6)]}))
-    got = adamic_adar(ds, driver_threshold=500_000,
-                      driver_wedge_limit=1).to_pandas()
+    got = adamic_adar(ds).to_pandas()
     assert len(got) == 15  # C(6,2), computed on the distributed path
     w6 = math.floor(1e12 / math.log(6))
     assert (got["common"] == 1).all()
@@ -1162,8 +1149,8 @@ def test_adamic_adar_wedge_limit_falls_back_to_distributed():
 
 
 # ------------------------------------------------------- clustering coefficient
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_clustering_coefficients_known_graph(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_clustering_coefficients_known_graph(placement):
     """K3 plus a pendant: exact triangle credits, wedge counts, and the
     rounded coefficient on BOTH the driver and distributed paths."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
@@ -1175,7 +1162,7 @@ def test_clustering_coefficients_known_graph(driver_threshold):
         "src": ["a", "b", "c", "d", "a", "c"],
         "dst": ["b", "c", "a", "a", "b", "c"]}))
     out = clustering_coefficients(
-        ds, driver_threshold=driver_threshold).to_pandas()
+        ds).to_pandas()
     got = {r.node_id: (r.triangles, r.wedges,
                        None if pd.isna(r.coeff) else round(r.coeff, 6))
            for r in out.itertuples()}
@@ -1187,13 +1174,13 @@ def test_clustering_coefficients_known_graph(driver_threshold):
     }
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (5, 18, 70, 0),         # forced DISTRIBUTED path
     (5, 18, 70, 500_000),   # measured driver fast path, same input
     (11, 12, 30, 0),
-])
+], indirect=["placement"])
 def test_clustering_coefficients_match_bruteforce(seed, n_nodes, n_edges,
-                                                  driver_threshold):
+                                                  placement):
     """Per-node triangle credits == brute-force triple enumeration;
     wedges == deg*(deg-1)/2; coeff == round(tri/wedges, 6)."""
     import itertools
@@ -1221,7 +1208,7 @@ def test_clustering_coefficients_match_bruteforce(seed, n_nodes, n_edges,
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
     out = clustering_coefficients(
-        ds, driver_threshold=driver_threshold).to_pandas()
+        ds).to_pandas()
     assert len(out) == len(adj)
     for r in out.itertuples():
         deg = len(adj[r.node_id])
@@ -1252,8 +1239,8 @@ def test_clustering_coefficients_empty_and_selfloops():
 
 
 # ------------------------------------------------------------ hash walks
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_hash_walks_match_sequential_reference(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_hash_walks_match_sequential_reference(placement):
     """Engine walks == a sequential replay of the md5-argmin recurrence
     on BOTH the driver and distributed paths; step 0 is the seed; a
     dead-end (isolated seed) contributes only step 0."""
@@ -1288,15 +1275,13 @@ def test_hash_walks_match_sequential_reference(driver_threshold):
                       + "|" + n for n in cands)[33:]
             expected.append((s, t, cur))
 
-    out = hash_walks(ds, seeds=seeds, walk_len=4,
-                     driver_threshold=driver_threshold).to_pandas()
+    out = hash_walks(ds, seeds=seeds, walk_len=4).to_pandas()
     got = sorted(map(tuple, out[["seed", "step", "node_id"]]
                      .itertuples(index=False)))
     assert got == sorted(expected)
 
     # auto-seed selection picks the same smallest-3 set
-    auto = hash_walks(ds, n_auto_seeds=3, walk_len=4,
-                      driver_threshold=driver_threshold).to_pandas()
+    auto = hash_walks(ds, n_auto_seeds=3, walk_len=4).to_pandas()
     got_auto = sorted(map(tuple, auto[["seed", "step", "node_id"]]
                           .itertuples(index=False)))
     assert got_auto == sorted(expected)
@@ -1328,8 +1313,8 @@ def test_hash_walks_edge_cases():
 
 
 # ----------------------------------------------------------------- SCC
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_scc_known_graph_multi_round(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_scc_known_graph_multi_round(placement):
     """Two 2-cycles bridged by a DAG path + a self-loop + a pendant:
     the {c,d} cycle is only detectable after the {a,b} cycle peels
     (its round-1 B label is 'a'), so this exercises the multi-ROUND
@@ -1343,18 +1328,18 @@ def test_scc_known_graph_multi_round(driver_threshold):
     ds = rd.from_arrow(pa.table({"src": [x for x, _ in edges],
                                  "dst": [y for _, y in edges]}))
     out = strongly_connected_components(
-        ds, driver_threshold=driver_threshold).to_pandas()
+        ds).to_pandas()
     got = dict(zip(out["node_id"], out["scc_id"]))
     assert got == {"a": "a", "b": "a", "c": "c", "d": "c",
                    "e": "e", "f": "f"}
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (2, 10, 25, 0),
     (2, 10, 25, 2_000_000),
     (8, 14, 40, 2_000_000),
-])
-def test_scc_matches_bruteforce(seed, n_nodes, n_edges, driver_threshold):
+], indirect=["placement"])
+def test_scc_matches_bruteforce(seed, n_nodes, n_edges, placement):
     """SCC labels == brute-force mutual-reachability closure."""
     import random
 
@@ -1381,7 +1366,7 @@ def test_scc_matches_bruteforce(seed, n_nodes, n_edges, driver_threshold):
     ds = rd.from_arrow(pa.table({"src": [x for x, _ in raw],
                                  "dst": [y for _, y in raw]}))
     out = strongly_connected_components(
-        ds, driver_threshold=driver_threshold).to_pandas()
+        ds).to_pandas()
     got = dict(zip(out["node_id"], out["scc_id"]))
     assert got == expected
 
@@ -1416,8 +1401,8 @@ def test_scc_empty_and_refusal():
 
 
 # -------------------------------------------------------- co-occurrence PMI
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_cooccurrence_pmi_matches_local(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_cooccurrence_pmi_matches_local(placement):
     import itertools
     import math
 
@@ -1449,8 +1434,7 @@ def test_cooccurrence_pmi_matches_local(driver_threshold):
     expected = {p: (k, round(math.log((n * k) / (ca[p[0]] * ca[p[1]])), 6))
                 for p, k in cab.items()}
 
-    out = cooccurrence_pmi(ds, top_k=50,
-                           driver_threshold=driver_threshold).to_pandas()
+    out = cooccurrence_pmi(ds, top_k=50).to_pandas()
     got = {(r.id_a, r.id_b): (r.c_ab, r.pmi) for r in out.itertuples()}
     assert got == expected
 
@@ -1463,8 +1447,8 @@ def test_cooccurrence_pmi_matches_local(driver_threshold):
 
 
 # -------------------------------------------------------- weighted PageRank
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_weighted_pagerank_matches_sequential(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_weighted_pagerank_matches_sequential(placement):
     """Weighted fixed-point PageRank == the sequential integer
     recurrence with summed duplicate-edge weights, on BOTH paths; and
     unit weights reproduce the unweighted ranks bit-for-bit."""
@@ -1500,8 +1484,7 @@ def test_weighted_pagerank_matches_sequential(driver_threshold):
             s[b] += (r[a] * w) // wout[a]
         r = {v: base + (num * s[v]) // den for v in nodes}
 
-    out = pagerank(ds, weight="w",
-                   driver_threshold=driver_threshold).to_pandas()
+    out = pagerank(ds, weight="w").to_pandas()
     got = dict(zip(out["node_id"], out["rank_fp"]))
     assert got == r
 
@@ -1514,9 +1497,8 @@ def test_weighted_pagerank_matches_sequential(driver_threshold):
         "src": [a for a, _ in pairs],
         "dst": [b for _, b in pairs],
         "w": pa.array([1] * len(pairs), type=pa.int64())}))
-    a = pagerank(unit, weight="w",
-                 driver_threshold=driver_threshold).to_pandas()
-    b = pagerank(ds, driver_threshold=driver_threshold).to_pandas()
+    a = pagerank(unit, weight="w").to_pandas()
+    b = pagerank(ds).to_pandas()
     assert dict(zip(a["node_id"], a["rank_fp"])) == \
         dict(zip(b["node_id"], b["rank_fp"]))
 
@@ -1538,14 +1520,14 @@ def _katz_reference(dir_edges, n_iters, beta=10**12):
     return x
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,n_iters,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,n_iters,placement", [
     (13, 20, 60, 8, 0),          # forced DISTRIBUTED path
     (13, 20, 60, 8, 2_000_000),  # measured driver fast path, same input
     (7, 10, 25, 3, 0),
     (7, 10, 25, 3, 2_000_000),
-])
+], indirect=["placement"])
 def test_katz_matches_reference(seed, n_nodes, n_edges, n_iters,
-                                driver_threshold):
+                                placement):
     """Both paths == a dict-based exact-int Katz reference (self-loops
     and duplicate edges dropped on both sides)."""
     import random
@@ -1560,14 +1542,13 @@ def test_katz_matches_reference(seed, n_nodes, n_edges, n_iters,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = katz_centrality(ds, n_iters=n_iters,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = katz_centrality(ds, n_iters=n_iters).to_pandas()
     got_map = {r.node_id: r.katz_fp for r in got.itertuples()}
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_katz_chain_graph(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_katz_chain_graph(placement):
     """Chain a -> b -> c (max in-degree 1, den = 2): two iterations
     give exactly (B, 1.5B, 1.75B); empty input gives a typed empty;
     n_iters < 1 raises."""
@@ -1577,20 +1558,19 @@ def test_katz_chain_graph(driver_threshold):
     ds = rd.from_arrow(pa.table({
         "src": ["a", "b", "a"],  # duplicate edge collapses
         "dst": ["b", "c", "b"]}))
-    got = katz_centrality(ds, n_iters=2,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = katz_centrality(ds, n_iters=2).to_pandas()
     m = {r.node_id: r.katz_fp for r in got.itertuples()}
     assert m == {"a": beta, "b": beta + beta // 2,
                  "c": beta + (beta + beta // 2) // 2}
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = katz_centrality(empty, driver_threshold=driver_threshold)
+    out = katz_centrality(empty)
     assert out.schema().names == ["node_id", "katz_fp"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        katz_centrality(ds, n_iters=0, driver_threshold=driver_threshold)
+        katz_centrality(ds, n_iters=0)
 
 
 # -------------------------------------------------------- shortest paths
@@ -1611,14 +1591,14 @@ def _sssp_reference(wedges, seeds, n_rounds):
     return dist
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,n_rounds,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,n_rounds,placement", [
     (13, 20, 60, 8, 0),          # forced DISTRIBUTED path
     (13, 20, 60, 8, 2_000_000),  # measured driver fast path, same input
     (5, 12, 30, 3, 0),
     (5, 12, 30, 3, 2_000_000),
-])
+], indirect=["placement"])
 def test_sssp_matches_reference(seed, n_nodes, n_edges, n_rounds,
-                                driver_threshold):
+                                placement):
     """Both paths == a dict-based exact-int Bellman-Ford reference
     (parallel edges collapse to min cost; only reached nodes emitted;
     a seed absent from the graph contributes nothing)."""
@@ -1637,14 +1617,14 @@ def test_sssp_matches_reference(seed, n_nodes, n_edges, n_rounds,
         "src": [a for a, _, _ in raw],
         "dst": [b for _, b, _ in raw],
         "c": pa.array([c for _, _, c in raw], pa.int64())}))
-    got = shortest_paths(ds, weight="c", seeds=seeds, n_rounds=n_rounds,
-                         driver_threshold=driver_threshold).to_pandas()
+    got = shortest_paths(ds, weight="c", seeds=seeds,
+                         n_rounds=n_rounds).to_pandas()
     got_map = {r.node_id: r.dist for r in got.itertuples()}
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_sssp_chain_and_contracts(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_sssp_chain_and_contracts(placement):
     """Weighted chain a -2-> b -3-> c plus a costly shortcut a -9-> c:
     the 2-hop route wins within 2 rounds but NOT within 1 (bounded-hop
     semantics); weight=None is the hop metric; empty input gives a
@@ -1655,38 +1635,31 @@ def test_sssp_chain_and_contracts(driver_threshold):
     ds = rd.from_arrow(pa.table({
         "src": ["a", "b", "a"], "dst": ["b", "c", "c"],
         "c": pa.array([2, 3, 9], pa.int64())}))
-    two = shortest_paths(ds, weight="c", seeds=["a"], n_rounds=2,
-                         driver_threshold=driver_threshold).to_pandas()
+    two = shortest_paths(ds, weight="c", seeds=["a"], n_rounds=2).to_pandas()
     assert {r.node_id: r.dist for r in two.itertuples()} == \
         {"a": 0, "b": 2, "c": 5}
-    one = shortest_paths(ds, weight="c", seeds=["a"], n_rounds=1,
-                         driver_threshold=driver_threshold).to_pandas()
+    one = shortest_paths(ds, weight="c", seeds=["a"], n_rounds=1).to_pandas()
     assert {r.node_id: r.dist for r in one.itertuples()} == \
         {"a": 0, "b": 2, "c": 9}
 
-    hops = shortest_paths(ds, seeds=["a"], n_rounds=8,
-                          driver_threshold=driver_threshold).to_pandas()
+    hops = shortest_paths(ds, seeds=["a"], n_rounds=8).to_pandas()
     assert {r.node_id: r.dist for r in hops.itertuples()} == \
         {"a": 0, "b": 1, "c": 1}
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = shortest_paths(empty, seeds=["a"],
-                         driver_threshold=driver_threshold)
+    out = shortest_paths(empty, seeds=["a"])
     assert out.schema().names == ["node_id", "dist"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        shortest_paths(ds, weight="c", seeds=["nope"],
-                       driver_threshold=driver_threshold).to_pandas()
+        shortest_paths(ds, weight="c", seeds=["nope"]).to_pandas()
     neg = rd.from_arrow(pa.table({
         "src": ["a"], "dst": ["b"], "c": pa.array([-1], pa.int64())}))
     with pytest.raises(ValueError):
-        shortest_paths(neg, weight="c", seeds=["a"],
-                       driver_threshold=driver_threshold).to_pandas()
+        shortest_paths(neg, weight="c", seeds=["a"]).to_pandas()
     with pytest.raises(ValueError):
-        shortest_paths(ds, seeds=["a"], n_rounds=0,
-                       driver_threshold=driver_threshold)
+        shortest_paths(ds, seeds=["a"], n_rounds=0)
 
 
 # -------------------------------------------------------- Luby MIS
@@ -1712,14 +1685,14 @@ def _mis_reference(und_edges, n_rounds):
     return out, und
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (13, 20, 40, 0),          # forced DISTRIBUTED path (the expensive
                               # one: ~6 exchanges per Luby round)
     (13, 20, 40, 2_000_000),  # measured driver fast path, same input
     (5, 12, 20, 2_000_000),
-])
+], indirect=["placement"])
 def test_luby_mis_matches_reference(seed, n_nodes, n_edges,
-                                    driver_threshold):
+                                    placement):
     """Both paths == the dict-based md5-keyed Luby reference, and the
     converged result is a genuine MIS: independent (no edge inside)
     and maximal (every other node has a neighbor inside)."""
@@ -1736,8 +1709,7 @@ def test_luby_mis_matches_reference(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = luby_mis(ds, n_rounds=12,
-                   driver_threshold=driver_threshold).to_pandas()
+    got = luby_mis(ds, n_rounds=12).to_pandas()
     got_map = {r.node_id: getattr(r, "round") for r in got.itertuples()}
     assert got_map == ref
 
@@ -1750,8 +1722,8 @@ def test_luby_mis_matches_reference(seed, n_nodes, n_edges,
     assert all(nbr[v] & mis for v in nbr if v not in mis)  # maximal
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_luby_mis_contracts(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_luby_mis_contracts(placement):
     """Triangle: exactly one node joins (round 1).  Self-loop-only
     nodes don't participate; empty input gives a typed empty;
     n_rounds < 1 raises."""
@@ -1759,19 +1731,18 @@ def test_luby_mis_contracts(driver_threshold):
 
     ds = rd.from_arrow(pa.table({
         "src": ["a", "b", "c", "x"], "dst": ["b", "c", "a", "x"]}))
-    got = luby_mis(ds, n_rounds=12,
-                   driver_threshold=driver_threshold).to_pandas()
+    got = luby_mis(ds, n_rounds=12).to_pandas()
     assert len(got) == 1 and got["round"].iloc[0] == 1
     assert got["node_id"].iloc[0] in {"a", "b", "c"}  # never the loop
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = luby_mis(empty, driver_threshold=driver_threshold)
+    out = luby_mis(empty)
     assert out.schema().names == ["node_id", "round"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        luby_mis(ds, n_rounds=0, driver_threshold=driver_threshold)
+        luby_mis(ds, n_rounds=0)
 
 
 # -------------------------------------------------------- path counting
@@ -1805,13 +1776,13 @@ def _path_counts_reference(und_edges, seeds, n_rounds):
     return out
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (11, 14, 30, 0),          # forced DISTRIBUTED path
     (11, 14, 30, 2_000_000),  # measured driver fast path, same input
     (3, 10, 18, 2_000_000),
-])
+], indirect=["placement"])
 def test_bfs_path_counts_matches_reference(seed, n_nodes, n_edges,
-                                           driver_threshold):
+                                           placement):
     """Both paths equal the textbook level-BFS sigma accumulation —
     the Jacobi full-recompute recurrence converges to exact distances
     AND exact shortest-path counts for every node within n_rounds."""
@@ -1829,38 +1800,34 @@ def test_bfs_path_counts_matches_reference(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = bfs_path_counts(ds, seeds=seeds, n_rounds=6,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = bfs_path_counts(ds, seeds=seeds, n_rounds=6).to_pandas()
     got_map = {(r.pivot, r.node_id): (r.dist, r.sigma)
                for r in got.itertuples()}
     assert got_map == ref
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_bfs_path_counts_contracts(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_bfs_path_counts_contracts(placement):
     """Diamond a-{b,c}-d: two shortest paths to d; empty input gives a
     typed empty; empty seeds / n_rounds < 1 raise."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import bfs_path_counts
 
     ds = rd.from_arrow(pa.table({
         "src": ["a", "a", "b", "c"], "dst": ["b", "c", "d", "d"]}))
-    got = bfs_path_counts(ds, seeds=["a"], n_rounds=6,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = bfs_path_counts(ds, seeds=["a"], n_rounds=6).to_pandas()
     m = {r.node_id: (r.dist, r.sigma) for r in got.itertuples()}
     assert m == {"a": (0, 1), "b": (1, 1), "c": (1, 1), "d": (2, 2)}
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = bfs_path_counts(empty, seeds=["a"],
-                          driver_threshold=driver_threshold)
+    out = bfs_path_counts(empty, seeds=["a"])
     assert out.schema().names == ["pivot", "node_id", "dist", "sigma"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        bfs_path_counts(ds, seeds=[], driver_threshold=driver_threshold)
+        bfs_path_counts(ds, seeds=[])
     with pytest.raises(ValueError):
-        bfs_path_counts(ds, seeds=["a"], n_rounds=0,
-                        driver_threshold=driver_threshold)
+        bfs_path_counts(ds, seeds=["a"], n_rounds=0)
 
 
 # -------------------------------------------------------- greedy matching
@@ -1888,13 +1855,13 @@ def _matching_reference(und_edges, n_rounds):
     return out, residual
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (13, 20, 40, 0),          # forced DISTRIBUTED path
     (13, 20, 40, 2_000_000),  # measured driver fast path, same input
     (7, 12, 24, 2_000_000),
-])
+], indirect=["placement"])
 def test_greedy_matching_matches_reference(seed, n_nodes, n_edges,
-                                           driver_threshold):
+                                           placement):
     """Both paths == the dict-based md5-keyed reference, and the
     converged result is a genuine maximal matching: no two matched
     edges share an endpoint, and every residual edge touches a
@@ -1912,8 +1879,7 @@ def test_greedy_matching_matches_reference(seed, n_nodes, n_edges,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = greedy_matching(ds, n_rounds=12,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = greedy_matching(ds, n_rounds=12).to_pandas()
     got_map = {(r.a, r.b): r.match_round for r in got.itertuples()}
     assert got_map == ref
 
@@ -1926,8 +1892,8 @@ def test_greedy_matching_matches_reference(seed, n_nodes, n_edges,
                for a, b in dedup)      # maximal
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_greedy_matching_contracts(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_greedy_matching_contracts(placement):
     """Path a-b-c: exactly one edge matches in round 1 (the md5-min);
     self-loops don't participate; empty input gives a typed empty;
     n_rounds < 1 raises."""
@@ -1935,21 +1901,19 @@ def test_greedy_matching_contracts(driver_threshold):
 
     ds = rd.from_arrow(pa.table({
         "src": ["a", "b", "x"], "dst": ["b", "c", "x"]}))
-    got = greedy_matching(ds, n_rounds=12,
-                          driver_threshold=driver_threshold).to_pandas()
+    got = greedy_matching(ds, n_rounds=12).to_pandas()
     assert len(got) == 1 and got["match_round"].iloc[0] == 1
     assert (got["a"].iloc[0], got["b"].iloc[0]) in {("a", "b"),
                                                     ("b", "c")}
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = greedy_matching(empty, driver_threshold=driver_threshold)
+    out = greedy_matching(empty)
     assert out.schema().names == ["a", "b", "match_round"]
     assert out.count() == 0
 
     with pytest.raises(ValueError):
-        greedy_matching(ds, n_rounds=0,
-                        driver_threshold=driver_threshold)
+        greedy_matching(ds, n_rounds=0)
 
 
 # -------------------------------------------------------- rollup aggregate
@@ -2055,16 +2019,16 @@ def test_rrf_fuse_integer_semantics():
     assert rrf_fuse([[1, 2, 3]], top=2)["doc_id"].tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,k,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,k,placement", [
     (2, 25, 90, 3, 0),         # forced DISTRIBUTED path
     (2, 25, 90, 3, 500_000),   # measured driver fast path, same input
     (8, 15, 45, 4, 0),
     (8, 15, 45, 4, 500_000),
     (4, 30, 29, 3, 0),         # tree-ish: everything peels
     (4, 30, 29, 3, 500_000),
-])
+], indirect=["placement"])
 def test_ktruss_matches_peel_reference(seed, n_nodes, n_edges, k,
-                                       driver_threshold):
+                                       placement):
     """k-truss (BOTH paths) == the sequential support peel over the
     undirected simple graph; reported support is the within-truss
     triangle count per surviving edge."""
@@ -2093,15 +2057,15 @@ def test_ktruss_matches_peel_reference(seed, n_nodes, n_edges, k,
 
     ds = rd.from_arrow(pa.table({"src": [a for a, _ in raw],
                                  "dst": [b for _, b in raw]}))
-    got = ktruss(ds, k=k, driver_threshold=driver_threshold).to_pandas()
+    got = ktruss(ds, k=k).to_pandas()
     got_map = ({} if len(got) == 0
                else {(a, b): s for a, b, s in
                      zip(got["a"], got["b"], got["support"])})
     assert got_map == want
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 500_000])
-def test_ktruss_empty_and_star(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 500_000], indirect=["placement"])
+def test_ktruss_empty_and_star(placement):
     """Empty input keeps its typed schema; a star graph (triangle-free
     but 2-core-dense at the hub) has an EMPTY 3-truss — the semantics
     that distinguish trusses from cores."""
@@ -2111,7 +2075,7 @@ def test_ktruss_empty_and_star(driver_threshold):
 
     empty = rd.from_arrow(pa.table({"src": pa.array([], pa.string()),
                                     "dst": pa.array([], pa.string())}))
-    out = ktruss(empty, k=3, driver_threshold=driver_threshold)
+    out = ktruss(empty, k=3)
     assert out.schema().names == ["a", "b", "support"]
     assert out.count() == 0
 
@@ -2119,20 +2083,19 @@ def test_ktruss_empty_and_star(driver_threshold):
         "src": ["hub"] * 6,
         "dst": [f"leaf{i}" for i in range(6)],
     }))
-    assert ktruss(star, k=3,
-                  driver_threshold=driver_threshold).count() == 0
+    assert ktruss(star, k=3).count() == 0
 
     with pytest.raises(ValueError):
-        ktruss(star, k=2, driver_threshold=driver_threshold)
+        ktruss(star, k=2)
 
 
-@pytest.mark.parametrize("seed,n_nodes,n_edges,driver_threshold", [
+@pytest.mark.parametrize("seed,n_nodes,n_edges,placement", [
     (3, 25, 90, 0),            # forced DISTRIBUTED path
     (3, 25, 90, 2_000_000),    # measured driver fast path, same input
     (13, 10, 12, 0),
-])
+], indirect=["placement"])
 def test_feature_propagation_matches_integer_reference(
-        seed, n_nodes, n_edges, driver_threshold):
+        seed, n_nodes, n_edges, placement):
     """feature_propagation (BOTH paths) == the same integer
     mean-aggregation recurrence run sequentially — BIT-exact, the
     property the unrolled-CTE oracle relies on."""
@@ -2164,8 +2127,7 @@ def test_feature_propagation_matches_integer_reference(
     for _ in range(2):
         f = {v: sum(f[u] for u in adj[v]) // len(adj[v]) for v in nodes}
 
-    got = feature_propagation(ds, fds, rounds=2,
-                              driver_threshold=driver_threshold).to_pandas()
+    got = feature_propagation(ds, fds, rounds=2).to_pandas()
     assert dict(zip(got["node_id"], got["f"])) == f
 
 
@@ -2182,8 +2144,8 @@ def test_feature_propagation_empty():
     assert len(out) == 0
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_dag_levels_matches_reference(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_dag_levels_matches_reference(placement):
     """dag_levels (BOTH paths) == longest-path depth computed by a
     sequential DP over a topological order."""
     import random
@@ -2204,12 +2166,12 @@ def test_dag_levels_matches_reference(driver_threshold):
     lev = {v: 0 for v in nodes}
     for a, b in sorted(raw):  # topological: lexicographic == index order
         lev[b] = max(lev[b], lev[a] + 1)
-    got = dag_levels(ds, driver_threshold=driver_threshold).to_pandas()
+    got = dag_levels(ds).to_pandas()
     assert dict(zip(got["node_id"], got["level"])) == lev
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_dag_levels_rejects_cycles(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_dag_levels_rejects_cycles(placement):
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         dag_levels,
     )
@@ -2217,11 +2179,10 @@ def test_dag_levels_rejects_cycles(driver_threshold):
     cyc = rd.from_arrow(pa.table({"src": ["a", "b", "c"],
                                   "dst": ["b", "c", "a"]}))
     with pytest.raises(RuntimeError, match="cycle"):
-        dag_levels(cyc, max_rounds=10,
-                   driver_threshold=driver_threshold)
+        dag_levels(cyc, max_rounds=10)
     loop = rd.from_arrow(pa.table({"src": ["a"], "dst": ["a"]}))
     with pytest.raises(ValueError, match="self-loop"):
-        dag_levels(loop, driver_threshold=driver_threshold)
+        dag_levels(loop)
 
 
 # -------------------------------------------------------- minimizer sketch
@@ -2281,10 +2242,13 @@ def test_product_quantization_contracts():
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [(7, 60, 200),
                                                   (11, 40, 45),
                                                   (13, 30, 400)])
-def test_msf_boruvka_matches_kruskal(seed, n_nodes, n_edges):
-    """The distributed Boruvka path must be bit-equal to the
-    independent driver Kruskal (unique MSF under distinct md5
-    weights), and the forest must satisfy |F| = |V| - #components."""
+def test_msf_boruvka_matches_kruskal(seed, n_nodes, n_edges, placement):
+    """Boruvka in the one task must be bit-equal to the bucketed body
+    and to a plain-Python Kruskal over the same md5 weights (the MSF is
+    unique under distinct weights), and the forest must satisfy
+    |F| = |V| - #components."""
+    import hashlib
+
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         connected_components,
         minimum_spanning_forest,
@@ -2299,7 +2263,8 @@ def test_msf_boruvka_matches_kruskal(seed, n_nodes, n_edges):
 
     drv = minimum_spanning_forest(edges).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
-    dist = minimum_spanning_forest(edges, driver_threshold=0) \
+    placement(0)
+    dist = minimum_spanning_forest(edges) \
         .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(drv, dist)
 
@@ -2319,6 +2284,22 @@ def test_msf_boruvka_matches_kruskal(seed, n_nodes, n_edges):
             for a, b in zip([f"n{int(x):03d}" for x in src],
                             [f"n{int(x):03d}" for x in dst]) if a != b}
     assert all((a, b) in real for a, b in zip(drv["a"], drv["b"]))
+
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    kruskal = []
+    for w, a, b in sorted(
+            (hashlib.md5(k.encode()).hexdigest() + "|" + k, a, b)
+            for a, b in real for k in [f"{len(a)}:{a}|{len(b)}:{b}"]):
+        if find(a) != find(b):
+            parent[find(a)] = find(b)
+            kruskal.append((a, b, w))
+    assert sorted(zip(drv["a"], drv["b"], drv["w"])) == sorted(kruskal)
 
 
 def test_msf_empty_graph():
@@ -2370,12 +2351,12 @@ _DEGENERATE_WANT = {
 }
 
 
-def _run_ported(algo: str, ds, seed: str, driver_threshold: int):
+def _run_ported(algo: str, ds, seed: str):
     from aisafetyintervention_literatureextraction_ray.functions import (
         graph as g,
     )
 
-    kw = {"driver_threshold": driver_threshold}
+    kw = {}
     if algo == "connected_components":
         return g.connected_components(ds, id_a="src", id_b="dst", **kw), [
             "node_id", "component_id"]
@@ -2396,10 +2377,10 @@ def _run_ported(algo: str, ds, seed: str, driver_threshold: int):
     return g.feature_propagation(ds, feats, **kw), ["node_id", "f"]
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
 @pytest.mark.parametrize("graph", sorted(_DEGENERATE_GRAPHS))
 @pytest.mark.parametrize("algo", sorted(_DEGENERATE_WANT))
-def test_ported_family_degenerate_inputs(algo, graph, driver_threshold):
+def test_ported_family_degenerate_inputs(algo, graph, placement):
     """Every algorithm on the propagate primitive, on BOTH paths, on an
     empty, a self-loop-only and a single-edge graph: typed-empty output
     with the documented columns, or the hand-computed exact values."""
@@ -2407,7 +2388,7 @@ def test_ported_family_degenerate_inputs(algo, graph, driver_threshold):
     ds = rd.from_arrow(pa.table({"src": pa.array(src, pa.string()),
                                  "dst": pa.array(dst, pa.string()),
                                  "w": pa.array(w, pa.int64())}))
-    out, cols = _run_ported(algo, ds, seed, driver_threshold)
+    out, cols = _run_ported(algo, ds, seed)
     want = _DEGENERATE_WANT[algo].get(graph, {})
     if not want:
         assert out.schema().names == cols
@@ -2420,8 +2401,8 @@ def test_ported_family_degenerate_inputs(algo, graph, driver_threshold):
 
 
 # ------------------------------------------ documented int64 caller bounds
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_weighted_pagerank_refuses_weight_scale_overflow(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_weighted_pagerank_refuses_weight_scale_overflow(placement):
     """max(w) * scale must stay below 2^63: exactly 2^63 is refused."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         pagerank,
@@ -2430,12 +2411,11 @@ def test_weighted_pagerank_refuses_weight_scale_overflow(driver_threshold):
     ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"],
                                  "w": pa.array([2**40], pa.int64())}))
     with pytest.raises(ValueError, match=r"reaches 2\^63"):
-        pagerank(ds, weight="w", scale=2**23,
-                 driver_threshold=driver_threshold)
+        pagerank(ds, weight="w", scale=2**23)
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_katz_refuses_beta_overflow(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_katz_refuses_beta_overflow(placement):
     """max_in_degree * 2 * beta must stay below 2^63."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         katz_centrality,
@@ -2443,11 +2423,11 @@ def test_katz_refuses_beta_overflow(driver_threshold):
 
     ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"]}))
     with pytest.raises(ValueError, match=r"reaches 2\^63"):
-        katz_centrality(ds, beta=2**62, driver_threshold=driver_threshold)
+        katz_centrality(ds, beta=2**62)
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_hits_refuses_degree_scale_overflow(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_hits_refuses_degree_scale_overflow(placement):
     """max(in_deg, out_deg) * scale must stay below 2^63 (out-degree 2
     at scale 2^62)."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
@@ -2456,11 +2436,11 @@ def test_hits_refuses_degree_scale_overflow(driver_threshold):
 
     ds = rd.from_arrow(pa.table({"src": ["a", "a"], "dst": ["b", "c"]}))
     with pytest.raises(ValueError, match=r"reaches 2\^63"):
-        hits(ds, scale=2**62, driver_threshold=driver_threshold)
+        hits(ds, scale=2**62)
 
 
-@pytest.mark.parametrize("driver_threshold", [0, 2_000_000])
-def test_sssp_refuses_rounds_cost_overflow(driver_threshold):
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=["placement"])
+def test_sssp_refuses_rounds_cost_overflow(placement):
     """n_rounds * max_cost must stay below 2^63."""
     from aisafetyintervention_literatureextraction_ray.functions.graph import (
         shortest_paths,
@@ -2469,5 +2449,57 @@ def test_sssp_refuses_rounds_cost_overflow(driver_threshold):
     ds = rd.from_arrow(pa.table({"src": ["a"], "dst": ["b"],
                                  "c": pa.array([2**62], pa.int64())}))
     with pytest.raises(ValueError, match=r"reaches 2\^63"):
-        shortest_paths(ds, weight="c", seeds=["a"], n_rounds=2,
-                       driver_threshold=driver_threshold)
+        shortest_paths(ds, weight="c", seeds=["a"], n_rounds=2)
+
+
+@pytest.mark.parametrize("placement", [0, 2_000_000], indirect=True)
+def test_feature_propagation_refuses_feature_degree_overflow(placement):
+    """max(f) * max_deg must stay below 2^63: two nodes with feature
+    2^62 sharing one neighbor would wrap that neighbor's int64 sum."""
+    from aisafetyintervention_literatureextraction_ray.functions.graph import (
+        feature_propagation,
+    )
+
+    ds = rd.from_arrow(pa.table({"src": ["a", "b"], "dst": ["c", "c"]}))
+    feats = rd.from_arrow(pa.table({"node_id": ["a", "b"],
+                                    "f": pa.array([2**62] * 2, pa.int64())}))
+    with pytest.raises(ValueError, match=r"reaches 2\^63"):
+        feature_propagation(ds, feats)
+
+
+def test_one_task_placement_no_driver_gather(monkeypatch):
+    """At the default edge limit each algorithm runs in one Ray task:
+    no table reaches the driver through ``ray.get`` or leaves it
+    through ``ray.put``, and table results come back as block refs."""
+    import ray
+
+    from aisafetyintervention_literatureextraction_ray.functions import graph
+
+    rng = np.random.default_rng(5)
+    ds = rd.from_arrow(pa.table({
+        "src": [f"n{x}" for x in rng.integers(0, 30, 90)],
+        "dst": [f"n{x}" for x in rng.integers(0, 30, 90)]})).materialize()
+    gathered, puts = [], []
+    real_get, real_put = ray.get, ray.put
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        gathered.extend(x for x in (out if isinstance(out, list) else [out])
+                        if isinstance(x, (pa.Table, pd.DataFrame)))
+        return out
+
+    def put(value, *a, **kw):
+        if isinstance(value, (pa.Table, pd.DataFrame)):
+            puts.append(type(value))
+        return real_put(value, *a, **kw)
+
+    monkeypatch.setattr(ray, "get", get)
+    monkeypatch.setattr(ray, "put", put)
+    outs = [graph.pagerank(ds), graph.kcore(ds), graph.luby_mis(ds)]
+    n_tri = graph.triangle_count(ds)
+    refs = [out.to_arrow_refs() for out in outs]
+    assert not gathered and not puts, (gathered, puts)
+    monkeypatch.undo()
+    assert [len(r) for r in refs] == [1, 1, 1]
+    assert isinstance(n_tri, int) and n_tri > 0
+    assert all(t.num_rows for r in refs for t in ray.get(r))

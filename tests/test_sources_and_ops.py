@@ -561,10 +561,11 @@ def test_pack_documents_boundary_semantics():
     assert out["offset_in_pack"].tolist() == [0, 3, 2, 0, 0]
 
 
-def test_connected_components_paths_agree():
-    """Distributed min-label propagation == driver union-find on a
-    graph with a 6-node chain (diameter 5 — multiple propagation
-    rounds), a clique, a pair, and string ids on a second graph."""
+def test_connected_components_paths_agree(placement):
+    """Min-label propagation on both placements (the one task, then the
+    bucketed body) on a graph with a 6-node chain (diameter 5 —
+    multiple propagation rounds), a clique, a pair, and string ids on a
+    second graph."""
     import pandas as pd
     import ray.data as rd
 
@@ -581,20 +582,21 @@ def test_connected_components_paths_agree():
     ds = rd.from_pandas(pairs).repartition(3)
     drv = connected_components(ds).to_pandas()
     assert dict(zip(drv["node_id"], drv["component_id"])) == want
-    # distributed path: a diameter-3 chain forces multi-round label
-    # propagation (kept short — each round is a real shuffle)
-    chain = rd.from_pandas(pd.DataFrame({
-        "id_a": [3, 2, 1, 10], "id_b": [4, 3, 2, 11]})).repartition(2)
-    dist = connected_components(chain, driver_threshold=0,
-                                num_buckets=4).to_pandas()
-    assert dict(zip(dist["node_id"], dist["component_id"])) == {
-        1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
 
     sp = rd.from_pandas(pd.DataFrame({"id_a": ["b", "c"],
                                       "id_b": ["a", "b"]}))
     out = connected_components(sp).to_pandas()
     assert dict(zip(out["node_id"], out["component_id"])) == {
         "a": "a", "b": "a", "c": "a"}
+
+    # bucketed body: a diameter-3 chain forces multi-round label
+    # propagation (kept short — each round is a real shuffle)
+    placement(0)
+    chain = rd.from_pandas(pd.DataFrame({
+        "id_a": [3, 2, 1, 10], "id_b": [4, 3, 2, 11]})).repartition(2)
+    dist = connected_components(chain, num_buckets=4).to_pandas()
+    assert dict(zip(dist["node_id"], dist["component_id"])) == {
+        1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
 
 
 def test_bm25_topk_ranking_sanity():
@@ -672,7 +674,7 @@ def test_bpe_token_counts_vs_whitespace():
     assert ws == [2, 1, 2, 0]
 
 
-def test_empty_edge_cases_no_crash():
+def test_empty_edge_cases_no_crash(placement):
     """Review regressions: zero-dup corpora, zero accepted pairs and
     empty corpora must produce typed empty results, not crashes."""
     import pandas as pd
@@ -696,14 +698,15 @@ def test_empty_edge_cases_no_crash():
     out = exact_dup_pairs(clean)
     assert out.count() == 0 and out.schema().names == ["id_a", "id_b"]
 
-    # empty pair set -> typed empty label table on both CC paths
+    # empty pair set -> typed empty label table on both CC placements
     empty_pairs = rd.from_arrow(pa.table({
         "id_a": pa.array([], type=pa.int64()),
         "id_b": pa.array([], type=pa.int64())}))
     lab = connected_components(empty_pairs)
     assert lab.count() == 0
     assert lab.schema().names == ["node_id", "component_id"]
-    assert connected_components(empty_pairs, driver_threshold=0).count() == 0
+    placement(0)
+    assert connected_components(empty_pairs).count() == 0
 
     # empty corpus -> empty BM25 top-k; metachar/case-insensitive terms
     empty_docs = rd.from_arrow(pa.table({
@@ -833,24 +836,3 @@ def test_asof_and_bucketed_join_ids_above_2_53_exact():
     assert j.column("nid").to_pylist() == [big, big + 2]
     assert j.column("payload").to_pylist() == [big + 4, big + 6]
     assert j.column("lab").to_pylist() == [big + 8, None]
-
-
-def test_labels_sig_blocking_independent():
-    """The convergence signature must depend only on the row MULTISET,
-    not on how rows are split into blocks (ADVICE r3)."""
-    import pandas as pd
-
-    from aisafetyintervention_literatureextraction_ray.functions.graph import _labels_sig
-
-    df = pd.DataFrame({"node_id": [f"n{i}" for i in range(100)],
-                       "component_id": ["c0"] * 50 + ["c1"] * 50})
-    one_block = rd.from_pandas(df)
-    many_blocks = rd.from_pandas(df).repartition(7)
-    shuffled = rd.from_pandas(
-        df.sample(frac=1.0, random_state=3)).repartition(13)
-    s1, s2, s3 = (_labels_sig(d) for d in (one_block, many_blocks, shuffled))
-    assert s1 == s2 == s3
-    # and it still distinguishes different multisets
-    df2 = df.copy()
-    df2.loc[0, "component_id"] = "c1"
-    assert _labels_sig(rd.from_pandas(df2)) != s1

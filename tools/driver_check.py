@@ -14,10 +14,13 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 
+# the checkout this file lives in, so a copy checks its own code
+ROOT = Path(__file__).resolve().parents[1]
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -57,7 +60,7 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(ROOT))
     import __ray_entry__ as entrymod
 
     t0 = time.time()
